@@ -11,8 +11,7 @@ bosons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -31,10 +30,6 @@ class SpinMagnitude:
     @property
     def s(self) -> float:
         return self.two_s / 2.0
-
-    @property
-    def s_exact(self) -> Fraction:
-        return Fraction(self.two_s, 2)
 
     @property
     def site_dim(self) -> int:
@@ -94,14 +89,6 @@ class SpinLattice:
         for e in self.extents:
             n *= e
         return n
-
-    def site_index(self, coords) -> int:
-        """Row-major site index of a 1-based coordinate tuple."""
-        if self.dimension == 1:
-            (x,) = coords if isinstance(coords, tuple) else (coords,)
-            return x - 1
-        x, y = coords
-        return (x - 1) * self.extents[1] + (y - 1)
 
     def bonds(self):
         """Nearest-neighbor site-index pairs, open boundaries."""
@@ -163,13 +150,25 @@ def sector_dimension(nsites: int, n: int, cap: int) -> int:
     return total
 
 
+def _key_weights(nsites, cap):
+    """Place values of the base-(cap+1) key of an occupation vector, first
+    site most significant, so ascending lexicographic order is ascending
+    key order.  Keys of up to (cap+1)^M - 1 fit int64 only while
+    (cap+1)^M <= 2^63; beyond that (long uncapped chains) the weights are
+    Python ints, which never overflow."""
+    weights = [(cap + 1) ** (nsites - 1 - x) for x in range(nsites)]
+    fits = (cap + 1) ** nsites <= 2**63
+    return np.array(weights, dtype=np.int64 if fits else object)
+
+
 @dataclass
 class MagnonSectorBasis:
     """Ordered occupation-number basis of a fixed-magnon-number block.
 
     `capped=True` enforces n_x <= 2S (the physical spin space); with
     `capped=False` the per-site occupation is unconstrained within the
-    sector (free bosons), i.e. the effective cap is n itself.
+    sector (free bosons), i.e. the effective cap is n itself.  Rows are
+    looked up by binary search over the sorted base-(cap+1) state keys.
     """
 
     lattice: SpinLattice
@@ -177,7 +176,10 @@ class MagnonSectorBasis:
     n: int
     capped: bool
     states: np.ndarray
-    index: dict = field(repr=False)
+
+    def __post_init__(self):
+        self._weights = _key_weights(self.lattice.nsites, self.cap)
+        self._keys = self.states @ self._weights
 
     @property
     def dim(self) -> int:
@@ -188,7 +190,21 @@ class MagnonSectorBasis:
         return self.spin.two_s if self.capped else self.n
 
     def state_index(self, occ) -> int:
-        return self.index[tuple(int(v) for v in occ)]
+        """Row of an occupation vector; KeyError if it is not in the sector."""
+        occ = np.asarray(occ, dtype=np.int64)
+        if occ.shape == self._weights.shape and occ.min() >= 0 and occ.max() <= self.cap:
+            key = occ @ self._weights
+            row = int(np.searchsorted(self._keys, key))
+            if row < self.dim and self._keys[row] == key:
+                return row
+        raise KeyError(f"state {tuple(occ.tolist())} is not in the n={self.n} sector")
+
+    def hop_targets(self, rows, src, dst) -> np.ndarray:
+        """Rows of the states reached from `rows` by moving one boson from
+        site `src` to site `dst` (equal-shape arrays).  Every move must
+        stay inside the sector: src occupied, dst below the cap."""
+        moved = self._keys[rows] - self._weights[src] + self._weights[dst]
+        return np.searchsorted(self._keys, moved)
 
 
 def enumerate_sector_basis(
@@ -222,5 +238,4 @@ def enumerate_sector_basis(
     states = np.array(
         list(_bounded_compositions(n, nsites, cap)), dtype=np.int64
     ).reshape(-1, nsites)
-    index = {tuple(row): i for i, row in enumerate(states.tolist())}
-    return MagnonSectorBasis(lattice, spin, n, capped, states, index)
+    return MagnonSectorBasis(lattice, spin, n, capped, states)

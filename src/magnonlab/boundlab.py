@@ -24,7 +24,7 @@ from .basis import (
     enumerate_sector_basis,
     sector_dimension,
 )
-from .certificates import InequalityCertificate
+from .certificates import InequalityCertificate, worst
 from .magnongas import delta_dilution, preliminary_free_energy_bound
 from .operators import (
     assemble_dirichlet_heisenberg,
@@ -112,8 +112,8 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
     s = spin.s
     s_max = s * ell
     k0 = s_max * (s_max + 1.0)
-    worst = math.inf
-    worst_chain = math.inf
+    matrix_slacks = []
+    chain_slacks = []
     scale = 1.0
     for n in range(spin.two_s * ell + 1):
         basis = enumerate_sector_basis(lattice, spin, n)
@@ -121,16 +121,18 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
         s2 = assemble_total_spin_squared(basis).to_dense()
         diff = h - (2.0 / ell**3) * (k0 * np.eye(basis.dim) - s2)
         eigs = sla.eigvalsh(diff)
-        worst = min(worst, float(eigs[0]))
+        matrix_slacks.append(float(eigs[0]))
         scale = max(scale, float(np.abs(sla.eigvalsh(h)).max()))
         for e, t in sector_energy_spin_pairs(lattice, spin, n):
-            worst_chain = min(worst_chain, e - (2.0 * s / ell**2) * (s_max - t))
+            chain_slacks.append(e - (2.0 * s / ell**2) * (s_max - t))
+    matrix_slack = worst(matrix_slacks)
+    chain_slack = worst(chain_slacks)
     return InequalityCertificate(
         name="casimir-energy-floor",
         params={"ell": ell, "two_s": spin.two_s},
-        slack=min(worst, worst_chain),
+        slack=worst([matrix_slack, chain_slack]),
         tolerance=PSD_TOL_FACTOR * scale,
-        extras={"matrix_slack": worst, "scalar_chain_slack": worst_chain},
+        extras={"matrix_slack": matrix_slack, "scalar_chain_slack": chain_slack},
     )
 
 
@@ -270,21 +272,21 @@ def verify_halfspin_quadratic_form_equality(
             if occ_list[x] == 1 and occ_list[x + 1] == 0:
                 occ_list[x] = 0
                 occ_list[x + 1] = 1
-                pairs.append((i, basis.index[tuple(occ_list)]))
+                pairs.append((i, basis.state_index(occ_list)))
                 occ_list[x] = 1
                 occ_list[x + 1] = 0
     rng = rng_for(seed, 5, ell, n)
-    worst = 0.0
+    slacks = []
     for _ in range(max(samples, 1)):
         psi = rng.standard_normal(basis.dim)
         psi /= np.linalg.norm(psi)
         lhs = float(psi @ h @ psi)
         rhs = spin.s * float(sum((psi[i] - psi[j]) ** 2 for i, j in pairs))
-        worst = max(worst, abs(lhs - rhs))
+        slacks.append(-abs(lhs - rhs))
     return InequalityCertificate(
         name="halfspin-quadratic-form",
         params={"ell": ell, "n": n, "samples": samples},
-        slack=-worst,
+        slack=worst(slacks),
         tolerance=1e-10,
         seed=seed,
     )
@@ -427,17 +429,17 @@ def verify_low_energy_truncation(
     lhs = float(np.exp(-beta * energies).sum())
     rhs = 1.0 + float(np.exp(-beta * energies[energies < e0]).sum())
     trunc_slack = rhs - lhs
-    sector_slack = math.inf
-    for n, pairs in enumerate(per_sector):
-        for e, t in pairs:
-            if e < e0 and abs(t - (s_max - n)) < 0.25:
-                sector_slack = min(sector_slack, n0 - n)
-    if sector_slack is math.inf:
-        sector_slack = n0
+    sector_slacks = [
+        n0 - n
+        for n, pairs in enumerate(per_sector)
+        for e, t in pairs
+        if e < e0 and abs(t - (s_max - n)) < 0.25
+    ]
+    sector_slack = worst(sector_slacks) if sector_slacks else n0
     return InequalityCertificate(
         name="low-energy-truncation",
         params={"ell": ell, "two_s": spin.two_s, "beta": beta},
-        slack=min(trunc_slack, sector_slack),
+        slack=worst([trunc_slack, sector_slack]),
         tolerance=1e-12 * max(1.0, lhs),
         extras={
             "truncation_slack": trunc_slack,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class InequalityCertificate:
@@ -53,5 +55,11 @@ def write_certificate_ledger(certificates, path) -> None:
             fh.write(cert.to_json() + "\n")
 
 
-def all_passed(certificates) -> bool:
-    return all(c.passed for c in certificates)
+def worst(items, key=float):
+    """The item of smallest `key(item)` (its slack), the first one on ties.
+
+    A NaN slack counts as the worst, so it reaches the certificate and
+    fails it; Python's `min` would drop it (`min(inf, nan)` is inf).
+    """
+    items = list(items)
+    return items[int(np.argmin([key(item) for item in items]))]

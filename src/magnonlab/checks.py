@@ -27,7 +27,7 @@ from .boundlab import (
     verify_php_leq_t,
     verify_vnorm_lower_bound,
 )
-from .certificates import InequalityCertificate
+from .certificates import InequalityCertificate, worst
 from .operators import assemble_heisenberg, verify_su2_representation
 from .spectra import check_localization_bound, check_subadditivity
 
@@ -162,14 +162,13 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None,
         ell, n, two_s = job
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         rng = rng_for(seed, 1, ell, n, two_s)
-        worst = None
-        for _ in range(samples):
-            cert = verify_vnorm_lower_bound(haar_random_state(basis, rng))
-            if worst is None or cert.slack < worst.slack:
-                worst = cert
-        worst.params["samples"] = samples
-        worst.seed = seed
-        return worst
+        cert = worst(
+            (verify_vnorm_lower_bound(haar_random_state(basis, rng)) for _ in range(samples)),
+            key=lambda c: c.slack,
+        )
+        cert.params["samples"] = samples
+        cert.seed = seed
+        return cert
 
     return _map_ordered(cell, cells)
 
@@ -186,7 +185,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, beta_gibbs=2.0,
         ell, n, two_s = job
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         h = assemble_heisenberg(basis).to_dense()
-        worst_off = worst_diag = None
+        pairs = []
         for kind in ("haar", "gibbs"):
             rng = rng_for(seed, 2, ell, n, two_s, 0 if kind == "haar" else 1)
             for _ in range(samples):
@@ -194,15 +193,12 @@ def run_density(grid="default", seed=DEFAULT_SEED, beta_gibbs=2.0,
                     state = haar_random_state(basis, rng)
                 else:
                     state = gibbs_random_state(basis, h, beta_gibbs, rng)
-                c_off, c_diag = verify_density_bounds(state, h)
-                if worst_off is None or c_off.slack < worst_off.slack:
-                    worst_off = c_off
-                if worst_diag is None or c_diag.slack < worst_diag.slack:
-                    worst_diag = c_diag
-        for cert in (worst_off, worst_diag):
+                pairs.append(verify_density_bounds(state, h))
+        certs = [worst(side, key=lambda c: c.slack) for side in zip(*pairs)]
+        for cert in certs:
             cert.params["samples"] = 2 * samples
             cert.seed = seed
-        return [worst_off, worst_diag]
+        return certs
 
     return _flatten(_map_ordered(cell, cells))
 

@@ -82,21 +82,21 @@ def _fmt(value):
 
 
 def parse_beta_grid(spec_text: str):
-    """Parse '1,2,4' or 'logspace:lo:hi:n' into a list of positive floats."""
+    """Parse '1,2,4' or 'logspace:lo:hi:n' into a list of positive, finite floats."""
     if spec_text.startswith("logspace:"):
         try:
             _, lo, hi, count = spec_text.split(":")
             lo, hi, count = float(lo), float(hi), int(count)
         except ValueError as exc:
             raise ValueError(f"bad logspace spec {spec_text!r}") from exc
-        if count < 1 or lo <= 0 or hi <= 0:
+        if count < 1 or not (0 < lo < math.inf and 0 < hi < math.inf):
             raise ValueError(f"bad logspace spec {spec_text!r}")
         return [float(v) for v in np.geomspace(lo, hi, count)]
     values = [float(tok) for tok in spec_text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty beta grid")
-    if any(v <= 0 for v in values):
-        raise ValueError("beta values must be positive")
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError("beta values must be positive and finite")
     return values
 
 
@@ -343,10 +343,17 @@ def _finalize(args, needed):
     for key in needed:
         if getattr(args, key, None) is None:
             setattr(args, key, _DEFAULTS[key])
-    # config-file values arrive as strings
+    # config-file values and --two-s arrive as strings; verify takes
+    # --two-s as a comma list, parsed by cmd_verify
     for key in ("two_s", "length", "extent", "seed", "dimension"):
-        if getattr(args, key, None) is not None and isinstance(getattr(args, key), str):
-            setattr(args, key, int(getattr(args, key)))
+        value = getattr(args, key, None)
+        if isinstance(value, str) and not (key == "two_s" and args.command == "verify"):
+            try:
+                setattr(args, key, int(value))
+            except ValueError:
+                raise ValueError(
+                    f"--{key.replace('_', '-')} must be an integer, got {value!r}"
+                ) from None
     for key in ("upper_scale", "lower_scale"):
         if hasattr(args, key) and isinstance(getattr(args, key), str):
             setattr(args, key, float(getattr(args, key)))
@@ -367,7 +374,7 @@ def build_parser():
     common.add_argument("--format", choices=("csv", "json"), default=None)
 
     p_fe = sub.add_parser("free-energy", parents=[common], help="exact ED free-energy curves")
-    p_fe.add_argument("--two-s", type=int, default=None)
+    p_fe.add_argument("--two-s", default=None)
     p_fe.add_argument("--length", type=int, default=None, help="chain length")
     p_fe.add_argument("--extent", type=int, default=None,
                       help="side of a square grid (replaces --length)")
@@ -389,7 +396,7 @@ def build_parser():
     p_v.set_defaults(func=cmd_verify, needed=("grid", "seed", "format"))
 
     p_a = sub.add_parser("asymptotics", parents=[common], help="assembled envelope tables")
-    p_a.add_argument("--two-s", type=int, default=None)
+    p_a.add_argument("--two-s", default=None)
     p_a.add_argument("--beta-s", default=None, help="beta*S grid: comma list or logspace:lo:hi:n")
     p_a.add_argument("--dimension", type=int, choices=(1, 2), default=None)
     p_a.add_argument("--upper-scale", type=float, default=None)
@@ -400,7 +407,7 @@ def build_parser():
                              "lower_scale", "format"))
 
     p_b = sub.add_parser("budget", parents=[common], help="lower-bound budget tables")
-    p_b.add_argument("--two-s", type=int, default=None)
+    p_b.add_argument("--two-s", default=None)
     p_b.add_argument("--ell", default=None, help="comma list of box sizes")
     p_b.add_argument("--beta", default=None)
     p_b.add_argument("--e0-source", choices=("preliminary", "exact-ed"), default=None)
@@ -413,10 +420,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _apply_config(args, parser)
-    _finalize(args, args.needed)
     if getattr(args, "out", None) is None and args.command != "verify":
         parser.error("--out is required for table-producing commands")
     try:
+        _finalize(args, args.needed)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

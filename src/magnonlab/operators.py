@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import MagnonSectorBasis, SpinLattice, SpinMagnitude, enumerate_sector_basis
+from .basis import MagnonSectorBasis, SpinLattice, SpinMagnitude
 
 
 @dataclass
@@ -52,71 +52,51 @@ class HermitianOperator:
         return np.linalg.eigvalsh(self.to_dense())
 
 
-class _CooBuilder:
-    def __init__(self):
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, i, j, v):
-        if v != 0.0:
-            self.rows.append(i)
-            self.cols.append(j)
-            self.vals.append(v)
-
-    def build(self, basis) -> HermitianOperator:
-        return HermitianOperator(
-            basis,
-            np.asarray(self.rows, dtype=np.int64),
-            np.asarray(self.cols, dtype=np.int64),
-            np.asarray(self.vals, dtype=np.float64),
-        )
-
-
 def _sqrt_dressing(occ_after, two_s):
     """sqrt of the positive part of 1 - n/(2S), with n the occupation the
-    factor sees after the annihilation acted."""
-    val = 1.0 - occ_after / two_s
-    return math.sqrt(val) if val > 0.0 else 0.0
+    factor sees after the annihilation acted (scalar or array)."""
+    return np.sqrt(np.maximum(1.0 - np.asarray(occ_after) / two_s, 0.0))
 
 
-def _hop_amplitude(n_src, n_dst, two_s, dressed):
-    """Matrix element of a^dag_dst [sqrt factors] a_src moving one boson.
+def _hop_operator(basis, pairs, hop_scale, diag, dressed):
+    """Shared kernel: `diag` (one value per state) plus
+    hop_scale * sum over ordered site pairs (src, dst) of a^dag_dst a_src.
 
-    `n_src`, `n_dst` are occupations before the move.  With `dressed`
-    the square-root occupancy factors of the spin representation are
-    applied: sqrt(1 - n_dst/2S) and sqrt(1 - (n_src-1)/2S), clamped at 0.
+    The hop amplitude is sqrt(n_src (n_dst + 1)) for occupations before
+    the move; with `dressed` it carries the spin-representation factors
+    sqrt(1 - n_dst/2S) sqrt(1 - (n_src-1)/2S), clamped at 0.  All pairs
+    of all states are handled in one batch; zero entries are dropped.
     """
-    amp = math.sqrt(n_src * (n_dst + 1))
+    src, dst = np.array(pairs).T
+    n_src = basis.states[:, src]
+    n_dst = basis.states[:, dst]
+    amp = np.sqrt(n_src * (n_dst + 1))
     if dressed:
-        amp *= _sqrt_dressing(n_dst, two_s) * _sqrt_dressing(n_src - 1, two_s)
-    return amp
+        two_s = basis.spin.two_s
+        # dressing product first: the rounding the tests' loop reference pins
+        amp = amp * (_sqrt_dressing(n_dst, two_s) * _sqrt_dressing(n_src - 1, two_s))
+    cols, k = np.nonzero((n_src > 0) & (n_dst < basis.cap) & (amp != 0.0))
+    rows = basis.hop_targets(cols, src[k], dst[k])
+    on_diag = np.flatnonzero(diag != 0.0)
+    return HermitianOperator(
+        basis,
+        np.concatenate([on_diag, rows]),
+        np.concatenate([on_diag, cols]),
+        np.concatenate([diag[on_diag], hop_scale * amp[cols, k]]),
+    )
 
 
-def _assemble_hopping(basis, bonds, dressed, diag_fn, extra_diag=None):
-    """Shared kernel: nearest-neighbor hops plus a per-state diagonal."""
-    two_s = basis.spin.two_s
-    out = _CooBuilder()
-    s = two_s / 2.0
-    for i, occ in enumerate(basis.states):
-        out.add(i, i, diag_fn(occ) + (extra_diag(occ) if extra_diag else 0.0))
-        occ_list = occ.tolist()
-        for x, y in bonds:
-            for src, dst in ((x, y), (y, x)):
-                ns = occ_list[src]
-                if ns == 0:
-                    continue
-                nd = occ_list[dst]
-                if nd + 1 > basis.cap:
-                    continue
-                amp = _hop_amplitude(ns, nd, two_s, dressed)
-                if amp == 0.0:
-                    continue
-                occ_list[src] -= 1
-                occ_list[dst] += 1
-                j = basis.index[tuple(occ_list)]
-                occ_list[src] += 1
-                occ_list[dst] -= 1
-                out.add(j, i, -s * amp)
-    return out.build(basis)
+def _bond_pairs(lattice):
+    """Both orientations of every nearest-neighbor bond."""
+    bonds = lattice.bonds()
+    return bonds + [(y, x) for x, y in bonds]
+
+
+def _bond_diagonal(basis):
+    """sum over bonds of S*(n_x + n_y) - n_x*n_y, one value per state."""
+    x, y = np.array(basis.lattice.bonds()).T
+    n_x, n_y = basis.states[:, x], basis.states[:, y]
+    return (basis.spin.s * (n_x + n_y) - n_x * n_y).sum(axis=1)
 
 
 def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -128,16 +108,9 @@ def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
     square-root occupancy dressing that encodes the hard-core
     constraint.  Works for open chains and open 2d grids.
     """
-    lattice = basis.lattice
-    s = basis.spin.s
-    bonds = lattice.bonds()
-
-    def diag(occ):
-        return sum(
-            s * (occ[x] + occ[y]) - occ[x] * occ[y] for x, y in bonds
-        )
-
-    return _assemble_hopping(basis, bonds, dressed=True, diag_fn=diag)
+    return _hop_operator(
+        basis, _bond_pairs(basis.lattice), -basis.spin.s, _bond_diagonal(basis), dressed=True
+    )
 
 
 def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -154,18 +127,9 @@ def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator
             "bound enters through the free-boson operator instead"
         )
     s = basis.spin.s
-    bonds = lattice.bonds()
-    last = lattice.nsites - 1
-
-    def diag(occ):
-        return sum(
-            s * (occ[x] + occ[y]) - occ[x] * occ[y] for x, y in bonds
-        )
-
-    def pin(occ):
-        return s * (occ[0] + occ[last])
-
-    return _assemble_hopping(basis, bonds, dressed=True, diag_fn=diag, extra_diag=pin)
+    pin = s * (basis.states[:, 0] + basis.states[:, -1])
+    diag = _bond_diagonal(basis) + pin
+    return _hop_operator(basis, _bond_pairs(lattice), -s, diag, dressed=True)
 
 
 def assemble_free_boson_t(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -183,13 +147,8 @@ def assemble_free_boson_t(basis: MagnonSectorBasis) -> HermitianOperator:
         )
     lattice = basis.lattice
     s = basis.spin.s
-    d = lattice.dimension
-    bonds = lattice.bonds()
-
-    def diag(occ):
-        return 2.0 * d * s * int(np.sum(occ))
-
-    return _assemble_hopping(basis, bonds, dressed=False, diag_fn=diag)
+    diag = np.full(basis.dim, 2.0 * lattice.dimension * s * basis.n)
+    return _hop_operator(basis, _bond_pairs(lattice), -s, diag, dressed=False)
 
 
 @dataclass
@@ -234,36 +193,13 @@ def assemble_total_spin_squared(basis: MagnonSectorBasis) -> HermitianOperator:
     """
     if not basis.capped:
         raise ValueError("the Casimir is assembled on the physical (capped) basis")
-    lattice = basis.lattice
-    spin = basis.spin
-    two_s = spin.two_s
-    s = spin.s
-    m = lattice.nsites
-    out = _CooBuilder()
-    for i, occ in enumerate(basis.states):
-        occ_f = occ.astype(float)
-        dev = occ_f - s
-        diag = m * s * (s + 1.0) + np.sum(dev) ** 2 - np.sum(dev**2)
-        out.add(i, i, diag)
-        occ_list = occ.tolist()
-        for dst in range(m):
-            for src in range(m):
-                if src == dst:
-                    continue
-                ns = occ_list[src]
-                if ns == 0 or occ_list[dst] + 1 > two_s:
-                    continue
-                amp = _hop_amplitude(ns, occ_list[dst], two_s, dressed=True)
-                if amp == 0.0:
-                    continue
-                occ_list[src] -= 1
-                occ_list[dst] += 1
-                j = basis.index[tuple(occ_list)]
-                occ_list[src] += 1
-                occ_list[dst] -= 1
-                # transverse part reduces to one dressed 2S-hop per ordered pair
-                out.add(j, i, 2.0 * s * amp)
-    return out.build(basis)
+    s = basis.spin.s
+    m = basis.lattice.nsites
+    dev = basis.states - s
+    diag = m * s * (s + 1.0) + dev.sum(axis=1) ** 2 - (dev**2).sum(axis=1)
+    # the transverse part reduces to one dressed 2S-hop per ordered pair
+    pairs = [(src, dst) for dst in range(m) for src in range(m) if src != dst]
+    return _hop_operator(basis, pairs, 2.0 * s, diag, dressed=True)
 
 
 def ground_multiplet_vector(basis: MagnonSectorBasis) -> np.ndarray:
@@ -373,11 +309,3 @@ def tensor_product_heisenberg(lattice: SpinLattice, spin: SpinMagnitude) -> np.n
         spy, smy, szy = site_op(sp_, y), site_op(sm_, y), site_op(s3, y)
         h += s * s * np.eye(dim) - szx @ szy - 0.5 * (spx @ smy + smx @ spy)
     return h
-
-
-def all_sector_bases(lattice: SpinLattice, spin: SpinMagnitude):
-    """Physical sector bases for n = 0 .. 2S * nsites, in order."""
-    return [
-        enumerate_sector_basis(lattice, spin, n)
-        for n in range(spin.two_s * lattice.nsites + 1)
-    ]

@@ -2,9 +2,12 @@
 variational upper bound with the projected free-boson trial state.
 
 Per-sector spectra are computed with a dense symmetric eigensolver
-(partition functions need every eigenvalue); the spectral gap falls
-back to a sparse deflated solve on the middle sector when the sector
-dimension makes dense work infeasible.
+(partition functions need every eigenvalue).  Sector sizes are counted
+with `sector_dimension` before any basis is enumerated: `full_spectrum`
+refuses a lattice up front when a sector exceeds the dense budget, and
+`spectral_gap` chooses its solver from the middle sector's size, dense
+spectra while that sector fits `DENSE_SECTOR_CAP` and a sparse deflated
+solve on the middle sector alone once it does not.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .basis import (
     enumerate_sector_basis,
     sector_dimension,
 )
-from .certificates import InequalityCertificate
+from .certificates import InequalityCertificate, worst
 from .operators import (
     assemble_dirichlet_heisenberg,
     assemble_free_boson_t,
@@ -93,14 +96,16 @@ def full_spectrum(
             f"total dimension {total_dim} exceeds cap {dim_cap}; "
             "restrict to individual sectors instead"
         )
-    sector_eigs = []
-    for n in range(spin.two_s * lattice.nsites + 1):
-        basis = enumerate_sector_basis(lattice, spin, n)
-        if basis.dim > dense_sector_cap:
+    sectors = range(spin.two_s * lattice.nsites + 1)
+    for n in sectors:
+        dim = sector_dimension(lattice.nsites, n, spin.two_s)
+        if dim > dense_sector_cap:
             raise ResourceLimitError(
-                f"sector n={n} has dimension {basis.dim} > {dense_sector_cap}"
+                f"sector n={n} has dimension {dim} > {dense_sector_cap}"
             )
-        op = _assemble_variant(basis, variant)
+    sector_eigs = []
+    for n in sectors:
+        op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
         sector_eigs.append(np.sort(sla.eigvalsh(op.to_dense())))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
@@ -181,18 +186,29 @@ def spectral_gap(
     tol_factor: float = 1e-10,
 ) -> GapReport:
     """Smallest nonzero eigenvalue across all sectors of the free chain,
-    reported against 2S(1 - cos(pi/ell))."""
+    reported against 2S(1 - cos(pi/ell)).
+
+    Without a precomputed `spectrum`, the solver is chosen before any
+    work from the size of the middle sector n = floor(S*ell): the sparse
+    middle-sector solve once that sector exceeds `DENSE_SECTOR_CAP` (or
+    the whole space exceeds `DEFAULT_DIM_CAP`), otherwise the dense
+    spectrum of every sector.
+    """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
     ell = lattice.nsites
-    try:
+    n_mid = (spin.two_s * ell) // 2
+    if spectrum is None and (
+        sector_dimension(ell, n_mid, spin.two_s) > DENSE_SECTOR_CAP
+        or spin.site_dim**ell > DEFAULT_DIM_CAP
+    ):
+        gap = _middle_sector_gap(lattice, spin, tol_factor)
+    else:
         if spectrum is None:
             spectrum = full_spectrum(lattice, spin)
         ev = spectrum.all_eigenvalues
         tol = tol_factor * max(spectrum.scale, 1.0)
         gap = float(ev[ev > tol].min())
-    except ResourceLimitError:
-        gap = _middle_sector_gap(lattice, spin, tol_factor)
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(ell, spin.two_s, gap, reference, abs(gap - reference))
 
@@ -208,7 +224,7 @@ def check_subadditivity(
         slacks.append(
             total_length * f[total_length] - ell * f[ell] - rest * f[rest]
         )
-    slack = float(min(slacks))
+    slack = float(worst(slacks))
     return InequalityCertificate(
         name="subadditivity",
         params={"L": total_length, "two_s": spin.two_s, "beta": beta},
@@ -238,7 +254,7 @@ def check_localization_bound(
     return InequalityCertificate(
         name="localization-upper-bound",
         params={"L": total_length, "ell": ell, "two_s": spin.two_s, "beta": beta},
-        slack=float(min(slack_main, slack_cross)),
+        slack=float(worst([slack_main, slack_cross])),
         tolerance=1e-12 * max(1.0, abs(f_big)),
         extras={"slack_main": float(slack_main), "slack_cross": float(slack_cross)},
     )

@@ -108,3 +108,29 @@ def test_magnon_number_tracks_total_spin_projection():
 def test_2d_basis():
     basis = enumerate_sector_basis(SpinLattice.square(2), SpinMagnitude(1), 2)
     assert basis.dim == 6
+
+
+def test_state_index_round_trips_when_keys_exceed_int64():
+    # uncapped n = 2 sector of 40 sites: cap 2, and 3**40 > 2**63
+    basis = enumerate_sector_basis(SpinLattice.chain(40), SpinMagnitude(1), 2, capped=False)
+    assert basis.dim == 820 and 3**40 > 2**63
+    assert [basis.state_index(s) for s in basis.states] == list(range(basis.dim))
+    rows = np.arange(basis.dim)
+    src = basis.states.argmax(axis=1)
+    dst = (src + 1) % 40
+    moved = basis.states.copy()
+    moved[rows, src] -= 1
+    moved[rows, dst] += 1
+    assert basis.hop_targets(rows, src, dst).tolist() == [
+        basis.state_index(s) for s in moved
+    ]
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(1, 1, 1), (2, 0, 1), (3, 0, 0), (-1, 2, 1), (1, 1), (1, 1, 0, 0)],
+)
+def test_state_index_rejects_states_outside_the_sector(occ):
+    basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(2), 2)
+    with pytest.raises(KeyError):
+        basis.state_index(occ)

@@ -47,6 +47,39 @@ def test_casimir_certificates():
         assert cert.extras["scalar_chain_slack"] >= -cert.tolerance
 
 
+def test_casimir_nan_energy_fails_the_certificate(monkeypatch):
+    from magnonlab import spectra
+
+    exact = spectra.sector_energy_spin_pairs
+
+    def nan_in_sector_one(lattice, spin, n, variant="free"):
+        pairs = exact(lattice, spin, n, variant)
+        return [(math.nan, t) for _, t in pairs] if n == 1 else pairs
+
+    monkeypatch.setattr(spectra, "sector_energy_spin_pairs", nan_in_sector_one)
+    cert = verify_casimir_lower_bound(3, SpinMagnitude(1))
+    assert math.isnan(cert.extras["scalar_chain_slack"])
+    assert math.isnan(cert.slack) and not cert.passed
+
+
+def test_worst_of_samples_keeps_a_nan_slack(monkeypatch):
+    from magnonlab import checks
+
+    exact = checks.verify_vnorm_lower_bound
+    calls = []
+
+    def nan_on_second_sample(state):
+        cert = exact(state)
+        calls.append(cert)
+        if len(calls) == 2:
+            cert.slack = math.nan
+        return cert
+
+    monkeypatch.setattr(checks, "verify_vnorm_lower_bound", nan_on_second_sample)
+    (cert,) = checks.run_check("vnorm", ells=[4], ns=[2], spins=[1])
+    assert math.isnan(cert.slack) and not cert.passed
+
+
 def test_casimir_two_site_equality_watch():
     # triplet: energy 0 against floor (2/8)(2 - S_tot^2=2) = 0, an equality
     cert = verify_casimir_lower_bound(2, SpinMagnitude(1))

@@ -185,3 +185,34 @@ def test_verify_ledger_determinism(tmp_path):
     main(["verify", "--check", "vnorm", "--grid", "quick", "--out", str(a)])
     main(["verify", "--check", "vnorm", "--grid", "quick", "--out", str(b)])
     assert read_lines(a) == read_lines(b)
+
+
+def test_verify_accepts_a_comma_list_of_spins(tmp_path):
+    ledger = tmp_path / "su2.jsonl"
+    assert main(["verify", "--check", "su2", "--two-s", "1,2", "--out", str(ledger)]) == 0
+    rows = [json.loads(line) for line in read_lines(ledger).splitlines()]
+    assert [r["params"]["two_s"] for r in rows] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--two-s", "1.5", "--length", "3", "--beta", "1"],
+        ["asymptotics", "--two-s", "x"],
+        ["budget", "--two-s", "1,2"],
+    ],
+)
+def test_non_integer_two_s_is_a_one_line_config_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--two-s must be an integer" in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("beta", ["nan,inf", "1,inf", "nan", "logspace:1:inf:3"])
+def test_non_finite_beta_is_rejected(tmp_path, beta):
+    with pytest.raises(ValueError):
+        parse_beta_grid(beta)
+    out = tmp_path / "x.csv"
+    assert main(["free-energy", "--length", "3", "--beta", beta, "--out", str(out)]) == 2
+    assert not out.exists()

@@ -217,3 +217,91 @@ def test_ground_multiplet_vector_is_zero_mode():
         h = assemble_heisenberg(basis).to_csr()
         v = ground_multiplet_vector(basis)
         assert np.linalg.norm(h @ v) <= 1e-12 * max(1.0, abs(h).max())
+
+
+@pytest.mark.parametrize(
+    "lattice,two_s",
+    [(SpinLattice.chain(ell), two_s) for ell in (2, 3, 4, 5) for two_s in (1, 2, 3)]
+    + [(SpinLattice.square(2), 2)],
+)
+def test_sector_blocks_embed_into_tensor_product_oracle(lattice, two_s):
+    spin = SpinMagnitude(two_s)
+    oracle = tensor_product_heisenberg(lattice, spin)
+    m = lattice.nsites
+    place = spin.site_dim ** np.arange(m - 1, -1, -1)
+    embedded = np.zeros_like(oracle)
+    for n in range(two_s * m + 1):
+        basis = enumerate_sector_basis(lattice, spin, n)
+        idx = basis.states @ place
+        embedded[np.ix_(idx, idx)] = assemble_heisenberg(basis).to_dense()
+    assert np.abs(embedded - oracle).max() <= 1e-12
+
+
+def _loop_reference(basis, pairs, scale, dressed, diag_fn):
+    """Entry dict {(row, col): value} of an operator built state by state
+    with Python floats, the arithmetic the vectorized kernel must repeat."""
+    two_s = basis.spin.two_s
+
+    def dressing(k):
+        val = 1.0 - k / two_s
+        return math.sqrt(val) if val > 0.0 else 0.0
+
+    entries = {}
+    for i, occ in enumerate(basis.states.tolist()):
+        if diag_fn(occ) != 0.0:
+            entries[i, i] = diag_fn(occ)
+        for src, dst in pairs:
+            n_src, n_dst = occ[src], occ[dst]
+            if n_src == 0 or n_dst + 1 > basis.cap:
+                continue
+            amp = math.sqrt(n_src * (n_dst + 1))
+            if dressed:
+                amp *= dressing(n_dst) * dressing(n_src - 1)
+            if amp != 0.0:
+                moved = list(occ)
+                moved[src] -= 1
+                moved[dst] += 1
+                entries[basis.state_index(moved), i] = scale * amp
+    return entries
+
+
+@pytest.mark.parametrize(
+    "lattice,two_s",
+    [(SpinLattice.chain(ell), two_s) for ell in (2, 4, 5) for two_s in (1, 2, 3)]
+    + [(SpinLattice.square(2), 1), (SpinLattice(2, (2, 3), "free-2d-grid"), 2)],
+)
+def test_vectorized_assembly_repeats_loop_arithmetic_exactly(lattice, two_s):
+    spin = SpinMagnitude(two_s)
+    s, m = spin.s, lattice.nsites
+    bonds = lattice.bonds()
+    pairs = bonds + [(y, x) for x, y in bonds]
+    all_pairs = [(x, y) for y in range(m) for x in range(m) if x != y]
+
+    def bond_diag(occ):
+        return sum(s * (occ[x] + occ[y]) - occ[x] * occ[y] for x, y in bonds)
+
+    def casimir_diag(occ):
+        dev = np.array(occ, dtype=float) - s
+        return m * s * (s + 1.0) + np.sum(dev) ** 2 - np.sum(dev**2)
+
+    cases = []
+    for n in range(two_s * m + 1):
+        basis = enumerate_sector_basis(lattice, spin, n)
+        cases.append((assemble_heisenberg(basis), basis, pairs, -s, True, bond_diag))
+        cases.append((assemble_total_spin_squared(basis), basis, all_pairs, 2.0 * s,
+                      True, casimir_diag))
+        if lattice.dimension == 1:
+            cases.append((assemble_dirichlet_heisenberg(basis), basis, pairs, -s, True,
+                          lambda occ: bond_diag(occ) + s * (occ[0] + occ[-1])))
+    for n in range(5):
+        free = enumerate_sector_basis(lattice, spin, n, capped=False)
+        cases.append((assemble_free_boson_t(free), free, pairs, -s, False,
+                      lambda occ: 2.0 * lattice.dimension * s * sum(occ)))
+        if lattice.dimension == 1:
+            cases.append((assemble_dirichlet_heisenberg(free), free, pairs, -s, True,
+                          lambda occ: bond_diag(occ) + s * (occ[0] + occ[-1])))
+    for op, basis, hops, scale, dressed, diag_fn in cases:
+        expected = _loop_reference(basis, hops, scale, dressed, diag_fn)
+        got = dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))
+        assert len(op.vals) == len(expected)
+        assert got == expected

@@ -202,3 +202,40 @@ def test_fock_tail_cutoff_certifies_tail():
 def test_gibbs_resource_error():
     with pytest.raises(ResourceLimitError, match="budget"):
         gibbs_variational_upper(6, SpinMagnitude(1), 2.0, max_states=10)
+
+
+def _forbid_dense_solves(monkeypatch):
+    from magnonlab import spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(spectra.sla, "eigvalsh", refuse)
+
+
+def test_full_spectrum_refuses_before_any_dense_solve(monkeypatch):
+    _forbid_dense_solves(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=r"sector n=\d+ has dimension \d+ > 6000"):
+        full_spectrum(SpinLattice.chain(12), SpinMagnitude(2))
+
+
+def test_large_middle_sector_gap_goes_straight_to_sparse(monkeypatch):
+    _forbid_dense_solves(monkeypatch)
+    report = spectral_gap(SpinLattice.chain(10), SpinMagnitude(2))
+    assert report.deviation <= 1e-9
+
+
+def test_nan_free_energy_fails_subadditivity_and_localization(monkeypatch):
+    from magnonlab import spectra
+
+    exact = spectra.chain_free_energy
+
+    def nan_at_two(ell, spin, beta, variant="free"):
+        return math.nan if ell == 2 and variant == "free" else exact(ell, spin, beta, variant)
+
+    monkeypatch.setattr(spectra, "chain_free_energy", nan_at_two)
+    spin = SpinMagnitude(1)
+    sub = check_subadditivity(4, spin, 2.0)
+    loc = check_localization_bound(7, 2, spin, 2.0)
+    for cert in (sub, loc):
+        assert math.isnan(cert.slack) and not cert.passed
