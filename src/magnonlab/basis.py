@@ -6,7 +6,8 @@ operator in this package is assembled block by block on a fixed-number
 sector.  A sector basis is the lexicographically ordered list of
 occupation vectors (n_1, ..., n_M) with sum n and a per-site cap, which
 is 2S for the physical spin system and n (i.e. no constraint) for free
-bosons.
+bosons.  `MagnonSectorBasis.state_index` maps one occupation vector, or
+a (k, M) batch of them, to basis rows.
 """
 
 from __future__ import annotations
@@ -189,15 +190,17 @@ class MagnonSectorBasis:
     def cap(self) -> int:
         return self.spin.two_s if self.capped else self.n
 
-    def state_index(self, occ) -> int:
-        """Row of an occupation vector; KeyError if it is not in the sector."""
+    def state_index(self, occ):
+        """Row of one occupation vector, or the rows of a (k, M) array of
+        them; KeyError if any state is not in the sector."""
         occ = np.asarray(occ, dtype=np.int64)
-        if occ.shape == self._weights.shape and occ.min() >= 0 and occ.max() <= self.cap:
-            key = occ @ self._weights
-            row = int(np.searchsorted(self._keys, key))
-            if row < self.dim and self._keys[row] == key:
-                return row
-        raise KeyError(f"state {tuple(occ.tolist())} is not in the n={self.n} sector")
+        if (occ.ndim in (1, 2) and occ.shape[-1] == self.lattice.nsites
+                and np.all((occ >= 0) & (occ <= self.cap))):
+            keys = occ @ self._weights
+            rows = np.minimum(np.searchsorted(self._keys, keys), self.dim - 1)
+            if np.all(self._keys[rows] == keys):
+                return int(rows) if occ.ndim == 1 else rows
+        raise KeyError(f"state {occ.tolist()} is not in the n={self.n} sector")
 
     def hop_targets(self, rows, src, dst) -> np.ndarray:
         """Rows of the states reached from `rows` by moving one boson from

@@ -4,7 +4,10 @@ free-energy bounds, plus the lower-bound budget constants.
 Every verifier assembles the two sides of one inequality on a small
 sector, forms the difference, and reports the minimum eigenvalue as the
 certificate slack.  Random-state property checks draw from per-job
-seeded streams so grid cells are order-independent.
+seeded streams so grid cells are order-independent.  Sector rows come
+from `MagnonSectorBasis.state_index` (one state or a batch) and
+`hop_targets`, and operators from the shared hop kernel; this module
+keeps no basis lookup of its own.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from .basis import (
     MagnonSectorBasis,
     SpinLattice,
     SpinMagnitude,
-    _bounded_compositions,
     enumerate_sector_basis,
     sector_dimension,
 )
 from .certificates import InequalityCertificate, worst
 from .magnongas import delta_dilution, preliminary_free_energy_bound
 from .operators import (
+    _bond_pairs,
+    _hop_operator,
     assemble_dirichlet_heisenberg,
     assemble_free_boson_t,
     assemble_heisenberg,
@@ -160,43 +164,17 @@ def build_coordinate_map_v(ell: int, n: int) -> dict:
     return table
 
 
-def _plain_boson_basis(nsites, n):
-    """Occupation basis of n unconstrained bosons on `nsites` sites (the
-    target box of the collapse map may have a single site)."""
-    states = np.array(
-        list(_bounded_compositions(n, nsites, n)), dtype=np.int64
-    ).reshape(-1, nsites)
-    index = {tuple(row): i for i, row in enumerate(states.tolist())}
-    return states, index
-
-
 def neumann_boson_laplacian(nsites: int, n: int) -> np.ndarray:
     """Second-quantized free-boundary graph Laplacian on the n-boson
     sector of a path of `nsites` sites: diagonal sum_a deg(a) m_a,
     hopping -sqrt((m_b+1) m_a)."""
-    states, index = _plain_boson_basis(nsites, n)
-    dim = states.shape[0]
-    out = np.zeros((dim, dim))
-    deg = np.ones(nsites)
-    if nsites >= 2:
-        deg[1:-1] = 2.0
-    else:
-        deg[:] = 0.0
-    for i, occ in enumerate(states):
-        out[i, i] = float(np.dot(deg, occ))
-        occ_list = occ.tolist()
-        for a in range(nsites - 1):
-            for src, dst in ((a, a + 1), (a + 1, a)):
-                if occ_list[src] == 0:
-                    continue
-                amp = math.sqrt(occ_list[src] * (occ_list[dst] + 1))
-                occ_list[src] -= 1
-                occ_list[dst] += 1
-                j = index[tuple(occ_list)]
-                occ_list[src] += 1
-                occ_list[dst] -= 1
-                out[j, i] -= amp
-    return out
+    if nsites == 1:  # SpinLattice needs two sites; one site has nothing to hop
+        return np.zeros((1, 1))
+    lattice = SpinLattice.chain(nsites)
+    # uncapped and undressed, so the spin never enters
+    basis = enumerate_sector_basis(lattice, SpinMagnitude(1), n, capped=False)
+    diag = basis.states @ lattice.degrees()
+    return _hop_operator(basis, _bond_pairs(lattice), -1.0, diag, dressed=False).to_dense()
 
 
 def coordinate_collapse_matrix(basis: MagnonSectorBasis):
@@ -213,22 +191,24 @@ def coordinate_collapse_matrix(basis: MagnonSectorBasis):
     if n > ell:
         raise ValueError(f"need n <= ell, got n={n} ell={ell}")
     target_sites = ell - n + 1
-    t_states, t_index = _plain_boson_basis(target_sites, n)
-    rows, cols, vals = [], [], []
-    for col, occ in enumerate(basis.states):
-        if np.any(occ > 1):
-            continue
-        xs = np.flatnonzero(occ) + 1  # sorted 1-based occupied sites
-        image = np.zeros(target_sites, dtype=np.int64)
-        for i, x in enumerate(xs):
-            image[x - i - 1] += 1
-        weight = 1.0
-        for m in image:
-            if m > 1:
-                weight /= math.sqrt(math.factorial(int(m)))
-        rows.append(t_index[tuple(image.tolist())])
-        cols.append(col)
-        vals.append(weight)
+    cols = np.flatnonzero((basis.states <= 1).all(axis=1))
+    _, sites = np.nonzero(basis.states[cols])
+    collapsed = sites.reshape(len(cols), n) - np.arange(n)
+    images = np.zeros((len(cols), target_sites), dtype=np.int64)
+    np.add.at(images, (np.arange(len(cols))[:, None], collapsed), 1)
+    # site by site, in site order, to keep the rounding of the committed
+    # ledgers; dividing by sqrt(0!) = sqrt(1!) = 1 is exact
+    root_factorial = np.sqrt([float(math.factorial(m)) for m in range(n + 1)])
+    vals = np.ones(len(cols))
+    for m in images.T:
+        vals /= root_factorial[m]
+    if target_sites == 1:  # SpinLattice needs two sites; one site holds one state
+        t_states, rows = np.array([[n]]), np.zeros(len(cols), dtype=np.int64)
+    else:
+        target = enumerate_sector_basis(
+            SpinLattice.chain(target_sites), basis.spin, n, capped=False
+        )
+        t_states, rows = target.states, target.state_index(images)
     mat = sp.coo_matrix(
         (vals, (rows, cols)), shape=(t_states.shape[0], basis.dim)
     ).tocsr()
@@ -265,16 +245,9 @@ def verify_halfspin_quadratic_form_equality(
     spin = SpinMagnitude(1)
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
     h = assemble_heisenberg(basis).to_dense()
-    pairs = []
-    for i, occ in enumerate(basis.states):
-        occ_list = occ.tolist()
-        for x in range(ell - 1):
-            if occ_list[x] == 1 and occ_list[x + 1] == 0:
-                occ_list[x] = 0
-                occ_list[x + 1] = 1
-                pairs.append((i, basis.state_index(occ_list)))
-                occ_list[x] = 1
-                occ_list[x + 1] = 0
+    st = basis.states
+    i, x = np.nonzero((st[:, :-1] == 1) & (st[:, 1:] == 0))
+    pairs = list(zip(i.tolist(), basis.hop_targets(i, x, x + 1).tolist()))
     rng = rng_for(seed, 5, ell, n)
     slacks = []
     for _ in range(max(samples, 1)):

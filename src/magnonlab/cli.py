@@ -203,6 +203,8 @@ def cmd_verify(args):
     if args.beta:
         overrides["betas"] = parse_beta_grid(args.beta)
     certs = run_check(args.check, grid=args.grid, seed=args.seed, **overrides)
+    if not certs:
+        raise ValueError(f"the overrides leave no {args.check} certificates to run")
     for cert in certs:
         print(f"{cert.verdict.upper():4s} {cert.name} {cert.params} slack={cert.slack:.3e}")
     if args.out:

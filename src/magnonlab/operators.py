@@ -48,9 +48,6 @@ class HermitianOperator:
             return 0.0
         return abs(m - m.T).max() / scale
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.to_dense())
-
 
 def _sqrt_dressing(occ_after, two_s):
     """sqrt of the positive part of 1 - n/(2S), with n the occupation the

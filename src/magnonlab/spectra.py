@@ -81,12 +81,11 @@ def full_spectrum(
     spin: SpinMagnitude,
     variant: str = "free",
     dim_cap: int = DEFAULT_DIM_CAP,
-    dense_sector_cap: int = DENSE_SECTOR_CAP,
 ) -> SectorSpectrum:
     """Dense eigenvalues of every magnon sector.
 
     Raises ResourceLimitError when the total Hilbert dimension exceeds
-    `dim_cap` or any single sector exceeds `dense_sector_cap`; callers
+    `dim_cap` or any single sector exceeds `DENSE_SECTOR_CAP`; callers
     that only need the gap should use `spectral_gap`, which handles
     large middle sectors sparsely.
     """
@@ -99,9 +98,9 @@ def full_spectrum(
     sectors = range(spin.two_s * lattice.nsites + 1)
     for n in sectors:
         dim = sector_dimension(lattice.nsites, n, spin.two_s)
-        if dim > dense_sector_cap:
+        if dim > DENSE_SECTOR_CAP:
             raise ResourceLimitError(
-                f"sector n={n} has dimension {dim} > {dense_sector_cap}"
+                f"sector n={n} has dimension {dim} > {DENSE_SECTOR_CAP}"
             )
     sector_eigs = []
     for n in sectors:
@@ -151,7 +150,7 @@ class GapReport:
     deviation: float
 
 
-def _middle_sector_gap(lattice, spin, tol):
+def _middle_sector_gap(lattice, spin):
     """Smallest nonzero eigenvalue of the middle sector via a sparse solve.
 
     Every total-spin multiplet, hence every distinct eigenvalue of the
@@ -202,7 +201,7 @@ def spectral_gap(
         sector_dimension(ell, n_mid, spin.two_s) > DENSE_SECTOR_CAP
         or spin.site_dim**ell > DEFAULT_DIM_CAP
     ):
-        gap = _middle_sector_gap(lattice, spin, tol_factor)
+        gap = _middle_sector_gap(lattice, spin)
     else:
         if spectrum is None:
             spectrum = full_spectrum(lattice, spin)

@@ -63,6 +63,7 @@ def test_lexicographic_deterministic_order():
     states = [tuple(r) for r in basis.states.tolist()]
     assert states == sorted(states)
     assert [basis.state_index(s) for s in states] == list(range(basis.dim))
+    assert basis.state_index(basis.states).tolist() == list(range(basis.dim))
 
 
 def test_out_of_range_magnon_number():
@@ -124,6 +125,7 @@ def test_state_index_round_trips_when_keys_exceed_int64():
     assert basis.hop_targets(rows, src, dst).tolist() == [
         basis.state_index(s) for s in moved
     ]
+    assert basis.state_index(moved).tolist() == basis.hop_targets(rows, src, dst).tolist()
 
 
 @pytest.mark.parametrize(
@@ -134,3 +136,6 @@ def test_state_index_rejects_states_outside_the_sector(occ):
     basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(2), 2)
     with pytest.raises(KeyError):
         basis.state_index(occ)
+    if len(occ) == basis.lattice.nsites:
+        with pytest.raises(KeyError):
+            basis.state_index(np.vstack([basis.states, occ]))

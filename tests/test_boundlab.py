@@ -127,6 +127,28 @@ def test_collapse_matrix_drops_multiply_occupied_sources():
     assert vmat[:, col11].nnz == 1
 
 
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("two_s", [1, 2, 3])
+def test_collapse_matrix_matches_coordinate_table(ell, two_s):
+    # reference: the dict collapse table, weights 1/sqrt(prod_a m_a!)
+    for n in range(ell + 1):
+        basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
+        vmat, targets = coordinate_collapse_matrix(basis)
+        target_row = {tuple(t): i for i, t in enumerate(targets.tolist())}
+        expected = np.zeros((len(targets), basis.dim))
+        for xs, image in build_coordinate_map_v(ell, n).items():
+            occ = np.zeros(ell, dtype=int)
+            occ[np.array(xs, dtype=int) - 1] = 1
+            counts = np.bincount(np.array(image, dtype=int) - 1, minlength=ell - n + 1)
+            prod = math.prod(math.factorial(m) for m in counts)
+            expected[target_row[tuple(counts.tolist())], basis.state_index(occ)] = (
+                1.0 / math.sqrt(prod)
+            )
+        got = vmat.toarray()
+        assert np.array_equal(got != 0, expected != 0)
+        np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
+
+
 def test_neumann_laplacian_small_cases():
     # single particle: path-graph Laplacian spectrum 2(1 - cos(pi m / M))
     lap = neumann_boson_laplacian(4, 1)

@@ -74,6 +74,17 @@ def test_verify_exit_codes(tmp_path):
     assert {"name", "params", "slack", "tolerance", "verdict", "seed"} <= set(rows[0])
 
 
+def test_verify_with_no_certificates_is_config_error(tmp_path, capsys):
+    # every laplacian cell needs n <= ell, so this run would certify nothing
+    ledger = tmp_path / "certs.jsonl"
+    rc = main(["verify", "--check", "laplacian", "--ell", "3", "--n", "5",
+               "--out", str(ledger)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not ledger.exists()
+
+
 def test_verify_unknown_check_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "bogus"])

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
+from magnonlab.boundlab import neumann_boson_laplacian
 from magnonlab.operators import (
+    HermitianOperator,
     assemble_dirichlet_heisenberg,
     assemble_free_boson_t,
     assemble_heisenberg,
@@ -268,7 +271,8 @@ def _loop_reference(basis, pairs, scale, dressed, diag_fn):
 @pytest.mark.parametrize(
     "lattice,two_s",
     [(SpinLattice.chain(ell), two_s) for ell in (2, 4, 5) for two_s in (1, 2, 3)]
-    + [(SpinLattice.square(2), 1), (SpinLattice(2, (2, 3), "free-2d-grid"), 2)],
+    + [(SpinLattice.square(2), 1), (SpinLattice(2, (2, 3), "free-2d-grid"), 2),
+       (SpinLattice.chain(3), 1)],
 )
 def test_vectorized_assembly_repeats_loop_arithmetic_exactly(lattice, two_s):
     spin = SpinMagnitude(two_s)
@@ -300,6 +304,10 @@ def test_vectorized_assembly_repeats_loop_arithmetic_exactly(lattice, two_s):
         if lattice.dimension == 1:
             cases.append((assemble_dirichlet_heisenberg(free), free, pairs, -s, True,
                           lambda occ: bond_diag(occ) + s * (occ[0] + occ[-1])))
+        if lattice.dimension == 1 and two_s == 1:
+            lap = sp.coo_matrix(neumann_boson_laplacian(m, n))
+            cases.append((HermitianOperator(free, lap.row, lap.col, lap.data), free, pairs,
+                          -1.0, False, lambda occ: int(lattice.degrees() @ occ)))
     for op, basis, hops, scale, dressed, diag_fn in cases:
         expected = _loop_reference(basis, hops, scale, dressed, diag_fn)
         got = dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))

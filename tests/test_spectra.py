@@ -118,7 +118,7 @@ def test_sparse_gap_path_agrees_with_dense():
     dense = spectral_gap(lat, spin)
     from magnonlab.spectra import _middle_sector_gap
 
-    sparse_gap = _middle_sector_gap(lat, spin, 1e-10)
+    sparse_gap = _middle_sector_gap(lat, spin)
     assert sparse_gap == pytest.approx(dense.gap, abs=1e-10)
 
 
