@@ -138,17 +138,31 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         for n in (ns if ns is not None else range(0, ell + 1))
         if n <= ell
     ]
+    _require_every_n(ns, {n for _, _, n in cells}, "n <= ell")
     return _flatten(_map_ordered(cell, cells))
 
 
-def _random_state_cells(ells, ns, spins):
-    return [
+def _require_every_n(ns, used, rule):
+    """Raise ValueError for the first value of an explicit `ns` override
+    that no cell uses, instead of dropping it silently."""
+    for n in ns or ():
+        if n not in used:
+            raise ValueError(
+                f"n={n} gives no cell: no requested ell and 2S satisfy {rule}"
+            )
+
+
+def _random_state_cells(ells, ns, spins, defaults):
+    ell_ax, n_ax, spin_ax = defaults
+    cells = [
         (ell, n, two_s)
-        for ell in ells
-        for n in ns
-        for two_s in spins
+        for ell in _axis(ells, ell_ax)
+        for n in _axis(ns, n_ax)
+        for two_s in _axis(spins, spin_ax)
         if n <= two_s * ell
     ]
+    _require_every_n(ns, {n for _, n, _ in cells}, "n <= 2S*ell")
+    return cells
 
 
 def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None, **_):
@@ -156,7 +170,7 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None,
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2, 3), (1, 2), 100
     else:
         ell_ax, n_ax, spin_ax, samples = (4,), (2,), (1, 2), 20
-    cells = _random_state_cells(_axis(ells, ell_ax), _axis(ns, n_ax), _axis(spins, spin_ax))
+    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax))
 
     def cell(job):
         ell, n, two_s = job
@@ -179,7 +193,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, beta_gibbs=2.0,
         ell_ax, n_ax, spin_ax, samples = (4, 5, 6), (2, 3), (1, 2), 100
     else:
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2,), (1, 2), 20
-    cells = _random_state_cells(_axis(ells, ell_ax), _axis(ns, n_ax), _axis(spins, spin_ax))
+    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax))
 
     def cell(job):
         ell, n, two_s = job

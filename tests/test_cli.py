@@ -85,6 +85,27 @@ def test_verify_with_no_certificates_is_config_error(tmp_path, capsys):
     assert not ledger.exists()
 
 
+@pytest.mark.parametrize(
+    "check,argv,value",
+    [
+        # laplacian cells need n <= ell: n=2 runs, n=5 fits no ell
+        ("laplacian", ["--ell", "3", "--n", "2,5", "--grid", "quick"], "5"),
+        # random-state cells need n <= 2S*ell: n=9 fits neither spin at ell=4
+        ("vnorm", ["--ell", "4", "--two-s", "1,2", "--n", "2,9"], "9"),
+        ("density", ["--ell", "4", "--n", "3,9", "--grid", "quick"], "9"),
+    ],
+)
+def test_verify_rejects_an_n_override_that_fits_no_cell(tmp_path, capsys, check, argv, value):
+    ledger = tmp_path / "certs.jsonl"
+    rc = main(["verify", "--check", check, *argv, "--out", str(ledger)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"n={value}" in err[0]
+    assert "certificates passed" not in captured.out
+    assert not ledger.exists()
+
+
 def test_verify_unknown_check_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "bogus"])

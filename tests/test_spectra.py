@@ -112,14 +112,74 @@ def test_spectral_gap_matches_reference(ell, two_s):
     )
 
 
-def test_sparse_gap_path_agrees_with_dense():
-    # force the sparse middle-sector path on a size the dense path can check
-    lat, spin = SpinLattice.chain(8), SpinMagnitude(1)
-    dense = spectral_gap(lat, spin)
-    from magnonlab.spectra import _middle_sector_gap
+def _oracle_gap(lat, spin):
+    """Smallest nonzero eigenvalue of the dense spectrum of every sector."""
+    spec = full_spectrum(lat, spin)
+    ev = spec.all_eigenvalues
+    return float(ev[ev > 1e-10 * max(spec.scale, 1.0)].min())
 
-    sparse_gap = _middle_sector_gap(lat, spin)
-    assert sparse_gap == pytest.approx(dense.gap, abs=1e-10)
+
+def test_sparse_gap_path_agrees_with_dense():
+    # middle sector of dim 393: the Lanczos path, on a size the dense
+    # spectrum of every sector can check
+    lat, spin = SpinLattice.chain(7), SpinMagnitude(2)
+    report = spectral_gap(lat, spin)
+    assert report.solver == "lanczos"
+    assert 0.0 < report.residual <= 1e-10
+    assert report.gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "ell,two_s",
+    [(ell, 1) for ell in range(2, 10)]
+    + [(ell, 2) for ell in range(2, 8)]
+    + [(ell, 3) for ell in range(2, 6)],
+)
+def test_spectral_gap_equals_full_spectrum_gap(ell, two_s):
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    assert spectral_gap(lat, spin).gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
+
+
+def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
+    from magnonlab import spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full_spectrum called")
+
+    monkeypatch.setattr(spectra, "full_spectrum", refuse)
+    for two_s in (1, 2):
+        for ell in range(2, 11):
+            report = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
+            assert report.deviation <= 1e-9 and report.residual <= 1e-10
+
+
+def test_lanczos_gap_is_bit_reproducible():
+    lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
+    first, second = spectral_gap(lat, spin), spectral_gap(lat, spin)
+    assert first.solver == "lanczos"
+    assert first.gap == second.gap and first.residual == second.residual
+
+
+@pytest.mark.parametrize(
+    "spoil,message",
+    [
+        # a Ritz vector off by 1e-6 has a residual far above the bound
+        (lambda theta, vecs: (theta, vecs + 1e-6 * np.roll(vecs, 1, axis=0)), "Ritz residual"),
+        # a lower Ritz value shifted off zero is no zero mode
+        (lambda theta, vecs: (theta + 1e-3, vecs), "zero mode"),
+    ],
+)
+def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
+    from magnonlab import spectra
+
+    exact = spectra.spla.eigsh
+
+    def spoiled(*args, **kwargs):
+        return spoil(*exact(*args, **kwargs))
+
+    monkeypatch.setattr(spectra.spla, "eigsh", spoiled)
+    with pytest.raises(RuntimeError, match=message):
+        spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
