@@ -37,9 +37,6 @@ class SpinMagnitude:
         return self.two_s + 1
 
 
-BOUNDARIES = ("free-chain", "dirichlet-pinned", "free-2d-grid")
-
-
 @dataclass(frozen=True)
 class SpinLattice:
     """Open-boundary chain or square grid on which the spins live.
@@ -48,14 +45,13 @@ class SpinLattice:
     ----------
     dimension : 1 or 2
     extents : tuple of per-axis site counts (each >= 2)
-    boundary : "free-chain" (open 1d), "dirichlet-pinned" (1d or 2d box
-        whose boundary spins are forced maximally down), or
-        "free-2d-grid" (open 2d).
+
+    Boundary pinning is not a lattice property: it is the "dirichlet"
+    variant of the Hamiltonian (`operators.assemble_dirichlet_heisenberg`).
     """
 
     dimension: int
     extents: tuple
-    boundary: str = "free-chain"
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -67,22 +63,14 @@ class SpinLattice:
             )
         if any(e < 2 for e in self.extents):
             raise ValueError(f"every extent must be >= 2, got {self.extents}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(
-                f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
-            )
-        if self.boundary == "free-chain" and self.dimension != 1:
-            raise ValueError("free-chain boundary requires dimension 1")
-        if self.boundary == "free-2d-grid" and self.dimension != 2:
-            raise ValueError("free-2d-grid boundary requires dimension 2")
 
     @classmethod
-    def chain(cls, length: int, boundary: str = "free-chain") -> "SpinLattice":
-        return cls(1, (length,), boundary)
+    def chain(cls, length: int) -> "SpinLattice":
+        return cls(1, (length,))
 
     @classmethod
-    def square(cls, side: int, boundary: str = "free-2d-grid") -> "SpinLattice":
-        return cls(2, (side, side), boundary)
+    def square(cls, side: int) -> "SpinLattice":
+        return cls(2, (side, side))
 
     @property
     def nsites(self) -> int:

@@ -37,8 +37,11 @@ from .operators import (
     assemble_projector_p,
     assemble_total_spin_squared,
 )
+from .spectra import ResourceLimitError, _require_dense_sectors
 
 PSD_TOL_FACTOR = 1e-10
+# Largest uncapped sector `verify_php_leq_t` diagonalizes densely.
+PHP_DIM_CAP = 20000
 
 
 def rng_for(root_seed: int, *key_ints) -> np.random.Generator:
@@ -52,7 +55,7 @@ def _operator_norm(dense_eigs) -> float:
     return float(np.abs(dense_eigs).max()) if len(dense_eigs) else 0.0
 
 
-def _psd_certificate(name, params, difference, norm_scale, seed=None, extras=None):
+def _psd_certificate(name, params, difference, norm_scale):
     eigs = sla.eigvalsh(difference)
     slack = float(eigs[0]) if eigs.size else 0.0
     return InequalityCertificate(
@@ -60,8 +63,6 @@ def _psd_certificate(name, params, difference, norm_scale, seed=None, extras=Non
         params=params,
         slack=slack,
         tolerance=PSD_TOL_FACTOR * max(norm_scale, 1e-300),
-        seed=seed,
-        extras=extras or {},
     )
 
 
@@ -69,17 +70,13 @@ def _psd_certificate(name, params, difference, norm_scale, seed=None, extras=Non
 # projected pinned Hamiltonian below the free hopping operator
 # ---------------------------------------------------------------------------
 
-def verify_php_leq_t(
-    ell: int, spin: SpinMagnitude, n: int, dim_cap: int = 20000
-) -> InequalityCertificate:
+def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
     """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
     pinned chain of length ell."""
-    from .spectra import ResourceLimitError
-
     dim = sector_dimension(ell, n, n)
-    if dim > dim_cap:
+    if dim > PHP_DIM_CAP:
         raise ResourceLimitError(
-            f"uncapped sector (ell={ell}, n={n}) has dimension {dim} > {dim_cap}"
+            f"uncapped sector (ell={ell}, n={n}) has dimension {dim} > {PHP_DIM_CAP}"
         )
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
@@ -102,16 +99,9 @@ def verify_php_leq_t(
 def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCertificate:
     """Certify H >= (2/l^3)(Sl(Sl+1) - S_tot^2) on every sector, and the
     chained scalar floor E >= (2S/l^2)(Sl - t) on every joint (E, t)."""
-    from .spectra import DENSE_SECTOR_CAP, ResourceLimitError, sector_energy_spin_pairs
+    from .spectra import sector_energy_spin_pairs
 
-    worst_dim = max(
-        sector_dimension(ell, n, spin.two_s) for n in range(spin.two_s * ell + 1)
-    )
-    if worst_dim > DENSE_SECTOR_CAP:
-        raise ResourceLimitError(
-            f"largest sector of the (ell={ell}, 2S={spin.two_s}) chain has "
-            f"dimension {worst_dim} > {DENSE_SECTOR_CAP}"
-        )
+    _require_dense_sectors(ell, spin)
     lattice = SpinLattice.chain(ell)
     s = spin.s
     s_max = s * ell
@@ -221,6 +211,7 @@ def verify_laplacian_lower_bound(
     """Certify H|_n - S V^T (-Laplacian) V >= 0 on the physical sector:
     the collapsed coordinates see at least the free-boundary Laplacian
     of the shrunken box."""
+    _require_dense_sectors(ell, spin, [n])
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
     h = assemble_heisenberg(basis).to_dense()
     vmat, _ = coordinate_collapse_matrix(basis)
@@ -387,6 +378,7 @@ def verify_low_energy_truncation(
     3-component for its multiplet sits in a sector n < N0 = E0 l^2/(2S)."""
     from .spectra import sector_energy_spin_pairs
 
+    _require_dense_sectors(ell, spin)
     lattice = SpinLattice.chain(ell)
     s = spin.s
     s_max = s * ell

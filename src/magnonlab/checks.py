@@ -4,15 +4,16 @@ Each check maps a name to a runner producing a list of certificates;
 the default grids match the sizes the package is expected to certify,
 the quick grids are trimmed for smoke runs, and explicit overrides
 (`ells`, `spins`, `ns`, `betas`) replace the corresponding axis of the
-grid.  Cells are independent jobs with per-cell seeded randomness, so a
-worker pool may execute them in any order without changing the emitted
-ledger.
+grid.  A suite takes only the overrides its runner names, and
+`run_check` rejects any other.  Cells run one after another in grid
+order; random-state cells draw from streams seeded by the root seed and
+the cell's parameters (`rng_for`), so a cell's certificates do not
+depend on which other cells run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import inspect
 
 from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from .boundlab import (
@@ -29,36 +30,15 @@ from .boundlab import (
 )
 from .certificates import InequalityCertificate, worst
 from .operators import assemble_heisenberg, verify_su2_representation
-from .spectra import check_localization_bound, check_subadditivity
+from .spectra import _require_dense_sectors, check_localization_bound, check_subadditivity
 
 DEFAULT_SEED = 20260811
 
 
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MAGNONLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, jobs):
-    """Apply fn over jobs, optionally on a thread pool; results keep the
-    job order so output ledgers are deterministic."""
-    workers = worker_count()
-    if workers == 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
-
-
-def _flatten(nested):
-    out = []
-    for item in nested:
-        if isinstance(item, InequalityCertificate):
-            out.append(item)
-        else:
-            out.extend(item)
-    return out
+# Beta of the Gibbs-sampled states of the density suite.
+_GIBBS_BETA = 2.0
+# The command-line flag of each grid-axis override.
+_OVERRIDE_FLAGS = {"ells": "--ell", "spins": "--two-s", "ns": "--n", "betas": "--beta"}
 
 
 def _axis(override, default):
@@ -67,7 +47,7 @@ def _axis(override, default):
     return tuple(override)
 
 
-def run_su2(grid="default", seed=DEFAULT_SEED, spins=None, **_):
+def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
     two_s_list = _axis(spins, (1, 2, 3) if grid == "default" else (1, 2))
     certs = []
     for two_s in two_s_list:
@@ -84,7 +64,7 @@ def run_su2(grid="default", seed=DEFAULT_SEED, spins=None, **_):
     return certs
 
 
-def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None, **_):
+def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     if grid == "default":
         ell_ax, spin_ax, n_ax = range(2, 6), (1, 2, 3), range(0, 9)
     else:
@@ -95,12 +75,10 @@ def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         for two_s in _axis(spins, spin_ax)
         for n in _axis(ns, n_ax)
     ]
-    return _map_ordered(
-        lambda c: verify_php_leq_t(c[0], SpinMagnitude(c[1]), c[2]), cells
-    )
+    return [verify_php_leq_t(ell, SpinMagnitude(two_s), n) for ell, two_s, n in cells]
 
 
-def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, **_):
+def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None):
     if ells is not None or spins is not None:
         cells = [
             (ell, two_s)
@@ -111,26 +89,14 @@ def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, **_):
         cells = [(ell, 1) for ell in range(2, 11)] + [(ell, 2) for ell in range(2, 7)]
     else:
         cells = [(ell, 1) for ell in (2, 3, 4)] + [(2, 2), (3, 2)]
-    return _map_ordered(
-        lambda c: verify_casimir_lower_bound(c[0], SpinMagnitude(c[1])), cells
-    )
+    return [verify_casimir_lower_bound(ell, SpinMagnitude(two_s)) for ell, two_s in cells]
 
 
-def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None, **_):
+def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     if grid == "default":
         ell_ax, spin_ax, samples = range(2, 7), (1, 2), 100
     else:
         ell_ax, spin_ax, samples = range(2, 5), (1, 2), 20
-
-    def cell(job):
-        ell, two_s, n = job
-        out = [verify_laplacian_lower_bound(ell, SpinMagnitude(two_s), n)]
-        if two_s == 1 and n >= 1:
-            out.append(
-                verify_halfspin_quadratic_form_equality(ell, n, samples, seed=seed)
-            )
-        return out
-
     cells = [
         (ell, two_s, n)
         for ell in _axis(ells, ell_ax)
@@ -139,7 +105,14 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         if n <= ell
     ]
     _require_every_n(ns, {n for _, _, n in cells}, "n <= ell")
-    return _flatten(_map_ordered(cell, cells))
+    certs = []
+    for ell, two_s, n in cells:
+        certs.append(verify_laplacian_lower_bound(ell, SpinMagnitude(two_s), n))
+        if two_s == 1 and n >= 1:
+            certs.append(
+                verify_halfspin_quadratic_form_equality(ell, n, samples, seed=seed)
+            )
+    return certs
 
 
 def _require_every_n(ns, used, rule):
@@ -165,15 +138,13 @@ def _random_state_cells(ells, ns, spins, defaults):
     return cells
 
 
-def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None, **_):
+def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     if grid == "default":
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2, 3), (1, 2), 100
     else:
         ell_ax, n_ax, spin_ax, samples = (4,), (2,), (1, 2), 20
-    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax))
-
-    def cell(job):
-        ell, n, two_s = job
+    certs = []
+    for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         rng = rng_for(seed, 1, ell, n, two_s)
         cert = worst(
@@ -182,22 +153,20 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None,
         )
         cert.params["samples"] = samples
         cert.seed = seed
-        return cert
+        certs.append(cert)
+    return certs
 
-    return _map_ordered(cell, cells)
 
-
-def run_density(grid="default", seed=DEFAULT_SEED, beta_gibbs=2.0,
-                ells=None, spins=None, ns=None, **_):
+def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     if grid == "default":
         ell_ax, n_ax, spin_ax, samples = (4, 5, 6), (2, 3), (1, 2), 100
     else:
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2,), (1, 2), 20
-    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax))
-
-    def cell(job):
-        ell, n, two_s = job
-        basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
+    certs = []
+    for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
+        spin = SpinMagnitude(two_s)
+        _require_dense_sectors(ell, spin, [n])
+        basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
         h = assemble_heisenberg(basis).to_dense()
         pairs = []
         for kind in ("haar", "gibbs"):
@@ -206,18 +175,16 @@ def run_density(grid="default", seed=DEFAULT_SEED, beta_gibbs=2.0,
                 if kind == "haar":
                     state = haar_random_state(basis, rng)
                 else:
-                    state = gibbs_random_state(basis, h, beta_gibbs, rng)
+                    state = gibbs_random_state(basis, h, _GIBBS_BETA, rng)
                 pairs.append(verify_density_bounds(state, h))
-        certs = [worst(side, key=lambda c: c.slack) for side in zip(*pairs)]
-        for cert in certs:
+        for cert in (worst(side, key=lambda c: c.slack) for side in zip(*pairs)):
             cert.params["samples"] = 2 * samples
             cert.seed = seed
-        return certs
+            certs.append(cert)
+    return certs
 
-    return _flatten(_map_ordered(cell, cells))
 
-
-def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None, **_):
+def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
     if ells is not None or spins is not None or betas is not None:
         cells = [
             (ell, two_s, beta)
@@ -230,12 +197,13 @@ def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, bet
         cells += [(3, 2, 4.0), (4, 2, 4.0)]
     else:
         cells = [(3, 1, 4.0), (4, 1, 8.0)]
-    return _map_ordered(
-        lambda c: verify_low_energy_truncation(c[0], SpinMagnitude(c[1]), c[2]), cells
-    )
+    return [
+        verify_low_energy_truncation(ell, SpinMagnitude(two_s), beta)
+        for ell, two_s, beta in cells
+    ]
 
 
-def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None, **_):
+def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
     if ells is not None or spins is not None or betas is not None:
         cells = [
             (total, two_s, beta)
@@ -248,12 +216,12 @@ def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, 
         cells += [(total, 2, beta) for total in (4, 5) for beta in (1.0, 2.0)]
     else:
         cells = [(4, 1, 2.0), (4, 2, 1.0)]
-    return _map_ordered(
-        lambda c: check_subadditivity(c[0], SpinMagnitude(c[1]), c[2]), cells
-    )
+    return [
+        check_subadditivity(total, SpinMagnitude(two_s), beta) for total, two_s, beta in cells
+    ]
 
 
-def run_localization(grid="default", seed=DEFAULT_SEED, betas=None, **_):
+def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
     if grid == "default":
         cells = [
             (7, 2, 1, 2.0),
@@ -267,10 +235,10 @@ def run_localization(grid="default", seed=DEFAULT_SEED, betas=None, **_):
     if betas is not None:
         cells = [(total, ell, two_s, beta) for total, ell, two_s, _ in cells
                  for beta in betas]
-    return _map_ordered(
-        lambda c: check_localization_bound(c[0], c[1], SpinMagnitude(c[2]), c[3]),
-        cells,
-    )
+    return [
+        check_localization_bound(total, ell, SpinMagnitude(two_s), beta)
+        for total, ell, two_s, beta in cells
+    ]
 
 
 CHECKS = {
@@ -287,8 +255,18 @@ CHECKS = {
 
 
 def run_check(name, grid="default", seed=DEFAULT_SEED, **overrides):
+    """Run suite `name`; raise ValueError for an override it does not take."""
     if name not in CHECKS:
         raise ValueError(
             f"unknown check {name!r}; valid names: {', '.join(sorted(CHECKS))}"
         )
-    return CHECKS[name](grid=grid, seed=seed, **overrides)
+    runner = CHECKS[name]
+    params = inspect.signature(runner).parameters
+    for key in overrides:
+        if key not in params:
+            taken = ", ".join(f for k, f in _OVERRIDE_FLAGS.items() if k in params)
+            raise ValueError(
+                f"{_OVERRIDE_FLAGS.get(key, key)} does not apply to {name}; "
+                f"it takes {taken}"
+            )
+    return runner(grid=grid, seed=seed, **overrides)

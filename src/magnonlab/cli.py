@@ -139,8 +139,17 @@ def _emit_plot_script(path, csv_path, xcol, ycols):
         fh.write("\n".join(lines) + "\n")
 
 
+def _two_s(args):
+    """--two-s of the table commands, one integer (verify takes a list)."""
+    try:
+        return int(args.two_s)
+    except ValueError:
+        raise ValueError(f"--two-s must be an integer, got {args.two_s!r}") from None
+
+
 def cmd_free_energy(args):
-    spin = SpinMagnitude(args.two_s)
+    two_s = _two_s(args)
+    spin = SpinMagnitude(two_s)
     betas = parse_beta_grid(args.beta)
     if args.extent is not None:
         lattice = SpinLattice.square(args.extent)
@@ -169,7 +178,7 @@ def cmd_free_energy(args):
                 "f": f,
                 "variant": variant,
                 "ell": sites,
-                "two_s": args.two_s,
+                "two_s": two_s,
             }
             if args.scaled:
                 scaled = f * beta**1.5 * math.sqrt(spin.s)
@@ -185,10 +194,6 @@ def cmd_free_energy(args):
 
 
 def _int_list(text):
-    if text is None:
-        return None
-    if isinstance(text, int):
-        return [text]
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -215,7 +220,8 @@ def cmd_verify(args):
 
 
 def cmd_asymptotics(args):
-    s = SpinMagnitude(args.two_s).s
+    two_s = _two_s(args)
+    s = SpinMagnitude(two_s).s
     grid = parse_beta_grid(args.beta_s)
     rows = []
     if args.dimension == 1:
@@ -226,7 +232,7 @@ def cmd_asymptotics(args):
             rows.append(
                 {
                     "beta_s": x,
-                    "two_s": args.two_s,
+                    "two_s": two_s,
                     "ell_upper": up.ell,
                     "upper": up.envelope,
                     "informative_upper": up.informative,
@@ -249,7 +255,7 @@ def cmd_asymptotics(args):
             rows.append(
                 {
                     "beta_s": x,
-                    "two_s": args.two_s,
+                    "two_s": two_s,
                     "ell": up.ell,
                     "envelope": up.envelope,
                     "informative": up.informative,
@@ -267,16 +273,17 @@ def cmd_asymptotics(args):
 
 
 def cmd_budget(args):
-    spin = SpinMagnitude(args.two_s)
+    two_s = _two_s(args)
+    spin = SpinMagnitude(two_s)
     betas = parse_beta_grid(args.beta)
-    ells = [int(tok) for tok in args.ell.split(",") if tok.strip()]
+    ells = _int_list(args.ell)
     rows = []
     for ell in ells:
         for beta in betas:
             row = {
                 "ell": ell,
                 "beta": beta,
-                "two_s": args.two_s,
+                "two_s": two_s,
                 "e0_source": args.e0_source,
                 "e0": None,
                 "n0": None,
@@ -305,62 +312,28 @@ def cmd_budget(args):
     return 0
 
 
-def _apply_config(args, parser):
-    """Fill unset options from a key=value config file; explicit flags win."""
-    if not args.config:
-        return
-    with open(args.config) as fh:
+def _config_flags(path, parser):
+    """Read a `key=value` config file as the flags `--key=value`, so
+    argparse applies the same type and choice checks to its values."""
+    flags = []
+    with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                parser.error(f"{args.config}:{lineno}: expected key=value, got {line!r}")
+                parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            if not hasattr(args, dest):
-                parser.error(f"{args.config}:{lineno}: unknown option {key.strip()!r}")
-            if getattr(args, dest) is None:
-                setattr(args, dest, value.strip())
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
-_DEFAULTS = {
-    "two_s": 1,
-    "length": 8,
-    "beta": "logspace:1:32:9",
-    "beta_s": "1e4,1e6,1e8",
-    "format": "csv",
-    "grid": "default",
-    "seed": DEFAULT_SEED,
-    "scaled": False,
-    "dimension": 1,
-    "upper_scale": 1.0,
-    "lower_scale": 1.0,
-    "e0_source": "preliminary",
-    "ell": "6",
-}
-
-
-def _finalize(args, needed):
-    for key in needed:
-        if getattr(args, key, None) is None:
-            setattr(args, key, _DEFAULTS[key])
-    # config-file values and --two-s arrive as strings; verify takes
-    # --two-s as a comma list, parsed by cmd_verify
-    for key in ("two_s", "length", "extent", "seed", "dimension"):
-        value = getattr(args, key, None)
-        if isinstance(value, str) and not (key == "two_s" and args.command == "verify"):
-            try:
-                setattr(args, key, int(value))
-            except ValueError:
-                raise ValueError(
-                    f"--{key.replace('_', '-')} must be an integer, got {value!r}"
-                ) from None
-    for key in ("upper_scale", "lower_scale"):
-        if hasattr(args, key) and isinstance(getattr(args, key), str):
-            setattr(args, key, float(getattr(args, key)))
-    if hasattr(args, "scaled") and isinstance(args.scaled, str):
-        args.scaled = args.scaled.lower() in ("1", "true", "yes")
+def _boolean(text):
+    if text.lower() in ("1", "true", "yes"):
+        return True
+    if text.lower() in ("0", "false", "no"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
 def build_parser():
@@ -371,63 +344,66 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file; flags take precedence")
+    common.add_argument("--config",
+                        help="key=value config file, read as --key=value flags; "
+                             "flags on the command line take precedence")
     common.add_argument("--out", help="output file path", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_fe = sub.add_parser("free-energy", parents=[common], help="exact ED free-energy curves")
-    p_fe.add_argument("--two-s", default=None)
-    p_fe.add_argument("--length", type=int, default=None, help="chain length")
+    p_fe.add_argument("--two-s", default="1")
+    p_fe.add_argument("--length", type=int, default=8, help="chain length")
     p_fe.add_argument("--extent", type=int, default=None,
                       help="side of a square grid (replaces --length)")
-    p_fe.add_argument("--beta", default=None, help="comma list or logspace:lo:hi:n")
-    p_fe.add_argument("--scaled", action="store_const", const=True, default=None,
+    p_fe.add_argument("--beta", default="logspace:1:32:9",
+                      help="comma list or logspace:lo:hi:n")
+    p_fe.add_argument("--scaled", nargs="?", type=_boolean, const=True, default=False,
                       help="add beta^{3/2} S^{1/2} f and its ratio to the continuum constant")
     p_fe.add_argument("--plot-script", default=None)
-    p_fe.set_defaults(func=cmd_free_energy,
-                      needed=("two_s", "length", "beta", "format", "scaled"))
+    p_fe.set_defaults(func=cmd_free_energy)
 
     p_v = sub.add_parser("verify", parents=[common], help="run a certificate suite")
     p_v.add_argument("--check", required=True, choices=sorted(CHECKS))
-    p_v.add_argument("--grid", choices=("default", "quick"), default=None)
-    p_v.add_argument("--seed", type=int, default=None)
+    p_v.add_argument("--grid", choices=("default", "quick"), default="default")
+    p_v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_v.add_argument("--ell", default=None, help="override the box-size axis (comma list)")
     p_v.add_argument("--two-s", default=None, help="override the spin axis (comma list)")
     p_v.add_argument("--n", default=None, help="override the magnon-number axis (comma list)")
     p_v.add_argument("--beta", default=None, help="override the temperature axis (comma list)")
-    p_v.set_defaults(func=cmd_verify, needed=("grid", "seed", "format"))
+    p_v.set_defaults(func=cmd_verify)
 
     p_a = sub.add_parser("asymptotics", parents=[common], help="assembled envelope tables")
-    p_a.add_argument("--two-s", default=None)
-    p_a.add_argument("--beta-s", default=None, help="beta*S grid: comma list or logspace:lo:hi:n")
-    p_a.add_argument("--dimension", type=int, choices=(1, 2), default=None)
-    p_a.add_argument("--upper-scale", type=float, default=None)
-    p_a.add_argument("--lower-scale", type=float, default=None)
+    p_a.add_argument("--two-s", default="1")
+    p_a.add_argument("--beta-s", default="1e4,1e6,1e8",
+                     help="beta*S grid: comma list or logspace:lo:hi:n")
+    p_a.add_argument("--dimension", type=int, choices=(1, 2), default=1)
+    p_a.add_argument("--upper-scale", type=float, default=1.0)
+    p_a.add_argument("--lower-scale", type=float, default=1.0)
     p_a.add_argument("--plot-script", default=None)
-    p_a.set_defaults(func=cmd_asymptotics,
-                     needed=("two_s", "beta_s", "dimension", "upper_scale",
-                             "lower_scale", "format"))
+    p_a.set_defaults(func=cmd_asymptotics)
 
     p_b = sub.add_parser("budget", parents=[common], help="lower-bound budget tables")
-    p_b.add_argument("--two-s", default=None)
-    p_b.add_argument("--ell", default=None, help="comma list of box sizes")
-    p_b.add_argument("--beta", default=None)
-    p_b.add_argument("--e0-source", choices=("preliminary", "exact-ed"), default=None)
-    p_b.set_defaults(func=cmd_budget, needed=("two_s", "ell", "beta", "e0_source", "format"))
+    p_b.add_argument("--two-s", default="1")
+    p_b.add_argument("--ell", default="6", help="comma list of box sizes")
+    p_b.add_argument("--beta", default="logspace:1:32:9")
+    p_b.add_argument("--e0-source", choices=("preliminary", "exact-ed"), default="preliminary")
+    p_b.set_defaults(func=cmd_budget)
 
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    _apply_config(args, parser)
-    if getattr(args, "out", None) is None and args.command != "verify":
+    if args.config:
+        # config flags go before the command line's own, so those win
+        args = parser.parse_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
+    if args.out is None and args.command != "verify":
         parser.error("--out is required for table-producing commands")
     try:
-        _finalize(args, args.needed)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,34 +77,41 @@ def _assemble_variant(basis, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def full_spectrum(
-    lattice: SpinLattice,
-    spin: SpinMagnitude,
-    variant: str = "free",
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> SectorSpectrum:
-    """Dense eigenvalues of every magnon sector.
-
-    Raises ResourceLimitError when the total Hilbert dimension exceeds
-    `dim_cap` or any single sector exceeds `DENSE_SECTOR_CAP`; callers
-    that only need the gap should use `spectral_gap`, which handles
-    large middle sectors sparsely.
-    """
-    total_dim = spin.site_dim**lattice.nsites
-    if total_dim > dim_cap:
-        raise ResourceLimitError(
-            f"total dimension {total_dim} exceeds cap {dim_cap}; "
-            "restrict to individual sectors instead"
-        )
-    sectors = range(spin.two_s * lattice.nsites + 1)
+def _require_dense_sectors(nsites: int, spin: SpinMagnitude, sectors=None) -> None:
+    """Raise ResourceLimitError, before any basis is enumerated, when a
+    sector to be diagonalized densely has more than `DENSE_SECTOR_CAP`
+    states.  `sectors` lists the magnon numbers; default: all of them."""
+    if sectors is None:
+        sectors = range(spin.two_s * nsites + 1)
     for n in sectors:
-        dim = sector_dimension(lattice.nsites, n, spin.two_s)
+        dim = sector_dimension(nsites, n, spin.two_s)
         if dim > DENSE_SECTOR_CAP:
             raise ResourceLimitError(
                 f"sector n={n} has dimension {dim} > {DENSE_SECTOR_CAP}"
             )
+
+
+def full_spectrum(
+    lattice: SpinLattice,
+    spin: SpinMagnitude,
+    variant: str = "free",
+) -> SectorSpectrum:
+    """Dense eigenvalues of every magnon sector.
+
+    Raises ResourceLimitError when the total Hilbert dimension exceeds
+    `DEFAULT_DIM_CAP` or any single sector exceeds `DENSE_SECTOR_CAP`;
+    callers that only need the gap should use `spectral_gap`, which
+    handles large middle sectors sparsely.
+    """
+    total_dim = spin.site_dim**lattice.nsites
+    if total_dim > DEFAULT_DIM_CAP:
+        raise ResourceLimitError(
+            f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
+            "restrict to individual sectors instead"
+        )
+    _require_dense_sectors(lattice.nsites, spin)
     sector_eigs = []
-    for n in sectors:
+    for n in range(spin.two_s * lattice.nsites + 1):
         op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
         sector_eigs.append(np.sort(sla.eigvalsh(op.to_dense())))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
@@ -231,6 +238,7 @@ def check_subadditivity(
     total_length: int, spin: SpinMagnitude, beta: float
 ) -> InequalityCertificate:
     """Certify L f_L >= l f_l + (L-l) f_{L-l} for every split of the chain."""
+    _require_dense_sectors(total_length, spin)  # the longest chain has the largest sectors
     f = {ell: chain_free_energy(ell, spin, beta) for ell in range(1, total_length + 1)}
     slacks = []
     for ell in range(1, total_length):

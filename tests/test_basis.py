@@ -22,10 +22,6 @@ def test_lattice_validation():
         SpinLattice(1, (1,))
     with pytest.raises(ValueError):
         SpinLattice(2, (3,))
-    with pytest.raises(ValueError):
-        SpinLattice(1, (4,), boundary="free-2d-grid")
-    with pytest.raises(ValueError):
-        SpinLattice(2, (3, 3), boundary="free-chain")
     lat = SpinLattice.square(3)
     assert lat.nsites == 9
     assert len(lat.bonds()) == 12

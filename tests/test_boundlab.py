@@ -23,6 +23,7 @@ from magnonlab.boundlab import (
     verify_php_leq_t,
     verify_vnorm_lower_bound,
 )
+from magnonlab.checks import run_check
 from magnonlab.operators import assemble_heisenberg
 
 
@@ -185,9 +186,32 @@ def test_psd_verifier_resource_guards():
     from magnonlab.spectra import ResourceLimitError
 
     with pytest.raises(ResourceLimitError, match="dimension"):
-        verify_php_leq_t(6, SpinMagnitude(1), 8, dim_cap=100)
+        verify_php_leq_t(10, SpinMagnitude(1), 10)
     with pytest.raises(ResourceLimitError, match="dimension"):
         verify_casimir_lower_bound(16, SpinMagnitude(2))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_laplacian_lower_bound(20, SpinMagnitude(1), 10),
+        lambda: verify_low_energy_truncation(20, SpinMagnitude(1), 4.0),
+        lambda: verify_casimir_lower_bound(20, SpinMagnitude(1)),
+        lambda: run_check("density", ells=[20], spins=[1], ns=[10]),
+    ],
+    ids=["laplacian", "truncation", "casimir", "density"],
+)
+def test_dense_verifiers_refuse_an_oversized_sector_before_enumerating(monkeypatch, run):
+    from magnonlab import boundlab, checks, spectra
+    from magnonlab.spectra import ResourceLimitError
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector enumerated before the size check")
+
+    for module in (boundlab, checks, spectra):
+        monkeypatch.setattr(module, "enumerate_sector_basis", refuse)
+    with pytest.raises(ResourceLimitError, match=r"sector n=\d+ has dimension \d+ > 6000"):
+        run()
 
 
 def test_psd_certificates_spin_three_halves():

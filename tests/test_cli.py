@@ -203,15 +203,6 @@ def test_verify_single_cell_overrides(tmp_path):
     assert len(rows) == 1 and rows[0]["params"] == {"ell": 4, "two_s": 1}
 
 
-def test_worker_pool_ledger_is_order_independent(tmp_path, monkeypatch):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    monkeypatch.setenv("MAGNONLAB_WORKERS", "4")
-    main(["verify", "--check", "php-leq-t", "--grid", "quick", "--out", str(a)])
-    monkeypatch.delenv("MAGNONLAB_WORKERS")
-    main(["verify", "--check", "php-leq-t", "--grid", "quick", "--out", str(b)])
-    assert read_lines(a) == read_lines(b)
-
-
 def test_verify_ledger_determinism(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     main(["verify", "--check", "vnorm", "--grid", "quick", "--out", str(a)])
@@ -248,3 +239,110 @@ def test_non_finite_beta_is_rejected(tmp_path, beta):
     out = tmp_path / "x.csv"
     assert main(["free-energy", "--length", "3", "--beta", beta, "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _one_error_line_and_no_ledger(capsys, ledger):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "certificates passed" not in captured.out
+    assert not ledger.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--check", "casimir", "--ell", "16", "--two-s", "2"],
+        ["--check", "php-leq-t", "--ell", "12", "--n", "12"],
+        ["--check", "subadditivity", "--ell", "30"],
+    ],
+)
+def test_verify_resource_limit_is_a_one_line_error(tmp_path, capsys, argv):
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    _one_error_line_and_no_ledger(capsys, ledger)
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--check", "su2", "--ell", "99", "--n", "7", "--beta", "3"], "--ell"),
+        (["--check", "localization", "--ell", "99", "--two-s", "3", "--grid", "quick"],
+         "--ell"),
+        (["--check", "casimir", "--n", "5", "--grid", "quick"], "--n"),
+    ],
+)
+def test_verify_rejects_an_override_the_suite_does_not_take(tmp_path, capsys, argv, flag):
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    err = _one_error_line_and_no_ledger(capsys, ledger)
+    assert f"{flag} does not apply to {argv[1]}" in err
+
+
+# one case per subcommand: argv without a config, a config value that
+# argparse must reject, and a config spelling out every default
+CONFIG_CASES = {
+    "free-energy": (
+        ["free-energy"],
+        "format=xml",
+        "two-s=1\nlength=8\nbeta=logspace:1:32:9\nformat=csv\nscaled=false\n",
+    ),
+    "verify": (
+        ["verify", "--check", "su2"],
+        "grid=bogus",
+        "grid=default\nseed=20260811\nformat=csv\n",
+    ),
+    "asymptotics": (
+        ["asymptotics"],
+        "dimension=3",
+        "two-s=1\nbeta-s=1e4,1e6,1e8\ndimension=1\nupper-scale=1.0\n"
+        "lower-scale=1.0\nformat=csv\n",
+    ),
+    "budget": (
+        ["budget"],
+        "e0-source=bogus",
+        "two-s=1\nell=6\nbeta=logspace:1:32:9\ne0-source=preliminary\nformat=csv\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_values_get_the_checks_of_flags(tmp_path, capsys, command):
+    argv, bad_line, defaults = CONFIG_CASES[command]
+    bad, full = tmp_path / "bad.cfg", tmp_path / "defaults.cfg"
+    bad.write_text(f"# comment\n\n{bad_line}\n")
+    full.write_text(defaults)
+    out = tmp_path / "bad.out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", str(bad), "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert bad_line.split("=")[1] in capsys.readouterr().err
+
+    plain, configured = tmp_path / "plain.out", tmp_path / "configured.out"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--config", str(full), "--out", str(configured)]) == 0
+    assert read_lines(plain) == read_lines(configured)
+
+
+def test_config_booleans_and_underscore_keys(tmp_path):
+    header = {}
+    for value in ("true", "false"):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"length=3\nbeta=2\ntwo_s=2\nscaled={value}\n")
+        out = tmp_path / f"{value}.csv"
+        assert main(["free-energy", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = read_lines(out).splitlines()
+        header[value] = lines[1]
+        assert all(r.split(",")[4] == "2" for r in lines[2:])
+    assert header["true"] == "beta,f,variant,ell,two_s,scaled_f,ratio_c1"
+    assert header["false"] == "beta,f,variant,ell,two_s"
+
+
+def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length=3\nbeta 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["free-energy", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"{cfg}:2:" in capsys.readouterr().err

@@ -54,7 +54,7 @@ def test_vacuum_sector_contains_zero_and_counts_match():
 
 def test_resource_cap():
     with pytest.raises(ResourceLimitError, match="cap"):
-        full_spectrum(SpinLattice.chain(8), SpinMagnitude(1), dim_cap=100)
+        full_spectrum(SpinLattice.chain(21), SpinMagnitude(1))
 
 
 def test_free_energy_closed_form():
