@@ -284,10 +284,11 @@ def haar_random_state(basis: MagnonSectorBasis, rng) -> CoordinateState:
     return CoordinateState(basis, rng.standard_normal(basis.dim))
 
 
-def gibbs_random_state(basis, hamiltonian_dense, beta, rng) -> CoordinateState:
+def gibbs_random_state(basis, eigh_pair, beta, rng) -> CoordinateState:
     """Draw an eigenstate of the sector block with probability proportional
-    to its Boltzmann weight."""
-    w, u = sla.eigh(hamiltonian_dense)
+    to its Boltzmann weight; `eigh_pair` is the (w, u) of `sla.eigh` on
+    the block, computed once by the caller for all its draws."""
+    w, u = eigh_pair
     logp = -beta * (w - w.min())
     p = np.exp(logp)
     p /= p.sum()

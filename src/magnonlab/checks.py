@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import inspect
 
+import scipy.linalg as sla
+
 from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from .boundlab import (
     gibbs_random_state,
@@ -168,6 +170,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
         _require_dense_sectors(ell, spin, [n])
         basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
         h = assemble_heisenberg(basis).to_dense()
+        eigh_pair = sla.eigh(h)
         pairs = []
         for kind in ("haar", "gibbs"):
             rng = rng_for(seed, 2, ell, n, two_s, 0 if kind == "haar" else 1)
@@ -175,7 +178,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
                 if kind == "haar":
                     state = haar_random_state(basis, rng)
                 else:
-                    state = gibbs_random_state(basis, h, _GIBBS_BETA, rng)
+                    state = gibbs_random_state(basis, eigh_pair, _GIBBS_BETA, rng)
                 pairs.append(verify_density_bounds(state, h))
         for cert in (worst(side, key=lambda c: c.slack) for side in zip(*pairs)):
             cert.params["samples"] = 2 * samples

@@ -348,9 +348,10 @@ def build_parser():
                         help="key=value config file, read as --key=value flags; "
                              "flags on the command line take precedence")
     common.add_argument("--out", help="output file path", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_fe = sub.add_parser("free-energy", parents=[common], help="exact ED free-energy curves")
+    p_fe = sub.add_parser("free-energy", parents=[common, table], help="exact ED free-energy curves")
     p_fe.add_argument("--two-s", default="1")
     p_fe.add_argument("--length", type=int, default=8, help="chain length")
     p_fe.add_argument("--extent", type=int, default=None,
@@ -372,7 +373,7 @@ def build_parser():
     p_v.add_argument("--beta", default=None, help="override the temperature axis (comma list)")
     p_v.set_defaults(func=cmd_verify)
 
-    p_a = sub.add_parser("asymptotics", parents=[common], help="assembled envelope tables")
+    p_a = sub.add_parser("asymptotics", parents=[common, table], help="assembled envelope tables")
     p_a.add_argument("--two-s", default="1")
     p_a.add_argument("--beta-s", default="1e4,1e6,1e8",
                      help="beta*S grid: comma list or logspace:lo:hi:n")
@@ -382,7 +383,7 @@ def build_parser():
     p_a.add_argument("--plot-script", default=None)
     p_a.set_defaults(func=cmd_asymptotics)
 
-    p_b = sub.add_parser("budget", parents=[common], help="lower-bound budget tables")
+    p_b = sub.add_parser("budget", parents=[common, table], help="lower-bound budget tables")
     p_b.add_argument("--two-s", default="1")
     p_b.add_argument("--ell", default="6", help="comma list of box sizes")
     p_b.add_argument("--beta", default="logspace:1:32:9")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
-from scipy.special import logsumexp
+from scipy.special import comb, factorial, logsumexp
 
 from .basis import (
     MagnonSectorBasis,
@@ -31,7 +31,6 @@ from .basis import (
 from .certificates import InequalityCertificate, worst
 from .operators import (
     assemble_dirichlet_heisenberg,
-    assemble_free_boson_t,
     assemble_heisenberg,
     assemble_projector_p,
     assemble_total_spin_squared,
@@ -282,23 +281,6 @@ def check_localization_bound(
     )
 
 
-def localization_cross_check(
-    ell: int, spin: SpinMagnitude, beta: float
-) -> InequalityCertificate:
-    """(1 + 1/l)^(-1) f_l^D >= f_l alone, for grids where no matching L
-    is diagonalizable."""
-    factor = 1.0 / (1.0 + 1.0 / ell)
-    slack = factor * dirichlet_free_energy(ell, spin, beta) - chain_free_energy(
-        ell, spin, beta
-    )
-    return InequalityCertificate(
-        name="localization-cross-check",
-        params={"ell": ell, "two_s": spin.two_s, "beta": beta},
-        slack=float(slack),
-        tolerance=1e-12,
-    )
-
-
 # ---------------------------------------------------------------------------
 # joint (energy, total-spin) decomposition of a sector
 # ---------------------------------------------------------------------------
@@ -336,73 +318,80 @@ def sector_energy_spin_pairs(lattice, spin, n, variant="free"):
 # variational upper bound from the projected free-boson state
 # ---------------------------------------------------------------------------
 
-def fock_tail_cutoff(ell: int, spin: SpinMagnitude, beta: float, rel_tol: float = 1e-10):
-    """Smallest particle-number cutoff N such that the discarded tail of
-    the free-boson trace is below rel_tol of the total.
+# Subset vectors k per Ryser block: each (dim, block) work array stays
+# under 25 MB at the largest sector `_require_dense_sectors` admits.
+_RYSER_BLOCK = 512
 
-    Uses an exponential-moment bound: for 0 < theta < beta*S*eps_min,
-    Z_{>N}/Z <= exp(-theta (N+1)) * prod_p (1 - e^{-x_p}) / (1 - e^{-(x_p - theta)})
-    with x_p = beta*S*eps(p); theta is scanned on a grid.
+
+def free_boson_propagator(basis: MagnonSectorBasis, beta: float) -> np.ndarray:
+    """<m|e^{-beta T}|c> for every pair of states of a capped sector.
+
+    Free-boson amplitudes are permanents of the one-body propagator
+    G = e^{-beta t}, t = S*(2d*1 - adjacency) the Dirichlet hopping matrix:
+    <m|e^{-beta T}|c> = perm(G[r(m), r(c)]) / sqrt(prod m_x! prod c_x!),
+    where r(m) repeats site x m_x times.  The permanents come from Ryser's
+    formula with the repeated columns of r(c) grouped by site,
+    perm = (-1)^n sum_{0 <= k <= c} (-1)^{|k|} prod_x C(c_x, k_x) prod_y (G k)_y^{m_y},
+    evaluated for all pairs at once as products F @ W^T over blocks of the
+    vectors k.
     """
-    from .magnongas import dirichlet_modes
+    lattice, states, n = basis.lattice, basis.states, basis.n
+    x, y = np.array(lattice.bonds()).T
+    t = np.diag(np.full(lattice.nsites, 2.0 * lattice.dimension))
+    t[x, y] = t[y, x] = -1.0
+    eps, modes = sla.eigh(basis.spin.s * t)
+    g = (modes * np.exp(-beta * eps)) @ modes.T
+    ks = np.indices((basis.spin.two_s + 1,) * lattice.nsites)
+    ks = ks.reshape(lattice.nsites, -1).T
+    ks = ks[ks.sum(axis=1) <= n]  # larger k exceed every c
+    e = np.arange(basis.spin.two_s + 1)
+    powers = (ks @ g)[None] ** e[:, None, None]  # [e, k, y] = (G k)_y^e; G is symmetric
+    choose = comb(e[:, None, None], ks[None])  # [e, k, x] = C(e, k_x)
+    sign = (-1.0) ** (n - ks.sum(axis=1))
+    perm = np.zeros((basis.dim, basis.dim))
+    for lo in range(0, len(ks), _RYSER_BLOCK):
+        block = slice(lo, lo + _RYSER_BLOCK)
+        w = np.outer(np.ones(basis.dim), sign[block])  # w[c, k]: sign times binomials
+        f = np.ones_like(w)  # f[m, k] = prod_y (G k)_y^{m_y}
+        for site in range(lattice.nsites):
+            f *= powers[states[:, site], block, site]
+            w *= choose[states[:, site], block, site]
+        perm += f @ w.T
+    norm = np.sqrt(factorial(states).prod(axis=1))
+    return perm / np.outer(norm, norm)
 
-    x = beta * spin.s * dirichlet_modes(ell, 1).energies
-    best = None
-    for frac in (0.25, 0.5, 0.75, 0.9):
-        theta = frac * x.min()
-        log_pref = float(
-            np.sum(np.log1p(-np.exp(-x)) - np.log1p(-np.exp(-(x - theta))))
-        )
-        n_cap = max(0, math.ceil(-(math.log(rel_tol) + log_pref) / theta - 1.0))
-        if best is None or n_cap < best:
-            best = n_cap
-    return best
 
-
-def gibbs_variational_upper(
-    ell: int,
-    spin: SpinMagnitude,
-    beta: float,
-    n_cap: int | None = None,
-    rel_tol: float = 1e-10,
-    max_states: int = 300_000,
-):
+def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     """Gibbs variational bound with the projected free-boson trial state.
 
-    The trial state is P e^{-beta T} P normalized, with P the occupancy
-    projector and T the pinned free-boson hopping operator; the bound is
-    evaluated by exact summation over particle-number sectors up to a
-    certified tail cutoff.
+    The trial state is Gamma = P e^{-beta T} P / tr(P e^{-beta T} P), with
+    P the occupancy projector and T the pinned free-boson hopping
+    operator.  P vanishes off the hard core, so only the capped sectors
+    n = 0..2S*l enter, and each is evaluated exactly: its matrix of
+    e^{-beta T} is filled from <m|e^{-beta T}|c> =
+    perm(G[r(m), r(c)]) / sqrt(prod m_x! prod c_x!) with
+    G = e^{-beta t} the l x l Dirichlet propagator
+    (`free_boson_propagator`).  The free-boson trace is the closed form
+    prod_p (1 - e^{-beta S eps(p)})^{-1} over the pinned modes.
 
     Returns (value, certificate, details): `value` is the per-site bound
     (1/l)[tr H^D Gamma + (1/beta) tr Gamma ln Gamma]; the certificate
-    checks value >= f_l^D; `details` reports the trial-state trace, the
-    cutoff, and the gap to the plain free-boson pressure.
+    checks value >= f_l^D; `details` reports the trial-state trace
+    ratio z_p/z_free, the eigenvalue sum of Gamma, and the gap to the
+    plain free-boson pressure.
     """
-    lattice = SpinLattice.chain(ell)
-    if n_cap is None:
-        n_cap = fock_tail_cutoff(ell, spin, beta, rel_tol)
-    total_states = sum(
-        sector_dimension(ell, n, n) for n in range(n_cap + 1)
-    )
-    if total_states > max_states:
-        raise ResourceLimitError(
-            f"tail cutoff n_cap={n_cap} needs {total_states} Fock states "
-            f"(budget {max_states}); raise the budget or lower beta"
-        )
+    from .magnongas import dirichlet_modes, free_boson_sum
 
+    _require_dense_sectors(ell, spin)
+    lattice = SpinLattice.chain(ell)
     z_p = 0.0
     mu_total = 0.0
     energy_num = 0.0
     xlogx_sum = 0.0
-    z_free = 0.0
     floor = 1e-30
-    for n in range(n_cap + 1):
-        basis = enumerate_sector_basis(lattice, spin, n, capped=False)
-        t_op = assemble_free_boson_t(basis).to_dense()
-        w, u = sla.eigh(t_op)
-        exp_t = (u * np.exp(-beta * w)) @ u.T
-        z_free += float(np.exp(-beta * w).sum())
+    for n in range(spin.two_s * ell + 1):
+        basis = enumerate_sector_basis(lattice, spin, n)
+        exp_t = free_boson_propagator(basis, beta)
         p = assemble_projector_p(basis).weights
         m = (p[:, None] * exp_t) * p[None, :]
         z_p += float(np.trace(m))
@@ -417,16 +406,15 @@ def gibbs_variational_upper(
     entropy_term = xlogx_sum / z_p - math.log(z_p)
     value = (energy + entropy_term / beta) / ell
     f_pin = dirichlet_free_energy(ell, spin, beta)
-
-    from .magnongas import free_boson_sum
-
+    x = beta * spin.s * dirichlet_modes(ell, 1).energies
+    z_free = math.exp(-float(np.sum(np.log1p(-np.exp(-x)))))
     free_boson_value = free_boson_sum(ell, 1, beta, spin.s)
     # eigenvalue sum over trace: a genuine consistency check on the
     # eigendecompositions feeding the entropy term
     gamma_trace = mu_total / z_p
     cert = InequalityCertificate(
         name="variational-dominance",
-        params={"ell": ell, "two_s": spin.two_s, "beta": beta, "n_cap": n_cap},
+        params={"ell": ell, "two_s": spin.two_s, "beta": beta},
         slack=float(value - f_pin),
         tolerance=1e-10 * max(1.0, abs(f_pin)),
     )
@@ -435,7 +423,6 @@ def gibbs_variational_upper(
         "f_dirichlet": f_pin,
         "free_boson_value": free_boson_value,
         "gap_to_free_boson": value - free_boson_value,
-        "n_cap": n_cap,
         "gamma_trace": gamma_trace,
         "trial_trace_ratio": z_p / z_free,
     }

@@ -134,11 +134,12 @@ def test_criterion_07_pair_density_property_suite():
                     SpinLattice.chain(ell), SpinMagnitude(two_s), n
                 )
                 h = assemble_heisenberg(basis).to_dense()
+                eigh_pair = sla.eigh(h)
                 haar_rng = rng_for(SEED, 7, ell, n, two_s, 0)
                 gibbs_rng = rng_for(SEED, 7, ell, n, two_s, 1)
                 states = [haar_random_state(basis, haar_rng) for _ in range(100)]
                 states += [
-                    gibbs_random_state(basis, h, 2.0, gibbs_rng) for _ in range(100)
+                    gibbs_random_state(basis, eigh_pair, 2.0, gibbs_rng) for _ in range(100)
                 ]
                 for state in states:
                     total += 1

@@ -280,6 +280,15 @@ def test_verify_rejects_an_override_the_suite_does_not_take(tmp_path, capsys, ar
     assert f"{flag} does not apply to {argv[1]}" in err
 
 
+def test_verify_has_no_format_flag(tmp_path, capsys):
+    # verify always writes JSON lines; a --format it ignored would mislead
+    ledger = tmp_path / "f.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "su2", "--format", "csv", "--out", str(ledger)])
+    assert exc.value.code == 2 and not ledger.exists()
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
 # one case per subcommand: argv without a config, a config value that
 # argparse must reject, and a config spelling out every default
 CONFIG_CASES = {
@@ -291,7 +300,7 @@ CONFIG_CASES = {
     "verify": (
         ["verify", "--check", "su2"],
         "grid=bogus",
-        "grid=default\nseed=20260811\nformat=csv\n",
+        "grid=default\nseed=20260811\n",
     ),
     "asymptotics": (
         ["asymptotics"],

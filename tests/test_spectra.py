@@ -3,19 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from magnonlab.basis import SpinLattice, SpinMagnitude
+import scipy.linalg as sla
+
+from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, sector_dimension
+from magnonlab.operators import assemble_free_boson_t
 from magnonlab.spectra import (
     ResourceLimitError,
     chain_free_energy,
     check_localization_bound,
     check_subadditivity,
     dirichlet_free_energy,
-    fock_tail_cutoff,
+    free_boson_propagator,
     free_energy,
     free_energy_from_eigenvalues,
     full_spectrum,
     gibbs_variational_upper,
-    localization_cross_check,
     sector_energy_spin_pairs,
     spectral_gap,
 )
@@ -215,7 +217,9 @@ def test_localization_certificate():
 
 def test_localization_cross_check_both_temperatures():
     for beta in (2.0, 8.0):
-        assert localization_cross_check(4, SpinMagnitude(1), beta).passed
+        cert = check_localization_bound(6, 4, SpinMagnitude(1), beta)
+        assert cert.passed
+        assert cert.extras["slack_cross"] >= -cert.tolerance
 
 
 def test_sector_energy_spin_pairs():
@@ -226,42 +230,63 @@ def test_sector_energy_spin_pairs():
     assert len(zero) == 1 and abs(zero[0]) < 1e-12
 
 
+# (l, 2S, beta) -> value, gamma_trace, trial_trace_ratio from the earlier
+# evaluation over uncapped Fock sectors, truncated at relative tail 1e-10
+GIBBS_PINNED = {
+    (2, 1, 4.0): (-0.017832683447504077, 1.0, 0.9892904510221744),
+    (3, 2, 6.0): (-0.001668262675813224, 1.0, 0.9998258937273268),
+    (2, 3, 2.0): (-0.012785340999537514, 1.0, 0.999548728854603),
+}
+
+
 def test_gibbs_variational_upper_examples():
-    value, cert, details = gibbs_variational_upper(2, SpinMagnitude(1), 4.0)
-    assert cert.passed and cert.slack > 0
+    for (ell, two_s, beta), (value, trace, ratio) in GIBBS_PINNED.items():
+        got, cert, details = gibbs_variational_upper(ell, SpinMagnitude(two_s), beta)
+        assert cert.passed and cert.slack > 0
+        assert got == pytest.approx(value, abs=1e-12)
+        assert details["gamma_trace"] == pytest.approx(trace, abs=1e-12)
+        assert details["trial_trace_ratio"] == pytest.approx(ratio, rel=1e-10)
+        assert got >= details["f_dirichlet"]
+        # the trial value sits above the plain free-boson pressure
+        assert details["gap_to_free_boson"] > 0
+
+
+def test_free_boson_propagator_matches_uncapped_exponential():
+    # reference: e^{-beta T} on the uncapped sector, restricted to the hard core
+    checked = 0
+    for ell in (2, 3, 4):
+        for two_s in (1, 2, 3):
+            spin = SpinMagnitude(two_s)
+            for n in range(two_s * ell + 1):
+                if sector_dimension(ell, n, n) > 500:
+                    continue
+                lattice = SpinLattice.chain(ell)
+                free = enumerate_sector_basis(lattice, spin, n, capped=False)
+                capped = enumerate_sector_basis(lattice, spin, n)
+                rows = free.state_index(capped.states)
+                w, u = sla.eigh(assemble_free_boson_t(free).to_dense())
+                for beta in (0.5, 4.0):
+                    exact = ((u * np.exp(-beta * w)) @ u.T)[np.ix_(rows, rows)]
+                    assert np.abs(free_boson_propagator(capped, beta) - exact).max() <= 1e-12
+                checked += 1
+    assert checked == 63
+
+
+def test_gibbs_variational_upper_refuses_before_enumerating(monkeypatch):
+    from magnonlab import spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis enumerated before the size check")
+
+    monkeypatch.setattr(spectra, "enumerate_sector_basis", refuse)
+    with pytest.raises(ResourceLimitError, match=r"^sector n=7 has dimension 6435 > 6000$"):
+        gibbs_variational_upper(15, SpinMagnitude(1), 2.0)
+
+
+def test_gibbs_variational_upper_six_sites():
+    value, cert, details = gibbs_variational_upper(6, SpinMagnitude(1), 8.0)
+    assert cert.passed and value >= details["f_dirichlet"]
     assert details["gamma_trace"] == pytest.approx(1.0, abs=1e-12)
-    assert value >= details["f_dirichlet"]
-    # the trial value sits above the plain free-boson pressure
-    assert details["gap_to_free_boson"] > 0
-
-    value3, cert3, _ = gibbs_variational_upper(3, SpinMagnitude(2), 6.0)
-    assert cert3.passed
-    # half-integer spin above 1/2
-    _, cert4, _ = gibbs_variational_upper(2, SpinMagnitude(3), 2.0)
-    assert cert4.passed
-
-
-def test_fock_tail_cutoff_certifies_tail():
-    # brute force: compare against an explicit long summation of the
-    # free-boson partition function per particle number
-    from magnonlab.basis import enumerate_sector_basis
-    from magnonlab.operators import assemble_free_boson_t
-    import scipy.linalg as sla
-
-    ell, spin, beta = 2, SpinMagnitude(1), 3.0
-    cutoff = fock_tail_cutoff(ell, spin, beta, rel_tol=1e-10)
-    z = []
-    for n in range(cutoff + 25):
-        basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
-        t = assemble_free_boson_t(basis).to_dense()
-        z.append(np.exp(-beta * sla.eigvalsh(t)).sum())
-    tail = sum(z[cutoff + 1 :])
-    assert tail <= 1e-10 * sum(z)
-
-
-def test_gibbs_resource_error():
-    with pytest.raises(ResourceLimitError, match="budget"):
-        gibbs_variational_upper(6, SpinMagnitude(1), 2.0, max_states=10)
 
 
 def _forbid_dense_solves(monkeypatch):
