@@ -104,28 +104,6 @@ class SpinLattice:
         return deg
 
 
-def _bounded_compositions(total, nsites, cap):
-    """Yield occupation tuples summing to `total`, each entry in [0, cap],
-    in ascending lexicographic order."""
-    state = [0] * nsites
-
-    def rec(pos, remaining):
-        if pos == nsites - 1:
-            if remaining <= cap:
-                state[pos] = remaining
-                yield tuple(state)
-                state[pos] = 0
-            return
-        lo = max(0, remaining - cap * (nsites - 1 - pos))
-        hi = min(cap, remaining)
-        for k in range(lo, hi + 1):
-            state[pos] = k
-            yield from rec(pos + 1, remaining - k)
-        state[pos] = 0
-
-    yield from rec(0, total)
-
-
 def sector_dimension(nsites: int, n: int, cap: int) -> int:
     """Number of occupation vectors with sum n and per-site cap, by
     inclusion-exclusion over sites forced above the cap."""
@@ -226,7 +204,17 @@ def enumerate_sector_basis(
             f"magnon number n={n} outside [0, {cap * nsites}] "
             f"(cap {cap} per site on {nsites} sites)"
         )
-    states = np.array(
-        list(_bounded_compositions(n, nsites, cap)), dtype=np.int64
-    ).reshape(-1, nsites)
+    # Prefix expansion, one site at a time: each prefix with `remaining`
+    # magnons left is repeated once per admissible occupation lo..hi of
+    # the next site, in ascending order, so the rows stay lexicographic.
+    states = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([n], dtype=np.int64)
+    for pos in range(nsites):
+        lo = np.maximum(0, remaining - cap * (nsites - 1 - pos))
+        counts = np.minimum(cap, remaining) - lo + 1
+        parent = np.repeat(np.arange(len(states)), counts)
+        starts = np.cumsum(counts) - counts
+        occ = lo[parent] + np.arange(len(parent)) - starts[parent]
+        states = np.column_stack([states[parent], occ])
+        remaining = remaining[parent] - occ
     return MagnonSectorBasis(lattice, spin, n, capped, states)

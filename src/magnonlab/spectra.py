@@ -6,9 +6,11 @@ Per-sector spectra are computed with a dense symmetric eigensolver
 with `sector_dimension` before any basis is enumerated: `full_spectrum`
 refuses a lattice up front when a sector exceeds the dense budget.
 `spectral_gap` never needs the full spectrum: it builds the middle
-sector alone, which holds every distinct eigenvalue, and takes its two
-lowest eigenvalues (dense for a tiny sector, a two-eigenvalue Lanczos
-solve on the CSR matrix otherwise), each checked by its residual.
+sector alone, which holds every distinct eigenvalue, splits it into
+its reflection-even and reflection-odd blocks, and takes the two
+lowest even and the lowest odd eigenvalue (dense for a small block, a
+Lanczos solve on the block's CSR matrix otherwise), each checked by its
+residual.  `full_spectrum` stays unreduced.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.special import comb, factorial, logsumexp
 
@@ -155,14 +158,16 @@ class GapReport:
     gap: float
     reference: float
     deviation: float
-    solver: str  # "dense" | "lanczos"
-    residual: float  # larger Ritz residual ||Hv - theta v||; 0.0 for dense
+    solver: str  # "dense" | "lanczos" (Lanczos on at least one block)
+    residual: float  # largest Ritz residual ||Hv - theta v||; 0.0 for dense
+    block_dims: tuple  # (even, odd) reflection-parity block dimensions
 
 
-# Middle sectors up to this size are solved densely: ARPACK needs k < dim,
-# and on 2 CPUs a dense solve takes under 1.5 ms up to 155 states against
-# 2-7 ms for Lanczos.  Between 200 and 460 states the two differ by a few
-# ms either way; at 580 Lanczos is 3x faster, and dense cost grows as dim^3.
+# Parity blocks up to this size are solved densely (the cap applies to
+# each block on its own): ARPACK needs k < dim, and on 2 CPUs a dense
+# solve takes under 1.5 ms up to 155 states against 2-7 ms for Lanczos.
+# Between 200 and 460 states the two differ by a few ms either way; at
+# 580 Lanczos is 3x faster, and dense cost grows as dim^3.
 _DENSE_GAP_CAP = 200
 # Fixed seed of the Lanczos start vector, so a gap is bit-reproducible.
 _LANCZOS_SEED = 20260811
@@ -170,6 +175,45 @@ _LANCZOS_SEED = 20260811
 # within ||Hv - theta v|| of theta, so this bounds the error of the gap
 # well inside its 1e-9 acceptance tolerance.
 _RITZ_RESIDUAL_BOUND = 1e-10
+
+
+def parity_isometries(basis: MagnonSectorBasis):
+    """(Q_even, Q_odd): CSR isometries onto the reflection-even and
+    reflection-odd subspaces of a sector.
+
+    The mirror map sends each state to its site-reversed image.  A pair
+    i < mirror(i) gives the even column (e_i + e_j)/sqrt2 and the odd
+    column (e_i - e_j)/sqrt2; a palindrome gives the even column e_i.
+    Columns are ordered by the lower row of their pair.
+    """
+    mirror = basis.state_index(basis.states[:, ::-1])
+    rows = np.arange(basis.dim)
+    isometries = []
+    for sign, reps in ((1.0, rows[mirror >= rows]), (-1.0, rows[mirror > rows])):
+        partner = mirror[reps]
+        pair = partner != reps
+        weight = np.where(pair, math.sqrt(0.5), 1.0)
+        cols = np.arange(len(reps))
+        isometries.append(sp.csr_matrix(
+            (np.concatenate([weight, sign * weight[pair]]),
+             (np.concatenate([reps, partner[pair]]), np.concatenate([cols, cols[pair]]))),
+            shape=(basis.dim, len(reps)),
+        ))
+    return tuple(isometries)
+
+
+def _lowest_eigenvalues(block, k):
+    """The k lowest eigenvalues of a symmetric CSR block and the largest
+    Ritz residual: dense `eigvalsh` (residual 0.0) up to `_DENSE_GAP_CAP`
+    states, a seeded Lanczos solve above."""
+    dim = block.shape[0]
+    if dim <= _DENSE_GAP_CAP:
+        return sla.eigvalsh(block.toarray())[:k], 0.0
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
+    theta, vecs = spla.eigsh(block, k=k, which="SA", v0=start, tol=1e-13, maxiter=20000)
+    order = np.argsort(theta)
+    theta, vecs = theta[order], vecs[:, order]
+    return theta, float(np.linalg.norm(block @ vecs - vecs * theta, axis=0).max())
 
 
 def spectral_gap(
@@ -183,18 +227,22 @@ def spectral_gap(
     Only the middle sector n = floor(S*ell) is built: it holds every
     total-spin multiplet, hence every distinct eigenvalue, and exactly
     one zero mode (the maximal-spin state), so its two lowest
-    eigenvalues are 0 and the gap.  They come from a dense `eigvalsh`
-    while the sector has at most `_DENSE_GAP_CAP` states and from a
-    k=2 Lanczos solve (`eigsh`, seeded random start vector) on its CSR
-    matrix above that.  The seeded random start makes the gap
-    bit-reproducible and overlaps the reflection-odd gap mode; the
-    constant and zero-mode vectors are even and reach it only through
-    rounding.
+    eigenvalues are 0 and the gap.  H commutes with the chain's
+    reflection, so the sector splits into an even block Q_e^T H Q_e and
+    an odd block Q_o^T H Q_o (`parity_isometries`).  The zero mode is
+    even; the gap is the smaller of the even block's second eigenvalue
+    and the odd block's first, so the result is the sector's two lowest
+    eigenvalues without assuming the parity of the gap mode.  Each
+    block is solved by a dense `eigvalsh` while it has at most
+    `_DENSE_GAP_CAP` states and by a Lanczos solve (`eigsh`, k=2 even
+    and k=1 odd, seeded random start vector, so gaps are
+    bit-reproducible) above that.
 
     Raises RuntimeError when the maximal-spin vector is not a zero mode,
-    when the lower eigenvalue is not the only zero mode (tolerance
+    when the lowest even eigenvalue is not the only zero mode (tolerance
     `tol_factor * max(||H||, 1)`, ||H|| bounded by the largest row sum),
-    or when a Ritz residual exceeds `_RITZ_RESIDUAL_BOUND`.
+    or when a Ritz residual of either block exceeds
+    `_RITZ_RESIDUAL_BOUND`.
     """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
@@ -204,32 +252,26 @@ def spectral_gap(
     zero_resid = np.linalg.norm(h @ ground_multiplet_vector(basis))
     if zero_resid > 1e-8 * max(1.0, abs(h).max()):
         raise RuntimeError(f"zero-mode residual {zero_resid} unexpectedly large")
-    if basis.dim <= _DENSE_GAP_CAP:
-        solver, residual = "dense", 0.0
-        theta = sla.eigvalsh(h.toarray())[:2]
-    else:
-        solver = "lanczos"
-        start = np.random.default_rng(_LANCZOS_SEED).standard_normal(basis.dim)
-        theta, vecs = spla.eigsh(
-            h, k=2, which="SA", v0=start, tol=1e-13, maxiter=20000
-        )
-        order = np.argsort(theta)
-        theta, vecs = theta[order], vecs[:, order]
-        residual = float(np.linalg.norm(h @ vecs - vecs * theta, axis=0).max())
+    even, odd = ((q.T @ h @ q).tocsr() for q in parity_isometries(basis))
+    (zero, *second), even_resid = _lowest_eigenvalues(even, 2)
+    odd_theta, odd_resid = _lowest_eigenvalues(odd, 1)
+    gap = float(min(second + list(odd_theta)))
+    residual = max(even_resid, odd_resid)
+    dims = (even.shape[0], odd.shape[0])
     tol = tol_factor * max(float(abs(h).sum(axis=1).max()), 1.0)
-    if not abs(theta[0]) <= tol < theta[1]:
+    if not abs(zero) <= tol < gap:
         raise RuntimeError(
-            f"lowest eigenvalues {theta[0]!r}, {theta[1]!r} are not one zero mode "
+            f"lowest eigenvalues {zero!r}, {gap!r} are not one zero mode "
             f"and a gap (tolerance {tol:.1e})"
         )
     if not residual <= _RITZ_RESIDUAL_BOUND:
         raise RuntimeError(
             f"Ritz residual {residual:.1e} exceeds {_RITZ_RESIDUAL_BOUND:.0e}"
         )
-    gap = float(theta[1])
+    solver = "dense" if max(dims) <= _DENSE_GAP_CAP else "lanczos"
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual
+        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual, dims
     )
 
 

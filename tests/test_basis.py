@@ -135,3 +135,51 @@ def test_state_index_rejects_states_outside_the_sector(occ):
     if len(occ) == basis.lattice.nsites:
         with pytest.raises(KeyError):
             basis.state_index(np.vstack([basis.states, occ]))
+
+
+def _bounded_compositions(total, nsites, cap):
+    """Reference enumeration: occupation tuples summing to `total`, each
+    entry in [0, cap], in ascending lexicographic order, by recursion."""
+    state = [0] * nsites
+
+    def rec(pos, remaining):
+        if pos == nsites - 1:
+            if remaining <= cap:
+                state[pos] = remaining
+                yield tuple(state)
+                state[pos] = 0
+            return
+        lo = max(0, remaining - cap * (nsites - 1 - pos))
+        hi = min(cap, remaining)
+        for k in range(lo, hi + 1):
+            state[pos] = k
+            yield from rec(pos + 1, remaining - k)
+        state[pos] = 0
+
+    yield from rec(0, total)
+
+
+def test_sector_enumeration_matches_the_recursive_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(
+        ell=st.integers(2, 7),
+        two_s=st.integers(1, 4),
+        capped=st.booleans(),
+        data=st.data(),
+    )
+    def check(ell, two_s, capped, data):
+        n = data.draw(st.integers(0, two_s * ell if capped else 8), label="n")
+        basis = enumerate_sector_basis(
+            SpinLattice.chain(ell), SpinMagnitude(two_s), n, capped=capped
+        )
+        reference = np.array(
+            list(_bounded_compositions(n, ell, basis.cap)), dtype=np.int64
+        ).reshape(-1, ell)
+        assert basis.states.dtype == reference.dtype
+        assert np.array_equal(basis.states, reference)
+        assert basis.dim == sector_dimension(ell, n, basis.cap)
+
+    check()

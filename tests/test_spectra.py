@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, sector_dimension
-from magnonlab.operators import assemble_free_boson_t
+from magnonlab.operators import assemble_free_boson_t, assemble_heisenberg
 from magnonlab.spectra import (
     ResourceLimitError,
     chain_free_energy,
@@ -18,6 +19,7 @@ from magnonlab.spectra import (
     free_energy_from_eigenvalues,
     full_spectrum,
     gibbs_variational_upper,
+    parity_isometries,
     sector_energy_spin_pairs,
     spectral_gap,
 )
@@ -122,11 +124,12 @@ def _oracle_gap(lat, spin):
 
 
 def test_sparse_gap_path_agrees_with_dense():
-    # middle sector of dim 393: the Lanczos path, on a size the dense
-    # spectrum of every sector can check
-    lat, spin = SpinLattice.chain(7), SpinMagnitude(2)
+    # middle sector of dim 1107, parity blocks of 563 and 544: the Lanczos
+    # path, on a size the dense spectrum of every sector can check
+    lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
     report = spectral_gap(lat, spin)
     assert report.solver == "lanczos"
+    assert report.block_dims == (563, 544)
     assert 0.0 < report.residual <= 1e-10
     assert report.gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
@@ -140,6 +143,36 @@ def test_sparse_gap_path_agrees_with_dense():
 def test_spectral_gap_equals_full_spectrum_gap(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     assert spectral_gap(lat, spin).gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
+
+
+PARITY_CHAINS = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 9)]
+
+
+@pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
+def test_mirror_map_is_an_involution_and_splits_every_sector(ell, two_s):
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    for n in range(two_s * ell + 1):
+        basis = enumerate_sector_basis(lat, spin, n)
+        mirror = basis.state_index(basis.states[:, ::-1])
+        assert np.array_equal(mirror[mirror], np.arange(basis.dim))
+        palindromes = int(np.sum(mirror == np.arange(basis.dim)))
+        q_even, q_odd = parity_isometries(basis)
+        assert q_even.shape[1] + q_odd.shape[1] == basis.dim
+        assert q_odd.shape[1] == (basis.dim - palindromes) // 2
+        q = sp.hstack([q_even, q_odd]).toarray()
+        assert np.allclose(q.T @ q, np.eye(basis.dim), atol=1e-15)
+
+
+@pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
+def test_parity_block_spectra_recombine_to_the_sector_spectrum(ell, two_s):
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    for n in range(two_s * ell + 1):
+        basis = enumerate_sector_basis(lat, spin, n)
+        h = assemble_heisenberg(basis).to_csr()
+        blocks = [sla.eigvalsh((q.T @ h @ q).toarray()) for q in parity_isometries(basis)]
+        np.testing.assert_allclose(
+            np.sort(np.concatenate(blocks)), sla.eigvalsh(h.toarray()), rtol=0, atol=1e-10
+        )
 
 
 def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
