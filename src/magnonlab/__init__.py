@@ -1,57 +1,9 @@
 """Exact-diagonalization and ideal-magnon cross checks for the
-low-temperature free energy of the ferromagnetic Heisenberg chain."""
+low-temperature free energy of the ferromagnetic Heisenberg chain.
 
-from .basis import MagnonSectorBasis, SpinLattice, SpinMagnitude, enumerate_sector_basis
-from .boundlab import (
-    CoordinateState,
-    LowerBoundBudget,
-    build_coordinate_map_v,
-    compute_budget,
-    two_particle_density,
-    verify_casimir_lower_bound,
-    verify_density_bounds,
-    verify_halfspin_quadratic_form_equality,
-    verify_laplacian_lower_bound,
-    verify_low_energy_truncation,
-    verify_php_leq_t,
-    verify_vnorm_lower_bound,
-)
-from .certificates import InequalityCertificate, write_certificate_ledger
-from .magnongas import (
-    AsymptoticConstants,
-    DirichletModeSet,
-    ErrorEnvelope,
-    continuum_constants,
-    dirichlet_modes,
-    free_boson_integral,
-    free_boson_sum,
-    lower_envelope,
-    missing_mode_term,
-    upper_envelope,
-    wick_occupation,
-)
-from .operators import (
-    DiagonalProjector,
-    HermitianOperator,
-    assemble_dirichlet_heisenberg,
-    assemble_free_boson_t,
-    assemble_heisenberg,
-    assemble_projector_p,
-    assemble_total_spin_squared,
-    tensor_product_heisenberg,
-    verify_su2_representation,
-)
-from .spectra import (
-    GapReport,
-    SectorSpectrum,
-    check_localization_bound,
-    check_subadditivity,
-    chain_free_energy,
-    dirichlet_free_energy,
-    free_energy,
-    full_spectrum,
-    gibbs_variational_upper,
-    spectral_gap,
-)
+Import the layer modules (`magnonlab.spectra`, `magnonlab.magnongas`,
+...) directly; the package namespace re-exports nothing, so importing
+one layer loads only the scipy that layer needs.
+"""
 
 __version__ = "0.1.0"

@@ -104,6 +104,10 @@ class SpinLattice:
         return deg
 
 
+class ResourceLimitError(RuntimeError):
+    """Raised when a request exceeds the configured dense-diagonalization budget."""
+
+
 def sector_dimension(nsites: int, n: int, cap: int) -> int:
     """Number of occupation vectors with sum n and per-site cap, by
     inclusion-exclusion over sites forced above the cap."""

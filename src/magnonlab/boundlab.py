@@ -1,5 +1,5 @@
 """Direct matrix certification of the operator inequalities behind the
-free-energy bounds, plus the lower-bound budget constants.
+free-energy bounds.
 
 Every verifier assembles the two sides of one inequality on a small
 sector, forms the difference, and reports the minimum eigenvalue as the
@@ -21,13 +21,13 @@ import scipy.sparse as sp
 
 from .basis import (
     MagnonSectorBasis,
+    ResourceLimitError,
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
     sector_dimension,
 )
 from .certificates import InequalityCertificate, worst
-from .magnongas import delta_dilution, preliminary_free_energy_bound
 from .operators import (
     _bond_pairs,
     _hop_operator,
@@ -37,7 +37,7 @@ from .operators import (
     assemble_projector_p,
     assemble_total_spin_squared,
 )
-from .spectra import ResourceLimitError, _require_dense_sectors
+from .spectra import _require_dense_sectors
 
 PSD_TOL_FACTOR = 1e-10
 # Largest uncapped sector `verify_php_leq_t` diagonalizes densely.
@@ -368,7 +368,7 @@ def verify_density_bounds(
 
 
 # ---------------------------------------------------------------------------
-# energy truncation and the lower-bound budget
+# energy truncation
 # ---------------------------------------------------------------------------
 
 def verify_low_energy_truncation(
@@ -413,101 +413,4 @@ def verify_low_energy_truncation(
             "e0": e0,
             "n0": n0,
         },
-    )
-
-
-@dataclass
-class LowerBoundBudget:
-    """Cutoff energy, particle cap, dilution, and box scale feeding the
-    assembled lower envelope."""
-
-    beta: float
-    s: float
-    ell: int
-    e0: float
-    n0: float
-    delta: float
-    ell0: float
-    e0_source: str
-    implied_c: float | None = None
-
-    @property
-    def informative(self) -> bool:
-        return self.delta < 1.0
-
-
-E0_SOURCES = ("preliminary", "exact-ed")
-
-
-def compute_budget(
-    ell: int,
-    beta: float,
-    spin,
-    e0_source: str = "preliminary",
-) -> LowerBoundBudget:
-    """Assemble (E0, N0, delta, l0) for a box of size ell at inverse
-    temperature beta.
-
-    E0 = -l f_l(beta/2) with f_l either from exact diagonalization
-    ("exact-ed", needs a SpinMagnitude and a feasible dimension) or from
-    the coarse preliminary bound ("preliminary", any size; requires
-    ell >= l0(beta/2)/2, the scale below which that bound is not
-    designed to operate).  N0 = E0 l^2 / (2S); delta is the dilution
-    budget; l0 reports sqrt(4 beta S / ln(beta S)) at the budget's own
-    beta.
-    """
-    if isinstance(spin, SpinMagnitude):
-        s = spin.s
-        spin_obj = spin
-    else:
-        s = float(spin)
-        spin_obj = None
-    x = beta * s
-    if x <= 1.0:
-        raise ValueError(f"budget requires beta*S > 1, got {x}")
-    ell0 = math.sqrt(4.0 * x / math.log(x))
-    beta_half = beta / 2.0
-    if e0_source == "preliminary":
-        x_half = beta_half * s
-        if x_half <= 1.0:
-            raise ValueError(f"preliminary bound requires (beta/2)*S > 1, got {x_half}")
-        ell0_half = math.sqrt(4.0 * x_half / math.log(x_half))
-        if ell < ell0_half / 2.0:
-            raise ValueError(
-                f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.2f} "
-                f"at beta/2, got ell={ell}"
-            )
-        bound = preliminary_free_energy_bound(beta_half, s, ell)
-    elif e0_source == "exact-ed":
-        if spin_obj is None:
-            spin_obj = SpinMagnitude(int(round(2 * s)))
-        from .spectra import chain_free_energy
-
-        bound = chain_free_energy(ell, spin_obj, beta_half)
-    else:
-        raise ValueError(f"e0_source must be one of {E0_SOURCES}, got {e0_source!r}")
-    e0 = -ell * bound
-    n0 = e0 * ell**2 / (2.0 * s)
-    delta = delta_dilution(e0, ell, s)
-    log_arg = beta_half * s**3
-    implied_c = None
-    if log_arg > 1.0:
-        denom = (
-            math.sqrt(math.log(beta_half * s))
-            * beta_half**-1.5
-            * s**-0.5
-            * math.log(log_arg)
-        )
-        if denom > 0:
-            implied_c = (e0 / ell) / denom
-    return LowerBoundBudget(
-        beta=beta,
-        s=s,
-        ell=ell,
-        e0=e0,
-        n0=n0,
-        delta=delta,
-        ell0=ell0,
-        e0_source=e0_source,
-        implied_c=implied_c,
     )

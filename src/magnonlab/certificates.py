@@ -4,6 +4,9 @@ A certificate records the computed slack of one inequality (the minimum
 eigenvalue of a difference operator, or the margin of a scalar bound),
 the tolerance it was held to, and the verdict.  Slack is the scientific
 output; pass/fail is derived, never asserted separately.
+
+The suite names and the default root seed live here, not in `checks`,
+so the command line can list them without importing the solvers.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+DEFAULT_SEED = 20260811
+# The names of the suites in `checks.CHECKS`, sorted.
+CHECK_NAMES = ("casimir", "density", "laplacian", "localization", "php-leq-t", "su2",
+               "subadditivity", "truncation", "vnorm")
 
 
 @dataclass

@@ -30,11 +30,9 @@ from .boundlab import (
     verify_php_leq_t,
     verify_vnorm_lower_bound,
 )
-from .certificates import InequalityCertificate, worst
+from .certificates import DEFAULT_SEED, InequalityCertificate, worst
 from .operators import assemble_heisenberg, verify_su2_representation
 from .spectra import _require_dense_sectors, check_localization_bound, check_subadditivity
-
-DEFAULT_SEED = 20260811
 
 
 # Beta of the Gibbs-sampled states of the density suite.

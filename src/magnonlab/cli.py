@@ -5,6 +5,10 @@ All outputs are plain text (CSV or JSON lines) with fixed column order
 and shortest-round-trip float formatting, so identical configurations
 produce byte-identical files.  Energies are in units of the exchange
 coupling; beta is in inverse such units.
+
+`free-energy` and `verify` import the solver modules (and with them
+scipy's linear algebra) inside their command functions; `asymptotics`
+and the preliminary `budget` evaluate closed forms and never load them.
 """
 
 from __future__ import annotations
@@ -17,12 +21,9 @@ import sys
 
 import numpy as np
 
-from .basis import SpinLattice, SpinMagnitude
-from .certificates import write_certificate_ledger
-from .checks import CHECKS, DEFAULT_SEED, run_check
-from .magnongas import leading_term, lower_envelope, upper_envelope
-from .boundlab import compute_budget
-from .spectra import ResourceLimitError, free_energy, full_spectrum
+from .basis import ResourceLimitError, SpinLattice, SpinMagnitude
+from .certificates import CHECK_NAMES, DEFAULT_SEED, write_certificate_ledger
+from .magnongas import E0_SOURCES, compute_budget, leading_term, lower_envelope, upper_envelope
 
 UNITS_HEADER = "# units: energies in exchange-coupling units; beta in inverse exchange units"
 
@@ -148,6 +149,8 @@ def _two_s(args):
 
 
 def cmd_free_energy(args):
+    from .spectra import free_energy, full_spectrum
+
     two_s = _two_s(args)
     spin = SpinMagnitude(two_s)
     betas = parse_beta_grid(args.beta)
@@ -160,7 +163,6 @@ def cmd_free_energy(args):
         sites = args.length
         variants = ("free", "dirichlet")
     rows = []
-    c1_term_cache = {}
     for variant in variants:
         try:
             spectrum = full_spectrum(lattice, spin, variant)
@@ -183,8 +185,7 @@ def cmd_free_energy(args):
             if args.scaled:
                 scaled = f * beta**1.5 * math.sqrt(spin.s)
                 row["scaled_f"] = scaled
-                lead = c1_term_cache.setdefault(beta, leading_term(beta, spin.s, 1))
-                row["ratio_c1"] = f / lead
+                row["ratio_c1"] = f / leading_term(beta, spin.s, 1)
             rows.append(row)
     columns = FREE_ENERGY_COLUMNS + (SCALED_COLUMNS if args.scaled else [])
     _write_rows(args.out, columns, rows, args.format)
@@ -198,6 +199,8 @@ def _int_list(text):
 
 
 def cmd_verify(args):
+    from .checks import run_check
+
     overrides = {}
     if args.ell:
         overrides["ells"] = _int_list(args.ell)
@@ -277,6 +280,8 @@ def cmd_budget(args):
     spin = SpinMagnitude(two_s)
     betas = parse_beta_grid(args.beta)
     ells = _int_list(args.ell)
+    if not ells or min(ells) < 1:
+        raise ValueError(f"--ell needs box sizes >= 1, got {args.ell!r}")
     rows = []
     for ell in ells:
         for beta in betas:
@@ -364,7 +369,7 @@ def build_parser():
     p_fe.set_defaults(func=cmd_free_energy)
 
     p_v = sub.add_parser("verify", parents=[common], help="run a certificate suite")
-    p_v.add_argument("--check", required=True, choices=sorted(CHECKS))
+    p_v.add_argument("--check", required=True, choices=CHECK_NAMES)
     p_v.add_argument("--grid", choices=("default", "quick"), default="default")
     p_v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_v.add_argument("--ell", default=None, help="override the box-size axis (comma list)")
@@ -387,7 +392,7 @@ def build_parser():
     p_b.add_argument("--two-s", default="1")
     p_b.add_argument("--ell", default="6", help="comma list of box sizes")
     p_b.add_argument("--beta", default="logspace:1:32:9")
-    p_b.add_argument("--e0-source", choices=("preliminary", "exact-ed"), default="preliminary")
+    p_b.add_argument("--e0-source", choices=E0_SOURCES, default="preliminary")
     p_b.set_defaults(func=cmd_budget)
 
     return parser

@@ -1,12 +1,15 @@
 """Closed-form ideal-magnon quantities: mode sets, free-energy sums and
-integrals, continuum constants, one-body occupations, and the fully
-assembled finite-temperature upper and lower envelopes for the free
-energy of the chain (plus the 2d upper envelope).
+integrals, continuum constants, one-body occupations, the lower-bound
+budget, and the fully assembled finite-temperature upper and lower
+envelopes for the free energy of the chain (plus the 2d upper envelope).
 
 Everything here is scalar/numpy arithmetic on explicit formulas; the
 only tunable is the proportionality constant in the box-size choice
 l ~ (beta S)^a (polylog), exposed as `scale` with default 1 and always
-reported next to results.
+reported next to results.  `scipy.special` and `scipy.integrate` are
+looked up where they are called (scipy loads them on first access), and
+the exact-ED budget imports `spectra` in its own branch, so the
+envelopes and the preliminary budget load no scipy submodule.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+import scipy
+
+from .basis import SpinMagnitude
 
 TWO_PLUS_NINE_OVER_SQRT8 = 2.0 + 9.0 / math.sqrt(8.0)
 UNDERFLOW_EXPONENT = 746.0  # exp(-y) == 0.0 in float64 beyond this
@@ -171,7 +176,7 @@ def _quad(f, a, b, **kw):
     kw.setdefault("limit", 400)
     kw.setdefault("epsabs", 1e-13)
     kw.setdefault("epsrel", 1e-12)
-    val, err = integrate.quad(f, a, b, **kw)
+    val, err = scipy.integrate.quad(f, a, b, **kw)
     return val, err
 
 
@@ -254,7 +259,7 @@ def _integral_2d_quad(x):
 
 def _series_terms(x, kmax):
     k = np.arange(1, kmax + 1, dtype=float)
-    return k, special.i0e(2.0 * x * k)
+    return k, scipy.special.i0e(2.0 * x * k)
 
 
 def _integral_1d_series(x, kmax=1200):
@@ -267,9 +272,9 @@ def _integral_1d_series(x, kmax=1200):
     q = kmax + 1
     pref = math.pi / math.sqrt(4.0 * math.pi * x)
     tail = -pref * (
-        special.zeta(1.5, q)
-        + special.zeta(2.5, q) / (16.0 * x)
-        + 9.0 * special.zeta(3.5, q) / (512.0 * x**2)
+        scipy.special.zeta(1.5, q)
+        + scipy.special.zeta(2.5, q) / (16.0 * x)
+        + 9.0 * scipy.special.zeta(3.5, q) / (512.0 * x**2)
     )
     return head + tail
 
@@ -281,9 +286,9 @@ def _integral_2d_series(x, kmax=1200):
     q = kmax + 1
     pref = math.pi / (4.0 * x)
     tail = -pref * (
-        special.zeta(2.0, q)
-        + special.zeta(3.0, q) / (8.0 * x)
-        + 5.0 * special.zeta(4.0, q) / (128.0 * x**2)
+        scipy.special.zeta(2.0, q)
+        + scipy.special.zeta(3.0, q) / (8.0 * x)
+        + 5.0 * scipy.special.zeta(4.0, q) / (128.0 * x**2)
     )
     return head + tail
 
@@ -338,7 +343,7 @@ def continuum_constants() -> AsymptoticConstants:
     1e-10 or an internal-consistency error is raised.  c2 = -pi/24
     (equivalently -zeta(2)/(4 pi)).
     """
-    c1_series = -special.zeta(1.5, 1) / (2.0 * math.sqrt(math.pi))
+    c1_series = -scipy.special.zeta(1.5, 1) / (2.0 * math.sqrt(math.pi))
 
     def g(p):
         return log_one_minus_exp(p * p)
@@ -351,11 +356,14 @@ def continuum_constants() -> AsymptoticConstants:
             f"quadrature/series disagreement for c1: {c1_quad} vs {c1_series}"
         )
     c2 = -math.pi / 24.0
-    assert abs(c2 + special.zeta(2.0, 1) / (4.0 * math.pi)) < 1e-14
+    assert abs(c2 + scipy.special.zeta(2.0, 1) / (4.0 * math.pi)) < 1e-14
     return AsymptoticConstants(c1=c1_series, c2=c2, c1_quadrature=c1_quad)
 
 
-_C1 = -special.zeta(1.5, 1) / (2.0 * math.sqrt(math.pi))
+# zeta(3/2) as a literal, bit-identical to scipy.special.zeta(1.5, 1), so
+# the envelopes never load scipy.special
+_ZETA_3_2 = np.float64(2.612375348685488)
+_C1 = -_ZETA_3_2 / (2.0 * math.sqrt(math.pi))
 _C2 = -math.pi / 24.0
 
 
@@ -410,7 +418,7 @@ def entropy_error_term(ell: int, dimension: int, beta: float, s: float) -> float
             * ell
             * (ell + 1) ** 3
             / x**3.5
-            * (math.sqrt(math.pi) * special.zeta(1.5, 1) / 8.0 + math.sqrt(x) / ell)
+            * (math.sqrt(math.pi) * _ZETA_3_2 / 8.0 + math.sqrt(x) / ell)
         )
     if dimension == 2:
         ln = math.log(1.0 + 2.0 * ell)
@@ -466,6 +474,103 @@ def preliminary_free_energy_bound(beta: float, s: float, ell: int) -> float:
 
 
 @dataclass
+class LowerBoundBudget:
+    """Cutoff energy, particle cap, dilution, and box scale feeding the
+    assembled lower envelope."""
+
+    beta: float
+    s: float
+    ell: int
+    e0: float
+    n0: float
+    delta: float
+    ell0: float
+    e0_source: str
+    implied_c: float | None = None
+
+    @property
+    def informative(self) -> bool:
+        return self.delta < 1.0
+
+
+E0_SOURCES = ("preliminary", "exact-ed")
+
+
+def compute_budget(
+    ell: int,
+    beta: float,
+    spin,
+    e0_source: str = "preliminary",
+) -> LowerBoundBudget:
+    """Assemble (E0, N0, delta, l0) for a box of size ell at inverse
+    temperature beta.
+
+    E0 = -l f_l(beta/2) with f_l either from exact diagonalization
+    ("exact-ed", needs a SpinMagnitude and a feasible dimension) or from
+    the coarse preliminary bound ("preliminary", any size; requires
+    ell >= l0(beta/2)/2, the scale below which that bound is not
+    designed to operate).  N0 = E0 l^2 / (2S); delta is the dilution
+    budget; l0 reports sqrt(4 beta S / ln(beta S)) at the budget's own
+    beta.
+    """
+    if isinstance(spin, SpinMagnitude):
+        s = spin.s
+        spin_obj = spin
+    else:
+        s = float(spin)
+        spin_obj = None
+    x = beta * s
+    if x <= 1.0:
+        raise ValueError(f"budget requires beta*S > 1, got {x}")
+    ell0 = math.sqrt(4.0 * x / math.log(x))
+    beta_half = beta / 2.0
+    if e0_source == "preliminary":
+        x_half = beta_half * s
+        if x_half <= 1.0:
+            raise ValueError(f"preliminary bound requires (beta/2)*S > 1, got {x_half}")
+        ell0_half = math.sqrt(4.0 * x_half / math.log(x_half))
+        if ell < ell0_half / 2.0:
+            raise ValueError(
+                f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.2f} "
+                f"at beta/2, got ell={ell}"
+            )
+        bound = preliminary_free_energy_bound(beta_half, s, ell)
+    elif e0_source == "exact-ed":
+        if spin_obj is None:
+            spin_obj = SpinMagnitude(int(round(2 * s)))
+        from .spectra import chain_free_energy
+
+        bound = chain_free_energy(ell, spin_obj, beta_half)
+    else:
+        raise ValueError(f"e0_source must be one of {E0_SOURCES}, got {e0_source!r}")
+    e0 = -ell * bound
+    n0 = e0 * ell**2 / (2.0 * s)
+    delta = delta_dilution(e0, ell, s)
+    log_arg = beta_half * s**3
+    implied_c = None
+    if log_arg > 1.0:
+        denom = (
+            math.sqrt(math.log(beta_half * s))
+            * beta_half**-1.5
+            * s**-0.5
+            * math.log(log_arg)
+        )
+        if denom > 0:
+            implied_c = (e0 / ell) / denom
+    return LowerBoundBudget(
+        beta=beta,
+        s=s,
+        ell=ell,
+        e0=e0,
+        n0=n0,
+        delta=delta,
+        ell0=ell0,
+        e0_source=e0_source,
+        implied_c=implied_c,
+    )
+
+
+@dataclass
 class ErrorEnvelope:
     """One fully assembled finite-(beta, S) free-energy bound."""
 
@@ -483,9 +588,17 @@ class ErrorEnvelope:
     extras: dict = field(default_factory=dict)
 
 
+def _require_box_scale(side, scale):
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"the {side}-envelope box scale must be positive and finite, got {scale}"
+        )
+
+
 def choose_box_upper(beta_s: float, dimension: int, scale: float = 1.0) -> int:
     """Box-size rule for the upper envelope: l ~ x^{5/8} (ln x)^{1/4} in
     1d, l ~ x^{5/6} (ln x)^{-2/3} in 2d, times `scale`."""
+    _require_box_scale("upper", scale)
     if beta_s <= 1.0:
         raise ValueError(f"envelopes need beta*S > 1, got {beta_s}")
     lx = math.log(beta_s)
@@ -498,6 +611,7 @@ def choose_box_upper(beta_s: float, dimension: int, scale: float = 1.0) -> int:
 
 def choose_box_lower(beta: float, s: float, scale: float = 1.0) -> int:
     """Box-size rule for the lower envelope: l ~ x^{7/12} (ln beta S^3)^{-1/3}."""
+    _require_box_scale("lower", scale)
     x = beta * s
     if x <= 1.0:
         raise ValueError(f"envelopes need beta*S > 1, got {x}")
@@ -572,8 +686,6 @@ def lower_envelope(
     vacuous and the coarse preliminary bound is reported instead, with
     informative=False.
     """
-    from .boundlab import compute_budget
-
     x = beta * s
     ell = choose_box_lower(beta, s, scale)
     budget = compute_budget(ell, beta, s, e0_source=e0_source)

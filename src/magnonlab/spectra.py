@@ -26,6 +26,7 @@ from scipy.special import comb, factorial, logsumexp
 
 from .basis import (
     MagnonSectorBasis,
+    ResourceLimitError,
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
@@ -42,10 +43,6 @@ from .operators import (
 
 DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a request exceeds the configured dense-diagonalization budget."""
 
 
 @dataclass

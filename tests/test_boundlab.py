@@ -8,7 +8,6 @@ from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.boundlab import (
     CoordinateState,
     build_coordinate_map_v,
-    compute_budget,
     coordinate_collapse_matrix,
     gibbs_random_state,
     haar_random_state,
@@ -24,6 +23,7 @@ from magnonlab.boundlab import (
     verify_vnorm_lower_bound,
 )
 from magnonlab.checks import run_check
+from magnonlab.magnongas import compute_budget
 from magnonlab.operators import assemble_heisenberg
 
 

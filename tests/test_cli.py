@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import magnonlab
+from magnonlab import certificates, checks
 from magnonlab.cli import main, parse_beta_grid
 
 
@@ -106,6 +112,10 @@ def test_verify_rejects_an_n_override_that_fits_no_cell(tmp_path, capsys, check,
     assert not ledger.exists()
 
 
+def test_verify_choices_are_the_suites_of_checks():
+    assert tuple(sorted(checks.CHECKS)) == certificates.CHECK_NAMES
+
+
 def test_verify_unknown_check_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "bogus"])
@@ -145,6 +155,24 @@ def test_asymptotics_noninformative_rows_flagged(tmp_path):
     assert row[4] == "false"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize(
+    "flag,dimension",
+    [("--upper-scale", "1"), ("--upper-scale", "2"), ("--lower-scale", "1")],
+)
+def test_asymptotics_rejects_a_scale_that_is_not_positive_and_finite(
+    tmp_path, capsys, flag, dimension, value
+):
+    out = tmp_path / "a.csv"
+    argv = ["asymptotics", "--beta-s", "1e4", "--dimension", dimension,
+            f"{flag}={value}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    side = flag[2:7]
+    assert len(err) == 1 and err[0].startswith(f"error: the {side}-envelope box scale")
+    assert not out.exists()
+
+
 def test_budget_rows_and_error_marker(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["budget", "--ell", "34,3", "--beta", "20000", "--out", str(out)]) == 0
@@ -154,6 +182,15 @@ def test_budget_rows_and_error_marker(tmp_path):
     assert good[0] == "34" and good[10] == ""
     bad = lines[3]
     assert "needs ell >= l0/2" in bad
+
+
+@pytest.mark.parametrize("ells", ["0", "-3", "34,0", ","])
+def test_budget_rejects_box_sizes_below_one(tmp_path, capsys, ells):
+    out = tmp_path / "b.csv"
+    assert main(["budget", "--ell", ells, "--beta", "20000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--ell" in err[0]
+    assert not out.exists()
 
 
 def test_budget_exact_ed(tmp_path):
@@ -355,3 +392,37 @@ def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
         main(["free-energy", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert exc.value.code == 2
     assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+# Each command runs in a fresh interpreter: the in-process tests above
+# have already loaded every layer.
+LOADED_SCIPY = """
+import json, sys
+from magnonlab.cli import main
+if sys.argv[1:]:
+    code = main(sys.argv[1:])
+    assert code == 0, code
+print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("scipy.") and name.count(".") == 1
+    and not name.startswith("scipy._") and hasattr(module, "__path__")
+)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["budget", "--ell", "34,66", "--beta", "20000", "--out", "budget.csv"],
+        ["asymptotics", "--beta-s", "1e6,1e8", "--dimension", "2", "--out", "a2.csv"],
+        ["asymptotics", "--beta-s", "1e4,1e6,1e8", "--upper-scale", "0.5",
+         "--lower-scale", "0.3", "--out", "a1.csv"],
+    ],
+)
+def test_closed_form_commands_load_no_scipy_subpackage(tmp_path, argv):
+    src = str(Path(magnonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from magnonlab import magnongas
 from magnonlab.magnongas import (
     AsymptoticConstants,
     choose_box_lower,
@@ -331,6 +332,25 @@ def test_box_choice_rules():
     assert choose_box_lower(2e4, 0.5, scale=0.3) == 33
     with pytest.raises(ValueError):
         choose_box_upper(0.5, 1)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+def test_box_choice_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="upper-envelope box scale"):
+        choose_box_upper(1e4, 1, scale=scale)
+    with pytest.raises(ValueError, match="upper-envelope box scale"):
+        choose_box_upper(1e6, 2, scale=scale)
+    with pytest.raises(ValueError, match="lower-envelope box scale"):
+        choose_box_lower(2e4, 0.5, scale=scale)
+
+
+def test_zeta_literals_equal_scipy_bit_for_bit():
+    from scipy import special
+
+    zeta = special.zeta(1.5, 1)
+    assert type(magnongas._ZETA_3_2) is type(zeta) and magnongas._ZETA_3_2 == zeta
+    c1 = -zeta / (2 * math.sqrt(math.pi))
+    assert type(magnongas._C1) is type(c1) and magnongas._C1 == c1
 
 
 def test_upper_envelope_informative_regime():
