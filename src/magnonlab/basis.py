@@ -121,6 +121,16 @@ def sector_dimension(nsites: int, n: int, cap: int) -> int:
     return total
 
 
+def require_sector_dimensions(nsites: int, cap: int, sectors, limit: int) -> None:
+    """Raise ResourceLimitError on the first magnon number in `sectors`
+    whose sector (per-site cap `cap`) has more than `limit` states.
+    Sizes come from `sector_dimension`, so nothing is enumerated."""
+    for n in sectors:
+        dim = sector_dimension(nsites, n, cap)
+        if dim > limit:
+            raise ResourceLimitError(f"sector n={n} has dimension {dim} > {limit}")
+
+
 def _key_weights(nsites, cap):
     """Place values of the base-(cap+1) key of an occupation vector, first
     site most significant, so ascending lexicographic order is ascending

@@ -21,23 +21,20 @@ import scipy.sparse as sp
 
 from .basis import (
     MagnonSectorBasis,
-    ResourceLimitError,
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
-    sector_dimension,
+    require_sector_dimensions,
 )
 from .certificates import InequalityCertificate, worst
 from .operators import (
-    _bond_pairs,
-    _hop_operator,
     assemble_dirichlet_heisenberg,
     assemble_free_boson_t,
-    assemble_heisenberg,
+    assemble_neumann_laplacian,
     assemble_projector_p,
     assemble_total_spin_squared,
 )
-from .spectra import _require_dense_sectors
+from .spectra import dense_sectors, free_energy_from_eigenvalues, sector_energy_spin_pairs
 
 PSD_TOL_FACTOR = 1e-10
 # Largest uncapped sector `verify_php_leq_t` diagonalizes densely.
@@ -73,11 +70,7 @@ def _psd_certificate(name, params, difference, norm_scale):
 def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
     """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
     pinned chain of length ell."""
-    dim = sector_dimension(ell, n, n)
-    if dim > PHP_DIM_CAP:
-        raise ResourceLimitError(
-            f"uncapped sector (ell={ell}, n={n}) has dimension {dim} > {PHP_DIM_CAP}"
-        )
+    require_sector_dimensions(ell, n, [n], PHP_DIM_CAP)  # uncapped: the cap is n
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
     hd = assemble_dirichlet_heisenberg(basis).to_dense()
@@ -99,25 +92,19 @@ def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertifi
 def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCertificate:
     """Certify H >= (2/l^3)(Sl(Sl+1) - S_tot^2) on every sector, and the
     chained scalar floor E >= (2S/l^2)(Sl - t) on every joint (E, t)."""
-    from .spectra import sector_energy_spin_pairs
-
-    _require_dense_sectors(ell, spin)
-    lattice = SpinLattice.chain(ell)
     s = spin.s
     s_max = s * ell
     k0 = s_max * (s_max + 1.0)
     matrix_slacks = []
     chain_slacks = []
     scale = 1.0
-    for n in range(spin.two_s * ell + 1):
-        basis = enumerate_sector_basis(lattice, spin, n)
-        h = assemble_heisenberg(basis).to_dense()
+    for basis, h in dense_sectors(SpinLattice.chain(ell), spin):
         s2 = assemble_total_spin_squared(basis).to_dense()
         diff = h - (2.0 / ell**3) * (k0 * np.eye(basis.dim) - s2)
         eigs = sla.eigvalsh(diff)
         matrix_slacks.append(float(eigs[0]))
         scale = max(scale, float(np.abs(sla.eigvalsh(h)).max()))
-        for e, t in sector_energy_spin_pairs(lattice, spin, n):
+        for e, t in sector_energy_spin_pairs(basis, h):
             chain_slacks.append(e - (2.0 * s / ell**2) * (s_max - t))
     matrix_slack = worst(matrix_slacks)
     chain_slack = worst(chain_slacks)
@@ -160,11 +147,8 @@ def neumann_boson_laplacian(nsites: int, n: int) -> np.ndarray:
     hopping -sqrt((m_b+1) m_a)."""
     if nsites == 1:  # SpinLattice needs two sites; one site has nothing to hop
         return np.zeros((1, 1))
-    lattice = SpinLattice.chain(nsites)
-    # uncapped and undressed, so the spin never enters
-    basis = enumerate_sector_basis(lattice, SpinMagnitude(1), n, capped=False)
-    diag = basis.states @ lattice.degrees()
-    return _hop_operator(basis, _bond_pairs(lattice), -1.0, diag, dressed=False).to_dense()
+    basis = enumerate_sector_basis(SpinLattice.chain(nsites), SpinMagnitude(1), n, capped=False)
+    return assemble_neumann_laplacian(basis).to_dense()
 
 
 def coordinate_collapse_matrix(basis: MagnonSectorBasis):
@@ -211,9 +195,7 @@ def verify_laplacian_lower_bound(
     """Certify H|_n - S V^T (-Laplacian) V >= 0 on the physical sector:
     the collapsed coordinates see at least the free-boundary Laplacian
     of the shrunken box."""
-    _require_dense_sectors(ell, spin, [n])
-    basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
-    h = assemble_heisenberg(basis).to_dense()
+    ((basis, h),) = dense_sectors(SpinLattice.chain(ell), spin, [n])
     vmat, _ = coordinate_collapse_matrix(basis)
     lap = neumann_boson_laplacian(ell - n + 1, n)
     rhs = spin.s * (vmat.T @ (lap @ vmat.toarray()))
@@ -234,8 +216,7 @@ def verify_halfspin_quadratic_form_equality(
     distinct-coordinate configurations: <psi|H psi> = S sum |psi(X) - psi(Y)|^2
     over unordered single-step neighbor pairs.  Checked on random states."""
     spin = SpinMagnitude(1)
-    basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
-    h = assemble_heisenberg(basis).to_dense()
+    ((basis, h),) = dense_sectors(SpinLattice.chain(ell), spin, [n])
     st = basis.states
     i, x = np.nonzero((st[:, :-1] == 1) & (st[:, 1:] == 0))
     pairs = list(zip(i.tolist(), basis.hop_targets(i, x, x + 1).tolist()))
@@ -327,22 +308,19 @@ def verify_vnorm_lower_bound(state: CoordinateState) -> InequalityCertificate:
     )
 
 
-def verify_density_bounds(
-    state: CoordinateState, hamiltonian_dense=None
-) -> tuple:
+def verify_density_bounds(state: CoordinateState, hamiltonian_dense) -> tuple:
     """Certify the pair-density bounds against the energy of the state:
 
     sum_x rho(x+1, x) <= (4/l) n(n-1) + 4 (n-1) sqrt(n/S) <H>^(1/2)
     sum_x rho(x, x)   <= (4/l) n(n-1) + (4+sqrt 3)(n-1) sqrt(n/S) <H>^(1/2)
 
-    with <H> taken in the free chain.  Returns (offdiag, diag) certificates.
+    with <H> taken in the free chain, whose dense sector matrix is
+    `hamiltonian_dense`.  Returns (offdiag, diag) certificates.
     """
     basis = state.basis
     ell = basis.lattice.nsites
     n = basis.n
     s = basis.spin.s
-    if hamiltonian_dense is None:
-        hamiltonian_dense = assemble_heisenberg(basis).to_dense()
     energy = max(0.0, float(state.amplitudes @ hamiltonian_dense @ state.amplitudes))
     rho = two_particle_density(state)
     off = float(np.sum(np.diag(rho, 1)))
@@ -377,19 +355,11 @@ def verify_low_energy_truncation(
     """Certify Tr e^{-beta H} <= 1 + Tr e^{-beta H} 1_{H < E0} with
     E0 = -l f_l(beta/2), and that every counted state with minimal
     3-component for its multiplet sits in a sector n < N0 = E0 l^2/(2S)."""
-    from .spectra import sector_energy_spin_pairs
-
-    _require_dense_sectors(ell, spin)
-    lattice = SpinLattice.chain(ell)
     s = spin.s
     s_max = s * ell
-    per_sector = [
-        sector_energy_spin_pairs(lattice, spin, n)
-        for n in range(spin.two_s * ell + 1)
-    ]
+    sectors = dense_sectors(SpinLattice.chain(ell), spin)
+    per_sector = [sector_energy_spin_pairs(basis, h) for basis, h in sectors]
     energies = np.array([e for pairs in per_sector for e, _ in pairs])
-    from .spectra import free_energy_from_eigenvalues
-
     e0 = -ell * free_energy_from_eigenvalues(energies, beta / 2.0, ell)
     n0 = e0 * ell**2 / (2.0 * s)
     lhs = float(np.exp(-beta * energies).sum())

@@ -17,7 +17,7 @@ import inspect
 
 import scipy.linalg as sla
 
-from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
+from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_sector_dimensions
 from .boundlab import (
     gibbs_random_state,
     haar_random_state,
@@ -31,8 +31,8 @@ from .boundlab import (
     verify_vnorm_lower_bound,
 )
 from .certificates import DEFAULT_SEED, InequalityCertificate, worst
-from .operators import assemble_heisenberg, verify_su2_representation
-from .spectra import _require_dense_sectors, check_localization_bound, check_subadditivity
+from .operators import verify_su2_representation
+from .spectra import DEFAULT_DIM_CAP, check_localization_bound, check_subadditivity, dense_sectors
 
 
 # Beta of the Gibbs-sampled states of the density suite.
@@ -145,6 +145,7 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
         ell_ax, n_ax, spin_ax, samples = (4,), (2,), (1, 2), 20
     certs = []
     for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
+        require_sector_dimensions(ell, two_s, [n], DEFAULT_DIM_CAP)
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         rng = rng_for(seed, 1, ell, n, two_s)
         cert = worst(
@@ -164,10 +165,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2,), (1, 2), 20
     certs = []
     for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
-        spin = SpinMagnitude(two_s)
-        _require_dense_sectors(ell, spin, [n])
-        basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n)
-        h = assemble_heisenberg(basis).to_dense()
+        ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
         eigh_pair = sla.eigh(h)
         pairs = []
         for kind in ("haar", "gibbs"):

@@ -164,15 +164,7 @@ def cmd_free_energy(args):
         variants = ("free", "dirichlet")
     rows = []
     for variant in variants:
-        try:
-            spectrum = full_spectrum(lattice, spin, variant)
-        except ResourceLimitError as exc:
-            print(
-                f"error: {exc}; reduce --length (dense diagonalization needs "
-                "every sector to fit)",
-                file=sys.stderr,
-            )
-            return 1
+        spectrum = full_spectrum(lattice, spin, variant)
         for beta in betas:
             f = free_energy(spectrum, beta)
             row = {

@@ -257,16 +257,20 @@ def _integral_2d_quad(x):
     return val
 
 
+# Bessel terms summed exactly before the zeta-corrected tail (at least 400/x).
+_SERIES_KMAX = 1200
+
+
 def _series_terms(x, kmax):
     k = np.arange(1, kmax + 1, dtype=float)
     return k, scipy.special.i0e(2.0 * x * k)
 
 
-def _integral_1d_series(x, kmax=1200):
+def _integral_1d_series(x):
     """Same integral through ln(1-y) = -sum y^k/k: each k-term integrates
     to a scaled Bessel function, and the k-tail is summed with Hurwitz
     zeta corrections from the Bessel asymptotics."""
-    kmax = max(kmax, int(math.ceil(400.0 / x)))
+    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
     k, b = _series_terms(x, kmax)
     head = -math.pi * float(np.sum(b / k))
     q = kmax + 1
@@ -279,8 +283,8 @@ def _integral_1d_series(x, kmax=1200):
     return head + tail
 
 
-def _integral_2d_series(x, kmax=1200):
-    kmax = max(kmax, int(math.ceil(400.0 / x)))
+def _integral_2d_series(x):
+    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
     k, b = _series_terms(x, kmax)
     head = -math.pi**2 * float(np.sum(b**2 / k))
     q = kmax + 1

@@ -2,9 +2,10 @@
 
 All assemblies are pure functions of a `MagnonSectorBasis`: the chain
 Hamiltonian with its square-root-dressed hopping, the boundary-pinned
-variant, the free-boson hopping operator, the diagonal occupancy
-projector, and the total-spin Casimir.  Matrices are collected as
-coordinate triplets and densified only at diagonalization time.
+variant, the free-boson hopping operator, the free-boundary Laplacian,
+the diagonal occupancy projector, and the total-spin Casimir.  Matrices
+are collected as coordinate triplets and densified only at
+diagonalization time.
 """
 
 from __future__ import annotations
@@ -146,6 +147,15 @@ def assemble_free_boson_t(basis: MagnonSectorBasis) -> HermitianOperator:
     s = basis.spin.s
     diag = np.full(basis.dim, 2.0 * lattice.dimension * s * basis.n)
     return _hop_operator(basis, _bond_pairs(lattice), -s, diag, dressed=False)
+
+
+def assemble_neumann_laplacian(basis: MagnonSectorBasis) -> HermitianOperator:
+    """Second-quantized free-boundary graph Laplacian on an uncapped
+    sector: diagonal sum_a deg(a) m_a, hopping -sqrt((m_b+1) m_a).
+    Undressed, so the spin never enters."""
+    lattice = basis.lattice
+    diag = basis.states @ lattice.degrees()
+    return _hop_operator(basis, _bond_pairs(lattice), -1.0, diag, dressed=False)
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Sector diagonalization, exact finite-size free energies, and the
 variational upper bound with the projected free-boson trial state.
 
-Per-sector spectra are computed with a dense symmetric eigensolver
-(partition functions need every eigenvalue).  Sector sizes are counted
-with `sector_dimension` before any basis is enumerated: `full_spectrum`
-refuses a lattice up front when a sector exceeds the dense budget.
-`spectral_gap` never needs the full spectrum: it builds the middle
-sector alone, which holds every distinct eigenvalue, splits it into
+Every dense sector is built by `dense_sectors`, which sizes all the
+requested sectors against `DENSE_SECTOR_CAP` before it enumerates any
+basis and then yields (basis, dense H) one sector at a time; per-sector
+spectra come from a dense symmetric eigensolver (partition functions
+need every eigenvalue).  `spectral_gap` never needs the full spectrum:
+it builds the middle sector alone (refused above `DEFAULT_DIM_CAP`
+states), which holds every distinct eigenvalue, splits it into
 its reflection-even and reflection-odd blocks, and takes the two
 lowest even and the lowest odd eigenvalue (dense for a small block, a
 Lanczos solve on the block's CSR matrix otherwise), each checked by its
@@ -30,7 +31,7 @@ from .basis import (
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
-    sector_dimension,
+    require_sector_dimensions,
 )
 from .certificates import InequalityCertificate, worst
 from .operators import (
@@ -43,6 +44,8 @@ from .operators import (
 
 DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
+# An eigenvalue below this multiple of max(||H||, 1) counts as a zero mode.
+_ZERO_TOL_FACTOR = 1e-10
 
 
 @dataclass
@@ -63,8 +66,8 @@ class SectorSpectrum:
         ev = self.all_eigenvalues
         return float(np.abs(ev).max()) if ev.size else 0.0
 
-    def zero_mode_count(self, tol_factor: float = 1e-10) -> int:
-        tol = tol_factor * max(self.scale, 1.0)
+    def zero_mode_count(self) -> int:
+        tol = _ZERO_TOL_FACTOR * max(self.scale, 1.0)
         return int(np.sum(self.all_eigenvalues < tol))
 
 
@@ -76,18 +79,21 @@ def _assemble_variant(basis, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _require_dense_sectors(nsites: int, spin: SpinMagnitude, sectors=None) -> None:
-    """Raise ResourceLimitError, before any basis is enumerated, when a
-    sector to be diagonalized densely has more than `DENSE_SECTOR_CAP`
-    states.  `sectors` lists the magnon numbers; default: all of them."""
+def dense_sectors(lattice: SpinLattice, spin: SpinMagnitude, sectors=None, variant="free"):
+    """Iterator over (basis, dense H) of each magnon number in the
+    sequence `sectors` (default: all of them), H being the `variant`
+    Hamiltonian.
+
+    Raises ResourceLimitError at the call, before any basis is
+    enumerated, if a requested sector has more than `DENSE_SECTOR_CAP`
+    states.  Sectors are built as the iterator advances, so one dense
+    block is held at a time.
+    """
     if sectors is None:
-        sectors = range(spin.two_s * nsites + 1)
-    for n in sectors:
-        dim = sector_dimension(nsites, n, spin.two_s)
-        if dim > DENSE_SECTOR_CAP:
-            raise ResourceLimitError(
-                f"sector n={n} has dimension {dim} > {DENSE_SECTOR_CAP}"
-            )
+        sectors = range(spin.two_s * lattice.nsites + 1)
+    require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
+    bases = (enumerate_sector_basis(lattice, spin, n) for n in sectors)
+    return ((basis, _assemble_variant(basis, variant).to_dense()) for basis in bases)
 
 
 def full_spectrum(
@@ -108,11 +114,9 @@ def full_spectrum(
             f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
             "restrict to individual sectors instead"
         )
-    _require_dense_sectors(lattice.nsites, spin)
-    sector_eigs = []
-    for n in range(spin.two_s * lattice.nsites + 1):
-        op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
-        sector_eigs.append(np.sort(sla.eigvalsh(op.to_dense())))
+    sector_eigs = [
+        np.sort(sla.eigvalsh(h)) for _, h in dense_sectors(lattice, spin, variant=variant)
+    ]
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
@@ -213,11 +217,7 @@ def _lowest_eigenvalues(block, k):
     return theta, float(np.linalg.norm(block @ vecs - vecs * theta, axis=0).max())
 
 
-def spectral_gap(
-    lattice: SpinLattice,
-    spin: SpinMagnitude,
-    tol_factor: float = 1e-10,
-) -> GapReport:
+def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     """Smallest nonzero eigenvalue of the free chain, reported against
     2S(1 - cos(pi/ell)).
 
@@ -235,16 +235,20 @@ def spectral_gap(
     and k=1 odd, seeded random start vector, so gaps are
     bit-reproducible) above that.
 
-    Raises RuntimeError when the maximal-spin vector is not a zero mode,
-    when the lowest even eigenvalue is not the only zero mode (tolerance
-    `tol_factor * max(||H||, 1)`, ||H|| bounded by the largest row sum),
-    or when a Ritz residual of either block exceeds
+    Raises ResourceLimitError, before enumerating, when the middle sector
+    has more than `DEFAULT_DIM_CAP` states.  Raises RuntimeError when the
+    maximal-spin vector is not a zero mode, when the lowest even
+    eigenvalue is not the only zero mode (tolerance
+    `_ZERO_TOL_FACTOR * max(||H||, 1)`, ||H|| bounded by the largest row
+    sum), or when a Ritz residual of either block exceeds
     `_RITZ_RESIDUAL_BOUND`.
     """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
     ell = lattice.nsites
-    basis = enumerate_sector_basis(lattice, spin, (spin.two_s * ell) // 2)
+    middle = (spin.two_s * ell) // 2
+    require_sector_dimensions(ell, spin.two_s, [middle], DEFAULT_DIM_CAP)
+    basis = enumerate_sector_basis(lattice, spin, middle)
     h = assemble_heisenberg(basis).to_csr()
     zero_resid = np.linalg.norm(h @ ground_multiplet_vector(basis))
     if zero_resid > 1e-8 * max(1.0, abs(h).max()):
@@ -255,7 +259,7 @@ def spectral_gap(
     gap = float(min(second + list(odd_theta)))
     residual = max(even_resid, odd_resid)
     dims = (even.shape[0], odd.shape[0])
-    tol = tol_factor * max(float(abs(h).sum(axis=1).max()), 1.0)
+    tol = _ZERO_TOL_FACTOR * max(float(abs(h).sum(axis=1).max()), 1.0)
     if not abs(zero) <= tol < gap:
         raise RuntimeError(
             f"lowest eigenvalues {zero!r}, {gap!r} are not one zero mode "
@@ -276,8 +280,8 @@ def check_subadditivity(
     total_length: int, spin: SpinMagnitude, beta: float
 ) -> InequalityCertificate:
     """Certify L f_L >= l f_l + (L-l) f_{L-l} for every split of the chain."""
-    _require_dense_sectors(total_length, spin)  # the longest chain has the largest sectors
-    f = {ell: chain_free_energy(ell, spin, beta) for ell in range(1, total_length + 1)}
+    # longest chain first: it has the largest sectors, so it refuses before any work
+    f = {ell: chain_free_energy(ell, spin, beta) for ell in range(total_length, 0, -1)}
     slacks = []
     for ell in range(1, total_length):
         rest = total_length - ell
@@ -324,19 +328,18 @@ def check_localization_bound(
 # joint (energy, total-spin) decomposition of a sector
 # ---------------------------------------------------------------------------
 
-def sector_energy_spin_pairs(lattice, spin, n, variant="free"):
-    """Simultaneous eigendata (E, t) of a sector.
+def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray):
+    """Simultaneous eigendata (E, t) of a sector, given its basis and
+    its dense Hamiltonian `h` (as yielded by `dense_sectors`).
 
     The Casimir commutes with the Hamiltonian, so its eigenspaces are
     invariant blocks; each block is diagonalized separately, giving the
     exact quantum number t alongside every energy.
     """
-    basis = enumerate_sector_basis(lattice, spin, n)
-    h = _assemble_variant(basis, variant).to_dense()
     s2 = assemble_total_spin_squared(basis).to_dense()
     w, vecs = sla.eigh(s2)
-    s_max = spin.s * lattice.nsites
-    t_min = abs(n - s_max)
+    s_max = basis.spin.s * basis.lattice.nsites
+    t_min = abs(basis.n - s_max)
     t_ladder = np.arange(t_min, s_max + 0.5, 1.0)
     targets = t_ladder * (t_ladder + 1.0)
     pairs = []
@@ -358,7 +361,7 @@ def sector_energy_spin_pairs(lattice, spin, n, variant="free"):
 # ---------------------------------------------------------------------------
 
 # Subset vectors k per Ryser block: each (dim, block) work array stays
-# under 25 MB at the largest sector `_require_dense_sectors` admits.
+# under 25 MB at the largest sector `dense_sectors` admits.
 _RYSER_BLOCK = 512
 
 
@@ -421,20 +424,16 @@ def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     """
     from .magnongas import dirichlet_modes, free_boson_sum
 
-    _require_dense_sectors(ell, spin)
-    lattice = SpinLattice.chain(ell)
     z_p = 0.0
     mu_total = 0.0
     energy_num = 0.0
     xlogx_sum = 0.0
     floor = 1e-30
-    for n in range(spin.two_s * ell + 1):
-        basis = enumerate_sector_basis(lattice, spin, n)
+    for basis, hd in dense_sectors(SpinLattice.chain(ell), spin, variant="dirichlet"):
         exp_t = free_boson_propagator(basis, beta)
         p = assemble_projector_p(basis).weights
         m = (p[:, None] * exp_t) * p[None, :]
         z_p += float(np.trace(m))
-        hd = assemble_dirichlet_heisenberg(basis).to_dense()
         energy_num += float(np.sum(hd * m.T))
         mu = sla.eigvalsh(m)
         mu_total += float(mu.sum())

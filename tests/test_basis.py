@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from magnonlab.basis import (
+    ResourceLimitError,
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
+    require_sector_dimensions,
     sector_dimension,
 )
 
@@ -83,6 +85,15 @@ def test_sector_dimension_counts_match_enumeration():
         for n in range(cap * nsites + 1):
             basis = enumerate_sector_basis(lat, spin, n)
             assert basis.dim == sector_dimension(nsites, n, cap)
+
+
+def test_require_sector_dimensions_names_the_first_oversized_sector():
+    require_sector_dimensions(15, 1, range(7), 6000)  # C(15, 6) = 5005 states
+    with pytest.raises(ResourceLimitError, match=r"^sector n=8 has dimension 6435 > 6000$"):
+        require_sector_dimensions(15, 1, [0, 8, 7], 6000)
+    # an uncapped sector passes its magnon number as the cap
+    with pytest.raises(ResourceLimitError, match=r"^sector n=4 has dimension 35 > 34$"):
+        require_sector_dimensions(4, 4, [4], 34)
 
 
 def test_total_dimension_partitions_hilbert_space():

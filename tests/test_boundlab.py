@@ -49,18 +49,35 @@ def test_casimir_certificates():
 
 
 def test_casimir_nan_energy_fails_the_certificate(monkeypatch):
-    from magnonlab import spectra
+    from magnonlab import boundlab
 
-    exact = spectra.sector_energy_spin_pairs
+    exact = boundlab.sector_energy_spin_pairs
 
-    def nan_in_sector_one(lattice, spin, n, variant="free"):
-        pairs = exact(lattice, spin, n, variant)
-        return [(math.nan, t) for _, t in pairs] if n == 1 else pairs
+    def nan_in_sector_one(basis, h):
+        pairs = exact(basis, h)
+        return [(math.nan, t) for _, t in pairs] if basis.n == 1 else pairs
 
-    monkeypatch.setattr(spectra, "sector_energy_spin_pairs", nan_in_sector_one)
+    monkeypatch.setattr(boundlab, "sector_energy_spin_pairs", nan_in_sector_one)
     cert = verify_casimir_lower_bound(3, SpinMagnitude(1))
     assert math.isnan(cert.extras["scalar_chain_slack"])
     assert math.isnan(cert.slack) and not cert.passed
+
+
+@pytest.mark.parametrize("ell,two_s", [(4, 1), (3, 2)])
+def test_casimir_enumerates_each_sector_once(monkeypatch, ell, two_s):
+    from magnonlab import boundlab, spectra
+
+    calls = []
+    exact = spectra.enumerate_sector_basis
+
+    def counted(lattice, spin, n, capped=True):
+        calls.append(n)
+        return exact(lattice, spin, n, capped)
+
+    for module in (boundlab, spectra):
+        monkeypatch.setattr(module, "enumerate_sector_basis", counted)
+    assert verify_casimir_lower_bound(ell, SpinMagnitude(two_s)).passed
+    assert calls == list(range(two_s * ell + 1))
 
 
 def test_worst_of_samples_keeps_a_nan_slack(monkeypatch):
@@ -198,8 +215,10 @@ def test_psd_verifier_resource_guards():
         lambda: verify_low_energy_truncation(20, SpinMagnitude(1), 4.0),
         lambda: verify_casimir_lower_bound(20, SpinMagnitude(1)),
         lambda: run_check("density", ells=[20], spins=[1], ns=[10]),
+        lambda: verify_halfspin_quadratic_form_equality(20, 10),
+        lambda: run_check("subadditivity", ells=[20], spins=[1], betas=[1.0]),
     ],
-    ids=["laplacian", "truncation", "casimir", "density"],
+    ids=["laplacian", "truncation", "casimir", "density", "halfspin", "subadditivity"],
 )
 def test_dense_verifiers_refuse_an_oversized_sector_before_enumerating(monkeypatch, run):
     from magnonlab import boundlab, checks, spectra
@@ -285,7 +304,7 @@ def test_density_bounds_halfspin_diag_vanishes():
     basis = enumerate_sector_basis(SpinLattice.chain(5), SpinMagnitude(1), 2)
     rng = rng_for(29, 1)
     state = haar_random_state(basis, rng)
-    _, c_diag = verify_density_bounds(state)
+    _, c_diag = verify_density_bounds(state, assemble_heisenberg(basis).to_dense())
     assert c_diag.extras["lhs"] == pytest.approx(0.0, abs=1e-12)
     assert c_diag.passed
 

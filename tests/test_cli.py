@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -65,10 +66,13 @@ def test_free_energy_empty_beta_grid_is_config_error(tmp_path):
 
 
 def test_free_energy_resource_guidance(tmp_path, capsys):
+    out = tmp_path / "x.csv"
     rc = main(["free-energy", "--two-s", "3", "--length", "14", "--beta", "1",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
-    assert "reduce --length" in capsys.readouterr().err
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
 
 
 def test_verify_exit_codes(tmp_path):
@@ -301,6 +305,18 @@ def test_verify_resource_limit_is_a_one_line_error(tmp_path, capsys, argv):
     _one_error_line_and_no_ledger(capsys, ledger)
 
 
+def test_verify_vnorm_refuses_a_sector_above_the_cap(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector enumerated before the size check")
+
+    monkeypatch.setattr(checks, "enumerate_sector_basis", refuse)
+    ledger = tmp_path / "certs.jsonl"
+    argv = ["--check", "vnorm", "--ell", "30", "--n", "15", "--two-s", "1"]
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    err = _one_error_line_and_no_ledger(capsys, ledger)
+    assert err == "error: sector n=15 has dimension 155117520 > 1048576"
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -426,3 +442,14 @@ def test_closed_form_commands_load_no_scipy_subpackage(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    package = Path(magnonlab.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "magnonlab"):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

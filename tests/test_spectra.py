@@ -7,12 +7,17 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, sector_dimension
-from magnonlab.operators import assemble_free_boson_t, assemble_heisenberg
+from magnonlab.operators import (
+    assemble_dirichlet_heisenberg,
+    assemble_free_boson_t,
+    assemble_heisenberg,
+)
 from magnonlab.spectra import (
     ResourceLimitError,
     chain_free_energy,
     check_localization_bound,
     check_subadditivity,
+    dense_sectors,
     dirichlet_free_energy,
     free_boson_propagator,
     free_energy,
@@ -256,7 +261,8 @@ def test_localization_cross_check_both_temperatures():
 
 
 def test_sector_energy_spin_pairs():
-    pairs = sector_energy_spin_pairs(SpinLattice.chain(3), SpinMagnitude(1), 1)
+    basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(1), 1)
+    pairs = sector_energy_spin_pairs(basis, assemble_heisenberg(basis).to_dense())
     ts = sorted(t for _, t in pairs)
     assert ts == [0.5, 0.5, 1.5]
     zero = [e for e, t in pairs if t == 1.5]
@@ -335,6 +341,54 @@ def test_full_spectrum_refuses_before_any_dense_solve(monkeypatch):
     _forbid_dense_solves(monkeypatch)
     with pytest.raises(ResourceLimitError, match=r"sector n=\d+ has dimension \d+ > 6000"):
         full_spectrum(SpinLattice.chain(12), SpinMagnitude(2))
+
+
+@pytest.mark.parametrize(
+    "variant,assemble", [("free", assemble_heisenberg), ("dirichlet", assemble_dirichlet_heisenberg)]
+)
+def test_dense_sectors_yield_every_sector_in_order(variant, assemble):
+    lattice, spin = SpinLattice.chain(4), SpinMagnitude(2)
+    built = list(dense_sectors(lattice, spin, variant=variant))
+    assert [basis.n for basis, _ in built] == list(range(9))
+    for basis, h in built:
+        reference = enumerate_sector_basis(lattice, spin, basis.n)
+        assert np.array_equal(basis.states, reference.states)
+        assert np.array_equal(h, assemble(reference).to_dense())
+    ((basis, _),) = dense_sectors(lattice, spin, [3])
+    assert basis.n == 3
+
+
+def _forbid_enumeration(monkeypatch):
+    from magnonlab import spectra
+
+    class Enumerated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Enumerated("sector enumerated")
+
+    monkeypatch.setattr(spectra, "enumerate_sector_basis", refuse)
+    return Enumerated
+
+
+def test_dense_sectors_refuse_at_the_call_before_enumerating(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=r"^sector n=7 has dimension 6435 > 6000$"):
+        dense_sectors(SpinLattice.chain(15), SpinMagnitude(1), [0, 7])
+
+
+def test_spectral_gap_refuses_a_middle_sector_above_the_cap(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^sector n=12 has dimension 2704156 > 1048576$"):
+        spectral_gap(SpinLattice.chain(24), SpinMagnitude(1))
+
+
+@pytest.mark.parametrize("ell,two_s", [(12, 2), (14, 2)])  # 73,789 and 616,227 states
+def test_spectral_gap_admits_middle_sectors_below_the_cap(monkeypatch, ell, two_s):
+    enumerated = _forbid_enumeration(monkeypatch)
+    with pytest.raises(enumerated):
+        spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
 
 
 def test_large_middle_sector_gap_goes_straight_to_sparse(monkeypatch):
