@@ -104,7 +104,7 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
         eigs = sla.eigvalsh(diff)
         matrix_slacks.append(float(eigs[0]))
         scale = max(scale, float(np.abs(sla.eigvalsh(h)).max()))
-        for e, t in sector_energy_spin_pairs(basis, h):
+        for e, t in sector_energy_spin_pairs(basis, h, s2):
             chain_slacks.append(e - (2.0 * s / ell**2) * (s_max - t))
     matrix_slack = worst(matrix_slacks)
     chain_slack = worst(chain_slacks)
@@ -287,12 +287,12 @@ def two_particle_density(state: CoordinateState) -> np.ndarray:
     return rho
 
 
-def verify_vnorm_lower_bound(state: CoordinateState) -> InequalityCertificate:
+def verify_vnorm_lower_bound(state: CoordinateState, vmat) -> InequalityCertificate:
     """Certify |V psi|^2 >= 1 - (1/2) sum rho(x,x) - sum rho(x,x+1):
     collapsing distinct coordinates loses at most the doubly occupied
-    and neighboring-pair weight."""
+    and neighboring-pair weight.  `vmat` is the collapse matrix V of the
+    state's sector (`coordinate_collapse_matrix(basis)[0]`)."""
     basis = state.basis
-    vmat, _ = coordinate_collapse_matrix(basis)
     vpsi = vmat @ state.amplitudes
     rho = two_particle_density(state)
     rhs = 1.0 - 0.5 * float(np.trace(rho)) - float(
@@ -349,38 +349,45 @@ def verify_density_bounds(state: CoordinateState, hamiltonian_dense) -> tuple:
 # energy truncation
 # ---------------------------------------------------------------------------
 
-def verify_low_energy_truncation(
-    ell: int, spin: SpinMagnitude, beta: float
-) -> InequalityCertificate:
+def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
     """Certify Tr e^{-beta H} <= 1 + Tr e^{-beta H} 1_{H < E0} with
     E0 = -l f_l(beta/2), and that every counted state with minimal
-    3-component for its multiplet sits in a sector n < N0 = E0 l^2/(2S)."""
+    3-component for its multiplet sits in a sector n < N0 = E0 l^2/(2S),
+    one certificate per beta in `betas`; the (E, t) pairs of every
+    sector are computed once for all of them."""
     s = spin.s
     s_max = s * ell
-    sectors = dense_sectors(SpinLattice.chain(ell), spin)
-    per_sector = [sector_energy_spin_pairs(basis, h) for basis, h in sectors]
+    per_sector = [
+        sector_energy_spin_pairs(basis, h, assemble_total_spin_squared(basis).to_dense())
+        for basis, h in dense_sectors(SpinLattice.chain(ell), spin)
+    ]
     energies = np.array([e for pairs in per_sector for e, _ in pairs])
-    e0 = -ell * free_energy_from_eigenvalues(energies, beta / 2.0, ell)
-    n0 = e0 * ell**2 / (2.0 * s)
-    lhs = float(np.exp(-beta * energies).sum())
-    rhs = 1.0 + float(np.exp(-beta * energies[energies < e0]).sum())
-    trunc_slack = rhs - lhs
-    sector_slacks = [
-        n0 - n
+    # (n, E) of each state whose 3-component is minimal for its multiplet
+    lowest = [
+        (n, e)
         for n, pairs in enumerate(per_sector)
         for e, t in pairs
-        if e < e0 and abs(t - (s_max - n)) < 0.25
+        if abs(t - (s_max - n)) < 0.25
     ]
-    sector_slack = worst(sector_slacks) if sector_slacks else n0
-    return InequalityCertificate(
-        name="low-energy-truncation",
-        params={"ell": ell, "two_s": spin.two_s, "beta": beta},
-        slack=worst([trunc_slack, sector_slack]),
-        tolerance=1e-12 * max(1.0, lhs),
-        extras={
-            "truncation_slack": trunc_slack,
-            "sector_restriction_slack": sector_slack,
-            "e0": e0,
-            "n0": n0,
-        },
-    )
+    certs = []
+    for beta in betas:
+        e0 = -ell * free_energy_from_eigenvalues(energies, beta / 2.0, ell)
+        n0 = e0 * ell**2 / (2.0 * s)
+        lhs = float(np.exp(-beta * energies).sum())
+        rhs = 1.0 + float(np.exp(-beta * energies[energies < e0]).sum())
+        trunc_slack = rhs - lhs
+        sector_slacks = [n0 - n for n, e in lowest if e < e0]
+        sector_slack = worst(sector_slacks) if sector_slacks else n0
+        certs.append(InequalityCertificate(
+            name="low-energy-truncation",
+            params={"ell": ell, "two_s": spin.two_s, "beta": beta},
+            slack=worst([trunc_slack, sector_slack]),
+            tolerance=1e-12 * max(1.0, lhs),
+            extras={
+                "truncation_slack": trunc_slack,
+                "sector_restriction_slack": sector_slack,
+                "e0": e0,
+                "n0": n0,
+            },
+        ))
+    return certs

@@ -6,19 +6,23 @@ the quick grids are trimmed for smoke runs, and explicit overrides
 (`ells`, `spins`, `ns`, `betas`) replace the corresponding axis of the
 grid.  A suite takes only the overrides its runner names, and
 `run_check` rejects any other.  Cells run one after another in grid
-order; random-state cells draw from streams seeded by the root seed and
-the cell's parameters (`rng_for`), so a cell's certificates do not
-depend on which other cells run.
+order; consecutive cells that differ only in beta share one call of
+their check, which builds its spectra once for all their betas (no
+result outlives that call).  Random-state cells draw from streams
+seeded by the root seed and the cell's parameters (`rng_for`), so a
+cell's certificates do not depend on which other cells run.
 """
 
 from __future__ import annotations
 
 import inspect
+from itertools import groupby
 
 import scipy.linalg as sla
 
 from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_sector_dimensions
 from .boundlab import (
+    coordinate_collapse_matrix,
     gibbs_random_state,
     haar_random_state,
     rng_for,
@@ -45,6 +49,16 @@ def _axis(override, default):
     if override is None:
         return tuple(default)
     return tuple(override)
+
+
+def _per_beta_run(check, cells):
+    """Certificates of `cells`, tuples (..., two_s, beta), in cell order:
+    each run of consecutive cells that differ only in beta is one call
+    `check(..., SpinMagnitude(two_s), betas)`."""
+    certs = []
+    for (*rest, two_s), run in groupby(cells, key=lambda cell: cell[:-1]):
+        certs += check(*rest, SpinMagnitude(two_s), [cell[-1] for cell in run])
+    return certs
 
 
 def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
@@ -147,9 +161,11 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
     for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
         require_sector_dimensions(ell, two_s, [n], DEFAULT_DIM_CAP)
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
+        vmat, _ = coordinate_collapse_matrix(basis)
         rng = rng_for(seed, 1, ell, n, two_s)
         cert = worst(
-            (verify_vnorm_lower_bound(haar_random_state(basis, rng)) for _ in range(samples)),
+            (verify_vnorm_lower_bound(haar_random_state(basis, rng), vmat)
+             for _ in range(samples)),
             key=lambda c: c.slack,
         )
         cert.params["samples"] = samples
@@ -196,10 +212,7 @@ def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, bet
         cells += [(3, 2, 4.0), (4, 2, 4.0)]
     else:
         cells = [(3, 1, 4.0), (4, 1, 8.0)]
-    return [
-        verify_low_energy_truncation(ell, SpinMagnitude(two_s), beta)
-        for ell, two_s, beta in cells
-    ]
+    return _per_beta_run(verify_low_energy_truncation, cells)
 
 
 def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
@@ -215,9 +228,7 @@ def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, 
         cells += [(total, 2, beta) for total in (4, 5) for beta in (1.0, 2.0)]
     else:
         cells = [(4, 1, 2.0), (4, 2, 1.0)]
-    return [
-        check_subadditivity(total, SpinMagnitude(two_s), beta) for total, two_s, beta in cells
-    ]
+    return _per_beta_run(check_subadditivity, cells)
 
 
 def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
@@ -234,10 +245,7 @@ def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
     if betas is not None:
         cells = [(total, ell, two_s, beta) for total, ell, two_s, _ in cells
                  for beta in betas]
-    return [
-        check_localization_bound(total, ell, SpinMagnitude(two_s), beta)
-        for total, ell, two_s, beta in cells
-    ]
+    return _per_beta_run(check_localization_bound, cells)
 
 
 CHECKS = {

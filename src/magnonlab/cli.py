@@ -119,20 +119,33 @@ def _write_rows(path, columns, rows, fmt):
         _write_csv(path, columns, rows)
 
 
-def _emit_plot_script(path, csv_path, xcol, ycols):
+def _require_csv_for_plot_script(args):
+    if args.plot_script and args.format != "csv":
+        raise ValueError("--plot-script reads the CSV table; it needs --format csv")
+
+
+def _emit_plot_script(path, csv_path, xcol, ycol, series=None):
+    """Write a matplotlib script that plots `ycol` against `xcol` from the
+    CSV at `csv_path` (skipping its `#` lines), one line per value of the
+    column `series`, or a single line when `series` is None."""
+    label = f"r[{series!r}]" if series else repr(ycol)
     lines = [
         "#!/usr/bin/env python3",
         '"""Generated plotting helper; reads the CSV emitted next to it."""',
         "import csv",
         "import matplotlib.pyplot as plt",
         "",
-        f"rows = [r for r in csv.DictReader(open({csv_path!r}) ) if not r[{xcol!r}].startswith('#')]",
-        f"xs = [float(r[{xcol!r}]) for r in rows]",
-    ]
-    for col in ycols:
-        lines.append(f"plt.plot(xs, [float(r[{col!r}]) for r in rows], label={col!r})")
-    lines += [
+        f"with open({csv_path!r}) as fh:",
+        "    rows = list(csv.DictReader(line for line in fh if not line.startswith('#')))",
+        "curves = {}",
+        "for r in rows:",
+        f"    xs, ys = curves.setdefault({label}, ([], []))",
+        f"    xs.append(float(r[{xcol!r}]))",
+        f"    ys.append(float(r[{ycol!r}]))",
+        "for label, (xs, ys) in curves.items():",
+        "    plt.plot(xs, ys, label=label)",
         f"plt.xlabel({xcol!r})",
+        f"plt.ylabel({ycol!r})",
         "plt.legend()",
         "plt.show()",
     ]
@@ -149,6 +162,7 @@ def _two_s(args):
 
 
 def cmd_free_energy(args):
+    _require_csv_for_plot_script(args)
     from .spectra import free_energy, full_spectrum
 
     two_s = _two_s(args)
@@ -182,7 +196,7 @@ def cmd_free_energy(args):
     columns = FREE_ENERGY_COLUMNS + (SCALED_COLUMNS if args.scaled else [])
     _write_rows(args.out, columns, rows, args.format)
     if args.plot_script:
-        _emit_plot_script(args.plot_script, args.out, "beta", ["f"])
+        _emit_plot_script(args.plot_script, args.out, "beta", "f", series="variant")
     return 0
 
 
@@ -215,6 +229,7 @@ def cmd_verify(args):
 
 
 def cmd_asymptotics(args):
+    _require_csv_for_plot_script(args)
     two_s = _two_s(args)
     s = SpinMagnitude(two_s).s
     grid = parse_beta_grid(args.beta_s)
@@ -263,7 +278,7 @@ def cmd_asymptotics(args):
     _write_rows(args.out, columns, rows, args.format)
     if args.plot_script:
         ycol = "width" if args.dimension == 1 else "ratio"
-        _emit_plot_script(args.plot_script, args.out, "beta_s", [ycol])
+        _emit_plot_script(args.plot_script, args.out, "beta_s", ycol)
     return 0
 
 

@@ -38,7 +38,6 @@ from .operators import (
     assemble_dirichlet_heisenberg,
     assemble_heisenberg,
     assemble_projector_p,
-    assemble_total_spin_squared,
     ground_multiplet_vector,
 )
 
@@ -276,32 +275,37 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     )
 
 
-def check_subadditivity(
-    total_length: int, spin: SpinMagnitude, beta: float
-) -> InequalityCertificate:
-    """Certify L f_L >= l f_l + (L-l) f_{L-l} for every split of the chain."""
+def check_subadditivity(total_length: int, spin: SpinMagnitude, betas) -> list:
+    """Certify L f_L >= l f_l + (L-l) f_{L-l} for every split of the chain,
+    one certificate per beta in `betas`; each chain's spectrum is built
+    once for all of them."""
     # longest chain first: it has the largest sectors, so it refuses before any work
-    f = {ell: chain_free_energy(ell, spin, beta) for ell in range(total_length, 0, -1)}
-    slacks = []
-    for ell in range(1, total_length):
-        rest = total_length - ell
-        slacks.append(
-            total_length * f[total_length] - ell * f[ell] - rest * f[rest]
-        )
-    slack = float(worst(slacks))
-    return InequalityCertificate(
-        name="subadditivity",
-        params={"L": total_length, "two_s": spin.two_s, "beta": beta},
-        slack=slack,
-        tolerance=1e-12 * max(1.0, abs(total_length * f[total_length])),
-    )
+    chains = {
+        ell: full_spectrum(SpinLattice.chain(ell), spin) for ell in range(total_length, 1, -1)
+    }
+    certs = []
+    for beta in betas:
+        f = {ell: free_energy(spectrum, beta) for ell, spectrum in chains.items()}
+        f[1] = chain_free_energy(1, spin, beta)
+        slacks = []
+        for ell in range(1, total_length):
+            rest = total_length - ell
+            slacks.append(
+                total_length * f[total_length] - ell * f[ell] - rest * f[rest]
+            )
+        certs.append(InequalityCertificate(
+            name="subadditivity",
+            params={"L": total_length, "two_s": spin.two_s, "beta": beta},
+            slack=float(worst(slacks)),
+            tolerance=1e-12 * max(1.0, abs(total_length * f[total_length])),
+        ))
+    return certs
 
 
-def check_localization_bound(
-    total_length: int, ell: int, spin: SpinMagnitude, beta: float
-) -> InequalityCertificate:
+def check_localization_bound(total_length: int, ell: int, spin: SpinMagnitude, betas) -> list:
     """Certify f_L <= (1 + 1/l)^(-1) f_l^D for L = k(l+1)+1, plus the
-    companion check (1 + 1/l)^(-1) f_l^D >= f_l at the same l."""
+    companion check (1 + 1/l)^(-1) f_l^D >= f_l at the same l, one
+    certificate per beta in `betas`; the three spectra are built once."""
     if ell < 2:
         raise ValueError(f"pinned-box size must be >= 2, got {ell}")
     k, r = divmod(total_length - 1, ell + 1)
@@ -310,33 +314,39 @@ def check_localization_bound(
             f"L={total_length} is not of the form k*(ell+1)+1 for ell={ell}"
         )
     factor = 1.0 / (1.0 + 1.0 / ell)
-    f_big = chain_free_energy(total_length, spin, beta)
-    f_pin = dirichlet_free_energy(ell, spin, beta)
-    f_small = chain_free_energy(ell, spin, beta)
-    slack_main = factor * f_pin - f_big
-    slack_cross = factor * f_pin - f_small
-    return InequalityCertificate(
-        name="localization-upper-bound",
-        params={"L": total_length, "ell": ell, "two_s": spin.two_s, "beta": beta},
-        slack=float(worst([slack_main, slack_cross])),
-        tolerance=1e-12 * max(1.0, abs(f_big)),
-        extras={"slack_main": float(slack_main), "slack_cross": float(slack_cross)},
-    )
+    spectra = [
+        full_spectrum(SpinLattice.chain(total_length), spin),
+        full_spectrum(SpinLattice.chain(ell), spin, "dirichlet"),
+        full_spectrum(SpinLattice.chain(ell), spin),
+    ]
+    certs = []
+    for beta in betas:
+        f_big, f_pin, f_small = (free_energy(spectrum, beta) for spectrum in spectra)
+        slack_main = factor * f_pin - f_big
+        slack_cross = factor * f_pin - f_small
+        certs.append(InequalityCertificate(
+            name="localization-upper-bound",
+            params={"L": total_length, "ell": ell, "two_s": spin.two_s, "beta": beta},
+            slack=float(worst([slack_main, slack_cross])),
+            tolerance=1e-12 * max(1.0, abs(f_big)),
+            extras={"slack_main": float(slack_main), "slack_cross": float(slack_cross)},
+        ))
+    return certs
 
 
 # ---------------------------------------------------------------------------
 # joint (energy, total-spin) decomposition of a sector
 # ---------------------------------------------------------------------------
 
-def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray):
-    """Simultaneous eigendata (E, t) of a sector, given its basis and
-    its dense Hamiltonian `h` (as yielded by `dense_sectors`).
+def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.ndarray):
+    """Simultaneous eigendata (E, t) of a sector, given its basis, its
+    dense Hamiltonian `h` (as yielded by `dense_sectors`) and its dense
+    Casimir `s2` (`assemble_total_spin_squared`).
 
     The Casimir commutes with the Hamiltonian, so its eigenspaces are
     invariant blocks; each block is diagonalized separately, giving the
     exact quantum number t alongside every energy.
     """
-    s2 = assemble_total_spin_squared(basis).to_dense()
     w, vecs = sla.eigh(s2)
     s_max = basis.spin.s * basis.lattice.nsites
     t_min = abs(basis.n - s_max)

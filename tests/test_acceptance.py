@@ -14,6 +14,7 @@ import scipy.linalg as sla
 
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.boundlab import (
+    coordinate_collapse_matrix,
     gibbs_random_state,
     haar_random_state,
     rng_for,
@@ -135,6 +136,7 @@ def test_criterion_07_pair_density_property_suite():
                 )
                 h = assemble_heisenberg(basis).to_dense()
                 eigh_pair = sla.eigh(h)
+                vmat, _ = coordinate_collapse_matrix(basis)
                 haar_rng = rng_for(SEED, 7, ell, n, two_s, 0)
                 gibbs_rng = rng_for(SEED, 7, ell, n, two_s, 1)
                 states = [haar_random_state(basis, haar_rng) for _ in range(100)]
@@ -144,7 +146,7 @@ def test_criterion_07_pair_density_property_suite():
                 for state in states:
                     total += 1
                     c_off, c_diag = verify_density_bounds(state, h)
-                    c_norm = verify_vnorm_lower_bound(state)
+                    c_norm = verify_vnorm_lower_bound(state, vmat)
                     if not (c_off.passed and c_diag.passed and c_norm.passed):
                         violations += 1
     report(7, violations == 0,

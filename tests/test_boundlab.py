@@ -53,8 +53,8 @@ def test_casimir_nan_energy_fails_the_certificate(monkeypatch):
 
     exact = boundlab.sector_energy_spin_pairs
 
-    def nan_in_sector_one(basis, h):
-        pairs = exact(basis, h)
+    def nan_in_sector_one(basis, h, s2):
+        pairs = exact(basis, h, s2)
         return [(math.nan, t) for _, t in pairs] if basis.n == 1 else pairs
 
     monkeypatch.setattr(boundlab, "sector_energy_spin_pairs", nan_in_sector_one)
@@ -80,14 +80,47 @@ def test_casimir_enumerates_each_sector_once(monkeypatch, ell, two_s):
     assert calls == list(range(two_s * ell + 1))
 
 
+def test_casimir_assembles_each_sector_casimir_once(monkeypatch):
+    from magnonlab import boundlab, spectra
+
+    calls = []
+    exact = boundlab.assemble_total_spin_squared
+
+    def counted(basis):
+        calls.append(basis.n)
+        return exact(basis)
+
+    for module in (boundlab, spectra):
+        monkeypatch.setattr(module, "assemble_total_spin_squared", counted, raising=False)
+    assert verify_casimir_lower_bound(4, SpinMagnitude(1)).passed
+    assert calls == [0, 1, 2, 3, 4]
+
+
+def test_vnorm_suite_builds_one_collapse_matrix_per_cell(monkeypatch):
+    from magnonlab import boundlab, checks
+
+    calls = []
+    exact = boundlab.coordinate_collapse_matrix
+
+    def counted(basis):
+        calls.append((basis.lattice.nsites, basis.spin.two_s, basis.n))
+        return exact(basis)
+
+    for module in (boundlab, checks):
+        monkeypatch.setattr(module, "coordinate_collapse_matrix", counted, raising=False)
+    certs = run_check("vnorm")
+    assert len(certs) == 8 and all(cert.passed for cert in certs)
+    assert len(calls) == 8
+
+
 def test_worst_of_samples_keeps_a_nan_slack(monkeypatch):
     from magnonlab import checks
 
     exact = checks.verify_vnorm_lower_bound
     calls = []
 
-    def nan_on_second_sample(state):
-        cert = exact(state)
+    def nan_on_second_sample(state, vmat):
+        cert = exact(state, vmat)
         calls.append(cert)
         if len(calls) == 2:
             cert.slack = math.nan
@@ -212,7 +245,7 @@ def test_psd_verifier_resource_guards():
     "run",
     [
         lambda: verify_laplacian_lower_bound(20, SpinMagnitude(1), 10),
-        lambda: verify_low_energy_truncation(20, SpinMagnitude(1), 4.0),
+        lambda: verify_low_energy_truncation(20, SpinMagnitude(1), [4.0]),
         lambda: verify_casimir_lower_bound(20, SpinMagnitude(1)),
         lambda: run_check("density", ells=[20], spins=[1], ns=[10]),
         lambda: verify_halfspin_quadratic_form_equality(20, 10),
@@ -272,21 +305,23 @@ def test_two_particle_density_random_invariants():
 
 def test_vnorm_certificates():
     basis = enumerate_sector_basis(SpinLattice.chain(4), SpinMagnitude(1), 2)
+    vmat, _ = coordinate_collapse_matrix(basis)
     # spread-out pair: collapse is isometric, right side <= 1
     far = CoordinateState.from_occupation(basis, (1, 0, 0, 1))
-    cert = verify_vnorm_lower_bound(far)
+    cert = verify_vnorm_lower_bound(far, vmat)
     assert cert.passed and cert.extras["vnorm_sq"] == pytest.approx(1.0)
     # adjacent pair: right side collapses to 0
     near = CoordinateState.from_occupation(basis, (1, 1, 0, 0))
-    cert2 = verify_vnorm_lower_bound(near)
+    cert2 = verify_vnorm_lower_bound(near, vmat)
     assert cert2.passed and cert2.extras["rhs"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vnorm_random_states():
     basis = enumerate_sector_basis(SpinLattice.chain(5), SpinMagnitude(2), 3)
+    vmat, _ = coordinate_collapse_matrix(basis)
     rng = rng_for(23, 9)
     for _ in range(100):
-        assert verify_vnorm_lower_bound(haar_random_state(basis, rng)).passed
+        assert verify_vnorm_lower_bound(haar_random_state(basis, rng), vmat).passed
 
 
 def test_density_bounds_ground_state():
@@ -325,11 +360,21 @@ def test_density_bounds_random_states():
 
 
 def test_truncation_certificates():
-    assert verify_low_energy_truncation(4, SpinMagnitude(1), 8.0).passed
-    assert verify_low_energy_truncation(3, SpinMagnitude(2), 4.0).passed
-    cert = verify_low_energy_truncation(3, SpinMagnitude(1), 64.0)
+    assert verify_low_energy_truncation(4, SpinMagnitude(1), [8.0])[0].passed
+    assert verify_low_energy_truncation(3, SpinMagnitude(2), [4.0])[0].passed
+    (cert,) = verify_low_energy_truncation(3, SpinMagnitude(1), [64.0])
     # very low temperature: the right side approaches 1 + (zero modes)
     assert cert.passed
+
+
+@pytest.mark.parametrize("ell,two_s", [(3, 1), (4, 1), (3, 2)])
+def test_truncation_beta_list_equals_one_beta_calls(ell, two_s):
+    betas = [4.0, 8.0, 64.0]
+    together = verify_low_energy_truncation(ell, SpinMagnitude(two_s), betas)
+    assert [cert.to_json() for cert in together] == [
+        verify_low_energy_truncation(ell, SpinMagnitude(two_s), [beta])[0].to_json()
+        for beta in betas
+    ]
 
 
 def test_budget_preliminary_path():

@@ -1,8 +1,11 @@
 import ast
+import csv
 import json
 import os
+import runpy
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -235,6 +238,64 @@ def test_plot_script_artifact(tmp_path):
     assert "matplotlib" in text and str(out) in text
 
 
+def _run_plot_script(script, monkeypatch):
+    """Run a generated plot script against a stub matplotlib; return the
+    (label, xs, ys) of each plotted line."""
+    plotted = []
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.plot = lambda xs, ys, label=None: plotted.append((label, list(xs), list(ys)))
+    pyplot.xlabel = pyplot.ylabel = pyplot.legend = pyplot.show = lambda *a, **k: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    runpy.run_path(str(script))
+    return plotted
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+@pytest.mark.parametrize(
+    "argv,xcol,ycol,labels",
+    [
+        (["free-energy", "--length", "4", "--beta", "1,2"], "beta", "f",
+         ["free", "dirichlet"]),
+        (["asymptotics", "--beta-s", "1e4,1e6"], "beta_s", "width", ["width"]),
+    ],
+    ids=["free-energy", "asymptotics"],
+)
+def test_plot_script_plots_the_csv_columns(tmp_path, monkeypatch, argv, xcol, ycol, labels):
+    out = tmp_path / "table.csv"
+    script = tmp_path / "plot.py"
+    assert main(argv + ["--out", str(out), "--plot-script", str(script)]) == 0
+    plotted = _run_plot_script(script, monkeypatch)
+    rows = _csv_rows(out)
+    assert [label for label, _, _ in plotted] == labels
+    assert [x for _, xs, _ in plotted for x in xs] == [float(r[xcol]) for r in rows]
+    assert [y for _, _, ys in plotted for y in ys] == [float(r[ycol]) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--length", "3", "--beta", "1,2"],
+        ["asymptotics", "--beta-s", "1e4,1e6"],
+    ],
+    ids=["free-energy", "asymptotics"],
+)
+def test_plot_script_refuses_json_tables(tmp_path, capsys, argv):
+    out = tmp_path / "table.jsonl"
+    script = tmp_path / "plot.py"
+    code = main(argv + ["--format", "json", "--out", str(out), "--plot-script", str(script)])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "--format csv" in err[0]
+    assert not out.exists() and not script.exists()
+
+
 def test_verify_single_cell_overrides(tmp_path):
     ledger = tmp_path / "one.jsonl"
     rc = main(["verify", "--check", "casimir", "--ell", "4", "--two-s", "1",
@@ -453,3 +514,19 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     node.level > 0 or (node.module or "").split(".")[0] == "magnonlab"):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+def test_no_module_caches_results_across_calls():
+    # reuse of spectra is scoped to one call; a memoizing decorator would
+    # carry results from one call into the next
+    package = Path(magnonlab.__file__).parent
+    caching = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}: {a.name}" for a in node.names if a.name in caching]
+            elif (isinstance(node, ast.Attribute) and node.attr in caching
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.append(f"{path.name}: functools.{node.attr}")
+    assert found == []

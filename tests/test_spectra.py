@@ -11,6 +11,7 @@ from magnonlab.operators import (
     assemble_dirichlet_heisenberg,
     assemble_free_boson_t,
     assemble_heisenberg,
+    assemble_total_spin_squared,
 )
 from magnonlab.spectra import (
     ResourceLimitError,
@@ -230,9 +231,9 @@ def test_degeneracy_law(ell, two_s):
 
 
 def test_subadditivity_certificates():
-    assert check_subadditivity(4, SpinMagnitude(1), 2.0).passed
-    assert check_subadditivity(6, SpinMagnitude(1), 8.0).passed
-    assert check_subadditivity(4, SpinMagnitude(2), 1.0).passed
+    assert check_subadditivity(4, SpinMagnitude(1), [2.0])[0].passed
+    assert check_subadditivity(6, SpinMagnitude(1), [8.0])[0].passed
+    assert check_subadditivity(4, SpinMagnitude(2), [1.0])[0].passed
 
 
 def test_doubling_monotonicity():
@@ -245,24 +246,61 @@ def test_doubling_monotonicity():
 
 
 def test_localization_certificate():
-    cert = check_localization_bound(7, 2, SpinMagnitude(1), 4.0)
+    (cert,) = check_localization_bound(7, 2, SpinMagnitude(1), [4.0])
     assert cert.passed
     with pytest.raises(ValueError, match="k\\*\\(ell\\+1\\)\\+1"):
-        check_localization_bound(8, 2, SpinMagnitude(1), 4.0)
+        check_localization_bound(8, 2, SpinMagnitude(1), [4.0])
     with pytest.raises(ValueError, match=">= 2"):
-        check_localization_bound(5, 1, SpinMagnitude(1), 4.0)
+        check_localization_bound(5, 1, SpinMagnitude(1), [4.0])
 
 
 def test_localization_cross_check_both_temperatures():
-    for beta in (2.0, 8.0):
-        cert = check_localization_bound(6, 4, SpinMagnitude(1), beta)
+    for cert in check_localization_bound(6, 4, SpinMagnitude(1), [2.0, 8.0]):
         assert cert.passed
         assert cert.extras["slack_cross"] >= -cert.tolerance
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda betas: check_subadditivity(5, SpinMagnitude(1), betas),
+        lambda betas: check_subadditivity(4, SpinMagnitude(2), betas),
+        lambda betas: check_localization_bound(7, 2, SpinMagnitude(1), betas),
+        lambda betas: check_localization_bound(7, 2, SpinMagnitude(2), betas),
+    ],
+    ids=["subadditivity-s1/2", "subadditivity-s1", "localization-s1/2", "localization-s1"],
+)
+def test_beta_list_certificates_equal_one_beta_calls(check):
+    betas = [1.0, 2.0, 8.0]
+    together = [cert.to_json() for cert in check(betas)]
+    assert together == [check([beta])[0].to_json() for beta in betas]
+
+
+def test_default_suites_build_each_chain_spectrum_once_per_check_call(monkeypatch):
+    from magnonlab import spectra
+    from magnonlab.checks import run_check
+
+    calls = []
+    exact = spectra.full_spectrum
+
+    def counted(lattice, spin, variant="free"):
+        calls.append((lattice.nsites, spin.two_s, variant))
+        return exact(lattice, spin, variant)
+
+    monkeypatch.setattr(spectra, "full_spectrum", counted)
+    run_check("subadditivity")
+    run_check("localization")
+    # subadditivity: 22 chains over 5 (L, 2S) cells; localization: 3 per (L, l, 2S) cell
+    assert len(calls) == 34
+
+
 def test_sector_energy_spin_pairs():
     basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(1), 1)
-    pairs = sector_energy_spin_pairs(basis, assemble_heisenberg(basis).to_dense())
+    pairs = sector_energy_spin_pairs(
+        basis,
+        assemble_heisenberg(basis).to_dense(),
+        assemble_total_spin_squared(basis).to_dense(),
+    )
     ts = sorted(t for _, t in pairs)
     assert ts == [0.5, 0.5, 1.5]
     zero = [e for e, t in pairs if t == 1.5]
@@ -400,14 +438,15 @@ def test_large_middle_sector_gap_goes_straight_to_sparse(monkeypatch):
 def test_nan_free_energy_fails_subadditivity_and_localization(monkeypatch):
     from magnonlab import spectra
 
-    exact = spectra.chain_free_energy
+    exact = spectra.free_energy
 
-    def nan_at_two(ell, spin, beta, variant="free"):
-        return math.nan if ell == 2 and variant == "free" else exact(ell, spin, beta, variant)
+    def nan_at_two(spectrum, beta):
+        free_two = spectrum.lattice.nsites == 2 and spectrum.variant == "free"
+        return math.nan if free_two else exact(spectrum, beta)
 
-    monkeypatch.setattr(spectra, "chain_free_energy", nan_at_two)
+    monkeypatch.setattr(spectra, "free_energy", nan_at_two)
     spin = SpinMagnitude(1)
-    sub = check_subadditivity(4, spin, 2.0)
-    loc = check_localization_bound(7, 2, spin, 2.0)
+    (sub,) = check_subadditivity(4, spin, [2.0])
+    (loc,) = check_localization_bound(7, 2, spin, [2.0])
     for cert in (sub, loc):
         assert math.isnan(cert.slack) and not cert.passed
