@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -127,15 +128,20 @@ def _require_csv_for_plot_script(args):
 def _emit_plot_script(path, csv_path, xcol, ycol, series=None):
     """Write a matplotlib script that plots `ycol` against `xcol` from the
     CSV at `csv_path` (skipping its `#` lines), one line per value of the
-    column `series`, or a single line when `series` is None."""
+    column `series`, or a single line when `series` is None.  The script
+    opens the CSV by its path relative to the script's own directory, so
+    it runs from any working directory while the two files stay together."""
     label = f"r[{series!r}]" if series else repr(ycol)
+    relative = os.path.relpath(os.path.abspath(csv_path), os.path.dirname(os.path.abspath(path)))
     lines = [
         "#!/usr/bin/env python3",
         '"""Generated plotting helper; reads the CSV emitted next to it."""',
         "import csv",
+        "import os",
         "import matplotlib.pyplot as plt",
         "",
-        f"with open({csv_path!r}) as fh:",
+        f"csv_path = os.path.join(os.path.dirname(os.path.abspath(__file__)), {relative!r})",
+        "with open(csv_path) as fh:",
         "    rows = list(csv.DictReader(line for line in fh if not line.startswith('#')))",
         "curves = {}",
         "for r in rows:",

@@ -5,7 +5,8 @@ Hamiltonian with its square-root-dressed hopping, the boundary-pinned
 variant, the free-boson hopping operator, the free-boundary Laplacian,
 the diagonal occupancy projector, and the total-spin Casimir.  Matrices
 are collected as coordinate triplets and densified only at
-diagonalization time.
+diagonalization time; `heisenberg_columns` gives any subset of the
+Heisenberg block's columns, for builders of symmetry-reduced blocks.
 """
 
 from __future__ import annotations
@@ -56,32 +57,47 @@ def _sqrt_dressing(occ_after, two_s):
     return np.sqrt(np.maximum(1.0 - np.asarray(occ_after) / two_s, 0.0))
 
 
-def _hop_operator(basis, pairs, hop_scale, diag, dressed):
-    """Shared kernel: `diag` (one value per state) plus
-    hop_scale * sum over ordered site pairs (src, dst) of a^dag_dst a_src.
-
-    The hop amplitude is sqrt(n_src (n_dst + 1)) for occupations before
-    the move; with `dressed` it carries the spin-representation factors
-    sqrt(1 - n_dst/2S) sqrt(1 - (n_src-1)/2S), clamped at 0.  All pairs
-    of all states are handled in one batch; zero entries are dropped.
-    """
-    src, dst = np.array(pairs).T
-    n_src = basis.states[:, src]
-    n_dst = basis.states[:, dst]
+def _hop_amplitudes(cap, two_s, dressed):
+    """(cap+1) x (cap+1) table of the hop amplitude indexed by the source
+    and target occupations before the move: sqrt(n_src (n_dst + 1)),
+    times sqrt(1 - n_dst/2S) sqrt(1 - (n_src-1)/2S) (clamped at 0) with
+    `dressed`.  Moves off an empty site or onto a full one get 0."""
+    occ = np.arange(cap + 1)
+    n_src, n_dst = occ[:, None], occ[None, :]
     amp = np.sqrt(n_src * (n_dst + 1))
     if dressed:
-        two_s = basis.spin.two_s
         # dressing product first: the rounding the tests' loop reference pins
         amp = amp * (_sqrt_dressing(n_dst, two_s) * _sqrt_dressing(n_src - 1, two_s))
-    cols, k = np.nonzero((n_src > 0) & (n_dst < basis.cap) & (amp != 0.0))
-    rows = basis.hop_targets(cols, src[k], dst[k])
+    amp[:, cap] = 0.0
+    return amp
+
+
+def _hop_columns(basis, cols, pairs, hop_scale, diag, dressed):
+    """Shared kernel: the columns `cols` (ascending basis rows) of
+    `diag` plus hop_scale * sum over ordered site pairs (src, dst) of
+    a^dag_dst a_src, as (rows, cols, vals) triplets.  `diag` holds one
+    value per entry of `cols`.
+
+    Amplitudes come from `_hop_amplitudes`; all pairs of all states are
+    handled in one batch, and zero entries are dropped.
+    """
+    src, dst = np.array(pairs).T
+    states = basis.states[cols]
+    amp = _hop_amplitudes(basis.cap, basis.spin.two_s, dressed)[states[:, src], states[:, dst]]
+    hop, k = np.nonzero(amp)
+    hop_cols = cols[hop]
     on_diag = np.flatnonzero(diag != 0.0)
-    return HermitianOperator(
-        basis,
-        np.concatenate([on_diag, rows]),
-        np.concatenate([on_diag, cols]),
-        np.concatenate([diag[on_diag], hop_scale * amp[cols, k]]),
+    return (
+        np.concatenate([cols[on_diag], basis.hop_targets(hop_cols, src[k], dst[k])]),
+        np.concatenate([cols[on_diag], hop_cols]),
+        np.concatenate([diag[on_diag], hop_scale * amp[hop, k]]),
     )
+
+
+def _hop_operator(basis, pairs, hop_scale, diag, dressed):
+    """`_hop_columns` over every state, as a HermitianOperator."""
+    cols = np.arange(basis.dim)
+    return HermitianOperator(basis, *_hop_columns(basis, cols, pairs, hop_scale, diag, dressed))
 
 
 def _bond_pairs(lattice):
@@ -90,11 +106,23 @@ def _bond_pairs(lattice):
     return bonds + [(y, x) for x, y in bonds]
 
 
-def _bond_diagonal(basis):
-    """sum over bonds of S*(n_x + n_y) - n_x*n_y, one value per state."""
+def _bond_diagonal(basis, cols):
+    """sum over bonds of S*(n_x + n_y) - n_x*n_y, one value per state of `cols`."""
     x, y = np.array(basis.lattice.bonds()).T
-    n_x, n_y = basis.states[:, x], basis.states[:, y]
+    states = basis.states[cols]
+    n_x, n_y = states[:, x], states[:, y]
     return (basis.spin.s * (n_x + n_y) - n_x * n_y).sum(axis=1)
+
+
+def heisenberg_columns(basis: MagnonSectorBasis, cols: np.ndarray):
+    """(rows, cols, vals) triplets of the columns `cols` (ascending basis
+    rows) of the `assemble_heisenberg` block, so that a symmetry-reduced
+    block can be folded from a subset of the columns without assembling
+    the whole sector."""
+    return _hop_columns(
+        basis, cols, _bond_pairs(basis.lattice), -basis.spin.s,
+        _bond_diagonal(basis, cols), dressed=True,
+    )
 
 
 def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -106,9 +134,7 @@ def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
     square-root occupancy dressing that encodes the hard-core
     constraint.  Works for open chains and open 2d grids.
     """
-    return _hop_operator(
-        basis, _bond_pairs(basis.lattice), -basis.spin.s, _bond_diagonal(basis), dressed=True
-    )
+    return HermitianOperator(basis, *heisenberg_columns(basis, np.arange(basis.dim)))
 
 
 def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -126,7 +152,7 @@ def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator
         )
     s = basis.spin.s
     pin = s * (basis.states[:, 0] + basis.states[:, -1])
-    diag = _bond_diagonal(basis) + pin
+    diag = _bond_diagonal(basis, np.arange(basis.dim)) + pin
     return _hop_operator(basis, _bond_pairs(lattice), -s, diag, dressed=True)
 
 

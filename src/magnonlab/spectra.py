@@ -6,12 +6,14 @@ requested sectors against `DENSE_SECTOR_CAP` before it enumerates any
 basis and then yields (basis, dense H) one sector at a time; per-sector
 spectra come from a dense symmetric eigensolver (partition functions
 need every eigenvalue).  `spectral_gap` never needs the full spectrum:
-it builds the middle sector alone (refused above `DEFAULT_DIM_CAP`
-states), which holds every distinct eigenvalue, splits it into
-its reflection-even and reflection-odd blocks, and takes the two
-lowest even and the lowest odd eigenvalue (dense for a small block, a
-Lanczos solve on the block's CSR matrix otherwise), each checked by its
-residual.  `full_spectrum` stays unreduced.
+it enumerates the middle sector alone (refused above `DEFAULT_DIM_CAP`
+states), which holds every distinct eigenvalue, and builds its
+reflection-even and reflection-odd blocks directly from the columns of
+the mirror representatives (`parity_blocks`).  One lowest eigenvalue
+per block gives the gap: the even block is deflated by its known zero
+mode, and each block is solved densely when small and by a k=1 Lanczos
+solve otherwise, checked by its residual.  `full_spectrum` stays
+unreduced.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .operators import (
     assemble_heisenberg,
     assemble_projector_p,
     ground_multiplet_vector,
+    heisenberg_columns,
 )
 
 DEFAULT_DIM_CAP = 1 << 20
@@ -177,43 +180,74 @@ _LANCZOS_SEED = 20260811
 _RITZ_RESIDUAL_BOUND = 1e-10
 
 
-def parity_isometries(basis: MagnonSectorBasis):
-    """(Q_even, Q_odd): CSR isometries onto the reflection-even and
-    reflection-odd subspaces of a sector.
+def parity_blocks(basis: MagnonSectorBasis):
+    """(H_even, H_odd, u, c): the reflection-even and reflection-odd
+    blocks of the sector's Heisenberg Hamiltonian as CSR matrices, the
+    even image u of `ground_multiplet_vector`, and the largest absolute
+    row sum c of H, a bound on ||H||.
 
-    The mirror map sends each state to its site-reversed image.  A pair
-    i < mirror(i) gives the even column (e_i + e_j)/sqrt2 and the odd
-    column (e_i - e_j)/sqrt2; a palindrome gives the even column e_i.
-    Columns are ordered by the lower row of their pair.
+    The mirror map P sends each state to its site-reversed image.  A
+    representative b (mirror(b) >= b) of a pair gives the even basis
+    vector (e_b + Pe_b)/sqrt2 and the odd one (e_b - Pe_b)/sqrt2; a
+    palindrome gives the even vector e_b.  Blocks are indexed by the
+    representatives in ascending order.  H commutes with P, so
+    H(e_b +- Pe_b) = (1 +- P) H e_b: only the representatives' columns
+    of H are built (`heisenberg_columns`), and each entry H[t, b] is
+    folded onto the row of the representative a of t.  The even entry
+    is weighted by w_b / w_a (w = sqrt2 for a pair, 1 for a palindrome);
+    the odd entry carries the sign -1 when t is the mirror image of a,
+    and rows or columns of palindromes are left out.
     """
+    idx = np.arange(basis.dim)
     mirror = basis.state_index(basis.states[:, ::-1])
-    rows = np.arange(basis.dim)
-    isometries = []
-    for sign, reps in ((1.0, rows[mirror >= rows]), (-1.0, rows[mirror > rows])):
-        partner = mirror[reps]
-        pair = partner != reps
-        weight = np.where(pair, math.sqrt(0.5), 1.0)
-        cols = np.arange(len(reps))
-        isometries.append(sp.csr_matrix(
-            (np.concatenate([weight, sign * weight[pair]]),
-             (np.concatenate([reps, partner[pair]]), np.concatenate([cols, cols[pair]]))),
-            shape=(basis.dim, len(reps)),
-        ))
-    return tuple(isometries)
+    reps = idx[mirror >= idx]
+    rows, cols, vals = heisenberg_columns(basis, reps)
+    paired = mirror != idx
+    weight = np.where(paired, math.sqrt(2.0), 1.0)
+    target = np.minimum(rows, mirror[rows])
+
+    def block(members, entries, fold):
+        position = np.zeros(basis.dim, dtype=np.int64)
+        position[members] = np.arange(len(members))
+        return sp.csr_matrix(
+            ((vals * fold)[entries], (position[target[entries]], position[cols[entries]])),
+            shape=(len(members), len(members)),
+        )
+
+    even = block(reps, slice(None), weight[cols] / weight[target])
+    odd = block(
+        reps[paired[reps]], paired[cols] & paired[target], np.where(rows == target, 1.0, -1.0)
+    )
+    u = ground_multiplet_vector(basis)[reps] * weight[reps]
+    c = float(np.bincount(cols, weights=np.abs(vals), minlength=basis.dim).max())
+    return even, odd, u, c
 
 
-def _lowest_eigenvalues(block, k):
-    """The k lowest eigenvalues of a symmetric CSR block and the largest
-    Ritz residual: dense `eigvalsh` (residual 0.0) up to `_DENSE_GAP_CAP`
-    states, a seeded Lanczos solve above."""
+def _lowest_eigenvalue(block, deflate=None):
+    """Lowest eigenvalue of a symmetric CSR block, or of block + c u u^T
+    when `deflate` is (c, u), and the Ritz residual ||Bx - theta x|| of
+    its vector on the undeflated block B.  Dense `eigvalsh` (residual
+    0.0) up to `_DENSE_GAP_CAP` states, a seeded k=1 Lanczos solve
+    above.  The rank-one term is applied as u * (u * x).sum(): a BLAS
+    dot product inside the ARPACK callback costs more than the sparse
+    product itself on this path."""
     dim = block.shape[0]
     if dim <= _DENSE_GAP_CAP:
-        return sla.eigvalsh(block.toarray())[:k], 0.0
+        dense = block.toarray()
+        if deflate is not None:
+            c, u = deflate
+            dense += c * np.outer(u, u)
+        return float(sla.eigvalsh(dense)[0]), 0.0
+    op = block
+    if deflate is not None:
+        c, u = deflate
+        op = spla.LinearOperator(
+            block.shape, matvec=lambda x: block @ x + c * u * (u * x).sum(), dtype=block.dtype
+        )
     start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
-    theta, vecs = spla.eigsh(block, k=k, which="SA", v0=start, tol=1e-13, maxiter=20000)
-    order = np.argsort(theta)
-    theta, vecs = theta[order], vecs[:, order]
-    return theta, float(np.linalg.norm(block @ vecs - vecs * theta, axis=0).max())
+    (theta,), vecs = spla.eigsh(op, k=1, which="SA", v0=start, tol=1e-13, maxiter=20000)
+    x = vecs[:, 0]
+    return float(theta), float(np.linalg.norm(block @ x - theta * x))
 
 
 def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
@@ -222,24 +256,24 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
 
     Only the middle sector n = floor(S*ell) is built: it holds every
     total-spin multiplet, hence every distinct eigenvalue, and exactly
-    one zero mode (the maximal-spin state), so its two lowest
-    eigenvalues are 0 and the gap.  H commutes with the chain's
-    reflection, so the sector splits into an even block Q_e^T H Q_e and
-    an odd block Q_o^T H Q_o (`parity_isometries`).  The zero mode is
-    even; the gap is the smaller of the even block's second eigenvalue
-    and the odd block's first, so the result is the sector's two lowest
-    eigenvalues without assuming the parity of the gap mode.  Each
-    block is solved by a dense `eigvalsh` while it has at most
-    `_DENSE_GAP_CAP` states and by a Lanczos solve (`eigsh`, k=2 even
-    and k=1 odd, seeded random start vector, so gaps are
-    bit-reproducible) above that.
+    one zero mode, the maximal-spin state v.  H commutes with the
+    chain's reflection, so the sector splits into an even and an odd
+    block, built directly from the mirror representatives
+    (`parity_blocks`).  v is even, with image u in the even block, so
+    the gap is the smaller of the lowest eigenvalue of the deflated
+    even block H_e + c u u^T (c >= ||H|| moves the zero mode to the top
+    of the spectrum) and the lowest eigenvalue of the odd block; the
+    parity of the gap mode is not assumed.  Each block is solved by a
+    dense `eigvalsh` while it has at most `_DENSE_GAP_CAP` states and
+    by a k=1 Lanczos solve (`eigsh`, seeded random start vector, so
+    gaps are bit-reproducible) above that.
 
     Raises ResourceLimitError, before enumerating, when the middle sector
-    has more than `DEFAULT_DIM_CAP` states.  Raises RuntimeError when the
-    maximal-spin vector is not a zero mode, when the lowest even
-    eigenvalue is not the only zero mode (tolerance
-    `_ZERO_TOL_FACTOR * max(||H||, 1)`, ||H|| bounded by the largest row
-    sum), or when a Ritz residual of either block exceeds
+    has more than `DEFAULT_DIM_CAP` states.  With the tolerance
+    tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError when
+    ||H_e u|| (= ||H v||) exceeds tol, so v is not a zero mode; when
+    the gap is not above tol, so v is not the only zero mode; or when a
+    Ritz residual, taken on the undeflated block, exceeds
     `_RITZ_RESIDUAL_BOUND`.
     """
     if lattice.dimension != 1:
@@ -247,22 +281,23 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     ell = lattice.nsites
     middle = (spin.two_s * ell) // 2
     require_sector_dimensions(ell, spin.two_s, [middle], DEFAULT_DIM_CAP)
-    basis = enumerate_sector_basis(lattice, spin, middle)
-    h = assemble_heisenberg(basis).to_csr()
-    zero_resid = np.linalg.norm(h @ ground_multiplet_vector(basis))
-    if zero_resid > 1e-8 * max(1.0, abs(h).max()):
-        raise RuntimeError(f"zero-mode residual {zero_resid} unexpectedly large")
-    even, odd = ((q.T @ h @ q).tocsr() for q in parity_isometries(basis))
-    (zero, *second), even_resid = _lowest_eigenvalues(even, 2)
-    odd_theta, odd_resid = _lowest_eigenvalues(odd, 1)
-    gap = float(min(second + list(odd_theta)))
+    even, odd, u, c = parity_blocks(enumerate_sector_basis(lattice, spin, middle))
+    tol = _ZERO_TOL_FACTOR * max(c, 1.0)
+    zero_resid = float(np.linalg.norm(even @ u))
+    if not zero_resid <= tol:
+        raise RuntimeError(
+            f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
+            f"exceeds {tol:.1e}"
+        )
+    even_theta, even_resid = _lowest_eigenvalue(even, (c, u))
+    odd_theta, odd_resid = _lowest_eigenvalue(odd)
+    gap = min(even_theta, odd_theta)
     residual = max(even_resid, odd_resid)
     dims = (even.shape[0], odd.shape[0])
-    tol = _ZERO_TOL_FACTOR * max(float(abs(h).sum(axis=1).max()), 1.0)
-    if not abs(zero) <= tol < gap:
+    if not tol < gap:
         raise RuntimeError(
-            f"lowest eigenvalues {zero!r}, {gap!r} are not one zero mode "
-            f"and a gap (tolerance {tol:.1e})"
+            f"lowest eigenvalue {gap!r} beside the maximal-spin state is a second "
+            f"zero mode (tolerance {tol:.1e})"
         )
     if not residual <= _RITZ_RESIDUAL_BOUND:
         raise RuntimeError(

@@ -235,7 +235,8 @@ def test_plot_script_artifact(tmp_path):
     assert main(["free-energy", "--length", "3", "--beta", "1,2",
                  "--out", str(out), "--plot-script", str(script)]) == 0
     text = read_lines(script)
-    assert "matplotlib" in text and str(out) in text
+    # the CSV is named relative to the script's directory, not as given to --out
+    assert "matplotlib" in text and repr(out.name) in text and str(out) not in text
 
 
 def _run_plot_script(script, monkeypatch):
@@ -276,6 +277,19 @@ def test_plot_script_plots_the_csv_columns(tmp_path, monkeypatch, argv, xcol, yc
     assert [label for label, _, _ in plotted] == labels
     assert [x for _, xs, _ in plotted for x in xs] == [float(r[xcol]) for r in rows]
     assert [y for _, _, ys in plotted for y in ys] == [float(r[ycol]) for r in rows]
+
+
+def test_plot_script_reads_the_csv_next_to_it_from_any_directory(tmp_path, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["free-energy", "--length", "3", "--beta", "1,2",
+                 "--out", "sub/fe.csv", "--plot-script", "sub/plot.py"]) == 0
+    rows = _csv_rows(sub / "fe.csv")
+    for cwd in (sub, tmp_path.parent):
+        monkeypatch.chdir(cwd)
+        plotted = _run_plot_script(sub / "plot.py", monkeypatch)
+        assert [y for _, _, ys in plotted for y in ys] == [float(r["f"]) for r in rows]
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from magnonlab.operators import (
     assemble_projector_p,
     assemble_total_spin_squared,
     ground_multiplet_vector,
+    heisenberg_columns,
     occupancy_weight,
     tensor_product_heisenberg,
     verify_su2_representation,
@@ -313,3 +314,46 @@ def test_vectorized_assembly_repeats_loop_arithmetic_exactly(lattice, two_s):
         got = dict(zip(zip(op.rows.tolist(), op.cols.tolist()), op.vals.tolist()))
         assert len(op.vals) == len(expected)
         assert got == expected
+
+
+def _entries(rows, cols, vals):
+    return dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+
+
+def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors_and_mirror_columns():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(
+        ell=st.integers(2, 6),
+        two_s=st.integers(1, 3),
+        capped=st.booleans(),
+        data=st.data(),
+    )
+    def check(ell, two_s, capped, data):
+        n = data.draw(st.integers(0, two_s * ell if capped else 5), label="n")
+        lattice, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+        basis = enumerate_sector_basis(lattice, spin, n, capped=capped)
+        s, bonds = spin.s, lattice.bonds()
+        pairs = bonds + [(y, x) for x, y in bonds]
+        if not capped:
+            op = assemble_free_boson_t(basis)
+            expected = _loop_reference(basis, pairs, -s, False, lambda occ: 2.0 * s * sum(occ))
+            assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
+            return
+        expected = _loop_reference(
+            basis, pairs, -s, True,
+            lambda occ: sum(s * (occ[x] + occ[y]) - occ[x] * occ[y] for x, y in bonds),
+        )
+        op = assemble_heisenberg(basis)
+        assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
+        # the columns of the mirror representatives, as `spectra.parity_blocks` builds them
+        index = np.arange(basis.dim)
+        reps = index[basis.state_index(basis.states[:, ::-1]) >= index]
+        rows, cols, vals = heisenberg_columns(basis, reps)
+        rep_set = set(reps.tolist())
+        kept = {key: val for key, val in expected.items() if key[1] in rep_set}
+        assert len(vals) == len(kept) and _entries(rows, cols, vals) == kept
+
+    check()

@@ -12,6 +12,7 @@ from magnonlab.operators import (
     assemble_free_boson_t,
     assemble_heisenberg,
     assemble_total_spin_squared,
+    ground_multiplet_vector,
 )
 from magnonlab.spectra import (
     ResourceLimitError,
@@ -25,7 +26,7 @@ from magnonlab.spectra import (
     free_energy_from_eigenvalues,
     full_spectrum,
     gibbs_variational_upper,
-    parity_isometries,
+    parity_blocks,
     sector_energy_spin_pairs,
     spectral_gap,
 )
@@ -151,7 +152,46 @@ def test_spectral_gap_equals_full_spectrum_gap(ell, two_s):
     assert spectral_gap(lat, spin).gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
 
+def parity_isometries(basis):
+    """(Q_even, Q_odd): CSR isometries onto the reflection-even and
+    reflection-odd subspaces of a sector, the oracle of `parity_blocks`.
+
+    A pair i < mirror(i) gives the even column (e_i + e_j)/sqrt2 and the
+    odd column (e_i - e_j)/sqrt2; a palindrome gives the even column e_i.
+    Columns are ordered by the lower row of their pair.
+    """
+    mirror = basis.state_index(basis.states[:, ::-1])
+    rows = np.arange(basis.dim)
+    isometries = []
+    for sign, reps in ((1.0, rows[mirror >= rows]), (-1.0, rows[mirror > rows])):
+        partner = mirror[reps]
+        pair = partner != reps
+        weight = np.where(pair, math.sqrt(0.5), 1.0)
+        cols = np.arange(len(reps))
+        isometries.append(sp.csr_matrix(
+            (np.concatenate([weight, sign * weight[pair]]),
+             (np.concatenate([reps, partner[pair]]), np.concatenate([cols, cols[pair]]))),
+            shape=(basis.dim, len(reps)),
+        ))
+    return tuple(isometries)
+
+
 PARITY_CHAINS = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 9)]
+
+
+@pytest.mark.parametrize("ell,two_s", PARITY_CHAINS + [(ell, 3) for ell in range(2, 9)])
+def test_parity_blocks_equal_the_projected_sector(ell, two_s):
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    for n in range(two_s * ell + 1):
+        basis = enumerate_sector_basis(lat, spin, n)
+        h = assemble_heisenberg(basis).to_csr()
+        q_even, q_odd = parity_isometries(basis)
+        even, odd, u, c = parity_blocks(basis)
+        for block, q in ((even, q_even), (odd, q_odd)):
+            assert block.shape == (q.shape[1], q.shape[1])
+            assert np.abs((block - q.T @ h @ q).data).max(initial=0.0) <= 1e-14
+        np.testing.assert_allclose(u, q_even.T @ ground_multiplet_vector(basis), rtol=0, atol=1e-15)
+        assert c == pytest.approx(abs(h).sum(axis=1).max(), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
@@ -206,8 +246,11 @@ def test_lanczos_gap_is_bit_reproducible():
     [
         # a Ritz vector off by 1e-6 has a residual far above the bound
         (lambda theta, vecs: (theta, vecs + 1e-6 * np.roll(vecs, 1, axis=0)), "Ritz residual"),
-        # a lower Ritz value shifted off zero is no zero mode
-        (lambda theta, vecs: (theta + 1e-3, vecs), "zero mode"),
+        # a Ritz value off by 1e-3 no longer matches its vector
+        pytest.param(lambda theta, vecs: (theta + 1e-3, vecs), "Ritz residual",
+                     id="shifted-theta-Ritz residual"),
+        # a Ritz value at zero is a second zero mode
+        (lambda theta, vecs: (theta * 0, vecs), "zero mode"),
     ],
 )
 def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
@@ -221,6 +264,46 @@ def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
     monkeypatch.setattr(spectra.spla, "eigsh", spoiled)
     with pytest.raises(RuntimeError, match=message):
         spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
+
+
+class _CutChain(SpinLattice):
+    """Chain without its middle bond: two decoupled halves, still
+    reflection-symmetric."""
+
+    def bonds(self):
+        middle = self.nsites // 2 - 1
+        return [bond for bond in super().bonds() if bond != (middle, middle + 1)]
+
+
+def test_a_second_zero_mode_in_the_blocks_raises():
+    # each half of chain 8 at 2S=2 is a spin-4 ground multiplet; coupled to
+    # total spin T=0..8 they give 9 zero modes in the middle sector, five of
+    # them even, so the maximal-spin vector is a zero mode but not the only one
+    lattice = _CutChain(1, (8,))
+    basis = enumerate_sector_basis(lattice, SpinMagnitude(2), 8)
+    assert np.linalg.norm(assemble_heisenberg(basis).to_csr() @ ground_multiplet_vector(basis)) < 1e-12
+    with pytest.raises(RuntimeError, match="second zero mode"):
+        spectral_gap(lattice, SpinMagnitude(2))
+
+
+def test_spectral_gap_solves_each_block_once_with_k1_and_never_assembles_csr(monkeypatch):
+    from magnonlab import operators, spectra
+
+    ks = []
+    exact = spectra.spla.eigsh
+
+    def recorded(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return exact(*args, **kwargs)
+
+    def refuse(self):
+        raise AssertionError("HermitianOperator.to_csr called")
+
+    monkeypatch.setattr(spectra.spla, "eigsh", recorded)
+    monkeypatch.setattr(operators.HermitianOperator, "to_csr", refuse)
+    for ell, two_s in ((8, 2), (12, 1), (4, 1)):
+        spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
+    assert ks == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
