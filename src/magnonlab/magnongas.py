@@ -1,15 +1,16 @@
 """Closed-form ideal-magnon quantities: mode sets, free-energy sums and
-integrals, continuum constants, one-body occupations, the lower-bound
-budget, and the fully assembled finite-temperature upper and lower
-envelopes for the free energy of the chain (plus the 2d upper envelope).
+integrals, the leading continuum terms, one-body occupations, the
+lower-bound budget, and the fully assembled finite-temperature upper and
+lower envelopes for the free energy of the chain (plus the 2d upper
+envelope).
 
 Everything here is scalar/numpy arithmetic on explicit formulas; the
 only tunable is the proportionality constant in the box-size choice
 l ~ (beta S)^a (polylog), exposed as `scale` with default 1 and always
-reported next to results.  `scipy.special` and `scipy.integrate` are
-looked up where they are called (scipy loads them on first access), and
-the exact-ED budget imports `spectra` in its own branch, so the
-envelopes and the preliminary budget load no scipy submodule.
+reported next to results.  `scipy.integrate` is looked up where it is
+called (scipy loads it on first access), and the exact-ED budget
+imports `spectra` in its own branch, so the envelopes and the
+preliminary budget load no scipy submodule.
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ def free_boson_sum(
     Modes whose Boltzmann weight underflows contribute exactly zero and
     are skipped, so very large boxes stay cheap.
     """
-    if beta <= 0 or s <= 0:
-        raise ValueError(f"beta and S must be positive, got beta={beta}, S={s}")
+    if not (0 < beta < math.inf and s > 0):
+        raise ValueError(
+            f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
+        )
     if not 0.0 <= dilution < 1.0:
         raise ValueError(f"dilution must lie in [0, 1), got {dilution}")
     if ell < 2:
@@ -164,8 +167,7 @@ def free_boson_sum(
 
 
 # ---------------------------------------------------------------------------
-# integrals: adaptive quadrature with a thermal-wavelength substitution,
-# plus an independent Bessel-series route used as a cross-check oracle
+# integrals: adaptive quadrature with a thermal-wavelength substitution
 # ---------------------------------------------------------------------------
 
 class QuadratureError(ArithmeticError):
@@ -257,65 +259,22 @@ def _integral_2d_quad(x):
     return val
 
 
-# Bessel terms summed exactly before the zeta-corrected tail (at least 400/x).
-_SERIES_KMAX = 1200
-
-
-def _series_terms(x, kmax):
-    k = np.arange(1, kmax + 1, dtype=float)
-    return k, scipy.special.i0e(2.0 * x * k)
-
-
-def _integral_1d_series(x):
-    """Same integral through ln(1-y) = -sum y^k/k: each k-term integrates
-    to a scaled Bessel function, and the k-tail is summed with Hurwitz
-    zeta corrections from the Bessel asymptotics."""
-    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
-    k, b = _series_terms(x, kmax)
-    head = -math.pi * float(np.sum(b / k))
-    q = kmax + 1
-    pref = math.pi / math.sqrt(4.0 * math.pi * x)
-    tail = -pref * (
-        scipy.special.zeta(1.5, q)
-        + scipy.special.zeta(2.5, q) / (16.0 * x)
-        + 9.0 * scipy.special.zeta(3.5, q) / (512.0 * x**2)
-    )
-    return head + tail
-
-
-def _integral_2d_series(x):
-    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
-    k, b = _series_terms(x, kmax)
-    head = -math.pi**2 * float(np.sum(b**2 / k))
-    q = kmax + 1
-    pref = math.pi / (4.0 * x)
-    tail = -pref * (
-        scipy.special.zeta(2.0, q)
-        + scipy.special.zeta(3.0, q) / (8.0 * x)
-        + 5.0 * scipy.special.zeta(4.0, q) / (128.0 * x**2)
-    )
-    return head + tail
-
-
-def free_boson_integral(
-    beta: float, s: float, dimension: int, method: str = "quad"
-) -> float:
+def free_boson_integral(beta: float, s: float, dimension: int) -> float:
     """Continuum counterpart of the mode sum.
 
     1d: (1/(pi beta)) integral_0^pi ln(1 - e^{-beta S eps(p)}) dp;
-    2d: (1/(pi^2 beta)) over [0, pi]^2.  `method="quad"` is the adaptive
-    quadrature contract (relative 1e-10); `method="series"` is the
-    independent Bessel/Hurwitz evaluation kept as a cross-check.
+    2d: (1/(pi^2 beta)) over [0, pi]^2, by adaptive quadrature to
+    relative 1e-10.
     """
-    if beta <= 0 or s <= 0:
-        raise ValueError(f"beta and S must be positive, got beta={beta}, S={s}")
+    if not (0 < beta < math.inf and s > 0):
+        raise ValueError(
+            f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
+        )
     x = beta * s
     if dimension == 1:
-        raw = _integral_1d_quad(x) if method == "quad" else _integral_1d_series(x)
-        return raw / (math.pi * beta)
+        return _integral_1d_quad(x) / (math.pi * beta)
     if dimension == 2:
-        raw = _integral_2d_quad(x) if method == "quad" else _integral_2d_series(x)
-        return raw / (math.pi**2 * beta)
+        return _integral_2d_quad(x) / (math.pi**2 * beta)
     raise ValueError(f"dimension must be 1 or 2, got {dimension}")
 
 
@@ -330,38 +289,6 @@ def missing_mode_term(ell: int, beta: float, s: float) -> float:
     u_hi = min(math.pi / (ell + 1) * rx, 45.0)
     val, _ = _log_occupation_integral(x, 0.0, u_hi)
     return -val / (rx * math.pi * beta)
-
-
-@dataclass
-class AsymptoticConstants:
-    c1: float
-    c2: float
-    c1_quadrature: float
-
-
-def continuum_constants() -> AsymptoticConstants:
-    """The two leading low-temperature constants.
-
-    c1 = (1/2pi) integral_R ln(1-e^{-p^2}) dp, evaluated both by
-    quadrature and as -zeta(3/2)/(2 sqrt pi); the two must agree to
-    1e-10 or an internal-consistency error is raised.  c2 = -pi/24
-    (equivalently -zeta(2)/(4 pi)).
-    """
-    c1_series = -scipy.special.zeta(1.5, 1) / (2.0 * math.sqrt(math.pi))
-
-    def g(p):
-        return log_one_minus_exp(p * p)
-
-    v1, _ = _quad(g, 0.0, 1.0)
-    v2, _ = _quad(g, 1.0, np.inf)
-    c1_quad = (v1 + v2) / math.pi
-    if abs(c1_quad - c1_series) > 1e-10:
-        raise ArithmeticError(
-            f"quadrature/series disagreement for c1: {c1_quad} vs {c1_series}"
-        )
-    c2 = -math.pi / 24.0
-    assert abs(c2 + scipy.special.zeta(2.0, 1) / (4.0 * math.pi)) < 1e-14
-    return AsymptoticConstants(c1=c1_series, c2=c2, c1_quadrature=c1_quad)
 
 
 # zeta(3/2) as a literal, bit-identical to scipy.special.zeta(1.5, 1), so

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .basis import MagnonSectorBasis, SpinLattice, SpinMagnitude
+from .basis import MagnonSectorBasis, SpinMagnitude
 
 
 @dataclass
@@ -255,7 +255,7 @@ def ground_multiplet_vector(basis: MagnonSectorBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-site spin matrices and the tensor-product assembly oracle
+# single-site spin matrices
 # ---------------------------------------------------------------------------
 
 def boson_spin_matrices(spin: SpinMagnitude):
@@ -275,19 +275,6 @@ def boson_spin_matrices(spin: SpinMagnitude):
     sm_ = sp_.T.copy()
     s3 = np.diag(np.arange(d, dtype=float) - s)
     return sp_, sm_, s3
-
-
-def ladder_spin_matrices(spin: SpinMagnitude):
-    """(S+, S-, S3) from the textbook m-projection ladder, ordered by
-    increasing S3 to align with the occupation labeling."""
-    s = spin.s
-    proj = np.arange(-s, s + 1, 1.0)
-    d = len(proj)
-    sp_ = np.zeros((d, d))
-    for k in range(d - 1):
-        m = proj[k]
-        sp_[k + 1, k] = math.sqrt(s * (s + 1) - m * (m + 1))
-    return sp_, sp_.T.copy(), np.diag(proj)
 
 
 def verify_su2_representation(spin: SpinMagnitude, site_dim_check: int):
@@ -312,33 +299,3 @@ def verify_su2_representation(spin: SpinMagnitude, site_dim_check: int):
     s = spin.s
     res.append(np.abs(casimir - s * (s + 1) * np.eye(spin.site_dim)).max())
     return {"max_residual": float(max(res)), "residuals": [float(r) for r in res]}
-
-
-def tensor_product_heisenberg(lattice: SpinLattice, spin: SpinMagnitude) -> np.ndarray:
-    """Dense Heisenberg Hamiltonian on the full tensor-product space.
-
-    Independent assembly path used as an oracle against the sector
-    blocks: sum over bonds of S^2 - S3 S3 - (S+ S- + S- S+)/2 built by
-    Kronecker products of single-site ladder matrices.
-    """
-    d = spin.site_dim
-    m = lattice.nsites
-    dim = d**m
-    if dim > 1 << 20:
-        raise ValueError(f"tensor-product dimension {dim} exceeds the oracle cap")
-    sp_, sm_, s3 = ladder_spin_matrices(spin)
-    eye = np.eye(d)
-
-    def site_op(op, site):
-        out = np.array([[1.0]])
-        for k in range(m):
-            out = np.kron(out, op if k == site else eye)
-        return out
-
-    s = spin.s
-    h = np.zeros((dim, dim))
-    for x, y in lattice.bonds():
-        spx, smx, szx = site_op(sp_, x), site_op(sm_, x), site_op(s3, x)
-        spy, smy, szy = site_op(sp_, y), site_op(sm_, y), site_op(s3, y)
-        h += s * s * np.eye(dim) - szx @ szy - 0.5 * (spx @ smy + smx @ spy)
-    return h

@@ -13,7 +13,8 @@ the mirror representatives (`parity_blocks`).  One lowest eigenvalue
 per block gives the gap: the even block is deflated by its known zero
 mode, and each block is solved densely when small and by a k=1 Lanczos
 solve otherwise, checked by its residual.  `full_spectrum` stays
-unreduced.
+unreduced: it holds one dense sector at a time and diagonalizes it in
+its own storage.
 """
 
 from __future__ import annotations
@@ -103,7 +104,13 @@ def full_spectrum(
     spin: SpinMagnitude,
     variant: str = "free",
 ) -> SectorSpectrum:
-    """Dense eigenvalues of every magnon sector.
+    """Dense eigenvalues of every magnon sector, ascending per sector.
+
+    One sector is held at a time and solved in place: the block is freed
+    before the next one is built, and LAPACK overwrites it instead of
+    copying it, so a sector at `DENSE_SECTOR_CAP` = 6000 states costs
+    its 288 MB once, not twice.  `check_finite` stays on, so a NaN or
+    inf in a block raises ValueError.
 
     Raises ResourceLimitError when the total Hilbert dimension exceeds
     `DEFAULT_DIM_CAP` or any single sector exceeds `DENSE_SECTOR_CAP`;
@@ -116,16 +123,20 @@ def full_spectrum(
             f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
             "restrict to individual sectors instead"
         )
-    sector_eigs = [
-        np.sort(sla.eigvalsh(h)) for _, h in dense_sectors(lattice, spin, variant=variant)
-    ]
+    sector_eigs = []
+    for _, h in dense_sectors(lattice, spin, variant=variant):
+        # h is bitwise symmetric, so h.T is the same matrix in Fortran
+        # order and LAPACK overwrites it without a copy; dsyevr returns
+        # the eigenvalues ascending
+        sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
+        del h  # free the block before the next one is built
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
 def free_energy_from_eigenvalues(eigenvalues, beta: float, nsites: int) -> float:
     """f = -(1/(beta*M)) ln sum exp(-beta E), max-shifted for overflow safety."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     return float(-logsumexp(-beta * np.asarray(eigenvalues)) / (beta * nsites))
 
 
@@ -143,8 +154,8 @@ def chain_free_energy(
     if ell == 1:
         if variant != "free":
             raise ValueError("single-site chain is only defined for the free variant")
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
+        if not 0 < beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
         return -math.log(spin.site_dim) / beta
     spectrum = full_spectrum(SpinLattice.chain(ell), spin, variant)
     return free_energy(spectrum, beta)

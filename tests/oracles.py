@@ -1,0 +1,155 @@
+"""Independent reference computations the tests check the package against.
+
+None of these is reached by the command line or the certificate suites:
+the tensor-product Hamiltonian (built from the textbook m-projection
+ladder, not the occupation ladder the sector assemblies use), the
+Bessel/Hurwitz series for the continuum integrals, and the continuum
+constants evaluated both by quadrature and in closed form.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.special
+
+from magnonlab.basis import SpinLattice, SpinMagnitude
+from magnonlab.magnongas import _quad, log_one_minus_exp
+
+# ---------------------------------------------------------------------------
+# tensor-product Hamiltonian
+# ---------------------------------------------------------------------------
+
+
+def ladder_spin_matrices(spin: SpinMagnitude):
+    """(S+, S-, S3) from the textbook m-projection ladder, ordered by
+    increasing S3 to align with the occupation labeling."""
+    s = spin.s
+    proj = np.arange(-s, s + 1, 1.0)
+    d = len(proj)
+    sp_ = np.zeros((d, d))
+    for k in range(d - 1):
+        m = proj[k]
+        sp_[k + 1, k] = math.sqrt(s * (s + 1) - m * (m + 1))
+    return sp_, sp_.T.copy(), np.diag(proj)
+
+
+def tensor_product_heisenberg(lattice: SpinLattice, spin: SpinMagnitude) -> np.ndarray:
+    """Dense Heisenberg Hamiltonian on the full tensor-product space:
+    sum over bonds of S^2 - S3 S3 - (S+ S- + S- S+)/2 built by Kronecker
+    products of single-site ladder matrices."""
+    d = spin.site_dim
+    m = lattice.nsites
+    dim = d**m
+    if dim > 1 << 20:
+        raise ValueError(f"tensor-product dimension {dim} exceeds the oracle cap")
+    sp_, sm_, s3 = ladder_spin_matrices(spin)
+    eye = np.eye(d)
+
+    def site_op(op, site):
+        out = np.array([[1.0]])
+        for k in range(m):
+            out = np.kron(out, op if k == site else eye)
+        return out
+
+    s = spin.s
+    h = np.zeros((dim, dim))
+    for x, y in lattice.bonds():
+        spx, smx, szx = site_op(sp_, x), site_op(sm_, x), site_op(s3, x)
+        spy, smy, szy = site_op(sp_, y), site_op(sm_, y), site_op(s3, y)
+        h += s * s * np.eye(dim) - szx @ szy - 0.5 * (spx @ smy + smx @ spy)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# continuum integrals through the Bessel series with a Hurwitz-zeta tail
+# ---------------------------------------------------------------------------
+
+# Bessel terms summed exactly before the zeta-corrected tail (at least 400/x).
+_SERIES_KMAX = 1200
+
+
+def _series_terms(x, kmax):
+    k = np.arange(1, kmax + 1, dtype=float)
+    return k, scipy.special.i0e(2.0 * x * k)
+
+
+def _integral_1d_series(x):
+    """integral over [0, pi] of ln(1 - e^{-x eps(p)}) dp through
+    ln(1-y) = -sum y^k/k: each k-term integrates to a scaled Bessel
+    function, and the k-tail is summed with Hurwitz zeta corrections
+    from the Bessel asymptotics."""
+    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
+    k, b = _series_terms(x, kmax)
+    head = -math.pi * float(np.sum(b / k))
+    q = kmax + 1
+    pref = math.pi / math.sqrt(4.0 * math.pi * x)
+    tail = -pref * (
+        scipy.special.zeta(1.5, q)
+        + scipy.special.zeta(2.5, q) / (16.0 * x)
+        + 9.0 * scipy.special.zeta(3.5, q) / (512.0 * x**2)
+    )
+    return head + tail
+
+
+def _integral_2d_series(x):
+    kmax = max(_SERIES_KMAX, int(math.ceil(400.0 / x)))
+    k, b = _series_terms(x, kmax)
+    head = -math.pi**2 * float(np.sum(b**2 / k))
+    q = kmax + 1
+    pref = math.pi / (4.0 * x)
+    tail = -pref * (
+        scipy.special.zeta(2.0, q)
+        + scipy.special.zeta(3.0, q) / (8.0 * x)
+        + 5.0 * scipy.special.zeta(4.0, q) / (128.0 * x**2)
+    )
+    return head + tail
+
+
+def free_boson_integral_series(beta: float, s: float, dimension: int) -> float:
+    """`magnongas.free_boson_integral` evaluated through the series."""
+    x = beta * s
+    if dimension == 1:
+        return _integral_1d_series(x) / (math.pi * beta)
+    if dimension == 2:
+        return _integral_2d_series(x) / (math.pi**2 * beta)
+    raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+
+
+# ---------------------------------------------------------------------------
+# continuum constants
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class AsymptoticConstants:
+    c1: float
+    c2: float
+    c1_quadrature: float
+
+
+def continuum_constants() -> AsymptoticConstants:
+    """The two leading low-temperature constants.
+
+    c1 = (1/2pi) integral_R ln(1-e^{-p^2}) dp, evaluated both by
+    quadrature and as -zeta(3/2)/(2 sqrt pi); the two must agree to
+    1e-10 or an internal-consistency error is raised.  c2 = -pi/24
+    (equivalently -zeta(2)/(4 pi)).
+    """
+    c1_series = -scipy.special.zeta(1.5, 1) / (2.0 * math.sqrt(math.pi))
+
+    def g(p):
+        return log_one_minus_exp(p * p)
+
+    v1, _ = _quad(g, 0.0, 1.0)
+    v2, _ = _quad(g, 1.0, np.inf)
+    c1_quad = (v1 + v2) / math.pi
+    if abs(c1_quad - c1_series) > 1e-10:
+        raise ArithmeticError(
+            f"quadrature/series disagreement for c1: {c1_quad} vs {c1_series}"
+        )
+    c2 = -math.pi / 24.0
+    assert abs(c2 + scipy.special.zeta(2.0, 1) / (4.0 * math.pi)) < 1e-14
+    return AsymptoticConstants(c1=c1_series, c2=c2, c1_quadrature=c1_quad)

@@ -28,14 +28,14 @@ from magnonlab.boundlab import (
 )
 from magnonlab.checks import run_check
 from magnonlab.magnongas import (
-    continuum_constants,
     free_boson_integral,
     leading_term,
     lower_envelope,
     upper_envelope,
 )
-from magnonlab.operators import assemble_heisenberg, tensor_product_heisenberg
+from magnonlab.operators import assemble_heisenberg
 from magnonlab.spectra import free_energy, full_spectrum, spectral_gap
+from oracles import continuum_constants, tensor_product_heisenberg
 
 SEED = 20260811
 UPPER_SCALE = 0.5  # box-size prefactors pinned for the desk-scale grid

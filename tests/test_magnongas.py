@@ -6,10 +6,8 @@ from scipy import integrate
 
 from magnonlab import magnongas
 from magnonlab.magnongas import (
-    AsymptoticConstants,
     choose_box_lower,
     choose_box_upper,
-    continuum_constants,
     delta_dilution,
     dirichlet_modes,
     dispersion,
@@ -24,6 +22,7 @@ from magnonlab.magnongas import (
     upper_envelope,
     wick_occupation,
 )
+from oracles import AsymptoticConstants, continuum_constants, free_boson_integral_series
 
 C1 = -2.6123753486854883 / (2.0 * math.sqrt(math.pi))
 
@@ -121,8 +120,8 @@ def test_integral_quad_vs_series_dual_route():
     for x in (1.0, 37.0, 1e4, 1e7):
         beta, s = 2 * x, 0.5
         for dim in (1, 2):
-            q = free_boson_integral(beta, s, dim, method="quad")
-            r = free_boson_integral(beta, s, dim, method="series")
+            q = free_boson_integral(beta, s, dim)
+            r = free_boson_integral_series(beta, s, dim)
             assert abs(q - r) <= 1e-10 * abs(r)
 
 
@@ -342,6 +341,15 @@ def test_box_choice_rejects_a_scale_that_is_not_positive_and_finite(scale):
         choose_box_upper(1e6, 2, scale=scale)
     with pytest.raises(ValueError, match="lower-envelope box scale"):
         choose_box_lower(2e4, 0.5, scale=scale)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_free_boson_sum_and_integral_reject_a_beta_that_is_not_positive_and_finite(beta):
+    with pytest.raises(ValueError, match="beta"):
+        free_boson_sum(8, 1, beta, 0.5)
+    for dimension in (1, 2):
+        with pytest.raises(ValueError, match="beta"):
+            free_boson_integral(beta, 0.5, dimension)
 
 
 def test_zeta_literals_equal_scipy_bit_for_bit():

@@ -17,9 +17,9 @@ from magnonlab.operators import (
     ground_multiplet_vector,
     heisenberg_columns,
     occupancy_weight,
-    tensor_product_heisenberg,
     verify_su2_representation,
 )
+from oracles import tensor_product_heisenberg
 
 
 def sector_eigs(op):

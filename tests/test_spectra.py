@@ -104,6 +104,14 @@ def test_single_site_chain_free_energy():
     )
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_free_energies_reject_a_beta_that_is_not_positive_and_finite(beta):
+    with pytest.raises(ValueError, match="beta"):
+        free_energy_from_eigenvalues([0.0, 1.0], beta, 2)
+    with pytest.raises(ValueError, match="beta"):
+        chain_free_energy(1, SpinMagnitude(1), beta)
+
+
 def test_dirichlet_dominates_free():
     for ell, two_s in ((3, 1), (4, 1), (3, 2)):
         spin = SpinMagnitude(two_s)
@@ -477,6 +485,72 @@ def test_dense_sectors_yield_every_sector_in_order(variant, assemble):
         assert np.array_equal(h, assemble(reference).to_dense())
     ((basis, _),) = dense_sectors(lattice, spin, [3])
     assert basis.n == 3
+
+
+@pytest.mark.parametrize("variant", ["free", "dirichlet"])
+def test_every_dense_sector_block_is_bitwise_symmetric(variant):
+    # full_spectrum hands LAPACK h.T in place of h: bit-identical only if h == h.T exactly
+    cases = [
+        (SpinLattice.chain(ell), two_s)
+        for two_s, longest in ((1, 14), (2, 8), (3, 6))
+        for ell in range(2, longest + 1)
+    ]
+    if variant == "free":
+        cases += [(SpinLattice.square(2), 1), (SpinLattice.square(2), 2), (SpinLattice.square(3), 1)]
+    for lattice, two_s in cases:
+        for basis, h in dense_sectors(lattice, SpinMagnitude(two_s), variant=variant):
+            assert np.array_equal(h, h.T), (lattice.nsites, two_s, basis.n)
+
+
+@pytest.mark.parametrize(
+    "lattice,two_s,variant",
+    [
+        (SpinLattice.chain(12), 1, "free"),
+        (SpinLattice.chain(12), 1, "dirichlet"),
+        (SpinLattice.chain(8), 2, "free"),
+        (SpinLattice.chain(8), 2, "dirichlet"),
+        (SpinLattice.square(3), 1, "free"),
+    ],
+    ids=["chain12-free", "chain12-dirichlet", "chain8-2S2-free", "chain8-2S2-dirichlet", "square3"],
+)
+def test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit(lattice, two_s, variant):
+    spin = SpinMagnitude(two_s)
+    spectrum = full_spectrum(lattice, spin, variant)
+    sectors = dense_sectors(lattice, spin, variant=variant)
+    for n, (eigs, (_, h)) in enumerate(zip(spectrum.sector_eigenvalues, sectors, strict=True)):
+        assert np.array_equal(eigs, np.sort(sla.eigvalsh(h))), n
+        assert np.all(np.diff(eigs) >= 0), n
+
+
+def test_full_spectrum_holds_one_sector_and_solves_it_in_place():
+    import tracemalloc
+
+    largest_sector_bytes = 8 * 924**2  # chain 12, S=1/2, n=6
+    tracemalloc.start()
+    try:
+        full_spectrum(SpinLattice.chain(12), SpinMagnitude(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a LAPACK copy of the block, or the previous block kept alive, each add 1.0
+    assert peak <= 1.25 * largest_sector_bytes
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_sector_block_raises_from_full_spectrum(monkeypatch, bad):
+    from magnonlab import spectra
+
+    exact = spectra.dense_sectors
+
+    def spoiled(*args, **kwargs):
+        for basis, h in exact(*args, **kwargs):
+            if basis.n == 2:
+                h[1, 1] = bad
+            yield basis, h
+
+    monkeypatch.setattr(spectra, "dense_sectors", spoiled)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        full_spectrum(SpinLattice.chain(4), SpinMagnitude(1))
 
 
 def _forbid_enumeration(monkeypatch):
