@@ -122,6 +122,13 @@ def _active_mode_count(ell, x_eff, family):
     return min(ell, int(math.ceil(p_star * denom / math.pi)) + 1)
 
 
+def _require_beta(beta, s):
+    if not (0 < beta < math.inf and s > 0):
+        raise ValueError(
+            f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
+        )
+
+
 def free_boson_sum(
     ell: int,
     dimension: int,
@@ -138,10 +145,7 @@ def free_boson_sum(
     Modes whose Boltzmann weight underflows contribute exactly zero and
     are skipped, so very large boxes stay cheap.
     """
-    if not (0 < beta < math.inf and s > 0):
-        raise ValueError(
-            f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
-        )
+    _require_beta(beta, s)
     if not 0.0 <= dilution < 1.0:
         raise ValueError(f"dilution must lie in [0, 1), got {dilution}")
     if ell < 2:
@@ -266,10 +270,7 @@ def free_boson_integral(beta: float, s: float, dimension: int) -> float:
     2d: (1/(pi^2 beta)) over [0, pi]^2, by adaptive quadrature to
     relative 1e-10.
     """
-    if not (0 < beta < math.inf and s > 0):
-        raise ValueError(
-            f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
-        )
+    _require_beta(beta, s)
     x = beta * s
     if dimension == 1:
         return _integral_1d_quad(x) / (math.pi * beta)
@@ -282,6 +283,7 @@ def missing_mode_term(ell: int, beta: float, s: float) -> float:
     """-(1/(pi beta)) integral_0^{pi/(l+1)} ln(1 - e^{-beta S eps}) dp:
     the positive low-momentum mass a pinned box of size l cannot carry;
     decays like ln(l^2/(beta S))/(beta l) for l >> sqrt(beta S)."""
+    _require_beta(beta, s)
     if ell < 2:
         raise ValueError(f"box size must be >= 2, got {ell}")
     x = beta * s
@@ -300,6 +302,7 @@ _C2 = -math.pi / 24.0
 
 def leading_term(beta: float, s: float, dimension: int) -> float:
     """c1 S^{-1/2} beta^{-3/2} (1d) or c2 S^{-1} beta^{-2} (2d)."""
+    _require_beta(beta, s)
     if dimension == 1:
         return _C1 / (math.sqrt(s) * beta**1.5)
     if dimension == 2:
@@ -314,6 +317,7 @@ def wick_occupation(ell: int, dimension: int, beta: float, s: float, site):
     Returns (value, cap): value = sum_p |phi_p(x)|^2 / (e^{beta S eps(p)} - 1);
     cap = (pi^2/12)(l+1)/(beta S) in 1d, (pi/2) ln(1+2l)/(beta S) in 2d.
     """
+    _require_beta(beta, s)
     modes = dirichlet_modes(ell, dimension)
     x = beta * s
     with np.errstate(over="ignore"):
@@ -330,6 +334,7 @@ def trace_ratio_lower_bound(ell: int, dimension: int, beta: float, s: float) -> 
     """Closed-form lower bound on the ratio of the projected to the plain
     free-boson trace; may be negative, in which case it is useless and
     the caller must flag the composed bound as vacuous."""
+    _require_beta(beta, s)
     x = beta * s
     if dimension == 1:
         return 1.0 - (math.pi**2 / 12.0) ** 2 * ell * (ell + 1) ** 2 / x**2
@@ -341,6 +346,7 @@ def trace_ratio_lower_bound(ell: int, dimension: int, beta: float, s: float) -> 
 def entropy_error_term(ell: int, dimension: int, beta: float, s: float) -> float:
     """Additive entropy-estimate error (the trace-ratio prefactor is
     composed by the caller)."""
+    _require_beta(beta, s)
     x = beta * s
     if dimension == 1:
         return (
@@ -375,6 +381,7 @@ def preliminary_free_energy_bound(beta: float, s: float, ell: int) -> float:
     pieces of size in [ceil(l0/2), 2 ceil(l0/2) - 1] and the worst piece
     bounds the whole by subadditivity.
     """
+    _require_beta(beta, s)
     x = beta * s
     if x <= 1.0:
         raise ValueError(f"the preliminary bound needs beta*S > 1, got {x}")
@@ -561,6 +568,7 @@ def upper_envelope(
     the trivially true f <= 0 is reported with informative=False; the
     same flag is cleared if the assembled value fails to be negative.
     """
+    _require_beta(beta, s)
     x = beta * s
     ell = choose_box_upper(x, dimension, scale)
     r = trace_ratio_lower_bound(ell, dimension, beta, s)
@@ -617,6 +625,7 @@ def lower_envelope(
     vacuous and the coarse preliminary bound is reported instead, with
     informative=False.
     """
+    _require_beta(beta, s)
     x = beta * s
     ell = choose_box_lower(beta, s, scale)
     budget = compute_budget(ell, beta, s, e0_source=e0_source)

@@ -11,8 +11,9 @@ states), which holds every distinct eigenvalue, and builds its
 reflection-even and reflection-odd blocks directly from the columns of
 the mirror representatives (`parity_blocks`).  One lowest eigenvalue
 per block gives the gap: the even block is deflated by its known zero
-mode, and each block is solved densely when small and by a k=1 Lanczos
-solve otherwise, checked by its residual.  `full_spectrum` stays
+mode, and each block is solved densely when small and otherwise by
+`lanczos`, an unrestarted three-term recurrence that stores no Krylov
+basis, checked by its residual.  `full_spectrum` stays
 unreduced: it holds one dense sector at a time and diagonalizes it in
 its own storage.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.special import comb, factorial, logsumexp
 
 from .basis import (
@@ -175,20 +175,30 @@ class GapReport:
     solver: str  # "dense" | "lanczos" (Lanczos on at least one block)
     residual: float  # largest Ritz residual ||Hv - theta v||; 0.0 for dense
     block_dims: tuple  # (even, odd) reflection-parity block dimensions
+    matvecs: int  # Lanczos operator applications over both blocks; 0 for dense
 
 
 # Parity blocks up to this size are solved densely (the cap applies to
-# each block on its own): ARPACK needs k < dim, and on 2 CPUs a dense
-# solve takes under 1.5 ms up to 155 states against 2-7 ms for Lanczos.
-# Between 200 and 460 states the two differ by a few ms either way; at
-# 580 Lanczos is 3x faster, and dense cost grows as dim^3.
+# each block on its own).  The dense path is also the one that handles
+# the 1-state even block of l=2: its only vector is the zero mode u, so
+# its one Ritz value is the shift c, which fails the residual check on
+# the undeflated block.  On 2 CPUs
+# a dense solve takes 0.3-2.8 ms up to 200 states against 2-5 ms for
+# `lanczos`; at 226-236 states the two are within 3 ms either way, at
+# 290 `lanczos` is 1.5-2x faster and at 450-560 2-4x, and dense cost
+# grows as dim^3.
 _DENSE_GAP_CAP = 200
 # Fixed seed of the Lanczos start vector, so a gap is bit-reproducible.
 _LANCZOS_SEED = 20260811
+# Relative Lanczos residual estimate at which the lowest Ritz value stops.
+_LANCZOS_TOL = 1e-13
 # Largest Ritz residual accepted.  For a symmetric H some eigenvalue lies
 # within ||Hv - theta v|| of theta, so this bounds the error of the gap
 # well inside its 1e-9 acceptance tolerance.
 _RITZ_RESIDUAL_BOUND = 1e-10
+# A Lanczos beta at or below this multiple of the operator scale seen so
+# far is roundoff: the Krylov space is invariant and the run stops.
+_BREAKDOWN_FACTOR = 1e-12
 
 
 def parity_blocks(basis: MagnonSectorBasis):
@@ -234,31 +244,88 @@ def parity_blocks(basis: MagnonSectorBasis):
     return even, odd, u, c
 
 
+def lanczos(apply, dim, seed, maxiter=5000):
+    """Lowest eigenpair (theta, x) of the symmetric operator `apply` on
+    R^dim by unrestarted three-term Lanczos from a seeded Gaussian start
+    vector, with no reorthogonalization and no stored Krylov basis.
+
+    The first pass keeps only the tridiagonal coefficients alpha_j,
+    beta_j.  Every 10 steps it takes the lowest eigenpair (theta, y) of
+    T_m and stops once the residual estimate |beta_{m+1} y_m| is at most
+    `_LANCZOS_TOL` * max(1, |theta|); lost orthogonality only adds ghost copies
+    above the extreme Ritz value, which converges regardless.  A second
+    pass repeats the recurrence with the stored coefficients, so it
+    rebuilds the same vectors v_j, and returns x = sum_j y_j v_j / ||.||.
+    A beta at roundoff of the operator scale means the Krylov space is
+    invariant: the run stops there, with theta exact on that space.
+    Inner products are taken as (w * v).sum(): on vectors of this size a
+    BLAS dot product can cost as much as the sparse product itself.
+    Raises RuntimeError when maxiter steps do not converge.
+    """
+    start = np.random.default_rng(seed).standard_normal(dim)
+    start /= np.linalg.norm(start)
+    alphas, betas = [], []
+    v_prev, v, beta = np.zeros(dim), start, 0.0
+    scale = 0.0
+    for m in range(1, maxiter + 1):
+        w = apply(v)
+        alpha = float((w * v).sum())
+        w -= alpha * v
+        w -= beta * v_prev
+        beta = math.sqrt((w * w).sum())
+        alphas.append(alpha)
+        betas.append(beta)
+        scale = max(scale, abs(alpha) + beta)
+        invariant = beta <= _BREAKDOWN_FACTOR * scale
+        if invariant or m % 10 == 0:
+            (theta,), y = sla.eigh_tridiagonal(
+                alphas, betas[:-1], select="i", select_range=(0, 0)
+            )
+            if invariant or abs(beta * y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta)):
+                break
+        v_prev, v = v, w / beta
+    else:
+        raise RuntimeError(f"Lanczos did not converge in {maxiter} steps")
+    x = y[0, 0] * start
+    v_prev, v, beta = np.zeros(dim), start, 0.0
+    for j in range(m - 1):
+        w = apply(v)
+        w -= alphas[j] * v
+        w -= beta * v_prev
+        beta = betas[j]
+        v_prev, v = v, w / beta
+        x += y[j + 1, 0] * v
+    return float(theta), x / np.linalg.norm(x)
+
+
 def _lowest_eigenvalue(block, deflate=None):
-    """Lowest eigenvalue of a symmetric CSR block, or of block + c u u^T
-    when `deflate` is (c, u), and the Ritz residual ||Bx - theta x|| of
-    its vector on the undeflated block B.  Dense `eigvalsh` (residual
-    0.0) up to `_DENSE_GAP_CAP` states, a seeded k=1 Lanczos solve
-    above.  The rank-one term is applied as u * (u * x).sum(): a BLAS
-    dot product inside the ARPACK callback costs more than the sparse
-    product itself on this path."""
+    """(theta, residual, matvecs): the lowest eigenvalue of a symmetric
+    CSR block, or of block + c u u^T when `deflate` is (c, u), the Ritz
+    residual ||Bx - theta x|| of its vector on the undeflated block B,
+    and the number of operator applications.  Dense `eigvalsh`
+    (residual 0.0, no applications) up to `_DENSE_GAP_CAP` states,
+    `lanczos` above, with the rank-one term applied as u * (u * x).sum()
+    for the reason given there."""
     dim = block.shape[0]
     if dim <= _DENSE_GAP_CAP:
         dense = block.toarray()
         if deflate is not None:
             c, u = deflate
             dense += c * np.outer(u, u)
-        return float(sla.eigvalsh(dense)[0]), 0.0
-    op = block
-    if deflate is not None:
-        c, u = deflate
-        op = spla.LinearOperator(
-            block.shape, matvec=lambda x: block @ x + c * u * (u * x).sum(), dtype=block.dtype
-        )
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(dim)
-    (theta,), vecs = spla.eigsh(op, k=1, which="SA", v0=start, tol=1e-13, maxiter=20000)
-    x = vecs[:, 0]
-    return float(theta), float(np.linalg.norm(block @ x - theta * x))
+        return float(sla.eigvalsh(dense)[0]), 0.0, 0
+    matvecs = 0
+
+    def apply(x):
+        nonlocal matvecs
+        matvecs += 1
+        y = block @ x
+        if deflate is not None:
+            c, u = deflate
+            y += c * u * (u * x).sum()
+        return y
+
+    theta, x = lanczos(apply, dim, _LANCZOS_SEED)
+    return theta, float(np.linalg.norm(block @ x - theta * x)), matvecs
 
 
 def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
@@ -276,8 +343,9 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     of the spectrum) and the lowest eigenvalue of the odd block; the
     parity of the gap mode is not assumed.  Each block is solved by a
     dense `eigvalsh` while it has at most `_DENSE_GAP_CAP` states and
-    by a k=1 Lanczos solve (`eigsh`, seeded random start vector, so
-    gaps are bit-reproducible) above that.
+    by `lanczos` (seeded random start vector, so gaps are
+    bit-reproducible) above that; `matvecs` counts its operator
+    applications.
 
     Raises ResourceLimitError, before enumerating, when the middle sector
     has more than `DEFAULT_DIM_CAP` states.  With the tolerance
@@ -300,8 +368,8 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
             f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
             f"exceeds {tol:.1e}"
         )
-    even_theta, even_resid = _lowest_eigenvalue(even, (c, u))
-    odd_theta, odd_resid = _lowest_eigenvalue(odd)
+    even_theta, even_resid, even_matvecs = _lowest_eigenvalue(even, (c, u))
+    odd_theta, odd_resid, odd_matvecs = _lowest_eigenvalue(odd)
     gap = min(even_theta, odd_theta)
     residual = max(even_resid, odd_resid)
     dims = (even.shape[0], odd.shape[0])
@@ -317,7 +385,8 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     solver = "dense" if max(dims) <= _DENSE_GAP_CAP else "lanczos"
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual, dims
+        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual, dims,
+        even_matvecs + odd_matvecs,
     )
 
 

@@ -487,6 +487,15 @@ def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
 
 # Each command runs in a fresh interpreter: the in-process tests above
 # have already loaded every layer.
+def _run_fresh(cwd, script, argv):
+    """stdout of `script` run with `argv` in a fresh interpreter."""
+    src = str(Path(magnonlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, check=True)
+    return proc.stdout
+
+
 LOADED_SCIPY = """
 import json, sys
 from magnonlab.cli import main
@@ -512,11 +521,27 @@ print(json.dumps(sorted(
     ],
 )
 def test_closed_form_commands_load_no_scipy_subpackage(tmp_path, argv):
-    src = str(Path(magnonlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", LOADED_SCIPY, *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == []
+    assert json.loads(_run_fresh(tmp_path, LOADED_SCIPY, argv)) == []
+
+
+LOADED_SPARSE_LINALG = """
+import sys
+from magnonlab.cli import main
+code = main(sys.argv[1:])
+assert code == 0, code
+print("scipy.sparse.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--length", "3", "--beta", "1", "--out", "fe.csv"],
+        ["verify", "--check", "casimir", "--ell", "4", "--two-s", "1"],
+    ],
+)
+def test_exact_diagonalization_commands_leave_sparse_linalg_unloaded(tmp_path, argv):
+    assert _run_fresh(tmp_path, LOADED_SPARSE_LINALG, argv).splitlines()[-1] == "False"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

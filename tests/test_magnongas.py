@@ -352,6 +352,24 @@ def test_free_boson_sum_and_integral_reject_a_beta_that_is_not_positive_and_fini
             free_boson_integral(beta, 0.5, dimension)
 
 
+BETA_TAKERS = {
+    "missing_mode_term": lambda beta: missing_mode_term(8, beta, 0.5),
+    "leading_term": lambda beta: leading_term(beta, 0.5, 1),
+    "wick_occupation": lambda beta: wick_occupation(8, 1, beta, 0.5, 3),
+    "trace_ratio_lower_bound": lambda beta: trace_ratio_lower_bound(8, 1, beta, 0.5),
+    "entropy_error_term": lambda beta: entropy_error_term(8, 1, beta, 0.5),
+    "upper_envelope": lambda beta: upper_envelope(beta, 0.5),
+    "lower_envelope": lambda beta: lower_envelope(beta, 0.5),
+    "preliminary_free_energy_bound": lambda beta: preliminary_free_energy_bound(beta, 0.5, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETA_TAKERS))
+def test_closed_forms_reject_a_nan_beta(name):
+    with pytest.raises(ValueError, match="beta must be positive and finite"):
+        BETA_TAKERS[name](math.nan)
+
+
 def test_zeta_literals_equal_scipy_bit_for_bit():
     from scipy import special
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -253,23 +254,23 @@ def test_lanczos_gap_is_bit_reproducible():
     "spoil,message",
     [
         # a Ritz vector off by 1e-6 has a residual far above the bound
-        (lambda theta, vecs: (theta, vecs + 1e-6 * np.roll(vecs, 1, axis=0)), "Ritz residual"),
+        (lambda theta, x: (theta, x + 1e-6 * np.roll(x, 1)), "Ritz residual"),
         # a Ritz value off by 1e-3 no longer matches its vector
-        pytest.param(lambda theta, vecs: (theta + 1e-3, vecs), "Ritz residual",
+        pytest.param(lambda theta, x: (theta + 1e-3, x), "Ritz residual",
                      id="shifted-theta-Ritz residual"),
         # a Ritz value at zero is a second zero mode
-        (lambda theta, vecs: (theta * 0, vecs), "zero mode"),
+        (lambda theta, x: (theta * 0, x), "zero mode"),
     ],
 )
 def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
     from magnonlab import spectra
 
-    exact = spectra.spla.eigsh
+    exact = spectra.lanczos
 
     def spoiled(*args, **kwargs):
         return spoil(*exact(*args, **kwargs))
 
-    monkeypatch.setattr(spectra.spla, "eigsh", spoiled)
+    monkeypatch.setattr(spectra, "lanczos", spoiled)
     with pytest.raises(RuntimeError, match=message):
         spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
 
@@ -294,24 +295,114 @@ def test_a_second_zero_mode_in_the_blocks_raises():
         spectral_gap(lattice, SpinMagnitude(2))
 
 
-def test_spectral_gap_solves_each_block_once_with_k1_and_never_assembles_csr(monkeypatch):
+def test_spectral_gap_calls_lanczos_once_per_large_block_and_never_assembles_csr(monkeypatch):
     from magnonlab import operators, spectra
 
-    ks = []
-    exact = spectra.spla.eigsh
+    dims = []
+    exact = spectra.lanczos
 
-    def recorded(*args, **kwargs):
-        ks.append(kwargs["k"])
-        return exact(*args, **kwargs)
+    def recorded(apply, dim, *args, **kwargs):
+        dims.append(dim)
+        return exact(apply, dim, *args, **kwargs)
 
     def refuse(self):
         raise AssertionError("HermitianOperator.to_csr called")
 
-    monkeypatch.setattr(spectra.spla, "eigsh", recorded)
+    monkeypatch.setattr(spectra, "lanczos", recorded)
     monkeypatch.setattr(operators.HermitianOperator, "to_csr", refuse)
     for ell, two_s in ((8, 2), (12, 1), (4, 1)):
         spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
-    assert ks == [1, 1, 1, 1]
+    # chain 4 at 2S=1 has blocks of 4 and 2 states, solved densely
+    assert dims == [563, 544, 472, 452]
+
+
+def test_gap_report_counts_lanczos_matvecs():
+    first = spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
+    second = spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
+    assert first.matvecs > 0 and first.matvecs == second.matvecs
+    assert spectral_gap(SpinLattice.chain(4), SpinMagnitude(1)).matvecs == 0
+
+
+def _random_symmetric(dim, seed):
+    """Seeded sparse symmetric matrix with about 8 entries per row."""
+    a = sp.random(dim, dim, density=8 / dim, random_state=seed, format="csr")
+    return (a + a.T).tocsr()
+
+
+def _operator(a, deflate, seed):
+    """(apply, dense): the matrix a, or a + c u u^T with a random unit u
+    and c >= ||a|| when `deflate`; dense() builds it as an array."""
+    if not deflate:
+        return (lambda x: a @ x), a.toarray
+    u = np.random.default_rng(seed).standard_normal(a.shape[0])
+    u /= np.linalg.norm(u)
+    c = float(abs(a).sum(axis=1).max())
+    return (lambda x: a @ x + c * u * (u * x).sum()), (lambda: a.toarray() + c * np.outer(u, u))
+
+
+def _eigvalsh_lowest(dim, apply, dense):
+    return sla.eigvalsh(dense(), subset_by_index=(0, 0))[0]
+
+
+def _eigsh_lowest(dim, apply, dense):
+    import scipy.sparse.linalg as spla
+
+    op = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
+    (lowest,), _ = spla.eigsh(op, k=1, which="SA", tol=1e-13, v0=np.ones(dim))
+    return lowest
+
+
+# a dense solve at 3000 states takes 2 s, so ARPACK is the oracle there
+@pytest.mark.parametrize(
+    "dim,oracle", [(250, _eigvalsh_lowest), (800, _eigvalsh_lowest), (3000, _eigsh_lowest)],
+    ids=["250-eigvalsh", "800-eigvalsh", "3000-eigsh"],
+)
+@pytest.mark.parametrize("deflate", [False, True], ids=["plain", "deflated"])
+def test_lanczos_matches_the_oracle_lowest_eigenvalue(dim, oracle, deflate):
+    from magnonlab.spectra import lanczos
+
+    apply, dense = _operator(_random_symmetric(dim, seed=dim), deflate, seed=dim + 1)
+    theta, x = lanczos(apply, dim, seed=7)
+    assert theta == pytest.approx(oracle(dim, apply, dense), abs=1e-10)
+    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(apply(x) - theta * x) <= 1e-10
+
+
+def test_lanczos_is_bit_reproducible():
+    from magnonlab.spectra import lanczos
+
+    a = _random_symmetric(1000, seed=5)
+    first, second = (lanczos(lambda x: a @ x, 1000, seed=9) for _ in range(2))
+    assert first[0] == second[0] and np.array_equal(first[1], second[1])
+
+
+def test_lanczos_raises_when_maxiter_is_reached():
+    from magnonlab.spectra import lanczos
+
+    a = _random_symmetric(2000, seed=13)
+    with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
+        lanczos(lambda x: a @ x, 2000, seed=1, maxiter=5)
+
+
+def test_lanczos_stops_cleanly_on_an_invariant_krylov_space():
+    # three distinct values: the Krylov space is exhausted after 3 steps
+    # and the next beta is roundoff, never a divisor
+    from magnonlab.spectra import lanczos
+
+    d = np.array([1.0, 2.0, 5.0])[np.arange(300) % 3]
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return d * x
+
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, x = lanczos(apply, 300, seed=4)
+    assert len(calls) == 3 + 2  # three steps, then two to rebuild the vector
+    assert np.all(np.isfinite(x))
+    assert theta == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(d * x - theta * x) <= 1e-12
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
