@@ -34,11 +34,14 @@ from .operators import (
     assemble_projector_p,
     assemble_total_spin_squared,
 )
-from .spectra import dense_sectors, free_energy_from_eigenvalues, sector_energy_spin_pairs
+from .spectra import (
+    DENSE_SECTOR_CAP,
+    dense_sectors,
+    free_energy_from_eigenvalues,
+    sector_energy_spin_pairs,
+)
 
 PSD_TOL_FACTOR = 1e-10
-# Largest uncapped sector `verify_php_leq_t` diagonalizes densely.
-PHP_DIM_CAP = 20000
 
 
 def rng_for(root_seed: int, *key_ints) -> np.random.Generator:
@@ -48,17 +51,11 @@ def rng_for(root_seed: int, *key_ints) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _operator_norm(dense_eigs) -> float:
-    return float(np.abs(dense_eigs).max()) if len(dense_eigs) else 0.0
-
-
 def _psd_certificate(name, params, difference, norm_scale):
-    eigs = sla.eigvalsh(difference)
-    slack = float(eigs[0]) if eigs.size else 0.0
     return InequalityCertificate(
         name=name,
         params=params,
-        slack=slack,
+        slack=float(sla.eigvalsh(difference)[0]),
         tolerance=PSD_TOL_FACTOR * max(norm_scale, 1e-300),
     )
 
@@ -70,18 +67,17 @@ def _psd_certificate(name, params, difference, norm_scale):
 def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
     """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
     pinned chain of length ell."""
-    require_sector_dimensions(ell, n, [n], PHP_DIM_CAP)  # uncapped: the cap is n
+    require_sector_dimensions(ell, n, [n], DENSE_SECTOR_CAP)  # uncapped: the cap is n
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
     hd = assemble_dirichlet_heisenberg(basis).to_dense()
-    p = assemble_projector_p(basis).weights
+    p = assemble_projector_p(basis)
     diff = t - (p[:, None] * hd) * p[None, :]
-    t_norm = _operator_norm(sla.eigvalsh(t)) if basis.dim > 1 else float(abs(t[0, 0]))
     return _psd_certificate(
         "projected-hopping-dominance",
         {"ell": ell, "two_s": spin.two_s, "n": n},
         diff,
-        t_norm,
+        float(np.abs(sla.eigvalsh(t)).max()),
     )
 
 
@@ -104,10 +100,10 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
         eigs = sla.eigvalsh(diff)
         matrix_slacks.append(float(eigs[0]))
         scale = max(scale, float(np.abs(sla.eigvalsh(h)).max()))
-        for e, t in sector_energy_spin_pairs(basis, h, s2):
-            chain_slacks.append(e - (2.0 * s / ell**2) * (s_max - t))
+        energies, spins = sector_energy_spin_pairs(basis, h, s2)
+        chain_slacks.append(energies - (2.0 * s / ell**2) * (s_max - spins))
     matrix_slack = worst(matrix_slacks)
-    chain_slack = worst(chain_slacks)
+    chain_slack = float(worst(np.concatenate(chain_slacks)))
     return InequalityCertificate(
         name="casimir-energy-floor",
         params={"ell": ell, "two_s": spin.two_s},
@@ -120,26 +116,6 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
 # ---------------------------------------------------------------------------
 # coordinate-collapse map and the free-Laplacian floor
 # ---------------------------------------------------------------------------
-
-def build_coordinate_map_v(ell: int, n: int) -> dict:
-    """Collapse table on sorted distinct coordinates:
-    (x_1 < ... < x_n) -> (x_1, x_2-1, ..., x_n-n+1) in [1, l-n+1]^n.
-
-    Surjectivity onto nondecreasing tuples is checked by enumeration.
-    """
-    if n > ell:
-        raise ValueError(f"need n <= ell for distinct coordinates, got n={n} ell={ell}")
-    from itertools import combinations, combinations_with_replacement
-
-    table = {}
-    for xs in combinations(range(1, ell + 1), max(n, 0)):
-        table[xs] = tuple(x - i for i, x in enumerate(xs))
-    images = set(table.values())
-    expected = set(combinations_with_replacement(range(1, ell - n + 2), max(n, 0)))
-    if images != expected:
-        raise RuntimeError("collapse map failed to cover the target box")
-    return table
-
 
 def neumann_boson_laplacian(nsites: int, n: int) -> np.ndarray:
     """Second-quantized free-boundary graph Laplacian on the n-boson
@@ -200,12 +176,11 @@ def verify_laplacian_lower_bound(
     lap = neumann_boson_laplacian(ell - n + 1, n)
     rhs = spin.s * (vmat.T @ (lap @ vmat.toarray()))
     diff = h - rhs
-    scale = _operator_norm(sla.eigvalsh(h)) if basis.dim > 1 else abs(float(h[0, 0]))
     return _psd_certificate(
         "coordinate-laplacian-bound",
         {"ell": ell, "two_s": spin.two_s, "n": n},
         diff,
-        scale,
+        float(np.abs(sla.eigvalsh(h)).max()),
     )
 
 
@@ -361,14 +336,11 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
         sector_energy_spin_pairs(basis, h, assemble_total_spin_squared(basis).to_dense())
         for basis, h in dense_sectors(SpinLattice.chain(ell), spin)
     ]
-    energies = np.array([e for pairs in per_sector for e, _ in pairs])
-    # (n, E) of each state whose 3-component is minimal for its multiplet
-    lowest = [
-        (n, e)
-        for n, pairs in enumerate(per_sector)
-        for e, t in pairs
-        if abs(t - (s_max - n)) < 0.25
-    ]
+    energies = np.concatenate([e for e, _ in per_sector])
+    spins = np.concatenate([t for _, t in per_sector])
+    sectors = np.concatenate([np.full(len(e), n) for n, (e, _) in enumerate(per_sector)])
+    # the states whose 3-component is minimal for their multiplet
+    lowest = np.abs(spins - (s_max - sectors)) < 0.25
     certs = []
     for beta in betas:
         e0 = -ell * free_energy_from_eigenvalues(energies, beta / 2.0, ell)
@@ -376,8 +348,8 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
         lhs = float(np.exp(-beta * energies).sum())
         rhs = 1.0 + float(np.exp(-beta * energies[energies < e0]).sum())
         trunc_slack = rhs - lhs
-        sector_slacks = [n0 - n for n, e in lowest if e < e0]
-        sector_slack = worst(sector_slacks) if sector_slacks else n0
+        sector_slacks = n0 - sectors[lowest & (energies < e0)]
+        sector_slack = float(worst(sector_slacks)) if sector_slacks.size else n0
         certs.append(InequalityCertificate(
             name="low-energy-truncation",
             params={"ell": ell, "two_s": spin.two_s, "beta": beta},

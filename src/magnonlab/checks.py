@@ -34,7 +34,7 @@ from .boundlab import (
     verify_php_leq_t,
     verify_vnorm_lower_bound,
 )
-from .certificates import DEFAULT_SEED, InequalityCertificate, worst
+from .certificates import DEFAULT_SEED, worst
 from .operators import verify_su2_representation
 from .spectra import DEFAULT_DIM_CAP, check_localization_bound, check_subadditivity, dense_sectors
 
@@ -63,19 +63,7 @@ def _per_beta_run(check, cells):
 
 def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
     two_s_list = _axis(spins, (1, 2, 3) if grid == "default" else (1, 2))
-    certs = []
-    for two_s in two_s_list:
-        spin = SpinMagnitude(two_s)
-        res = verify_su2_representation(spin, spin.site_dim)
-        certs.append(
-            InequalityCertificate(
-                name="su2-representation",
-                params={"two_s": two_s},
-                slack=-res["max_residual"],
-                tolerance=1e-12,
-            )
-        )
-    return certs
+    return [verify_su2_representation(SpinMagnitude(two_s)) for two_s in two_s_list]
 
 
 def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):

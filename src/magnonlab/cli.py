@@ -102,9 +102,9 @@ def parse_beta_grid(spec_text: str):
     return values
 
 
-def _write_csv(path, columns, rows, header_comment=UNITS_HEADER):
+def _write_csv(path, columns, rows):
     with open(path, "w", newline="") as fh:
-        fh.write(header_comment + "\n")
+        fh.write(UNITS_HEADER + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -186,7 +186,10 @@ def cmd_free_energy(args):
     for variant in variants:
         spectrum = full_spectrum(lattice, spin, variant)
         for beta in betas:
-            f = free_energy(spectrum, beta)
+            with np.errstate(over="ignore"):  # an overflowing f is refused below
+                f = free_energy(spectrum, beta)
+            if not math.isfinite(f):
+                raise ValueError(f"free energy {f!r} at beta={beta!r} is not finite")
             row = {
                 "beta": beta,
                 "f": f,

@@ -451,12 +451,7 @@ def compute_budget(
     budget; l0 reports sqrt(4 beta S / ln(beta S)) at the budget's own
     beta.
     """
-    if isinstance(spin, SpinMagnitude):
-        s = spin.s
-        spin_obj = spin
-    else:
-        s = float(spin)
-        spin_obj = None
+    s = spin.s if isinstance(spin, SpinMagnitude) else float(spin)
     x = beta * s
     if x <= 1.0:
         raise ValueError(f"budget requires beta*S > 1, got {x}")
@@ -474,11 +469,11 @@ def compute_budget(
             )
         bound = preliminary_free_energy_bound(beta_half, s, ell)
     elif e0_source == "exact-ed":
-        if spin_obj is None:
-            spin_obj = SpinMagnitude(int(round(2 * s)))
+        if not isinstance(spin, SpinMagnitude):
+            raise ValueError(f"the exact-ed budget needs a SpinMagnitude, got {spin!r}")
         from .spectra import chain_free_energy
 
-        bound = chain_free_energy(ell, spin_obj, beta_half)
+        bound = chain_free_energy(ell, spin, beta_half)
     else:
         raise ValueError(f"e0_source must be one of {E0_SOURCES}, got {e0_source!r}")
     e0 = -ell * bound
@@ -515,12 +510,10 @@ class ErrorEnvelope:
     beta: float
     s: float
     dimension: int
-    side: str  # "upper" | "lower"
     ell: int
     envelope: float
     leading: float
     ratio: float
-    rel_error: float
     informative: bool
     scale: float
     extras: dict = field(default_factory=dict)
@@ -599,12 +592,10 @@ def upper_envelope(
         beta=beta,
         s=s,
         dimension=dimension,
-        side="upper",
         ell=ell,
         envelope=float(env),
         leading=float(lead),
         ratio=float(env / lead),
-        rel_error=float((env - lead) / abs(lead)),
         informative=bool(informative),
         scale=scale,
         extras=extras,
@@ -615,7 +606,6 @@ def lower_envelope(
     beta: float,
     s: float,
     scale: float = 1.0,
-    e0_source: str = "preliminary",
 ) -> ErrorEnvelope:
     """Rigorous lower bound on f(beta, S) for the chain.
 
@@ -628,13 +618,12 @@ def lower_envelope(
     _require_beta(beta, s)
     x = beta * s
     ell = choose_box_lower(beta, s, scale)
-    budget = compute_budget(ell, beta, s, e0_source=e0_source)
+    budget = compute_budget(ell, beta, s)
     lead = leading_term(beta, s, 1)
     extras = {
         "e0": budget.e0,
         "n0": budget.n0,
         "delta": budget.delta,
-        "e0_source": budget.e0_source,
     }
     if budget.delta < 1.0:
         count_term = math.log1p((2.0 * s * ell + 1.0) * (budget.n0 + 1.0)) / (
@@ -653,12 +642,10 @@ def lower_envelope(
         beta=beta,
         s=s,
         dimension=1,
-        side="lower",
         ell=ell,
         envelope=float(env),
         leading=float(lead),
         ratio=float(env / lead),
-        rel_error=float((env - lead) / abs(lead)),
         informative=bool(informative),
         scale=scale,
         extras=extras,

@@ -3,8 +3,8 @@
 All assemblies are pure functions of a `MagnonSectorBasis`: the chain
 Hamiltonian with its square-root-dressed hopping, the boundary-pinned
 variant, the free-boson hopping operator, the free-boundary Laplacian,
-the diagonal occupancy projector, and the total-spin Casimir.  Matrices
-are collected as coordinate triplets and densified only at
+the diagonal of the occupancy projector, and the total-spin Casimir.
+Matrices are collected as coordinate triplets and densified only at
 diagonalization time; `heisenberg_columns` gives any subset of the
 Heisenberg block's columns, for builders of symmetry-reduced blocks.
 """
@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .basis import MagnonSectorBasis, SpinMagnitude
+from .certificates import InequalityCertificate
 
 
 @dataclass
@@ -184,14 +185,6 @@ def assemble_neumann_laplacian(basis: MagnonSectorBasis) -> HermitianOperator:
     return _hop_operator(basis, _bond_pairs(lattice), -1.0, diag, dressed=False)
 
 
-@dataclass
-class DiagonalProjector:
-    """Diagonal occupancy projector: weight(state) = prod_x f(n_x)."""
-
-    basis: MagnonSectorBasis
-    weights: np.ndarray
-
-
 def occupancy_weight(n: int, spin: SpinMagnitude) -> float:
     """Single-site weight f(n): 1 for n in {0,1}, the square root of the
     falling-factorial ratio (2S)(2S-1)...(2S-n+1)/(2S)^n for n <= 2S,
@@ -206,14 +199,14 @@ def occupancy_weight(n: int, spin: SpinMagnitude) -> float:
     return math.sqrt(prod)
 
 
-def assemble_projector_p(basis: MagnonSectorBasis) -> DiagonalProjector:
-    """Product projector over sites; vanishes on states breaking the
-    hard core, equals 1 whenever every occupation is 0 or 1."""
+def assemble_projector_p(basis: MagnonSectorBasis) -> np.ndarray:
+    """Diagonal of the product projector over sites, weight(state) =
+    prod_x f(n_x); vanishes on states breaking the hard core, equals 1
+    whenever every occupation is 0 or 1."""
     site_w = np.array(
         [occupancy_weight(k, basis.spin) for k in range(basis.cap + 1)]
     )
-    weights = np.prod(site_w[basis.states], axis=1)
-    return DiagonalProjector(basis, weights)
+    return np.prod(site_w[basis.states], axis=1)
 
 
 def assemble_total_spin_squared(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -277,17 +270,13 @@ def boson_spin_matrices(spin: SpinMagnitude):
     return sp_, sm_, s3
 
 
-def verify_su2_representation(spin: SpinMagnitude, site_dim_check: int):
+def verify_su2_representation(spin: SpinMagnitude) -> InequalityCertificate:
     """Certify the commutators and Casimir of the single-site matrices.
 
-    Returns a dict with the worst absolute residual of [S3,S+-] -+ S+-,
+    The slack is minus the worst absolute residual of [S3,S+-] -+ S+-,
     [S+,S-] - 2 S3 and vec(S)^2 - S(S+1) Id; all must vanish for the
     occupation ladder to carry spin S.
     """
-    if site_dim_check != spin.site_dim:
-        raise ValueError(
-            f"site dimension {site_dim_check} inconsistent with 2S+1={spin.site_dim}"
-        )
     sp_, sm_, s3 = boson_spin_matrices(spin)
     comm = lambda a, b: a @ b - b @ a
     res = [
@@ -298,4 +287,9 @@ def verify_su2_representation(spin: SpinMagnitude, site_dim_check: int):
     casimir = 0.5 * (sp_ @ sm_ + sm_ @ sp_) + s3 @ s3
     s = spin.s
     res.append(np.abs(casimir - s * (s + 1) * np.eye(spin.site_dim)).max())
-    return {"max_residual": float(max(res)), "residuals": [float(r) for r in res]}
+    return InequalityCertificate(
+        name="su2-representation",
+        params={"two_s": spin.two_s},
+        slack=-float(max(res)),
+        tolerance=1e-12,
+    )

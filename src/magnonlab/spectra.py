@@ -3,7 +3,10 @@ variational upper bound with the projected free-boson trial state.
 
 Every dense sector is built by `dense_sectors`, which sizes all the
 requested sectors against `DENSE_SECTOR_CAP` before it enumerates any
-basis and then yields (basis, dense H) one sector at a time; per-sector
+basis and then yields (basis, dense H) one sector at a time.  The one
+exception is `boundlab.verify_php_leq_t`, whose uncapped free-boson
+sectors `dense_sectors` does not build: it sizes each against the same
+`DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector
 spectra come from a dense symmetric eigensolver (partition functions
 need every eigenvalue).  `spectral_gap` never needs the full spectrum:
 it enumerates the middle sector alone (refused above `DEFAULT_DIM_CAP`
@@ -159,10 +162,6 @@ def chain_free_energy(
         return -math.log(spin.site_dim) / beta
     spectrum = full_spectrum(SpinLattice.chain(ell), spin, variant)
     return free_energy(spectrum, beta)
-
-
-def dirichlet_free_energy(ell: int, spin: SpinMagnitude, beta: float) -> float:
-    return chain_free_energy(ell, spin, beta, variant="dirichlet")
 
 
 @dataclass
@@ -454,9 +453,11 @@ def check_localization_bound(total_length: int, ell: int, spin: SpinMagnitude, b
 # ---------------------------------------------------------------------------
 
 def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.ndarray):
-    """Simultaneous eigendata (E, t) of a sector, given its basis, its
-    dense Hamiltonian `h` (as yielded by `dense_sectors`) and its dense
-    Casimir `s2` (`assemble_total_spin_squared`).
+    """Simultaneous eigendata (energies, spins) of a sector, given its
+    basis, its dense Hamiltonian `h` (as yielded by `dense_sectors`) and
+    its dense Casimir `s2` (`assemble_total_spin_squared`): two arrays,
+    energy E and total spin t of each eigenstate, t ascending and E
+    ascending within each t.
 
     The Casimir commutes with the Hamiltonian, so its eigenspaces are
     invariant blocks; each block is diagonalized separately, giving the
@@ -467,18 +468,18 @@ def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.nda
     t_min = abs(basis.n - s_max)
     t_ladder = np.arange(t_min, s_max + 0.5, 1.0)
     targets = t_ladder * (t_ladder + 1.0)
-    pairs = []
+    energies, spins = [], []
     for t, target in zip(t_ladder, targets):
         sel = np.abs(w - target) < 0.25
         if not np.any(sel):
             continue
         block = vecs[:, sel]
-        hb = block.T @ h @ block
-        for e in np.sort(sla.eigvalsh(hb)):
-            pairs.append((float(e), float(t)))
-    if len(pairs) != basis.dim:
+        energies.append(sla.eigvalsh(block.T @ h @ block))
+        spins.append(np.full(len(energies[-1]), t))
+    energies, spins = np.concatenate(energies), np.concatenate(spins)
+    if len(energies) != basis.dim:
         raise RuntimeError("Casimir eigenvalues did not cluster onto t(t+1) ladder")
-    return pairs
+    return energies, spins
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +555,11 @@ def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     energy_num = 0.0
     xlogx_sum = 0.0
     floor = 1e-30
+    pinned_eigs = []
     for basis, hd in dense_sectors(SpinLattice.chain(ell), spin, variant="dirichlet"):
+        pinned_eigs.append(sla.eigvalsh(hd))
         exp_t = free_boson_propagator(basis, beta)
-        p = assemble_projector_p(basis).weights
+        p = assemble_projector_p(basis)
         m = (p[:, None] * exp_t) * p[None, :]
         z_p += float(np.trace(m))
         energy_num += float(np.sum(hd * m.T))
@@ -568,7 +571,7 @@ def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     energy = energy_num / z_p
     entropy_term = xlogx_sum / z_p - math.log(z_p)
     value = (energy + entropy_term / beta) / ell
-    f_pin = dirichlet_free_energy(ell, spin, beta)
+    f_pin = free_energy_from_eigenvalues(np.concatenate(pinned_eigs), beta, ell)
     x = beta * spin.s * dirichlet_modes(ell, 1).energies
     z_free = math.exp(-float(np.sum(np.log1p(-np.exp(-x)))))
     free_boson_value = free_boson_sum(ell, 1, beta, spin.s)

@@ -3,8 +3,9 @@
 None of these is reached by the command line or the certificate suites:
 the tensor-product Hamiltonian (built from the textbook m-projection
 ladder, not the occupation ladder the sector assemblies use), the
-Bessel/Hurwitz series for the continuum integrals, and the continuum
-constants evaluated both by quadrature and in closed form.
+coordinate-collapse table on sorted coordinates (the collapse matrix's
+reference), the Bessel/Hurwitz series for the continuum integrals, and
+the continuum constants evaluated both by quadrature and in closed form.
 """
 
 from __future__ import annotations
@@ -61,6 +62,31 @@ def tensor_product_heisenberg(lattice: SpinLattice, spin: SpinMagnitude) -> np.n
         spy, smy, szy = site_op(sp_, y), site_op(sm_, y), site_op(s3, y)
         h += s * s * np.eye(dim) - szx @ szy - 0.5 * (spx @ smy + smx @ spy)
     return h
+
+
+# ---------------------------------------------------------------------------
+# coordinate-collapse table
+# ---------------------------------------------------------------------------
+
+
+def build_coordinate_map_v(ell: int, n: int) -> dict:
+    """Collapse table on sorted distinct coordinates:
+    (x_1 < ... < x_n) -> (x_1, x_2-1, ..., x_n-n+1) in [1, l-n+1]^n.
+
+    Surjectivity onto nondecreasing tuples is checked by enumeration.
+    """
+    if n > ell:
+        raise ValueError(f"need n <= ell for distinct coordinates, got n={n} ell={ell}")
+    from itertools import combinations, combinations_with_replacement
+
+    table = {}
+    for xs in combinations(range(1, ell + 1), max(n, 0)):
+        table[xs] = tuple(x - i for i, x in enumerate(xs))
+    images = set(table.values())
+    expected = set(combinations_with_replacement(range(1, ell - n + 2), max(n, 0)))
+    if images != expected:
+        raise RuntimeError("collapse map failed to cover the target box")
+    return table
 
 
 # ---------------------------------------------------------------------------

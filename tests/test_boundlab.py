@@ -7,7 +7,6 @@ import scipy.linalg as sla
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.boundlab import (
     CoordinateState,
-    build_coordinate_map_v,
     coordinate_collapse_matrix,
     gibbs_random_state,
     haar_random_state,
@@ -25,6 +24,7 @@ from magnonlab.boundlab import (
 from magnonlab.checks import run_check
 from magnonlab.magnongas import compute_budget
 from magnonlab.operators import assemble_heisenberg
+from oracles import build_coordinate_map_v
 
 
 def test_php_certificates_examples():
@@ -54,8 +54,10 @@ def test_casimir_nan_energy_fails_the_certificate(monkeypatch):
     exact = boundlab.sector_energy_spin_pairs
 
     def nan_in_sector_one(basis, h, s2):
-        pairs = exact(basis, h, s2)
-        return [(math.nan, t) for _, t in pairs] if basis.n == 1 else pairs
+        energies, spins = exact(basis, h, s2)
+        if basis.n == 1:
+            energies = np.full_like(energies, math.nan)
+        return energies, spins
 
     monkeypatch.setattr(boundlab, "sector_energy_spin_pairs", nan_in_sector_one)
     cert = verify_casimir_lower_bound(3, SpinMagnitude(1))
@@ -250,8 +252,9 @@ def test_psd_verifier_resource_guards():
         lambda: run_check("density", ells=[20], spins=[1], ns=[10]),
         lambda: verify_halfspin_quadratic_form_equality(20, 10),
         lambda: run_check("subadditivity", ells=[20], spins=[1], betas=[1.0]),
+        lambda: verify_php_leq_t(8, SpinMagnitude(1), 8),
     ],
-    ids=["laplacian", "truncation", "casimir", "density", "halfspin", "subadditivity"],
+    ids=["laplacian", "truncation", "casimir", "density", "halfspin", "subadditivity", "php"],
 )
 def test_dense_verifiers_refuse_an_oversized_sector_before_enumerating(monkeypatch, run):
     from magnonlab import boundlab, checks, spectra
@@ -397,6 +400,12 @@ def test_budget_precondition():
         compute_budget(10, 1.0, SpinMagnitude(1))
     with pytest.raises(ValueError, match="e0_source"):
         compute_budget(10, 100.0, SpinMagnitude(1), e0_source="bogus")
+
+
+def test_budget_exact_ed_needs_a_spin_magnitude():
+    # a bare s would be diagonalized at some nearby 2S while n0 and delta use s
+    with pytest.raises(ValueError, match="SpinMagnitude"):
+        compute_budget(6, 8.0, 0.7, e0_source="exact-ed")
 
 
 def test_budget_exact_ed_path():

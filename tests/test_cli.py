@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
@@ -357,6 +358,18 @@ def test_non_finite_beta_is_rejected(tmp_path, beta):
     assert not out.exists()
 
 
+def test_free_energy_refuses_a_non_finite_f(tmp_path, capsys):
+    # beta=1e-320 overflows f = -ln Z / (beta l) to -inf
+    out = tmp_path / "fe.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["free-energy", "--length", "3", "--beta", "1e-320,1e-300",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
 def _one_error_line_and_no_ledger(capsys, ledger):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
@@ -390,6 +403,20 @@ def test_verify_vnorm_refuses_a_sector_above_the_cap(tmp_path, capsys, monkeypat
     assert main(["verify", *argv, "--out", str(ledger)]) == 2
     err = _one_error_line_and_no_ledger(capsys, ledger)
     assert err == "error: sector n=15 has dimension 155117520 > 1048576"
+
+
+def test_verify_php_refuses_a_sector_above_the_dense_cap(tmp_path, capsys, monkeypatch):
+    from magnonlab import boundlab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sector enumerated before the size check")
+
+    monkeypatch.setattr(boundlab, "enumerate_sector_basis", refuse)
+    ledger = tmp_path / "certs.jsonl"
+    argv = ["--check", "php-leq-t", "--ell", "8", "--n", "8", "--two-s", "1"]
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    err = _one_error_line_and_no_ledger(capsys, ledger)
+    assert err == "error: sector n=8 has dimension 6435 > 6000"
 
 
 @pytest.mark.parametrize(

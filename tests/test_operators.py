@@ -117,11 +117,11 @@ def test_projector_weights():
     assert occupancy_weight(2, SpinMagnitude(1)) == 0.0
     basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(2), 2)
     p = assemble_projector_p(basis)
-    assert p.weights[basis.state_index((2, 0, 0))] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert p.weights[basis.state_index((1, 1, 0))] == 1.0
+    assert p[basis.state_index((2, 0, 0))] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert p[basis.state_index((1, 1, 0))] == 1.0
     # uncapped basis: weights vanish beyond the hard core
     unc = enumerate_sector_basis(SpinLattice.chain(2), SpinMagnitude(1), 2, capped=False)
-    pw = assemble_projector_p(unc).weights
+    pw = assemble_projector_p(unc)
     assert pw[unc.state_index((2, 0))] == 0.0
     assert pw[unc.state_index((1, 1))] == 1.0
     assert np.all((pw >= 0.0) & (pw <= 1.0))
@@ -144,13 +144,8 @@ def test_total_spin_squared_examples():
 
 @pytest.mark.parametrize("two_s", [1, 2, 3])
 def test_su2_representation(two_s):
-    res = verify_su2_representation(SpinMagnitude(two_s), two_s + 1)
-    assert res["max_residual"] <= 1e-12
-
-
-def test_su2_site_dim_mismatch():
-    with pytest.raises(ValueError, match="inconsistent"):
-        verify_su2_representation(SpinMagnitude(2), 2)
+    cert = verify_su2_representation(SpinMagnitude(two_s))
+    assert -cert.slack <= 1e-12
 
 
 @pytest.mark.parametrize("ell,two_s", [(3, 1), (4, 1), (3, 2), (2, 3)])

@@ -21,7 +21,6 @@ from magnonlab.spectra import (
     check_localization_bound,
     check_subadditivity,
     dense_sectors,
-    dirichlet_free_energy,
     free_boson_propagator,
     free_energy,
     free_energy_from_eigenvalues,
@@ -117,10 +116,9 @@ def test_dirichlet_dominates_free():
     for ell, two_s in ((3, 1), (4, 1), (3, 2)):
         spin = SpinMagnitude(two_s)
         for beta in (0.5, 2.0, 8.0):
-            assert dirichlet_free_energy(ell, spin, beta) >= chain_free_energy(
-                ell, spin, beta
-            )
-            assert dirichlet_free_energy(ell, spin, beta) <= 0.0
+            f_pin = chain_free_energy(ell, spin, beta, "dirichlet")
+            assert f_pin >= chain_free_energy(ell, spin, beta)
+            assert f_pin <= 0.0
 
 
 @pytest.mark.parametrize("ell,two_s", [(2, 1), (4, 1), (6, 2), (9, 1)])
@@ -478,14 +476,14 @@ def test_default_suites_build_each_chain_spectrum_once_per_check_call(monkeypatc
 
 def test_sector_energy_spin_pairs():
     basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(1), 1)
-    pairs = sector_energy_spin_pairs(
+    energies, spins = sector_energy_spin_pairs(
         basis,
         assemble_heisenberg(basis).to_dense(),
         assemble_total_spin_squared(basis).to_dense(),
     )
-    ts = sorted(t for _, t in pairs)
+    ts = sorted(spins.tolist())
     assert ts == [0.5, 0.5, 1.5]
-    zero = [e for e, t in pairs if t == 1.5]
+    zero = energies[spins == 1.5]
     assert len(zero) == 1 and abs(zero[0]) < 1e-12
 
 
