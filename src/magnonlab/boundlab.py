@@ -70,14 +70,17 @@ def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertifi
     require_sector_dimensions(ell, n, [n], DENSE_SECTOR_CAP)  # uncapped: the cap is n
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
+    scale = float(np.abs(sla.eigvalsh(t)).max())
     hd = assemble_dirichlet_heisenberg(basis).to_dense()
     p = assemble_projector_p(basis)
-    diff = t - (p[:, None] * hd) * p[None, :]
+    # T - P H^D P is formed in T's storage and H^D is freed before
+    # eigvalsh copies the difference: two dense copies at most are alive
+    hd *= p[:, None]
+    hd *= p[None, :]
+    t -= hd
+    del hd
     return _psd_certificate(
-        "projected-hopping-dominance",
-        {"ell": ell, "two_s": spin.two_s, "n": n},
-        diff,
-        float(np.abs(sla.eigvalsh(t)).max()),
+        "projected-hopping-dominance", {"ell": ell, "two_s": spin.two_s, "n": n}, t, scale
     )
 
 

@@ -423,7 +423,6 @@ class LowerBoundBudget:
     n0: float
     delta: float
     ell0: float
-    e0_source: str
     implied_c: float | None = None
 
     @property
@@ -498,7 +497,6 @@ def compute_budget(
         n0=n0,
         delta=delta,
         ell0=ell0,
-        e0_source=e0_source,
         implied_c=implied_c,
     )
 

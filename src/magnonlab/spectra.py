@@ -15,8 +15,9 @@ reflection-even and reflection-odd blocks directly from the columns of
 the mirror representatives (`parity_blocks`).  One lowest eigenvalue
 per block gives the gap: the even block is deflated by its known zero
 mode, and each block is solved densely when small and otherwise by
-`lanczos`, an unrestarted three-term recurrence that stores no Krylov
-basis, checked by its residual.  `full_spectrum` stays
+`lanczos`, an unrestarted three-term recurrence that keeps the Krylov
+vectors it makes and builds the Ritz vector from them in one pass,
+checked by its residual.  `full_spectrum` stays
 unreduced: it holds one dense sector at a time and diagonalizes it in
 its own storage.
 """
@@ -174,7 +175,7 @@ class GapReport:
     solver: str  # "dense" | "lanczos" (Lanczos on at least one block)
     residual: float  # largest Ritz residual ||Hv - theta v||; 0.0 for dense
     block_dims: tuple  # (even, odd) reflection-parity block dimensions
-    matvecs: int  # Lanczos operator applications over both blocks; 0 for dense
+    matvecs: int  # Lanczos operator applications (one per step) over both blocks; 0 for dense
 
 
 # Parity blocks up to this size are solved densely (the cap applies to
@@ -243,27 +244,34 @@ def parity_blocks(basis: MagnonSectorBasis):
     return even, odd, u, c
 
 
-def lanczos(apply, dim, seed, maxiter=5000):
+def lanczos(apply, dim, seed, maxiter=1000):
     """Lowest eigenpair (theta, x) of the symmetric operator `apply` on
     R^dim by unrestarted three-term Lanczos from a seeded Gaussian start
-    vector, with no reorthogonalization and no stored Krylov basis.
+    vector, with no reorthogonalization.
 
-    The first pass keeps only the tridiagonal coefficients alpha_j,
-    beta_j.  Every 10 steps it takes the lowest eigenpair (theta, y) of
-    T_m and stops once the residual estimate |beta_{m+1} y_m| is at most
-    `_LANCZOS_TOL` * max(1, |theta|); lost orthogonality only adds ghost copies
-    above the extreme Ritz value, which converges regardless.  A second
-    pass repeats the recurrence with the stored coefficients, so it
-    rebuilds the same vectors v_j, and returns x = sum_j y_j v_j / ||.||.
-    A beta at roundoff of the operator scale means the Krylov space is
-    invariant: the run stops there, with theta exact on that space.
-    Inner products are taken as (w * v).sum(): on vectors of this size a
-    BLAS dot product can cost as much as the sparse product itself.
-    Raises RuntimeError when maxiter steps do not converge.
+    Each step keeps the tridiagonal coefficients alpha_j, beta_j and the
+    normalized Krylov vector v_j it makes.  Every 10 steps it takes the
+    lowest eigenpair (theta, y) of T_m and stops once the residual
+    estimate |beta_{m+1} y_m| is at most `_LANCZOS_TOL` * max(1, |theta|);
+    lost orthogonality only adds ghost copies above the extreme Ritz
+    value, which converges regardless.  It returns
+    x = sum_j y_j v_j / ||.|| from the stored vectors, so m steps cost m
+    operator applications.  The stored basis costs m * dim * 8 bytes,
+    so at most `maxiter` * dim * 8 bytes before the RuntimeError: 2.5 GB
+    for the 308,310-state even block of chain 14 at S = 1, and 4.1 GB
+    for a block of the largest middle sector `spectral_gap` admits
+    (chain 8 at 2S = 7, 1,012,664 states).  The largest gap block
+    measured (chain 20 at S = 1/2) converges in 270 steps.  A beta at roundoff
+    of the operator scale means the Krylov space is invariant: the run
+    stops there, with theta exact on that space.  Inner products are
+    taken as (w * v).sum(): on vectors of this size a BLAS dot product
+    can cost as much as the sparse product itself.  Raises RuntimeError
+    when maxiter steps do not converge.
     """
     start = np.random.default_rng(seed).standard_normal(dim)
     start /= np.linalg.norm(start)
     alphas, betas = [], []
+    krylov = [start]
     v_prev, v, beta = np.zeros(dim), start, 0.0
     scale = 0.0
     for m in range(1, maxiter + 1):
@@ -283,17 +291,12 @@ def lanczos(apply, dim, seed, maxiter=5000):
             if invariant or abs(beta * y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta)):
                 break
         v_prev, v = v, w / beta
+        krylov.append(v)
     else:
         raise RuntimeError(f"Lanczos did not converge in {maxiter} steps")
     x = y[0, 0] * start
-    v_prev, v, beta = np.zeros(dim), start, 0.0
-    for j in range(m - 1):
-        w = apply(v)
-        w -= alphas[j] * v
-        w -= beta * v_prev
-        beta = betas[j]
-        v_prev, v = v, w / beta
-        x += y[j + 1, 0] * v
+    for coeff, v in zip(y[1:, 0], krylov[1:]):
+        x += coeff * v
     return float(theta), x / np.linalg.norm(x)
 
 

@@ -4,7 +4,9 @@ None of these is reached by the command line or the certificate suites:
 the tensor-product Hamiltonian (built from the textbook m-projection
 ladder, not the occupation ladder the sector assemblies use), the
 coordinate-collapse table on sorted coordinates (the collapse matrix's
-reference), the Bessel/Hurwitz series for the continuum integrals, and
+reference), the two-pass Lanczos that rebuilds its Krylov vectors
+instead of storing them (the one-pass solver's reference), the
+Bessel/Hurwitz series for the continuum integrals, and
 the continuum constants evaluated both by quadrature and in closed form.
 """
 
@@ -14,10 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.special
 
 from magnonlab.basis import SpinLattice, SpinMagnitude
 from magnonlab.magnongas import _quad, log_one_minus_exp
+from magnonlab.spectra import _BREAKDOWN_FACTOR, _LANCZOS_TOL
 
 # ---------------------------------------------------------------------------
 # tensor-product Hamiltonian
@@ -87,6 +91,57 @@ def build_coordinate_map_v(ell: int, n: int) -> dict:
     if images != expected:
         raise RuntimeError("collapse map failed to cover the target box")
     return table
+
+
+# ---------------------------------------------------------------------------
+# two-pass Lanczos
+# ---------------------------------------------------------------------------
+
+
+def two_pass_lanczos(apply, dim, seed, maxiter=5000):
+    """Lowest eigenpair (theta, x) by the same unrestarted three-term
+    recurrence as `spectra.lanczos`, storing no Krylov basis.
+
+    The first pass keeps only the tridiagonal coefficients and stops by
+    the same test; a second pass repeats the recurrence with the stored
+    coefficients, so it rebuilds the same vectors v_j, and returns
+    x = sum_j y_j v_j / ||.||.  m steps cost 2m - 1 operator
+    applications.
+    """
+    start = np.random.default_rng(seed).standard_normal(dim)
+    start /= np.linalg.norm(start)
+    alphas, betas = [], []
+    v_prev, v, beta = np.zeros(dim), start, 0.0
+    scale = 0.0
+    for m in range(1, maxiter + 1):
+        w = apply(v)
+        alpha = float((w * v).sum())
+        w -= alpha * v
+        w -= beta * v_prev
+        beta = math.sqrt((w * w).sum())
+        alphas.append(alpha)
+        betas.append(beta)
+        scale = max(scale, abs(alpha) + beta)
+        invariant = beta <= _BREAKDOWN_FACTOR * scale
+        if invariant or m % 10 == 0:
+            (theta,), y = sla.eigh_tridiagonal(
+                alphas, betas[:-1], select="i", select_range=(0, 0)
+            )
+            if invariant or abs(beta * y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta)):
+                break
+        v_prev, v = v, w / beta
+    else:
+        raise RuntimeError(f"Lanczos did not converge in {maxiter} steps")
+    x = y[0, 0] * start
+    v_prev, v, beta = np.zeros(dim), start, 0.0
+    for j in range(m - 1):
+        w = apply(v)
+        w -= alphas[j] * v
+        w -= beta * v_prev
+        beta = betas[j]
+        v_prev, v = v, w / beta
+        x += y[j + 1, 0] * v
+    return float(theta), x / np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,22 @@ def test_php_grid():
                 assert verify_php_leq_t(ell, SpinMagnitude(two_s), n).passed
 
 
+def test_php_holds_at_most_two_dense_copies_of_its_sector():
+    # the difference is formed in T's storage and H^D is freed before
+    # eigvalsh copies it
+    import tracemalloc
+
+    dim = 1716  # uncapped n=6 sector of the pinned chain 8
+    tracemalloc.start()
+    try:
+        cert = verify_php_leq_t(8, SpinMagnitude(1), 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert peak <= 2.25 * 8 * dim**2
+
+
 def test_casimir_certificates():
     for ell, two_s in ((4, 1), (3, 2), (2, 1)):
         cert = verify_casimir_lower_bound(ell, SpinMagnitude(two_s))

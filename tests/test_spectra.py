@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from magnonlab.spectra import (
     sector_energy_spin_pairs,
     spectral_gap,
 )
+from oracles import two_pass_lanczos
 
 
 def test_full_spectrum_two_sites_halfspin():
@@ -366,6 +368,48 @@ def test_lanczos_matches_the_oracle_lowest_eigenvalue(dim, oracle, deflate):
     assert np.linalg.norm(apply(x) - theta * x) <= 1e-10
 
 
+@pytest.mark.parametrize("dim", [250, 800, 3000])
+@pytest.mark.parametrize("deflate", [False, True], ids=["plain", "deflated"])
+def test_lanczos_equals_the_two_pass_oracle_bit_for_bit(dim, deflate):
+    # the oracle rebuilds each Krylov vector by the same arithmetic the
+    # one-pass solver stores it from
+    from magnonlab.spectra import lanczos
+
+    apply, _ = _operator(_random_symmetric(dim, seed=dim), deflate, seed=dim + 1)
+    theta, x = lanczos(apply, dim, seed=7)
+    oracle_theta, oracle_x = two_pass_lanczos(apply, dim, seed=7)
+    assert theta == oracle_theta
+    assert np.array_equal(x, oracle_x)
+
+
+def test_gap_reports_equal_the_two_pass_oracle_driven_ones(monkeypatch):
+    # the gap-sweep chains: l = 2..12 at 2S = 1, 2
+    from magnonlab import spectra
+
+    cases = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 13)]
+    reports = [spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s)) for ell, two_s in cases]
+    steps = []
+
+    def oracle(apply, dim, seed):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return apply(x)
+
+        result = two_pass_lanczos(counted, dim, seed)
+        steps[-1] += (len(calls) + 1) // 2  # m steps, then m - 1 to rebuild
+        return result
+
+    monkeypatch.setattr(spectra, "lanczos", oracle)
+    for (ell, two_s), report in zip(cases, reports):
+        steps.append(0)
+        expected = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
+        assert report == dataclasses.replace(expected, matvecs=steps[-1])
+    # l = 11, 12 at 2S = 1 and l = 8..12 at 2S = 2 have a block above the dense cap
+    assert [report.solver for report in reports].count("lanczos") == 7
+
+
 def test_lanczos_is_bit_reproducible():
     from magnonlab.spectra import lanczos
 
@@ -397,7 +441,7 @@ def test_lanczos_stops_cleanly_on_an_invariant_krylov_space():
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         theta, x = lanczos(apply, 300, seed=4)
-    assert len(calls) == 3 + 2  # three steps, then two to rebuild the vector
+    assert len(calls) == 3  # three steps; the vector comes from the stored basis
     assert np.all(np.isfinite(x))
     assert theta == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(d * x - theta * x) <= 1e-12
