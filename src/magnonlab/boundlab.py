@@ -175,15 +175,17 @@ def verify_laplacian_lower_bound(
     the collapsed coordinates see at least the free-boundary Laplacian
     of the shrunken box."""
     ((basis, h),) = dense_sectors(SpinLattice.chain(ell), spin, [n])
+    scale = float(np.abs(sla.eigvalsh(h)).max())
     vmat, _ = coordinate_collapse_matrix(basis)
     lap = neumann_boson_laplacian(ell - n + 1, n)
-    rhs = spin.s * (vmat.T @ (lap @ vmat.toarray()))
-    diff = h - rhs
+    rhs = vmat.T @ (lap @ vmat.toarray())
+    # the difference is formed in H's storage and the collapsed Laplacian
+    # is freed before eigvalsh copies it
+    rhs *= spin.s
+    h -= rhs
+    del rhs
     return _psd_certificate(
-        "coordinate-laplacian-bound",
-        {"ell": ell, "two_s": spin.two_s, "n": n},
-        diff,
-        float(np.abs(sla.eigvalsh(h)).max()),
+        "coordinate-laplacian-bound", {"ell": ell, "two_s": spin.two_s, "n": n}, h, scale
     )
 
 

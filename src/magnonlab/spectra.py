@@ -10,14 +10,16 @@ sectors `dense_sectors` does not build: it sizes each against the same
 spectra come from a dense symmetric eigensolver (partition functions
 need every eigenvalue).  `spectral_gap` never needs the full spectrum:
 it enumerates the middle sector alone (refused above `DEFAULT_DIM_CAP`
-states), which holds every distinct eigenvalue, and builds its
-reflection-even and reflection-odd blocks directly from the columns of
-the mirror representatives (`parity_blocks`).  One lowest eigenvalue
-per block gives the gap: the even block is deflated by its known zero
-mode, and each block is solved densely when small and otherwise by
-`lanczos`, an unrestarted three-term recurrence that keeps the Krylov
-vectors it makes and builds the Ritz vector from them in one pass,
-checked by its residual.  `full_spectrum` stays
+states), which holds every distinct eigenvalue, and splits it over the
+characters of its symmetry group, the reflection and, when 2S*l is
+even, the spin flip (`symmetry_blocks`), each block folded directly
+from the columns of the orbit representatives.  The blocks are built
+and solved one at a time, and one lowest eigenvalue per block gives the
+gap: the trivial block is deflated by its known zero mode, and each
+block is solved densely when small and otherwise by `lanczos`, an
+unrestarted three-term recurrence that keeps the Krylov vectors it
+makes and builds the Ritz vector from them in one pass, checked by its
+residual.  `full_spectrum` stays
 unreduced: it holds one dense sector at a time and diagonalizes it in
 its own storage.
 """
@@ -174,13 +176,17 @@ class GapReport:
     deviation: float
     solver: str  # "dense" | "lanczos" (Lanczos on at least one block)
     residual: float  # largest Ritz residual ||Hv - theta v||; 0.0 for dense
-    block_dims: tuple  # (even, odd) reflection-parity block dimensions
-    matvecs: int  # Lanczos operator applications (one per step) over both blocks; 0 for dense
+    # dimensions of the blocks solved, in the character order of
+    # `symmetry_blocks`: two reflection-parity blocks (even, odd), or up
+    # to four reflection x spin-flip blocks when 2S*ell is even, with a
+    # character that has no state left out
+    block_dims: tuple
+    matvecs: int  # Lanczos operator applications (one per step) over all blocks; 0 for dense
 
 
-# Parity blocks up to this size are solved densely (the cap applies to
+# Symmetry blocks up to this size are solved densely (the cap applies to
 # each block on its own).  The dense path is also the one that handles
-# the 1-state even block of l=2: its only vector is the zero mode u, so
+# the 1-state trivial block of l=2: its only vector is the zero mode u, so
 # its one Ritz value is the shift c, which fails the residual check on
 # the undeflated block.  On 2 CPUs
 # a dense solve takes 0.3-2.8 ms up to 200 states against 2-5 ms for
@@ -201,47 +207,72 @@ _RITZ_RESIDUAL_BOUND = 1e-10
 _BREAKDOWN_FACTOR = 1e-12
 
 
-def parity_blocks(basis: MagnonSectorBasis):
-    """(H_even, H_odd, u, c): the reflection-even and reflection-odd
-    blocks of the sector's Heisenberg Hamiltonian as CSR matrices, the
-    even image u of `ground_multiplet_vector`, and the largest absolute
-    row sum c of H, a bound on ||H||.
+def symmetry_blocks(basis: MagnonSectorBasis):
+    """(u, c, blocks): the sector's Heisenberg Hamiltonian split over the
+    characters of its symmetry group, with u the image of
+    `ground_multiplet_vector` in the trivial block, c the largest
+    absolute row sum of H (a bound on ||H||), and `blocks` an iterator
+    that builds one (character, CSR block) pair at a time.
 
-    The mirror map P sends each state to its site-reversed image.  A
-    representative b (mirror(b) >= b) of a pair gives the even basis
-    vector (e_b + Pe_b)/sqrt2 and the odd one (e_b - Pe_b)/sqrt2; a
-    palindrome gives the even vector e_b.  Blocks are indexed by the
-    representatives in ascending order.  H commutes with P, so
-    H(e_b +- Pe_b) = (1 +- P) H e_b: only the representatives' columns
-    of H are built (`heisenberg_columns`), and each entry H[t, b] is
-    folded onto the row of the representative a of t.  The even entry
-    is weighted by w_b / w_a (w = sqrt2 for a pair, 1 for a palindrome);
-    the odd entry carries the sign -1 when t is the mirror image of a,
-    and rows or columns of palindromes are left out.
+    The group is {1, P}, P the mirror map that sends each state to its
+    site-reversed image, and {1, P, F, PF} when 2n = 2S*M, where the
+    spin flip F sends n_x to 2S - n_x.  On such a self-conjugate sector
+    the base-(2S+1) keys of a state and its flip add up to the same
+    constant, so F maps row i to row dim - 1 - i.  A character is the
+    tuple of its signs chi(g) over the group elements in that order:
+    (1, p) for {1, P}, and (1, p, f, pf) for p, f in (+1, -1) for the
+    larger group, the trivial character first.
+
+    Each orbit is represented by its lowest row a.  The character-chi
+    basis vector of a is |orbit_a|^(-1/2) times the sum of chi(g) e_t
+    over the distinct images t = g a; it vanishes, and a is left out of
+    the block, when chi is not trivial on the stabilizer of a.  H commutes
+    with the group, so only the representatives' columns of H are built
+    (`heisenberg_columns`), and each entry H[t, b] with t = g a is
+    folded onto row a with the weight chi(g) sqrt(|orbit_b| / |orbit_a|).
+    Blocks are indexed by their representatives in ascending order, and
+    a character with no representative gives no block.  The iterator
+    holds the folded columns but not `basis`, so a caller that drops the
+    basis keeps only what the blocks are built from.
     """
     idx = np.arange(basis.dim)
     mirror = basis.state_index(basis.states[:, ::-1])
-    reps = idx[mirror >= idx]
+    images = [idx, mirror]
+    signs = [(1, p) for p in (1, -1)]
+    if 2 * basis.n == basis.spin.two_s * basis.lattice.nsites:
+        images += [idx[::-1], mirror[::-1]]
+        signs = [(1, p, f, p * f) for p in (1, -1) for f in (1, -1)]
+    images, signs = np.stack(images), np.array(signs)
+    rep = images.min(axis=0)
+    # every element is an involution, so the first g that takes t to its
+    # representative a also takes a to t
+    element = np.argmax(images == rep, axis=0)
+    stabilizer = images == idx
+    orbit = len(images) / stabilizer.sum(axis=0)
+    reps = idx[rep == idx]
+    position = np.cumsum(rep == idx) - 1  # block row of each representative
     rows, cols, vals = heisenberg_columns(basis, reps)
-    paired = mirror != idx
-    weight = np.where(paired, math.sqrt(2.0), 1.0)
-    target = np.minimum(rows, mirror[rows])
-
-    def block(members, entries, fold):
-        position = np.zeros(basis.dim, dtype=np.int64)
-        position[members] = np.arange(len(members))
-        return sp.csr_matrix(
-            ((vals * fold)[entries], (position[target[entries]], position[cols[entries]])),
-            shape=(len(members), len(members)),
-        )
-
-    even = block(reps, slice(None), weight[cols] / weight[target])
-    odd = block(
-        reps[paired[reps]], paired[cols] & paired[target], np.where(rows == target, 1.0, -1.0)
-    )
-    u = ground_multiplet_vector(basis)[reps] * weight[reps]
     c = float(np.bincount(cols, weights=np.abs(vals), minlength=basis.dim).max())
-    return even, odd, u, c
+    target = rep[rows]
+    vals = vals * np.sqrt(orbit[cols] / orbit[target])
+    entry_element, rows, cols = element[rows], position[target], position[cols]
+    u = ground_multiplet_vector(basis)[reps] * np.sqrt(orbit[reps])
+    stabilizer = stabilizer[:, reps]
+
+    def blocks():
+        for chi in signs:
+            member = ~stabilizer[chi < 0].any(axis=0)
+            size = int(member.sum())
+            if size == 0:
+                continue
+            at = np.cumsum(member) - 1
+            keep = member[rows] & member[cols]
+            yield tuple(chi.tolist()), sp.csr_matrix(
+                ((vals * chi[entry_element])[keep], (at[rows[keep]], at[cols[keep]])),
+                shape=(size, size),
+            )
+
+    return u, c, blocks()
 
 
 def lanczos(apply, dim, seed, maxiter=1000):
@@ -257,11 +288,12 @@ def lanczos(apply, dim, seed, maxiter=1000):
     value, which converges regardless.  It returns
     x = sum_j y_j v_j / ||.|| from the stored vectors, so m steps cost m
     operator applications.  The stored basis costs m * dim * 8 bytes,
-    so at most `maxiter` * dim * 8 bytes before the RuntimeError: 2.5 GB
-    for the 308,310-state even block of chain 14 at S = 1, and 4.1 GB
-    for a block of the largest middle sector `spectral_gap` admits
-    (chain 8 at 2S = 7, 1,012,664 states).  The largest gap block
-    measured (chain 20 at S = 1/2) converges in 270 steps.  A beta at roundoff
+    so at most `maxiter` * dim * 8 bytes before the RuntimeError: 1.2 GB
+    for the 154,702-state trivial block of chain 14 at S = 1, and 2.0 GB
+    for the 254,276-state trivial block of the largest middle sector
+    `spectral_gap` admits (chain 8 at 2S = 7, 1,012,664 states).  The
+    gap blocks of chain 20 at S = 1/2 (about 46,000 states each)
+    converge in 200-220 steps each.  A beta at roundoff
     of the operator scale means the Krylov space is invariant: the run
     stops there, with theta exact on that space.  Inner products are
     taken as (w * v).sum(): on vectors of this size a BLAS dot product
@@ -337,22 +369,24 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     Only the middle sector n = floor(S*ell) is built: it holds every
     total-spin multiplet, hence every distinct eigenvalue, and exactly
     one zero mode, the maximal-spin state v.  H commutes with the
-    chain's reflection, so the sector splits into an even and an odd
-    block, built directly from the mirror representatives
-    (`parity_blocks`).  v is even, with image u in the even block, so
-    the gap is the smaller of the lowest eigenvalue of the deflated
-    even block H_e + c u u^T (c >= ||H|| moves the zero mode to the top
-    of the spectrum) and the lowest eigenvalue of the odd block; the
-    parity of the gap mode is not assumed.  Each block is solved by a
-    dense `eigvalsh` while it has at most `_DENSE_GAP_CAP` states and
-    by `lanczos` (seeded random start vector, so gaps are
-    bit-reproducible) above that; `matvecs` counts its operator
-    applications.
+    chain's reflection, and with the spin flip when 2S*ell is even, so
+    the sector splits into two or four blocks, one per character of
+    that group (`symmetry_blocks`).  The blocks are built and solved one
+    at a time, each freed before the next is built, and the basis is
+    dropped once u and c are taken.  v is invariant, with image u in
+    the trivial block, so the gap is the smallest of the lowest
+    eigenvalue of the deflated trivial block H_1 + c u u^T (c >= ||H||
+    moves the zero mode to the top of the spectrum) and the lowest
+    eigenvalues of the other blocks; the symmetry of the gap mode is
+    not assumed.  Each block is solved by a dense `eigvalsh` while it
+    has at most `_DENSE_GAP_CAP` states and by `lanczos` (seeded random
+    start vector, so gaps are bit-reproducible) above that; `matvecs`
+    counts its operator applications.
 
     Raises ResourceLimitError, before enumerating, when the middle sector
     has more than `DEFAULT_DIM_CAP` states.  With the tolerance
     tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError when
-    ||H_e u|| (= ||H v||) exceeds tol, so v is not a zero mode; when
+    ||H_1 u|| (= ||H v||) exceeds tol, so v is not a zero mode; when
     the gap is not above tol, so v is not the only zero mode; or when a
     Ritz residual, taken on the undeflated block, exceeds
     `_RITZ_RESIDUAL_BOUND`.
@@ -362,19 +396,27 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     ell = lattice.nsites
     middle = (spin.two_s * ell) // 2
     require_sector_dimensions(ell, spin.two_s, [middle], DEFAULT_DIM_CAP)
-    even, odd, u, c = parity_blocks(enumerate_sector_basis(lattice, spin, middle))
+    u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, middle))
     tol = _ZERO_TOL_FACTOR * max(c, 1.0)
-    zero_resid = float(np.linalg.norm(even @ u))
-    if not zero_resid <= tol:
-        raise RuntimeError(
-            f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
-            f"exceeds {tol:.1e}"
-        )
-    even_theta, even_resid, even_matvecs = _lowest_eigenvalue(even, (c, u))
-    odd_theta, odd_resid, odd_matvecs = _lowest_eigenvalue(odd)
-    gap = min(even_theta, odd_theta)
-    residual = max(even_resid, odd_resid)
-    dims = (even.shape[0], odd.shape[0])
+    thetas, residuals, dims, matvecs = [], [], [], 0
+    for chi, block in blocks:
+        deflate = None
+        if min(chi) > 0:  # the trivial block, which holds u
+            zero_resid = float(np.linalg.norm(block @ u))
+            if not zero_resid <= tol:
+                raise RuntimeError(
+                    f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
+                    f"exceeds {tol:.1e}"
+                )
+            deflate = (c, u)
+        theta, resid, steps = _lowest_eigenvalue(block, deflate)
+        thetas.append(theta)
+        residuals.append(resid)
+        dims.append(block.shape[0])
+        matvecs += steps
+        del block  # free the block before the next one is built
+    gap = min(thetas)
+    residual = max(residuals)
     if not tol < gap:
         raise RuntimeError(
             f"lowest eigenvalue {gap!r} beside the maximal-spin state is a second "
@@ -387,8 +429,8 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     solver = "dense" if max(dims) <= _DENSE_GAP_CAP else "lanczos"
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual, dims,
-        even_matvecs + odd_matvecs,
+        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual,
+        tuple(dims), matvecs,
     )
 
 

@@ -245,6 +245,23 @@ def test_laplacian_bound_is_equality_for_one_magnon():
     assert cert.passed and abs(cert.slack) < 1e-12
 
 
+def test_laplacian_bound_holds_at_most_four_dense_copies_of_its_sector():
+    # H, the dense collapse matrix and the two collapsed products; the
+    # difference is formed in H's storage and eigvalsh copies it only once
+    # the collapsed Laplacian is freed
+    import tracemalloc
+
+    dim = 1287  # n=5 sector of chain 13 at S=1/2, collapsed onto a box of 9 sites
+    tracemalloc.start()
+    try:
+        cert = verify_laplacian_lower_bound(13, SpinMagnitude(1), 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert peak <= 4.5 * 8 * dim**2
+
+
 def test_laplacian_bound_full_box():
     # n = l: the target box is a point and the bound reduces to H >= 0
     assert verify_laplacian_lower_bound(3, SpinMagnitude(2), 3).passed

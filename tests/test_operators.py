@@ -343,7 +343,8 @@ def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors_and_mirror_columns
         )
         op = assemble_heisenberg(basis)
         assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
-        # the columns of the mirror representatives, as `spectra.parity_blocks` builds them
+        # the columns of the mirror representatives, as `spectra.symmetry_blocks` builds
+        # them on a sector the spin flip does not map to itself
         index = np.arange(basis.dim)
         reps = index[basis.state_index(basis.states[:, ::-1]) >= index]
         rows, cols, vals = heisenberg_columns(basis, reps)

@@ -27,9 +27,9 @@ from magnonlab.spectra import (
     free_energy_from_eigenvalues,
     full_spectrum,
     gibbs_variational_upper,
-    parity_blocks,
     sector_energy_spin_pairs,
     spectral_gap,
+    symmetry_blocks,
 )
 from oracles import two_pass_lanczos
 
@@ -140,12 +140,13 @@ def _oracle_gap(lat, spin):
 
 
 def test_sparse_gap_path_agrees_with_dense():
-    # middle sector of dim 1107, parity blocks of 563 and 544: the Lanczos
-    # path, on a size the dense spectrum of every sector can check
+    # middle sector of dim 1107, reflection x spin-flip blocks of 302, 261,
+    # 252 and 292: the Lanczos path, on a size the dense spectrum of every
+    # sector can check
     lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
     report = spectral_gap(lat, spin)
     assert report.solver == "lanczos"
-    assert report.block_dims == (563, 544)
+    assert report.block_dims == (302, 261, 252, 292)
     assert 0.0 < report.residual <= 1e-10
     assert report.gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
@@ -161,28 +162,42 @@ def test_spectral_gap_equals_full_spectrum_gap(ell, two_s):
     assert spectral_gap(lat, spin).gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
 
-def parity_isometries(basis):
-    """(Q_even, Q_odd): CSR isometries onto the reflection-even and
-    reflection-odd subspaces of a sector, the oracle of `parity_blocks`.
+def _self_conjugate(basis):
+    return 2 * basis.n == basis.spin.two_s * basis.lattice.nsites
 
-    A pair i < mirror(i) gives the even column (e_i + e_j)/sqrt2 and the
-    odd column (e_i - e_j)/sqrt2; a palindrome gives the even column e_i.
-    Columns are ordered by the lower row of their pair.
+
+def character_isometries(basis):
+    """[(chi, Q)]: one CSR isometry per character of the sector's
+    symmetry group, the oracle of `symmetry_blocks`.
+
+    The group elements are row maps found by lookup: the identity, the
+    mirror P and, on a self-conjugate sector, the flip F (the rows of
+    2S - states) and PF.  A character lists its signs in that order.
+    Column a of Q_chi is sum_g chi(g) e_{g(a)}, normalized, for the
+    lowest row a of each orbit; a column whose sum vanishes is left out,
+    so Q_chi may have no columns.
     """
-    mirror = basis.state_index(basis.states[:, ::-1])
     rows = np.arange(basis.dim)
-    isometries = []
-    for sign, reps in ((1.0, rows[mirror >= rows]), (-1.0, rows[mirror > rows])):
-        partner = mirror[reps]
-        pair = partner != reps
-        weight = np.where(pair, math.sqrt(0.5), 1.0)
-        cols = np.arange(len(reps))
-        isometries.append(sp.csr_matrix(
-            (np.concatenate([weight, sign * weight[pair]]),
-             (np.concatenate([reps, partner[pair]]), np.concatenate([cols, cols[pair]]))),
+    mirror = basis.state_index(basis.states[:, ::-1])
+    maps, characters = [rows, mirror], [(1, 1), (1, -1)]
+    if _self_conjugate(basis):
+        flip = basis.state_index(basis.spin.two_s - basis.states)
+        maps += [flip, mirror[flip]]
+        characters = [(1, p, f, p * f) for p in (1, -1) for f in (1, -1)]
+    maps = np.array(maps)
+    reps = rows[maps.min(axis=0) == rows]
+    out = []
+    for chi in characters:
+        m = sp.csr_matrix(
+            (np.repeat(chi, len(reps)).astype(float),
+             (maps[:, reps].ravel(), np.tile(np.arange(len(reps)), len(maps)))),
             shape=(basis.dim, len(reps)),
-        ))
-    return tuple(isometries)
+        )
+        m.eliminate_zeros()
+        norms = np.sqrt(np.asarray(m.multiply(m).sum(axis=0)).ravel())
+        keep = np.flatnonzero(norms > 0.5)
+        out.append((chi, (m[:, keep] @ sp.diags(1.0 / norms[keep])).tocsr()))
+    return out
 
 
 PARITY_CHAINS = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 9)]
@@ -190,16 +205,26 @@ PARITY_CHAINS = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 9)]
 
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS + [(ell, 3) for ell in range(2, 9)])
 def test_parity_blocks_equal_the_projected_sector(ell, two_s):
+    # every sector n, so both the {1, P} blocks and, where 2S*l is even,
+    # the reflection x spin-flip blocks of the middle sector are checked
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     for n in range(two_s * ell + 1):
         basis = enumerate_sector_basis(lat, spin, n)
         h = assemble_heisenberg(basis).to_csr()
-        q_even, q_odd = parity_isometries(basis)
-        even, odd, u, c = parity_blocks(basis)
-        for block, q in ((even, q_even), (odd, q_odd)):
+        isometries = [(chi, q) for chi, q in character_isometries(basis) if q.shape[1]]
+        u, c, blocks = symmetry_blocks(basis)
+        blocks = list(blocks)
+        assert [chi for chi, _ in blocks] == [chi for chi, _ in isometries]
+        for (_, block), (_, q) in zip(blocks, isometries):
             assert block.shape == (q.shape[1], q.shape[1])
             assert np.abs((block - q.T @ h @ q).data).max(initial=0.0) <= 1e-14
-        np.testing.assert_allclose(u, q_even.T @ ground_multiplet_vector(basis), rtol=0, atol=1e-15)
+        v = ground_multiplet_vector(basis)
+        trivial = isometries[0][1]
+        np.testing.assert_allclose(u, trivial.T @ v, rtol=0, atol=1e-15)
+        # u lies in the trivial block: it gives back v, and no other block sees v
+        np.testing.assert_allclose(trivial @ u, v, rtol=0, atol=1e-15)
+        for _, q in isometries[1:]:
+            assert np.abs(q.T @ v).max() <= 1e-15
         assert c == pytest.approx(abs(h).sum(axis=1).max(), rel=1e-14, abs=0.0)
 
 
@@ -208,14 +233,19 @@ def test_mirror_map_is_an_involution_and_splits_every_sector(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     for n in range(two_s * ell + 1):
         basis = enumerate_sector_basis(lat, spin, n)
+        rows = np.arange(basis.dim)
         mirror = basis.state_index(basis.states[:, ::-1])
-        assert np.array_equal(mirror[mirror], np.arange(basis.dim))
-        palindromes = int(np.sum(mirror == np.arange(basis.dim)))
-        q_even, q_odd = parity_isometries(basis)
-        assert q_even.shape[1] + q_odd.shape[1] == basis.dim
-        assert q_odd.shape[1] == (basis.dim - palindromes) // 2
-        q = sp.hstack([q_even, q_odd]).toarray()
+        assert np.array_equal(mirror[mirror], rows)
+        if _self_conjugate(basis):
+            # the flip reverses the lexicographic order of a self-conjugate sector
+            assert np.array_equal(basis.state_index(two_s - basis.states), rows[::-1])
+        isometries = character_isometries(basis)
+        assert len(isometries) == (4 if _self_conjugate(basis) else 2)
+        q = sp.hstack([q for _, q in isometries]).toarray()
+        assert q.shape == (basis.dim, basis.dim)
         assert np.allclose(q.T @ q, np.eye(basis.dim), atol=1e-15)
+        _, _, blocks = symmetry_blocks(basis)
+        assert sum(block.shape[0] for _, block in blocks) == basis.dim
 
 
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
@@ -223,11 +253,32 @@ def test_parity_block_spectra_recombine_to_the_sector_spectrum(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     for n in range(two_s * ell + 1):
         basis = enumerate_sector_basis(lat, spin, n)
-        h = assemble_heisenberg(basis).to_csr()
-        blocks = [sla.eigvalsh((q.T @ h @ q).toarray()) for q in parity_isometries(basis)]
+        _, _, blocks = symmetry_blocks(basis)
+        spectra = [sla.eigvalsh(block.toarray()) for _, block in blocks]
         np.testing.assert_allclose(
-            np.sort(np.concatenate(blocks)), sla.eigvalsh(h.toarray()), rtol=0, atol=1e-10
+            np.sort(np.concatenate(spectra)),
+            sla.eigvalsh(assemble_heisenberg(basis).to_dense()),
+            rtol=0, atol=1e-12,
         )
+
+
+@pytest.mark.parametrize(
+    "ell,characters,dims",
+    [
+        # one mirror pair, which is also a flip pair: P and F act alike
+        (2, [(1, 1, 1, 1), (1, -1, -1, 1)], (1, 1)),
+        # orbits {0011, 1100}, {0101, 1010} (fixed by PF) and {0110, 1001}
+        # (fixed by P): no state carries the character (1, -1, 1, -1)
+        (4, [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, -1, 1)], (3, 1, 2)),
+    ],
+)
+def test_symmetry_blocks_skip_empty_characters(ell, characters, dims):
+    basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(1), ell // 2)
+    _, _, blocks = symmetry_blocks(basis)
+    blocks = list(blocks)
+    assert [chi for chi, _ in blocks] == characters
+    assert tuple(block.shape[0] for _, block in blocks) == dims
+    assert spectral_gap(SpinLattice.chain(ell), SpinMagnitude(1)).block_dims == dims
 
 
 def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
@@ -244,10 +295,12 @@ def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
 
 
 def test_lanczos_gap_is_bit_reproducible():
-    lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
-    first, second = spectral_gap(lat, spin), spectral_gap(lat, spin)
-    assert first.solver == "lanczos"
-    assert first.gap == second.gap and first.residual == second.residual
+    # four reflection x spin-flip blocks at 2S*l = 16, two parity blocks at 11
+    for ell, two_s in ((8, 2), (11, 1)):
+        lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+        first, second = spectral_gap(lat, spin), spectral_gap(lat, spin)
+        assert first.solver == "lanczos"
+        assert first == second
 
 
 @pytest.mark.parametrize(
@@ -312,8 +365,25 @@ def test_spectral_gap_calls_lanczos_once_per_large_block_and_never_assembles_csr
     monkeypatch.setattr(operators.HermitianOperator, "to_csr", refuse)
     for ell, two_s in ((8, 2), (12, 1), (4, 1)):
         spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
-    # chain 4 at 2S=1 has blocks of 4 and 2 states, solved densely
-    assert dims == [563, 544, 472, 452]
+    # chain 4 at 2S=1 has blocks of 3, 1 and 2 states, solved densely
+    assert dims == [302, 261, 252, 292, 252, 220, 210, 242]
+
+
+def test_spectral_gap_holds_one_block_and_its_krylov_basis_at_a_time():
+    # chain 12 at 2S=2: 73,789 states in blocks of 18,665 / 18,300 /
+    # 18,230 / 18,594, each solved in about 140 Lanczos steps, so one
+    # block's Krylov basis is about 21 MB; the two parity blocks of about
+    # 36,900 states and their 160-step basis came to 59 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        report = spectral_gap(SpinLattice.chain(12), SpinMagnitude(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.deviation <= 1e-9 and report.residual <= 1e-10
+    assert peak <= 40e6
 
 
 def test_gap_report_counts_lanczos_matvecs():
