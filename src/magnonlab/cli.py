@@ -349,6 +349,14 @@ def _config_flags(path, parser):
     return flags
 
 
+def _require_output_directories(args):
+    """Refuse an output path whose directory does not exist, before any
+    work is done and before any other output is written."""
+    for path in (args.out, getattr(args, "plot_script", None)):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory to write {path!r} in")
+
+
 def _boolean(text):
     if text.lower() in ("1", "true", "yes"):
         return True
@@ -418,14 +426,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if args.config:
-        # config flags go before the command line's own, so those win
-        args = parser.parse_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
-    if args.out is None and args.command != "verify":
-        parser.error("--out is required for table-producing commands")
     try:
+        if args.config:
+            # config flags go before the command line's own, so those win
+            args = parser.parse_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
+        if args.out is None and args.command != "verify":
+            parser.error("--out is required for table-producing commands")
+        _require_output_directories(args)
         return args.func(args)
-    except (ValueError, ResourceLimitError) as exc:
+    except (OSError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,11 +15,10 @@ characters of its symmetry group, the reflection and, when 2S*l is
 even, the spin flip (`symmetry_blocks`), each block folded directly
 from the columns of the orbit representatives.  The blocks are built
 and solved one at a time, and one lowest eigenvalue per block gives the
-gap: the trivial block is deflated by its known zero mode, and each
-block is solved densely when small and otherwise by `lanczos`, an
-unrestarted three-term recurrence that keeps the Krylov vectors it
-makes and builds the Ritz vector from them in one pass, checked by its
-residual.  `full_spectrum` stays
+gap: the trivial block is deflated by its known zero mode, and every
+block is solved by `lanczos`, an unrestarted three-term recurrence that
+keeps the Krylov vectors it makes and builds the Ritz vector from them
+in one pass, checked by its residual.  `full_spectrum` stays
 unreduced: it holds one dense sector at a time and diagonalizes it in
 its own storage.
 """
@@ -174,26 +173,15 @@ class GapReport:
     gap: float
     reference: float
     deviation: float
-    solver: str  # "dense" | "lanczos" (Lanczos on at least one block)
-    residual: float  # largest Ritz residual ||Hv - theta v||; 0.0 for dense
+    residual: float  # largest Ritz residual ||Ax - theta x|| over the operators A solved
     # dimensions of the blocks solved, in the character order of
     # `symmetry_blocks`: two reflection-parity blocks (even, odd), or up
     # to four reflection x spin-flip blocks when 2S*ell is even, with a
     # character that has no state left out
     block_dims: tuple
-    matvecs: int  # Lanczos operator applications (one per step) over all blocks; 0 for dense
+    matvecs: int  # Lanczos operator applications (one per step) over all blocks
 
 
-# Symmetry blocks up to this size are solved densely (the cap applies to
-# each block on its own).  The dense path is also the one that handles
-# the 1-state trivial block of l=2: its only vector is the zero mode u, so
-# its one Ritz value is the shift c, which fails the residual check on
-# the undeflated block.  On 2 CPUs
-# a dense solve takes 0.3-2.8 ms up to 200 states against 2-5 ms for
-# `lanczos`; at 226-236 states the two are within 3 ms either way, at
-# 290 `lanczos` is 1.5-2x faster and at 450-560 2-4x, and dense cost
-# grows as dim^3.
-_DENSE_GAP_CAP = 200
 # Fixed seed of the Lanczos start vector, so a gap is bit-reproducible.
 _LANCZOS_SEED = 20260811
 # Relative Lanczos residual estimate at which the lowest Ritz value stops.
@@ -333,20 +321,12 @@ def lanczos(apply, dim, seed, maxiter=1000):
 
 
 def _lowest_eigenvalue(block, deflate=None):
-    """(theta, residual, matvecs): the lowest eigenvalue of a symmetric
-    CSR block, or of block + c u u^T when `deflate` is (c, u), the Ritz
-    residual ||Bx - theta x|| of its vector on the undeflated block B,
-    and the number of operator applications.  Dense `eigvalsh`
-    (residual 0.0, no applications) up to `_DENSE_GAP_CAP` states,
-    `lanczos` above, with the rank-one term applied as u * (u * x).sum()
-    for the reason given there."""
-    dim = block.shape[0]
-    if dim <= _DENSE_GAP_CAP:
-        dense = block.toarray()
-        if deflate is not None:
-            c, u = deflate
-            dense += c * np.outer(u, u)
-        return float(sla.eigvalsh(dense)[0]), 0.0, 0
+    """(theta, residual, matvecs): the lowest eigenvalue of the operator
+    A = block, or A = block + c u u^T when `deflate` is (c, u), found by
+    `lanczos`, the Ritz residual ||Ax - theta x|| of its vector, and the
+    number of Lanczos steps (one operator application each; the residual
+    product is not counted).  The rank-one term is applied as
+    u * (u * x).sum() for the reason given at `lanczos`."""
     matvecs = 0
 
     def apply(x):
@@ -358,8 +338,9 @@ def _lowest_eigenvalue(block, deflate=None):
             y += c * u * (u * x).sum()
         return y
 
-    theta, x = lanczos(apply, dim, _LANCZOS_SEED)
-    return theta, float(np.linalg.norm(block @ x - theta * x)), matvecs
+    theta, x = lanczos(apply, block.shape[0], _LANCZOS_SEED)
+    steps = matvecs
+    return theta, float(np.linalg.norm(apply(x) - theta * x)), steps
 
 
 def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
@@ -378,18 +359,19 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     eigenvalue of the deflated trivial block H_1 + c u u^T (c >= ||H||
     moves the zero mode to the top of the spectrum) and the lowest
     eigenvalues of the other blocks; the symmetry of the gap mode is
-    not assumed.  Each block is solved by a dense `eigvalsh` while it
-    has at most `_DENSE_GAP_CAP` states and by `lanczos` (seeded random
-    start vector, so gaps are bit-reproducible) above that; `matvecs`
-    counts its operator applications.
+    not assumed.  Every block, of one state or of many, is solved by
+    `lanczos` (seeded random start vector, so gaps are bit-reproducible);
+    `matvecs` counts its operator applications.  A Ritz residual is taken
+    on the operator Lanczos solved, so on H_1 + c u u^T for the trivial
+    block: that operator has the spectrum of H_1 on the complement of u,
+    plus c >= ||H|| >= gap, so the minimum over the blocks is the gap.
 
     Raises ResourceLimitError, before enumerating, when the middle sector
     has more than `DEFAULT_DIM_CAP` states.  With the tolerance
     tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError when
     ||H_1 u|| (= ||H v||) exceeds tol, so v is not a zero mode; when
     the gap is not above tol, so v is not the only zero mode; or when a
-    Ritz residual, taken on the undeflated block, exceeds
-    `_RITZ_RESIDUAL_BOUND`.
+    Ritz residual exceeds `_RITZ_RESIDUAL_BOUND`.
     """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
@@ -426,11 +408,9 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
         raise RuntimeError(
             f"Ritz residual {residual:.1e} exceeds {_RITZ_RESIDUAL_BOUND:.0e}"
         )
-    solver = "dense" if max(dims) <= _DENSE_GAP_CAP else "lanczos"
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), solver, residual,
-        tuple(dims), matvecs,
+        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims), matvecs
     )
 
 

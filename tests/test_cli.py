@@ -370,6 +370,29 @@ def test_free_energy_refuses_a_non_finite_f(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--length", "3", "--beta", "1", "--config", "{tmp}/missing.cfg",
+         "--out", "{tmp}/f.csv"],
+        ["free-energy", "--length", "3", "--beta", "1", "--out", "{tmp}/missing/f.csv"],
+        ["asymptotics", "--out", "{tmp}/missing/a.csv"],
+        ["budget", "--out", "{tmp}/missing/b.csv"],
+        ["verify", "--check", "su2", "--grid", "quick", "--out", "{tmp}/missing/certs.jsonl"],
+        ["free-energy", "--length", "3", "--beta", "1", "--out", "{tmp}/f.csv",
+         "--plot-script", "{tmp}/missing/plot.py"],
+        ["asymptotics", "--out", "{tmp}/a.csv", "--plot-script", "{tmp}/missing/plot.py"],
+    ],
+    ids=["config", "free-energy-out", "asymptotics-out", "budget-out", "verify-out",
+         "free-energy-plot-script", "asymptotics-plot-script"],
+)
+def test_a_file_that_cannot_be_read_or_written_is_a_one_line_error(tmp_path, capsys, argv):
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.rglob("*")) == []
+
+
 def _one_error_line_and_no_ledger(capsys, ledger):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
