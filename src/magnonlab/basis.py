@@ -221,14 +221,23 @@ def enumerate_sector_basis(
     # Prefix expansion, one site at a time: each prefix with `remaining`
     # magnons left is repeated once per admissible occupation lo..hi of
     # the next site, in ascending order, so the rows stay lexicographic.
-    states = np.zeros((1, 0), dtype=np.int64)
+    # A step keeps only its new occupations and their parent prefixes;
+    # the last site takes what remains, and the other columns are then
+    # written in place, last first, following each row's parents back.
+    parents, occs = [], []
     remaining = np.array([n], dtype=np.int64)
-    for pos in range(nsites):
-        lo = np.maximum(0, remaining - cap * (nsites - 1 - pos))
-        counts = np.minimum(cap, remaining) - lo + 1
-        parent = np.repeat(np.arange(len(states)), counts)
-        starts = np.cumsum(counts) - counts
-        occ = lo[parent] + np.arange(len(parent)) - starts[parent]
-        states = np.column_stack([states[parent], occ])
-        remaining = remaining[parent] - occ
+    for pos in range(nsites - 1):
+        lo = np.maximum(remaining - cap * (nsites - 1 - pos), 0)
+        counts = np.minimum(remaining, cap) - lo + 1
+        ends = counts.cumsum()
+        parent = np.arange(len(remaining)).repeat(counts)
+        occs.append(np.arange(ends[-1]) - (ends - counts - lo)[parent])
+        parents.append(parent)
+        remaining = remaining[parent] - occs[-1]
+    states = np.empty((len(remaining), nsites), dtype=np.int64)
+    states[:, -1] = remaining
+    rows = np.arange(len(remaining))
+    for pos in range(nsites - 2, -1, -1):
+        states[:, pos] = occs[pos][rows]
+        rows = parents[pos][rows]
     return MagnonSectorBasis(lattice, spin, n, capped, states)

@@ -67,6 +67,8 @@ def _psd_certificate(name, params, difference, norm_scale):
 def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
     """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
     pinned chain of length ell."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
     require_sector_dimensions(ell, n, [n], DENSE_SECTOR_CAP)  # uncapped: the cap is n
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
@@ -199,14 +201,17 @@ def verify_halfspin_quadratic_form_equality(
     ((basis, h),) = dense_sectors(SpinLattice.chain(ell), spin, [n])
     st = basis.states
     i, x = np.nonzero((st[:, :-1] == 1) & (st[:, 1:] == 0))
-    pairs = list(zip(i.tolist(), basis.hop_targets(i, x, x + 1).tolist()))
+    j = basis.hop_targets(i, x, x + 1)
     rng = rng_for(seed, 5, ell, n)
     slacks = []
     for _ in range(max(samples, 1)):
         psi = rng.standard_normal(basis.dim)
         psi /= np.linalg.norm(psi)
         lhs = float(psi @ h @ psi)
-        rhs = spin.s * float(sum((psi[i] - psi[j]) ** 2 for i, j in pairs))
+        # cumsum adds left to right, as the committed ledgers were summed
+        # (Python 3.11's sum(); from 3.12 on sum() of floats is compensated)
+        d = psi[i] - psi[j]
+        rhs = spin.s * (float(np.cumsum(d * d)[-1]) if len(d) else 0.0)
         slacks.append(-abs(lhs - rhs))
     return InequalityCertificate(
         name="halfspin-quadratic-form",
@@ -245,16 +250,20 @@ def haar_random_state(basis: MagnonSectorBasis, rng) -> CoordinateState:
     return CoordinateState(basis, rng.standard_normal(basis.dim))
 
 
-def gibbs_random_state(basis, eigh_pair, beta, rng) -> CoordinateState:
-    """Draw an eigenstate of the sector block with probability proportional
-    to its Boltzmann weight; `eigh_pair` is the (w, u) of `sla.eigh` on
-    the block, computed once by the caller for all its draws."""
-    w, u = eigh_pair
-    logp = -beta * (w - w.min())
-    p = np.exp(logp)
+def gibbs_weights(energies, beta) -> np.ndarray:
+    """Boltzmann probabilities e^{-beta E} / Z of the energies of a
+    sector, shifted by the lowest one so that no weight overflows."""
+    p = np.exp(-beta * (energies - energies.min()))
     p /= p.sum()
-    idx = rng.choice(len(w), p=p)
-    return CoordinateState(basis, u[:, idx])
+    return p
+
+
+def gibbs_random_state(basis, vectors, weights, rng) -> CoordinateState:
+    """Draw the eigenstate column of `vectors` (the u of `sla.eigh` on the
+    sector block) with probability `weights` (`gibbs_weights` of its
+    energies); both are computed once by the caller for all its draws."""
+    idx = rng.choice(len(weights), p=weights)
+    return CoordinateState(basis, vectors[:, idx])
 
 
 def two_particle_density(state: CoordinateState) -> np.ndarray:
@@ -263,7 +272,7 @@ def two_particle_density(state: CoordinateState) -> np.ndarray:
     occ = state.basis.states.astype(float)
     w = state.amplitudes**2
     rho = occ.T @ (w[:, None] * occ)
-    rho[np.diag_indices_from(rho)] -= occ.T @ w
+    rho.reshape(-1)[:: len(rho) + 1] -= occ.T @ w  # the diagonal, as a strided view
     return rho
 
 

@@ -24,6 +24,7 @@ from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_s
 from .boundlab import (
     coordinate_collapse_matrix,
     gibbs_random_state,
+    gibbs_weights,
     haar_random_state,
     rng_for,
     verify_casimir_lower_bound,
@@ -170,7 +171,8 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
     certs = []
     for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
-        eigh_pair = sla.eigh(h)
+        energies, vectors = sla.eigh(h)
+        weights = gibbs_weights(energies, _GIBBS_BETA)
         pairs = []
         for kind in ("haar", "gibbs"):
             rng = rng_for(seed, 2, ell, n, two_s, 0 if kind == "haar" else 1)
@@ -178,7 +180,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
                 if kind == "haar":
                     state = haar_random_state(basis, rng)
                 else:
-                    state = gibbs_random_state(basis, eigh_pair, _GIBBS_BETA, rng)
+                    state = gibbs_random_state(basis, vectors, weights, rng)
                 pairs.append(verify_density_bounds(state, h))
         for cert in (worst(side, key=lambda c: c.slack) for side in zip(*pairs)):
             cert.params["samples"] = 2 * samples

@@ -1,11 +1,12 @@
-"""Sparse sector-block assembly of every operator used by the toolkit.
+"""Sector-block assembly of every operator used by the toolkit.
 
 All assemblies are pure functions of a `MagnonSectorBasis`: the chain
 Hamiltonian with its square-root-dressed hopping, the boundary-pinned
 variant, the free-boson hopping operator, the free-boundary Laplacian,
 the diagonal of the occupancy projector, and the total-spin Casimir.
-Matrices are collected as coordinate triplets and densified only at
-diagonalization time; `heisenberg_columns` gives any subset of the
+Matrices are collected as coordinate triplets, each (row, col) at most
+once; `to_dense` fills them straight into a dense block and `to_csr`
+builds the sparse matrix.  `heisenberg_columns` gives any subset of the
 Heisenberg block's columns, for builders of symmetry-reduced blocks.
 """
 
@@ -41,7 +42,12 @@ class HermitianOperator:
         ).tocsr()
 
     def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
+        # the hop kernel emits each (row, col) at most once (the diagonal
+        # kept apart, one target per hop), so a plain fill equals
+        # `to_csr().toarray()`, whose summing of duplicates never acts
+        dense = np.zeros((self.dim, self.dim))
+        dense[self.rows, self.cols] = self.vals
+        return dense
 
     def hermiticity_defect(self) -> float:
         """max |M - M^T| entry relative to max |M| (0 for empty operators)."""

@@ -418,6 +418,8 @@ def check_subadditivity(total_length: int, spin: SpinMagnitude, betas) -> list:
     """Certify L f_L >= l f_l + (L-l) f_{L-l} for every split of the chain,
     one certificate per beta in `betas`; each chain's spectrum is built
     once for all of them."""
+    if total_length < 2:
+        raise ValueError(f"subadditivity splits a chain of L >= 2 sites, got L={total_length}")
     # longest chain first: it has the largest sectors, so it refuses before any work
     chains = {
         ell: full_spectrum(SpinLattice.chain(ell), spin) for ell in range(total_length, 1, -1)

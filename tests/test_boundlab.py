@@ -9,6 +9,7 @@ from magnonlab.boundlab import (
     CoordinateState,
     coordinate_collapse_matrix,
     gibbs_random_state,
+    gibbs_weights,
     haar_random_state,
     neumann_boson_laplacian,
     rng_for,
@@ -383,13 +384,14 @@ def test_density_bounds_halfspin_diag_vanishes():
 def test_density_bounds_random_states():
     basis = enumerate_sector_basis(SpinLattice.chain(6), SpinMagnitude(2), 3)
     h = assemble_heisenberg(basis).to_dense()
-    eigh_pair = sla.eigh(h)
+    energies, vectors = sla.eigh(h)
+    weights = gibbs_weights(energies, 2.0)
     haar_rng = rng_for(31, 0)
     gibbs_rng = rng_for(31, 1)
     for _ in range(100):
         for state in (
             haar_random_state(basis, haar_rng),
-            gibbs_random_state(basis, eigh_pair, 2.0, gibbs_rng),
+            gibbs_random_state(basis, vectors, weights, gibbs_rng),
         ):
             c_off, c_diag = verify_density_bounds(state, h)
             assert c_off.passed and c_diag.passed

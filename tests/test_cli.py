@@ -443,6 +443,29 @@ def test_verify_php_refuses_a_sector_above_the_dense_cap(tmp_path, capsys, monke
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--check", "subadditivity", "--ell", "1"],
+         "error: subadditivity splits a chain of L >= 2 sites, got L=1"),
+        (["--check", "php-leq-t", "--n", "-1"], "error: n must be >= 0, got n=-1"),
+    ],
+)
+def test_verify_refuses_a_cell_outside_its_check_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    from magnonlab import boundlab, spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the cell was checked")
+
+    monkeypatch.setattr(spectra, "full_spectrum", refuse)
+    monkeypatch.setattr(boundlab, "enumerate_sector_basis", refuse)
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    assert _one_error_line_and_no_ledger(capsys, ledger) == message
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (["--check", "su2", "--ell", "99", "--n", "7", "--beta", "3"], "--ell"),

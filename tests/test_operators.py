@@ -336,6 +336,7 @@ def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors_and_mirror_columns
             op = assemble_free_boson_t(basis)
             expected = _loop_reference(basis, pairs, -s, False, lambda occ: 2.0 * s * sum(occ))
             assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
+            assert np.array_equal(op.to_dense(), op.to_csr().toarray())
             return
         expected = _loop_reference(
             basis, pairs, -s, True,
@@ -343,6 +344,10 @@ def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors_and_mirror_columns
         )
         op = assemble_heisenberg(basis)
         assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
+        assert np.array_equal(op.to_dense(), op.to_csr().toarray())
+        # the Casimir hops over every ordered pair of sites, not just bonds
+        s2 = assemble_total_spin_squared(basis)
+        assert np.array_equal(s2.to_dense(), s2.to_csr().toarray())
         # the columns of the mirror representatives, as `spectra.symmetry_blocks` builds
         # them on a sector the spin flip does not map to itself
         index = np.arange(basis.dim)
