@@ -258,11 +258,21 @@ def gibbs_weights(energies, beta) -> np.ndarray:
     return p
 
 
-def gibbs_random_state(basis, vectors, weights, rng) -> CoordinateState:
+def gibbs_cdf(energies, beta) -> np.ndarray:
+    """Cumulative `gibbs_weights` of the energies of a sector, formed as
+    `Generator.choice` forms its CDF from probabilities p, so that a
+    `gibbs_random_state` draw picks the state `rng.choice(len(p), p=p)`
+    would pick from the same stream."""
+    cdf = gibbs_weights(energies, beta).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def gibbs_random_state(basis, vectors, cdf, rng) -> CoordinateState:
     """Draw the eigenstate column of `vectors` (the u of `sla.eigh` on the
-    sector block) with probability `weights` (`gibbs_weights` of its
-    energies); both are computed once by the caller for all its draws."""
-    idx = rng.choice(len(weights), p=weights)
+    sector block) whose interval of `cdf` (`gibbs_cdf` of its energies,
+    built once by the caller for all its draws) holds one uniform variate."""
+    idx = cdf.searchsorted(rng.random(), side="right")
     return CoordinateState(basis, vectors[:, idx])
 
 

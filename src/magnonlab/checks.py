@@ -5,10 +5,12 @@ the default grids match the sizes the package is expected to certify,
 the quick grids are trimmed for smoke runs, and explicit overrides
 (`ells`, `spins`, `ns`, `betas`) replace the corresponding axis of the
 grid.  A suite takes only the overrides its runner names, and
-`run_check` rejects any other.  Cells run one after another in grid
-order; consecutive cells that differ only in beta share one call of
-their check, which builds its spectra once for all their betas (no
-result outlives that call).  Random-state cells draw from streams
+`run_check` rejects any other.  The chain of every override length and
+the spin of every override 2S are built before the first cell runs, so
+a bad value is refused before any work.  Cells run one after another
+in grid order; consecutive cells that differ only in beta share one
+call of their check, which builds its spectra once for all their betas
+(no result outlives that call).  Random-state cells draw from streams
 seeded by the root seed and the cell's parameters (`rng_for`), so a
 cell's certificates do not depend on which other cells run.
 """
@@ -23,8 +25,8 @@ import scipy.linalg as sla
 from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_sector_dimensions
 from .boundlab import (
     coordinate_collapse_matrix,
+    gibbs_cdf,
     gibbs_random_state,
-    gibbs_weights,
     haar_random_state,
     rng_for,
     verify_casimir_lower_bound,
@@ -52,6 +54,17 @@ def _axis(override, default):
     return tuple(override)
 
 
+def _build_chains_and_spins(ells, spins):
+    """Build the chain of every length in the `ells` override and the
+    spin of every 2S in the `spins` override (the default grids hold
+    valid ones), so that a bad value raises before the first cell runs
+    and no cell filter drops it."""
+    for ell in ells or ():
+        SpinLattice.chain(ell)
+    for two_s in spins or ():
+        SpinMagnitude(two_s)
+
+
 def _per_beta_run(check, cells):
     """Certificates of `cells`, tuples (..., two_s, beta), in cell order:
     each run of consecutive cells that differ only in beta is one call
@@ -64,6 +77,7 @@ def _per_beta_run(check, cells):
 
 def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
     two_s_list = _axis(spins, (1, 2, 3) if grid == "default" else (1, 2))
+    _build_chains_and_spins((), spins)
     return [verify_su2_representation(SpinMagnitude(two_s)) for two_s in two_s_list]
 
 
@@ -78,6 +92,7 @@ def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         for two_s in _axis(spins, spin_ax)
         for n in _axis(ns, n_ax)
     ]
+    _build_chains_and_spins(ells, spins)
     return [verify_php_leq_t(ell, SpinMagnitude(two_s), n) for ell, two_s, n in cells]
 
 
@@ -92,6 +107,7 @@ def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None):
         cells = [(ell, 1) for ell in range(2, 11)] + [(ell, 2) for ell in range(2, 7)]
     else:
         cells = [(ell, 1) for ell in (2, 3, 4)] + [(2, 2), (3, 2)]
+    _build_chains_and_spins(ells, spins)
     return [verify_casimir_lower_bound(ell, SpinMagnitude(two_s)) for ell, two_s in cells]
 
 
@@ -107,6 +123,7 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         for n in (ns if ns is not None else range(0, ell + 1))
         if n <= ell
     ]
+    _build_chains_and_spins(ells, spins)
     _require_every_n(ns, {n for _, _, n in cells}, "n <= ell")
     certs = []
     for ell, two_s, n in cells:
@@ -137,6 +154,7 @@ def _random_state_cells(ells, ns, spins, defaults):
         for two_s in _axis(spins, spin_ax)
         if n <= two_s * ell
     ]
+    _build_chains_and_spins(ells, spins)
     _require_every_n(ns, {n for _, n, _ in cells}, "n <= 2S*ell")
     return cells
 
@@ -172,7 +190,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
     for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
         energies, vectors = sla.eigh(h)
-        weights = gibbs_weights(energies, _GIBBS_BETA)
+        cdf = gibbs_cdf(energies, _GIBBS_BETA)
         pairs = []
         for kind in ("haar", "gibbs"):
             rng = rng_for(seed, 2, ell, n, two_s, 0 if kind == "haar" else 1)
@@ -180,7 +198,7 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
                 if kind == "haar":
                     state = haar_random_state(basis, rng)
                 else:
-                    state = gibbs_random_state(basis, vectors, weights, rng)
+                    state = gibbs_random_state(basis, vectors, cdf, rng)
                 pairs.append(verify_density_bounds(state, h))
         for cert in (worst(side, key=lambda c: c.slack) for side in zip(*pairs)):
             cert.params["samples"] = 2 * samples
@@ -202,6 +220,7 @@ def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, bet
         cells += [(3, 2, 4.0), (4, 2, 4.0)]
     else:
         cells = [(3, 1, 4.0), (4, 1, 8.0)]
+    _build_chains_and_spins(ells, spins)
     return _per_beta_run(verify_low_energy_truncation, cells)
 
 
@@ -218,6 +237,10 @@ def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, 
         cells += [(total, 2, beta) for total in (4, 5) for beta in (1.0, 2.0)]
     else:
         cells = [(4, 1, 2.0), (4, 2, 1.0)]
+    for total in ells or ():
+        if total < 2:
+            raise ValueError(f"subadditivity splits a chain of L >= 2 sites, got L={total}")
+    _build_chains_and_spins((), spins)
     return _per_beta_run(check_subadditivity, cells)
 
 
@@ -233,8 +256,9 @@ def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
     else:
         cells = [(7, 2, 1, 4.0)]
     if betas is not None:
-        cells = [(total, ell, two_s, beta) for total, ell, two_s, _ in cells
-                 for beta in betas]
+        # (7, 2, 1) runs at two default betas but once per override beta
+        triples = dict.fromkeys(cell[:-1] for cell in cells)
+        cells = [(*triple, beta) for triple in triples for beta in betas]
     return _per_beta_run(check_localization_bound, cells)
 
 

@@ -1,10 +1,11 @@
 """Command-line front end: exact free-energy curves, certificate suites,
 assembled asymptotic envelopes, and lower-bound budgets.
 
-All outputs are plain text (CSV or JSON lines) with fixed column order
-and shortest-round-trip float formatting, so identical configurations
-produce byte-identical files.  Energies are in units of the exchange
-coupling; beta is in inverse such units.
+All outputs are plain text (CSV or JSON lines) with shortest-round-trip
+float formatting, so identical configurations produce byte-identical
+files.  A table's columns are the keys of the rows its command builds,
+in the order it builds them; JSON lines sort them.  Energies are in
+units of the exchange coupling; beta is in inverse such units.
 
 `free-energy` and `verify` import the solver modules (and with them
 scipy's linear algebra) inside their command functions; `asymptotics`
@@ -27,48 +28,6 @@ from .certificates import CHECK_NAMES, DEFAULT_SEED, write_certificate_ledger
 from .magnongas import E0_SOURCES, compute_budget, leading_term, lower_envelope, upper_envelope
 
 UNITS_HEADER = "# units: energies in exchange-coupling units; beta in inverse exchange units"
-
-FREE_ENERGY_COLUMNS = ["beta", "f", "variant", "ell", "two_s"]
-SCALED_COLUMNS = ["scaled_f", "ratio_c1"]
-ASYMPTOTICS_1D_COLUMNS = [
-    "beta_s",
-    "two_s",
-    "ell_upper",
-    "upper",
-    "informative_upper",
-    "ell_lower",
-    "lower",
-    "informative_lower",
-    "leading",
-    "ratio_upper",
-    "ratio_lower",
-    "width",
-    "upper_scale",
-    "lower_scale",
-]
-ASYMPTOTICS_2D_COLUMNS = [
-    "beta_s",
-    "two_s",
-    "ell",
-    "envelope",
-    "informative",
-    "leading",
-    "ratio",
-    "scale",
-]
-BUDGET_COLUMNS = [
-    "ell",
-    "beta",
-    "two_s",
-    "e0_source",
-    "e0",
-    "n0",
-    "delta",
-    "ell0",
-    "implied_c",
-    "informative",
-    "error",
-]
 
 
 def _fmt(value):
@@ -102,22 +61,20 @@ def parse_beta_grid(spec_text: str):
     return values
 
 
-def _write_csv(path, columns, rows):
+def _write_rows(path, rows, fmt):
+    """Write `rows` (dicts with the same keys in the same order) as JSON
+    lines, or as CSV under the units header, whose columns are the keys
+    of the first row in their order."""
     with open(path, "w", newline="") as fh:
-        fh.write(UNITS_HEADER + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _write_rows(path, columns, rows, fmt):
-    if fmt == "json":
-        with open(path, "w") as fh:
+        if fmt == "json":
             for row in rows:
-                fh.write(json.dumps({c: row[c] for c in columns}, sort_keys=True) + "\n")
-    else:
-        _write_csv(path, columns, rows)
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        else:
+            fh.write(UNITS_HEADER + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            for row in rows:
+                writer.writerow([_fmt(value) for value in row.values()])
 
 
 def _require_csv_for_plot_script(args):
@@ -202,8 +159,7 @@ def cmd_free_energy(args):
                 row["scaled_f"] = scaled
                 row["ratio_c1"] = f / leading_term(beta, spin.s, 1)
             rows.append(row)
-    columns = FREE_ENERGY_COLUMNS + (SCALED_COLUMNS if args.scaled else [])
-    _write_rows(args.out, columns, rows, args.format)
+    _write_rows(args.out, rows, args.format)
     if args.plot_script:
         _emit_plot_script(args.plot_script, args.out, "beta", "f", series="variant")
     return 0
@@ -266,7 +222,6 @@ def cmd_asymptotics(args):
                     "lower_scale": args.lower_scale,
                 }
             )
-        columns = ASYMPTOTICS_1D_COLUMNS
     else:
         for x in grid:
             beta = x / s
@@ -283,8 +238,7 @@ def cmd_asymptotics(args):
                     "scale": args.upper_scale,
                 }
             )
-        columns = ASYMPTOTICS_2D_COLUMNS
-    _write_rows(args.out, columns, rows, args.format)
+    _write_rows(args.out, rows, args.format)
     if args.plot_script:
         ycol = "width" if args.dimension == 1 else "ratio"
         _emit_plot_script(args.plot_script, args.out, "beta_s", ycol)
@@ -298,38 +252,19 @@ def cmd_budget(args):
     ells = _int_list(args.ell)
     if not ells or min(ells) < 1:
         raise ValueError(f"--ell needs box sizes >= 1, got {args.ell!r}")
+    # the budget's fields, or None for each when the box admits no budget
+    fields = ("e0", "n0", "delta", "ell0", "implied_c", "informative")
     rows = []
     for ell in ells:
         for beta in betas:
-            row = {
-                "ell": ell,
-                "beta": beta,
-                "two_s": two_s,
-                "e0_source": args.e0_source,
-                "e0": None,
-                "n0": None,
-                "delta": None,
-                "ell0": None,
-                "implied_c": None,
-                "informative": None,
-                "error": "",
-            }
             try:
                 budget = compute_budget(ell, beta, spin, e0_source=args.e0_source)
-                row.update(
-                    {
-                        "e0": budget.e0,
-                        "n0": budget.n0,
-                        "delta": budget.delta,
-                        "ell0": budget.ell0,
-                        "implied_c": budget.implied_c,
-                        "informative": budget.informative,
-                    }
-                )
+                values, error = [getattr(budget, name) for name in fields], ""
             except (ValueError, ResourceLimitError) as exc:
-                row["error"] = str(exc)
-            rows.append(row)
-    _write_rows(args.out, BUDGET_COLUMNS, rows, args.format)
+                values, error = [None] * len(fields), str(exc)
+            row = {"ell": ell, "beta": beta, "two_s": two_s, "e0_source": args.e0_source}
+            rows.append({**row, **dict(zip(fields, values)), "error": error})
+    _write_rows(args.out, rows, args.format)
     return 0
 
 

@@ -269,9 +269,11 @@ def lanczos(apply, dim, seed, maxiter=1000):
     vector, with no reorthogonalization.
 
     Each step keeps the tridiagonal coefficients alpha_j, beta_j and the
-    normalized Krylov vector v_j it makes.  Every 10 steps it takes the
-    lowest eigenpair (theta, y) of T_m and stops once the residual
-    estimate |beta_{m+1} y_m| is at most `_LANCZOS_TOL` * max(1, |theta|);
+    normalized Krylov vector v_j it makes.  Every 10 steps, and at step
+    m = dim, it takes the lowest eigenpair (theta, y) of T_m and stops
+    once the residual estimate |beta_{m+1} y_m| is at most
+    `_LANCZOS_TOL` * max(1, |theta|) (m = dim alone is no stop: without
+    reorthogonalization the first dim vectors need not span the space);
     lost orthogonality only adds ghost copies above the extreme Ritz
     value, which converges regardless.  It returns
     x = sum_j y_j v_j / ||.|| from the stored vectors, so m steps cost m
@@ -304,7 +306,7 @@ def lanczos(apply, dim, seed, maxiter=1000):
         betas.append(beta)
         scale = max(scale, abs(alpha) + beta)
         invariant = beta <= _BREAKDOWN_FACTOR * scale
-        if invariant or m % 10 == 0:
+        if invariant or m % 10 == 0 or m == dim:
             (theta,), y = sla.eigh_tridiagonal(
                 alphas, betas[:-1], select="i", select_range=(0, 0)
             )

@@ -123,7 +123,7 @@ def two_pass_lanczos(apply, dim, seed, maxiter=5000):
         betas.append(beta)
         scale = max(scale, abs(alpha) + beta)
         invariant = beta <= _BREAKDOWN_FACTOR * scale
-        if invariant or m % 10 == 0:
+        if invariant or m % 10 == 0 or m == dim:
             (theta,), y = sla.eigh_tridiagonal(
                 alphas, betas[:-1], select="i", select_range=(0, 0)
             )

@@ -15,8 +15,8 @@ import scipy.linalg as sla
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.boundlab import (
     coordinate_collapse_matrix,
+    gibbs_cdf,
     gibbs_random_state,
-    gibbs_weights,
     haar_random_state,
     rng_for,
     verify_casimir_lower_bound,
@@ -137,13 +137,13 @@ def test_criterion_07_pair_density_property_suite():
                 )
                 h = assemble_heisenberg(basis).to_dense()
                 energies, vectors = sla.eigh(h)
-                weights = gibbs_weights(energies, 2.0)
+                cdf = gibbs_cdf(energies, 2.0)
                 vmat, _ = coordinate_collapse_matrix(basis)
                 haar_rng = rng_for(SEED, 7, ell, n, two_s, 0)
                 gibbs_rng = rng_for(SEED, 7, ell, n, two_s, 1)
                 states = [haar_random_state(basis, haar_rng) for _ in range(100)]
                 states += [
-                    gibbs_random_state(basis, vectors, weights, gibbs_rng) for _ in range(100)
+                    gibbs_random_state(basis, vectors, cdf, gibbs_rng) for _ in range(100)
                 ]
                 for state in states:
                     total += 1

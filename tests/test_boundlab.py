@@ -8,6 +8,7 @@ from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.boundlab import (
     CoordinateState,
     coordinate_collapse_matrix,
+    gibbs_cdf,
     gibbs_random_state,
     gibbs_weights,
     haar_random_state,
@@ -385,16 +386,32 @@ def test_density_bounds_random_states():
     basis = enumerate_sector_basis(SpinLattice.chain(6), SpinMagnitude(2), 3)
     h = assemble_heisenberg(basis).to_dense()
     energies, vectors = sla.eigh(h)
-    weights = gibbs_weights(energies, 2.0)
+    cdf = gibbs_cdf(energies, 2.0)
     haar_rng = rng_for(31, 0)
     gibbs_rng = rng_for(31, 1)
     for _ in range(100):
         for state in (
             haar_random_state(basis, haar_rng),
-            gibbs_random_state(basis, vectors, weights, gibbs_rng),
+            gibbs_random_state(basis, vectors, cdf, gibbs_rng),
         ):
             c_off, c_diag = verify_density_bounds(state, h)
             assert c_off.passed and c_diag.passed
+
+
+@pytest.mark.parametrize("ell", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("two_s", [1, 2])
+def test_gibbs_draws_repeat_generator_choice(ell, n, two_s):
+    # the default density cells: a draw from the CDF takes the state that
+    # rng.choice takes from the probabilities, one uniform variate each
+    basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
+    energies, vectors = sla.eigh(assemble_heisenberg(basis).to_dense())
+    cdf, p = gibbs_cdf(energies, 2.0), gibbs_weights(energies, 2.0)
+    draws, choices = rng_for(3, ell, n, two_s), rng_for(3, ell, n, two_s)
+    for _ in range(200):
+        chosen = CoordinateState(basis, vectors[:, choices.choice(len(p), p=p)])
+        assert np.array_equal(gibbs_random_state(basis, vectors, cdf, draws).amplitudes,
+                              chosen.amplitudes)
 
 
 def test_truncation_certificates():

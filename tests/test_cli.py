@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import os
 import runpy
@@ -207,6 +208,33 @@ def test_budget_exact_ed(tmp_path):
                  "--out", str(out)]) == 0
     row = read_lines(out).splitlines()[2].split(",")
     assert float(row[4]) >= 0.0
+
+
+# sha256 of each table the README does not pin: every table command in
+# JSON lines (free energy with and without the scaled pair, both envelope
+# dimensions, a budget with error rows), and that budget's CSV, whose
+# error rows leave the value columns empty
+TABLE_DIGESTS = {
+    "free-energy --length 4 --beta 1,2 --format json":
+        "80b7ad8323508620f9812218325dd6843e9816bbb9c80134aa50275da2b5f4da",
+    "free-energy --length 4 --beta 1,2 --scaled --format json":
+        "9a3bde4a5ce77fd6fc118bb791c386d89e4015f654cd34ae96d609fc5e7fa92a",
+    "asymptotics --beta-s 1e4,1e8 --format json":
+        "9467d54bee8a81c3d31e3832adfba7f853a56aa9cc1ac3d2f7cca2b3ea7fe509",
+    "asymptotics --dimension 2 --two-s 2 --beta-s 1e4,1e8 --format json":
+        "b5a0a3ef272e6c9a2a3491f4be6ac57c4f334acbe09e1f560d29db37042586d5",
+    "budget --ell 1,40 --beta 4,32 --format json":
+        "681c821cf5e599cf199375f8d5a1970c18f513ed8c1ddac5b84bd6c519338dd5",
+    "budget --ell 1,40 --beta 4,32":
+        "b319993f8a4b9837ed445bc8fbd646d5188e667390b11d521a5d68b551acebfe",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TABLE_DIGESTS))
+def test_table_bytes_match_their_digest(tmp_path, command):
+    out = tmp_path / "table"
+    assert main(command.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[command]
 
 
 def test_config_file_with_flag_precedence(tmp_path):
@@ -463,6 +491,49 @@ def test_verify_refuses_a_cell_outside_its_check_before_any_work(
     ledger = tmp_path / "certs.jsonl"
     assert main(["verify", *argv, "--out", str(ledger)]) == 2
     assert _one_error_line_and_no_ledger(capsys, ledger) == message
+
+
+@pytest.mark.parametrize(
+    "argv,first_work,message",
+    [
+        (["--check", "su2", "--two-s", "1,0"], "verify_su2_representation", "two_s must be"),
+        (["--check", "php-leq-t", "--ell", "3,1"], "verify_php_leq_t", "extent must be"),
+        (["--check", "casimir", "--ell", "11,1"], "verify_casimir_lower_bound",
+         "extent must be"),
+        (["--check", "laplacian", "--ell", "9,1"], "verify_laplacian_lower_bound",
+         "extent must be"),
+        (["--check", "laplacian", "--two-s", "2,0"], "verify_laplacian_lower_bound",
+         "two_s must be"),
+        (["--check", "vnorm", "--ell", "4,1", "--two-s", "2"], "enumerate_sector_basis",
+         "extent must be"),
+        (["--check", "density", "--ell", "4", "--two-s", "1,0"], "dense_sectors",
+         "two_s must be"),
+        (["--check", "truncation", "--ell", "4,1"], "verify_low_energy_truncation",
+         "extent must be"),
+        (["--check", "subadditivity", "--ell", "13,1"], "check_subadditivity", "got L=1"),
+        (["--check", "subadditivity", "--two-s", "1,0"], "check_subadditivity",
+         "two_s must be"),
+    ],
+)
+def test_verify_refuses_a_bad_cell_before_the_first_cell_runs(
+    tmp_path, capsys, monkeypatch, argv, first_work, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran before every cell was checked")
+
+    monkeypatch.setattr(checks, first_work, refuse)
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", *argv, "--out", str(ledger)]) == 2
+    assert message in _one_error_line_and_no_ledger(capsys, ledger)
+
+
+def test_verify_localization_runs_each_cell_once_per_beta(tmp_path):
+    # the default cells (7, 2, 1, 2.0) and (7, 2, 1, 4.0) share one triple
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", "--check", "localization", "--beta", "2", "--out", str(ledger)]) == 0
+    params = [json.dumps(json.loads(line)["params"], sort_keys=True)
+              for line in read_lines(ledger).splitlines()]
+    assert len(params) == len(set(params)) == 4
 
 
 @pytest.mark.parametrize(
