@@ -64,12 +64,19 @@ def _psd_certificate(name, params, difference, norm_scale):
 # projected pinned Hamiltonian below the free hopping operator
 # ---------------------------------------------------------------------------
 
-def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
-    """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
-    pinned chain of length ell."""
+def require_php_sector(ell: int, n: int) -> None:
+    """Raise ValueError for n < 0 and ResourceLimitError for an uncapped
+    n-boson sector of the chain above `DENSE_SECTOR_CAP`, before any
+    work."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
     require_sector_dimensions(ell, n, [n], DENSE_SECTOR_CAP)  # uncapped: the cap is n
+
+
+def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
+    """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
+    pinned chain of length ell."""
+    require_php_sector(ell, n)
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
     scale = float(np.abs(sla.eigvalsh(t)).max())

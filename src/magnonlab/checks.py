@@ -6,11 +6,14 @@ the quick grids are trimmed for smoke runs, and explicit overrides
 (`ells`, `spins`, `ns`, `betas`) replace the corresponding axis of the
 grid.  A suite takes only the overrides its runner names, and
 `run_check` rejects any other.  The chain of every override length and
-the spin of every override 2S are built before the first cell runs, so
-a bad value is refused before any work.  Cells run one after another
-in grid order; consecutive cells that differ only in beta share one
-call of their check, which builds its spectra once for all their betas
-(no result outlives that call).  Random-state cells draw from streams
+the spin of every override 2S are built before the first cell runs, and
+the php-leq-t, casimir, laplacian, vnorm and density runners also size
+every cell's sectors against their cap there (`sector_dimension`,
+nothing enumerated), so a bad value or an oversized cell is refused
+before any work.  Cells run one after another in grid order;
+consecutive cells that differ only in beta share one call of their
+check, which builds its spectra once for all their betas (no result
+outlives that call).  Random-state cells draw from streams
 seeded by the root seed and the cell's parameters (`rng_for`), so a
 cell's certificates do not depend on which other cells run.
 """
@@ -28,6 +31,7 @@ from .boundlab import (
     gibbs_cdf,
     gibbs_random_state,
     haar_random_state,
+    require_php_sector,
     rng_for,
     verify_casimir_lower_bound,
     verify_density_bounds,
@@ -39,7 +43,13 @@ from .boundlab import (
 )
 from .certificates import DEFAULT_SEED, worst
 from .operators import verify_su2_representation
-from .spectra import DEFAULT_DIM_CAP, check_localization_bound, check_subadditivity, dense_sectors
+from .spectra import (
+    DEFAULT_DIM_CAP,
+    DENSE_SECTOR_CAP,
+    check_localization_bound,
+    check_subadditivity,
+    dense_sectors,
+)
 
 
 # Beta of the Gibbs-sampled states of the density suite.
@@ -93,6 +103,8 @@ def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         for n in _axis(ns, n_ax)
     ]
     _build_chains_and_spins(ells, spins)
+    for ell, _, n in cells:
+        require_php_sector(ell, n)
     return [verify_php_leq_t(ell, SpinMagnitude(two_s), n) for ell, two_s, n in cells]
 
 
@@ -108,6 +120,8 @@ def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None):
     else:
         cells = [(ell, 1) for ell in (2, 3, 4)] + [(2, 2), (3, 2)]
     _build_chains_and_spins(ells, spins)
+    for ell, two_s in cells:
+        require_sector_dimensions(ell, two_s, range(two_s * ell + 1), DENSE_SECTOR_CAP)
     return [verify_casimir_lower_bound(ell, SpinMagnitude(two_s)) for ell, two_s in cells]
 
 
@@ -125,6 +139,8 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
     ]
     _build_chains_and_spins(ells, spins)
     _require_every_n(ns, {n for _, _, n in cells}, "n <= ell")
+    for ell, two_s, n in cells:
+        require_sector_dimensions(ell, two_s, [n], DENSE_SECTOR_CAP)
     certs = []
     for ell, two_s, n in cells:
         certs.append(verify_laplacian_lower_bound(ell, SpinMagnitude(two_s), n))
@@ -145,7 +161,9 @@ def _require_every_n(ns, used, rule):
             )
 
 
-def _random_state_cells(ells, ns, spins, defaults):
+def _random_state_cells(ells, ns, spins, defaults, limit):
+    """Cells (ell, n, two_s) of a random-state suite, each sector sized
+    against `limit` before any cell runs."""
     ell_ax, n_ax, spin_ax = defaults
     cells = [
         (ell, n, two_s)
@@ -156,6 +174,8 @@ def _random_state_cells(ells, ns, spins, defaults):
     ]
     _build_chains_and_spins(ells, spins)
     _require_every_n(ns, {n for _, n, _ in cells}, "n <= 2S*ell")
+    for ell, n, two_s in cells:
+        require_sector_dimensions(ell, two_s, [n], limit)
     return cells
 
 
@@ -165,8 +185,8 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
     else:
         ell_ax, n_ax, spin_ax, samples = (4,), (2,), (1, 2), 20
     certs = []
-    for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
-        require_sector_dimensions(ell, two_s, [n], DEFAULT_DIM_CAP)
+    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax), DEFAULT_DIM_CAP)
+    for ell, n, two_s in cells:
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         vmat, _ = coordinate_collapse_matrix(basis)
         rng = rng_for(seed, 1, ell, n, two_s)
@@ -187,7 +207,8 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
     else:
         ell_ax, n_ax, spin_ax, samples = (4, 5), (2,), (1, 2), 20
     certs = []
-    for ell, n, two_s in _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax)):
+    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax), DENSE_SECTOR_CAP)
+    for ell, n, two_s in cells:
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
         energies, vectors = sla.eigh(h)
         cdf = gibbs_cdf(energies, _GIBBS_BETA)

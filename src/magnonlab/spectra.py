@@ -9,18 +9,20 @@ sectors `dense_sectors` does not build: it sizes each against the same
 `DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector
 spectra come from a dense symmetric eigensolver (partition functions
 need every eigenvalue).  `spectral_gap` never needs the full spectrum:
-it enumerates the middle sector alone (refused above `DEFAULT_DIM_CAP`
-states), which holds every distinct eigenvalue, and splits it over the
-characters of its symmetry group, the reflection and, when 2S*l is
-even, the spin flip (`symmetry_blocks`), each block folded directly
-from the columns of the orbit representatives.  The blocks are built
-and solved one at a time, and one lowest eigenvalue per block gives the
-gap: the trivial block is deflated by its known zero mode, and every
-block is solved by `lanczos`, an unrestarted three-term recurrence that
-keeps the Krylov vectors it makes and builds the Ritz vector from them
-in one pass, checked by its residual.  `full_spectrum` stays
-unreduced: it holds one dense sector at a time and diagonalizes it in
-its own storage.
+it solves the sectors n = 1, 2, ... in turn (each refused above
+`DEFAULT_DIM_CAP` states before it is enumerated) and stops at the
+middle sector, which holds every multiplet, or as soon as the Casimir
+floor of the largest total spin not yet held lies above the gap.  Each
+sector is split over the characters of its symmetry group, the
+reflection and, on the self-conjugate sector, the spin flip
+(`symmetry_blocks`), each block folded directly from the columns of the
+orbit representatives.  The blocks are built and solved one at a time,
+and one lowest eigenvalue per block gives the sector's: the trivial
+block is deflated by its known zero mode, and every block is solved by
+`lanczos`, an unrestarted three-term recurrence that keeps the Krylov
+vectors it makes and builds the Ritz vector from them in one pass,
+checked by its residual.  `full_spectrum` stays unreduced: it holds one
+dense sector at a time and diagonalizes it in its own storage.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def full_spectrum(
     Raises ResourceLimitError when the total Hilbert dimension exceeds
     `DEFAULT_DIM_CAP` or any single sector exceeds `DENSE_SECTOR_CAP`;
     callers that only need the gap should use `spectral_gap`, which
-    handles large middle sectors sparsely.
+    solves only the lowest sectors sparsely.
     """
     total_dim = spin.site_dim**lattice.nsites
     if total_dim > DEFAULT_DIM_CAP:
@@ -174,12 +176,14 @@ class GapReport:
     reference: float
     deviation: float
     residual: float  # largest Ritz residual ||Ax - theta x|| over the operators A solved
-    # dimensions of the blocks solved, in the character order of
-    # `symmetry_blocks`: two reflection-parity blocks (even, odd), or up
-    # to four reflection x spin-flip blocks when 2S*ell is even, with a
+    # dimensions of the blocks solved, sector by sector from n = 1, each
+    # sector's in the character order of `symmetry_blocks`: two
+    # reflection-parity blocks (even, odd), or up to four reflection x
+    # spin-flip blocks on the self-conjugate sector 2n = 2S*ell, with a
     # character that has no state left out
     block_dims: tuple
     matvecs: int  # Lanczos operator applications (one per step) over all blocks
+    sector: int  # the last magnon number n solved
 
 
 # Fixed seed of the Lanczos start vector, so a gap is bit-reproducible.
@@ -278,17 +282,15 @@ def lanczos(apply, dim, seed, maxiter=1000):
     value, which converges regardless.  It returns
     x = sum_j y_j v_j / ||.|| from the stored vectors, so m steps cost m
     operator applications.  The stored basis costs m * dim * 8 bytes,
-    so at most `maxiter` * dim * 8 bytes before the RuntimeError: 1.2 GB
-    for the 154,702-state trivial block of chain 14 at S = 1, and 2.0 GB
-    for the 254,276-state trivial block of the largest middle sector
-    `spectral_gap` admits (chain 8 at 2S = 7, 1,012,664 states).  The
-    gap blocks of chain 20 at S = 1/2 (about 46,000 states each)
-    converge in 200-220 steps each.  A beta at roundoff
-    of the operator scale means the Krylov space is invariant: the run
-    stops there, with theta exact on that space.  Inner products are
-    taken as (w * v).sum(): on vectors of this size a BLAS dot product
-    can cost as much as the sparse product itself.  Raises RuntimeError
-    when maxiter steps do not converge.
+    so at most `maxiter` * dim * 8 bytes (8 kB per state) before the
+    RuntimeError.  The gap's blocks are small: every chain of up to 24
+    sites at S = 1/2 or 16 sites at S = 1 stops at a sector of at most
+    276 states, and no block of theirs takes more than 90 steps.  A
+    beta at roundoff of the operator scale means the Krylov space is
+    invariant: the run stops there, with theta exact on that space.
+    Inner products are taken as (w * v).sum(): on long vectors a BLAS
+    dot product can cost as much as the sparse product itself.  Raises
+    RuntimeError when maxiter steps do not converge.
     """
     start = np.random.default_rng(seed).standard_normal(dim)
     start /= np.linalg.norm(start)
@@ -349,58 +351,81 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     """Smallest nonzero eigenvalue of the free chain, reported against
     2S(1 - cos(pi/ell)).
 
-    Only the middle sector n = floor(S*ell) is built: it holds every
-    total-spin multiplet, hence every distinct eigenvalue, and exactly
-    one zero mode, the maximal-spin state v.  H commutes with the
-    chain's reflection, and with the spin flip when 2S*ell is even, so
-    the sector splits into two or four blocks, one per character of
-    that group (`symmetry_blocks`).  The blocks are built and solved one
-    at a time, each freed before the next is built, and the basis is
-    dropped once u and c are taken.  v is invariant, with image u in
-    the trivial block, so the gap is the smallest of the lowest
-    eigenvalue of the deflated trivial block H_1 + c u u^T (c >= ||H||
-    moves the zero mode to the top of the spectrum) and the lowest
-    eigenvalues of the other blocks; the symmetry of the gap mode is
-    not assumed.  Every block, of one state or of many, is solved by
-    `lanczos` (seeded random start vector, so gaps are bit-reproducible);
-    `matvecs` counts its operator applications.  A Ritz residual is taken
-    on the operator Lanczos solved, so on H_1 + c u u^T for the trivial
-    block: that operator has the spectrum of H_1 on the complement of u,
-    plus c >= ||H|| >= gap, so the minimum over the blocks is the gap.
+    Sector n (magnon number n <= S*ell) holds one copy of every
+    total-spin multiplet with J >= S*ell - n and exactly one zero mode,
+    the maximal-spin state v.  The sectors n = 1, 2, ... are solved in
+    turn, each sized against `DEFAULT_DIM_CAP` before it is enumerated,
+    and the gap is the lowest nonzero eigenvalue of the last one.  The
+    loop stops at the middle sector n = floor(S*ell), which holds every
+    multiplet, or earlier, as soon as the Casimir floor
+    H >= (2/l^3)(k0 - J(J+1)), k0 = S*ell(S*ell + 1), at the largest
+    multiplet not yet held, J = S*ell - n - 1, exceeds gap + residual +
+    tol: the floor decreases in J, so every multiplet left out lies
+    above the gap, whatever the symmetry or magnon number of the gap
+    mode.  The floor is used only when the lattice holds every chain bond
+    (x, x+1); on any other lattice the loop runs to the middle sector.
 
-    Raises ResourceLimitError, before enumerating, when the middle sector
-    has more than `DEFAULT_DIM_CAP` states.  With the tolerance
-    tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError when
-    ||H_1 u|| (= ||H v||) exceeds tol, so v is not a zero mode; when
-    the gap is not above tol, so v is not the only zero mode; or when a
-    Ritz residual exceeds `_RITZ_RESIDUAL_BOUND`.
+    H commutes with the chain's reflection, and with the spin flip on
+    the self-conjugate sector 2n = 2S*ell, so each sector splits into
+    two or four blocks, one per character of that group
+    (`symmetry_blocks`).  The blocks are built and solved one at a time,
+    each freed before the next is built, and the basis is dropped once
+    u and c are taken.  v is invariant, with image u in the trivial
+    block, so a sector's lowest nonzero eigenvalue is the smallest of
+    the lowest eigenvalue of the deflated trivial block H_1 + c u u^T
+    (c >= ||H|| moves the zero mode to the top of the spectrum) and the
+    lowest eigenvalues of the other blocks.  Every block, of one state
+    or of many, is solved by `lanczos` (seeded random start vector, so
+    gaps are bit-reproducible); `matvecs` counts its operator
+    applications over every sector solved, `block_dims` lists every
+    block solved in order and `sector` is the last n.  A Ritz residual is
+    taken on the operator Lanczos solved, so on H_1 + c u u^T for the
+    trivial block: that operator has the spectrum of H_1 on the
+    complement of u, plus c >= ||H|| >= gap.
+
+    Raises ResourceLimitError, before enumerating it, when a sector the
+    loop reaches has more than `DEFAULT_DIM_CAP` states.  With the
+    tolerance tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError
+    when ||H_1 u|| (= ||H v||) exceeds tol in a sector, so v is not a
+    zero mode; when the gap is not above tol, so v is not the only zero
+    mode; or when a Ritz residual exceeds `_RITZ_RESIDUAL_BOUND`.
     """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
     ell = lattice.nsites
+    s_max = spin.s * ell
     middle = (spin.two_s * ell) // 2
-    require_sector_dimensions(ell, spin.two_s, [middle], DEFAULT_DIM_CAP)
-    u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, middle))
-    tol = _ZERO_TOL_FACTOR * max(c, 1.0)
-    thetas, residuals, dims, matvecs = [], [], [], 0
-    for chi, block in blocks:
-        deflate = None
-        if min(chi) > 0:  # the trivial block, which holds u
-            zero_resid = float(np.linalg.norm(block @ u))
-            if not zero_resid <= tol:
-                raise RuntimeError(
-                    f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
-                    f"exceeds {tol:.1e}"
-                )
-            deflate = (c, u)
-        theta, resid, steps = _lowest_eigenvalue(block, deflate)
-        thetas.append(theta)
-        residuals.append(resid)
-        dims.append(block.shape[0])
-        matvecs += steps
-        del block  # free the block before the next one is built
-    gap = min(thetas)
-    residual = max(residuals)
+    # every bond term is >= 0, so H >= H_chain, whose Casimir floor is the
+    # one `boundlab.verify_casimir_lower_bound` certifies
+    floor_applies = set(lattice.bonds()) >= {(x, x + 1) for x in range(ell - 1)}
+    residual, dims, matvecs = 0.0, [], 0
+    for n in range(1, middle + 1):
+        require_sector_dimensions(ell, spin.two_s, [n], DEFAULT_DIM_CAP)
+        u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, n))
+        tol = _ZERO_TOL_FACTOR * max(c, 1.0)
+        thetas = []
+        for chi, block in blocks:
+            deflate = None
+            if min(chi) > 0:  # the trivial block, which holds u
+                zero_resid = float(np.linalg.norm(block @ u))
+                if not zero_resid <= tol:
+                    raise RuntimeError(
+                        f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
+                        f"exceeds {tol:.1e}"
+                    )
+                deflate = (c, u)
+            theta, resid, steps = _lowest_eigenvalue(block, deflate)
+            thetas.append(theta)
+            residual = max(residual, resid)
+            dims.append(block.shape[0])
+            matvecs += steps
+            del block  # free the block before the next one is built
+        # sector n holds every multiplet of sector n - 1
+        gap = min(thetas)
+        j_left = s_max - n - 1  # the largest total spin sector n does not hold
+        floor = (2.0 / ell**3) * (s_max * (s_max + 1.0) - j_left * (j_left + 1.0))
+        if floor_applies and floor > gap + residual + tol:
+            break
     if not tol < gap:
         raise RuntimeError(
             f"lowest eigenvalue {gap!r} beside the maximal-spin state is a second "
@@ -412,7 +437,8 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
         )
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims), matvecs
+        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims),
+        matvecs, n,
     )
 
 

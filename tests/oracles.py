@@ -5,9 +5,11 @@ the tensor-product Hamiltonian (built from the textbook m-projection
 ladder, not the occupation ladder the sector assemblies use), the
 coordinate-collapse table on sorted coordinates (the collapse matrix's
 reference), the two-pass Lanczos that rebuilds its Krylov vectors
-instead of storing them (the one-pass solver's reference), the
-Bessel/Hurwitz series for the continuum integrals, and
-the continuum constants evaluated both by quadrature and in closed form.
+instead of storing them (the one-pass solver's reference), the gap
+solved on the middle sector, which holds every multiplet (the
+reference of the gap's sector loop), the Bessel/Hurwitz series for the
+continuum integrals, and the continuum constants evaluated both by
+quadrature and in closed form.
 """
 
 from __future__ import annotations
@@ -19,9 +21,14 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.special
 
-from magnonlab.basis import SpinLattice, SpinMagnitude
+from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.magnongas import _quad, log_one_minus_exp
-from magnonlab.spectra import _BREAKDOWN_FACTOR, _LANCZOS_TOL
+from magnonlab.spectra import (
+    _BREAKDOWN_FACTOR,
+    _LANCZOS_TOL,
+    _lowest_eigenvalue,
+    symmetry_blocks,
+)
 
 # ---------------------------------------------------------------------------
 # tensor-product Hamiltonian
@@ -142,6 +149,24 @@ def two_pass_lanczos(apply, dim, seed, maxiter=5000):
         v_prev, v = v, w / beta
         x += y[j + 1, 0] * v
     return float(theta), x / np.linalg.norm(x)
+
+
+# ---------------------------------------------------------------------------
+# middle-sector gap
+# ---------------------------------------------------------------------------
+
+
+def middle_sector_gap(lattice: SpinLattice, spin: SpinMagnitude) -> float:
+    """Lowest nonzero eigenvalue of the middle sector n = floor(S*l),
+    which holds one copy of every total-spin multiplet: the lowest
+    eigenvalue over its symmetry blocks, the trivial block deflated by
+    the maximal-spin vector, each block solved by `lanczos`."""
+    n = (spin.two_s * lattice.nsites) // 2
+    u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, n))
+    return min(
+        _lowest_eigenvalue(block, (c, u) if min(chi) > 0 else None)[0]
+        for chi, block in blocks
+    )
 
 
 # ---------------------------------------------------------------------------

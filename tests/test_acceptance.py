@@ -80,12 +80,13 @@ def test_criterion_02_closed_form_free_energy():
 
 def test_criterion_03_spectral_gap():
     worst = 0.0
-    for two_s in (1, 2):
-        for ell in range(2, 13):
+    for two_s, ells in ((1, range(2, 25)), (2, range(2, 17))):
+        for ell in ells:
             rep = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
             worst = max(worst, rep.deviation)
     report(3, worst <= 1e-9,
-           f"gap vs 2S(1-cos(pi/l)) on l=2..12, 2S in (1,2): max dev {worst:.2e}")
+           f"gap vs 2S(1-cos(pi/l)) on l=2..24 at 2S=1, l=2..16 at 2S=2: "
+           f"max dev {worst:.2e}")
 
 
 def test_criterion_04_projected_hopping_dominance():

@@ -513,6 +513,16 @@ def test_verify_refuses_a_cell_outside_its_check_before_any_work(
         (["--check", "subadditivity", "--ell", "13,1"], "check_subadditivity", "got L=1"),
         (["--check", "subadditivity", "--two-s", "1,0"], "check_subadditivity",
          "two_s must be"),
+        # every cell's sectors are sized before the first cell runs: the
+        # n = 0..4 laplacian cells and the chain-7 casimir cell fit
+        (["--check", "laplacian", "--ell", "14", "--two-s", "2"],
+         "verify_laplacian_lower_bound", "error: sector n=5 has dimension 7098 > 6000"),
+        (["--check", "casimir", "--ell", "7,16", "--two-s", "2"],
+         "verify_casimir_lower_bound", "error: sector n=5 has dimension 13328 > 6000"),
+        (["--check", "php-leq-t", "--n", "8,-1"], "verify_php_leq_t",
+         "error: n must be >= 0, got n=-1"),
+        (["--check", "density", "--ell", "4,15", "--n", "2,7", "--two-s", "1"],
+         "dense_sectors", "error: sector n=7 has dimension 6435 > 6000"),
     ],
 )
 def test_verify_refuses_a_bad_cell_before_the_first_cell_runs(

@@ -31,7 +31,7 @@ from magnonlab.spectra import (
     spectral_gap,
     symmetry_blocks,
 )
-from oracles import two_pass_lanczos
+from oracles import middle_sector_gap, two_pass_lanczos
 
 
 def test_full_spectrum_two_sites_halfspin():
@@ -140,12 +140,11 @@ def _oracle_gap(lat, spin):
 
 
 def test_sparse_gap_path_agrees_with_dense():
-    # middle sector of dim 1107, reflection x spin-flip blocks of 302, 261,
-    # 252 and 292: the Lanczos path, on a size the dense spectrum of every
-    # sector can check
+    # the parity blocks of sectors 1 (8 states) and 2 (36 states), where
+    # the Casimir floor stops the loop; the middle sector has 1107 states
     lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
     report = spectral_gap(lat, spin)
-    assert report.block_dims == (302, 261, 252, 292)
+    assert report.block_dims == (4, 4, 20, 16) and report.sector == 2
     assert 0.0 < report.residual <= 1e-10
     assert report.gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
@@ -159,6 +158,54 @@ def test_sparse_gap_path_agrees_with_dense():
 def test_spectral_gap_equals_full_spectrum_gap(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     assert spectral_gap(lat, spin).gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
+
+
+GAP_CHAINS = (
+    [(ell, two_s) for two_s in (1, 2) for ell in range(2, 13)]
+    + [(ell, 3) for ell in range(2, 8)]
+    + [(ell, 4) for ell in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize("ell,two_s", GAP_CHAINS)
+def test_spectral_gap_equals_the_middle_sector_gap(ell, two_s):
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    report = spectral_gap(lat, spin)
+    assert report.gap == pytest.approx(middle_sector_gap(lat, spin), abs=1e-12)
+    assert report.residual <= 1e-10
+
+
+def _new_energies(upper, lower, atol=1e-9):
+    """The multiset difference upper - lower of two ascending spectra,
+    lower contained in upper up to `atol`."""
+    new, j = [], 0
+    for e in upper:
+        if j < len(lower) and abs(e - lower[j]) <= atol:
+            j += 1
+        else:
+            new.append(e)
+    assert j == len(lower), "sector n - 1 is not contained in sector n"
+    return np.array(new)
+
+
+@pytest.mark.parametrize(
+    "ell,two_s",
+    [(ell, 1) for ell in range(2, 13)]
+    + [(ell, 2) for ell in range(2, 9)]
+    + [(ell, 3) for ell in range(2, 7)],
+)
+def test_every_multiplet_the_gap_skips_lies_above_its_floor_and_the_gap(ell, two_s):
+    # sector n holds one highest-weight state per multiplet of total spin
+    # J = Sl - n beyond those of sector n - 1
+    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    report = spectral_gap(lat, spin)
+    sectors = full_spectrum(lat, spin).sector_eigenvalues
+    s_max = spin.s * ell
+    for n in range(report.sector + 1, two_s * ell // 2 + 1):
+        j = s_max - n
+        floor = (2.0 / ell**3) * (s_max * (s_max + 1.0) - j * (j + 1.0))
+        lowest = _new_energies(sectors[n], sectors[n - 1]).min()
+        assert lowest >= floor and lowest > report.gap, (n, lowest, floor)
 
 
 def _self_conjugate(basis):
@@ -277,7 +324,9 @@ def test_symmetry_blocks_skip_empty_characters(ell, characters, dims):
     blocks = list(blocks)
     assert [chi for chi, _ in blocks] == characters
     assert tuple(block.shape[0] for _, block in blocks) == dims
-    assert spectral_gap(SpinLattice.chain(ell), SpinMagnitude(1)).block_dims == dims
+    # the gap loop reaches the middle sector of these chains last
+    report = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(1))
+    assert report.sector == ell // 2 and report.block_dims[-len(dims):] == dims
 
 
 def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
@@ -338,7 +387,9 @@ class _CutChain(SpinLattice):
 def test_a_second_zero_mode_in_the_blocks_raises():
     # each half of chain 8 at 2S=2 is a spin-4 ground multiplet; coupled to
     # total spin T=0..8 they give 9 zero modes in the middle sector, five of
-    # them even, so the maximal-spin vector is a zero mode but not the only one
+    # them even, so the maximal-spin vector is a zero mode but not the only
+    # one; without the middle bond the Casimir floor does not apply, and
+    # the loop runs to the middle sector
     lattice = _CutChain(1, (8,))
     basis = enumerate_sector_basis(lattice, SpinMagnitude(2), 8)
     assert np.linalg.norm(assemble_heisenberg(basis).to_csr() @ ground_multiplet_vector(basis)) < 1e-12
@@ -363,15 +414,16 @@ def test_spectral_gap_calls_lanczos_once_per_block_and_never_assembles_csr(monke
     monkeypatch.setattr(operators.HermitianOperator, "to_csr", refuse)
     for ell, two_s in ((8, 2), (12, 1), (4, 1)):
         spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
-    # chain 4 at 2S=1 has blocks of 3, 1 and 2 states, solved by Lanczos too
-    assert dims == [302, 261, 252, 292, 252, 220, 210, 242, 3, 1, 2]
+    # the parity blocks of sectors 1 and 2, where the Casimir floor stops
+    # the first two chains; chain 4 at 2S=1 runs to its middle sector,
+    # whose blocks of 3, 1 and 2 states are solved by Lanczos too
+    assert dims == [4, 4, 20, 16, 6, 6, 36, 30, 2, 2, 3, 1, 2]
 
 
 def test_spectral_gap_holds_one_block_and_its_krylov_basis_at_a_time():
-    # chain 12 at 2S=2: 73,789 states in blocks of 18,665 / 18,300 /
-    # 18,230 / 18,594, each solved in about 140 Lanczos steps, so one
-    # block's Krylov basis is about 21 MB; the two parity blocks of about
-    # 36,900 states and their 160-step basis came to 59 MB
+    # chain 12 at 2S=2 stops at sector 2 (78 states) and peaks at about
+    # 52 kB; its middle sector of 73,789 states, solved block by block,
+    # peaked at 32 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -381,7 +433,7 @@ def test_spectral_gap_holds_one_block_and_its_krylov_basis_at_a_time():
     finally:
         tracemalloc.stop()
     assert report.deviation <= 1e-9 and report.residual <= 1e-10
-    assert peak <= 40e6
+    assert peak <= 1e6
 
 
 def test_gap_report_counts_lanczos_matvecs():
@@ -477,10 +529,18 @@ def test_gap_reports_equal_the_two_pass_oracle_driven_ones(monkeypatch):
 
 
 def test_lanczos_tests_convergence_when_its_steps_reach_the_block_dimension():
-    # chain 8 at 2S=1 has blocks of 23, 15, 12 and 20 states; tested only
-    # every 10 steps they ran 190 steps to a Ritz residual of 1.2e-11
-    report = spectral_gap(SpinLattice.chain(8), SpinMagnitude(1))
-    assert report.matvecs <= 130 and report.residual <= 1e-12
+    # the middle sector of chain 8 at 2S=1 has blocks of 23, 15, 12 and 20
+    # states; tested only every 10 steps they ran 190 steps to a Ritz
+    # residual of 1.2e-11 (the sectors the gap now solves are too small to
+    # show it: a 4-state block breaks down after 4 steps)
+    from magnonlab.spectra import _lowest_eigenvalue
+
+    basis = enumerate_sector_basis(SpinLattice.chain(8), SpinMagnitude(1), 4)
+    u, c, blocks = symmetry_blocks(basis)
+    results = [_lowest_eigenvalue(block, (c, u) if min(chi) > 0 else None)
+               for chi, block in blocks]
+    assert sum(steps for _, _, steps in results) <= 130
+    assert max(resid for _, resid, _ in results) <= 1e-12
 
 
 def test_lanczos_is_bit_reproducible():
@@ -779,10 +839,42 @@ def test_dense_sectors_refuse_at_the_call_before_enumerating(monkeypatch):
 
 
 def test_spectral_gap_refuses_a_middle_sector_above_the_cap(monkeypatch):
-    _forbid_enumeration(monkeypatch)
-    with pytest.raises(ResourceLimitError,
-                       match=r"^sector n=12 has dimension 2704156 > 1048576$"):
-        spectral_gap(SpinLattice.chain(24), SpinMagnitude(1))
+    # chain 4 at S=1/2 runs to its middle sector n=2 (6 states), which a
+    # cap of 5 refuses before enumerating it, after sector 1 (4 states)
+    from magnonlab import spectra
+
+    enumerated = []
+    exact = spectra.enumerate_sector_basis
+
+    def recorded(lattice, spin, n, **kwargs):
+        enumerated.append(n)
+        return exact(lattice, spin, n, **kwargs)
+
+    monkeypatch.setattr(spectra, "enumerate_sector_basis", recorded)
+    monkeypatch.setattr(spectra, "DEFAULT_DIM_CAP", 5)
+    with pytest.raises(ResourceLimitError, match=r"^sector n=2 has dimension 6 > 5$"):
+        spectral_gap(SpinLattice.chain(4), SpinMagnitude(1))
+    assert enumerated == [1]
+
+
+def test_spectral_gap_solves_a_chain_whose_middle_sector_is_above_the_cap():
+    # chain 24 at S=1/2: the middle sector n=12 has 2,704,156 states, above
+    # DEFAULT_DIM_CAP, and the Casimir floor stops the loop at sector 2
+    report = spectral_gap(SpinLattice.chain(24), SpinMagnitude(1))
+    assert sector_dimension(24, 12, 1) > 1 << 20
+    assert report.sector == 2 and report.block_dims == (12, 12, 144, 132)
+    assert report.deviation <= 1e-9 and report.residual <= 1e-10
+
+
+def test_every_gap_sweep_chain_stops_below_its_middle_sector():
+    # a fall-back to the middle sector (73,789 states at l=12, 2S=2) would
+    # only slow the benchmark; here it fails
+    for two_s in (1, 2):
+        for ell in range(8, 13):
+            report = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
+            last = sector_dimension(ell, report.sector, two_s)
+            assert report.sector <= 3, (ell, two_s)
+            assert last < sector_dimension(ell, two_s * ell // 2, two_s), (ell, two_s)
 
 
 @pytest.mark.parametrize("ell,two_s", [(12, 2), (14, 2)])  # 73,789 and 616,227 states
