@@ -6,8 +6,8 @@ variant, the free-boson hopping operator, the free-boundary Laplacian,
 the diagonal of the occupancy projector, and the total-spin Casimir.
 Matrices are collected as coordinate triplets, each (row, col) at most
 once; `to_dense` fills them straight into a dense block and `to_csr`
-builds the sparse matrix.  `heisenberg_columns` gives any subset of the
-Heisenberg block's columns, for builders of symmetry-reduced blocks.
+builds the sparse matrix.  Every hopping operator comes from the one
+sector kernel `_hop_operator`.
 """
 
 from __future__ import annotations
@@ -79,32 +79,24 @@ def _hop_amplitudes(cap, two_s, dressed):
     return amp
 
 
-def _hop_columns(basis, cols, pairs, hop_scale, diag, dressed):
-    """Shared kernel: the columns `cols` (ascending basis rows) of
-    `diag` plus hop_scale * sum over ordered site pairs (src, dst) of
-    a^dag_dst a_src, as (rows, cols, vals) triplets.  `diag` holds one
-    value per entry of `cols`.
+def _hop_operator(basis, pairs, hop_scale, diag, dressed):
+    """`diag` (one value per state) plus hop_scale * sum over ordered
+    site pairs (src, dst) of a^dag_dst a_src, as a HermitianOperator.
 
     Amplitudes come from `_hop_amplitudes`; all pairs of all states are
     handled in one batch, and zero entries are dropped.
     """
     src, dst = np.array(pairs).T
-    states = basis.states[cols]
+    states = basis.states
     amp = _hop_amplitudes(basis.cap, basis.spin.two_s, dressed)[states[:, src], states[:, dst]]
     hop, k = np.nonzero(amp)
-    hop_cols = cols[hop]
     on_diag = np.flatnonzero(diag != 0.0)
-    return (
-        np.concatenate([cols[on_diag], basis.hop_targets(hop_cols, src[k], dst[k])]),
-        np.concatenate([cols[on_diag], hop_cols]),
+    return HermitianOperator(
+        basis,
+        np.concatenate([on_diag, basis.hop_targets(hop, src[k], dst[k])]),
+        np.concatenate([on_diag, hop]),
         np.concatenate([diag[on_diag], hop_scale * amp[hop, k]]),
     )
-
-
-def _hop_operator(basis, pairs, hop_scale, diag, dressed):
-    """`_hop_columns` over every state, as a HermitianOperator."""
-    cols = np.arange(basis.dim)
-    return HermitianOperator(basis, *_hop_columns(basis, cols, pairs, hop_scale, diag, dressed))
 
 
 def _bond_pairs(lattice):
@@ -113,23 +105,11 @@ def _bond_pairs(lattice):
     return bonds + [(y, x) for x, y in bonds]
 
 
-def _bond_diagonal(basis, cols):
-    """sum over bonds of S*(n_x + n_y) - n_x*n_y, one value per state of `cols`."""
+def _bond_diagonal(basis):
+    """sum over bonds of S*(n_x + n_y) - n_x*n_y, one value per state."""
     x, y = np.array(basis.lattice.bonds()).T
-    states = basis.states[cols]
-    n_x, n_y = states[:, x], states[:, y]
+    n_x, n_y = basis.states[:, x], basis.states[:, y]
     return (basis.spin.s * (n_x + n_y) - n_x * n_y).sum(axis=1)
-
-
-def heisenberg_columns(basis: MagnonSectorBasis, cols: np.ndarray):
-    """(rows, cols, vals) triplets of the columns `cols` (ascending basis
-    rows) of the `assemble_heisenberg` block, so that a symmetry-reduced
-    block can be folded from a subset of the columns without assembling
-    the whole sector."""
-    return _hop_columns(
-        basis, cols, _bond_pairs(basis.lattice), -basis.spin.s,
-        _bond_diagonal(basis, cols), dressed=True,
-    )
 
 
 def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -141,7 +121,9 @@ def assemble_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
     square-root occupancy dressing that encodes the hard-core
     constraint.  Works for open chains and open 2d grids.
     """
-    return HermitianOperator(basis, *heisenberg_columns(basis, np.arange(basis.dim)))
+    return _hop_operator(
+        basis, _bond_pairs(basis.lattice), -basis.spin.s, _bond_diagonal(basis), dressed=True
+    )
 
 
 def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator:
@@ -159,7 +141,7 @@ def assemble_dirichlet_heisenberg(basis: MagnonSectorBasis) -> HermitianOperator
         )
     s = basis.spin.s
     pin = s * (basis.states[:, 0] + basis.states[:, -1])
-    diag = _bond_diagonal(basis, np.arange(basis.dim)) + pin
+    diag = _bond_diagonal(basis) + pin
     return _hop_operator(basis, _bond_pairs(lattice), -s, diag, dressed=True)
 
 
@@ -232,25 +214,6 @@ def assemble_total_spin_squared(basis: MagnonSectorBasis) -> HermitianOperator:
     # the transverse part reduces to one dressed 2S-hop per ordered pair
     pairs = [(src, dst) for dst in range(m) for src in range(m) if src != dst]
     return _hop_operator(basis, pairs, 2.0 * s, diag, dressed=True)
-
-
-def ground_multiplet_vector(basis: MagnonSectorBasis) -> np.ndarray:
-    """Unit vector of the maximal-total-spin state inside a sector.
-
-    The fully symmetric n-magnon state has occupation amplitudes
-    proportional to prod_x sqrt(C(2S, n_x)); it spans the zero-energy
-    eigenspace of the sector block.
-    """
-    two_s = basis.spin.two_s
-    site_amp = np.array(
-        [math.sqrt(math.comb(two_s, k)) if k <= two_s else 0.0
-         for k in range(basis.cap + 1)]
-    )
-    v = np.prod(site_amp[basis.states], axis=1)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ValueError("sector carries no maximal-spin state")
-    return v / nrm
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,12 @@ sectors `dense_sectors` does not build: it sizes each against the same
 `DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector
 spectra come from a dense symmetric eigensolver (partition functions
 need every eigenvalue).  `spectral_gap` never needs the full spectrum:
-it solves the sectors n = 1, 2, ... in turn (each refused above
-`DEFAULT_DIM_CAP` states before it is enumerated) and stops at the
-middle sector, which holds every multiplet, or as soon as the Casimir
-floor of the largest total spin not yet held lies above the gap.  Each
-sector is split over the characters of its symmetry group, the
-reflection and, on the self-conjugate sector, the spin flip
-(`symmetry_blocks`), each block folded directly from the columns of the
-orbit representatives.  The blocks are built and solved one at a time,
-and one lowest eigenvalue per block gives the sector's: the trivial
-block is deflated by its known zero mode, and every block is solved by
-`lanczos`, an unrestarted three-term recurrence that keeps the Krylov
-vectors it makes and builds the Ritz vector from them in one pass,
-checked by its residual.  `full_spectrum` stays unreduced: it holds one
-dense sector at a time and diagonalizes it in its own storage.
+it takes the sectors n = 2, 3, ... from `dense_sectors` in turn, solves
+each for its two lowest eigenpairs by one dense `eigh`, and stops at
+the middle sector, which holds every multiplet, or as soon as the
+Casimir floor of the largest total spin not yet held lies above the
+gap.  `full_spectrum` stays unreduced: it holds one dense sector at a
+time and diagonalizes it in its own storage.
 """
 
 from __future__ import annotations
@@ -32,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.special import comb, factorial, logsumexp
 
 from .basis import (
@@ -48,8 +39,6 @@ from .operators import (
     assemble_dirichlet_heisenberg,
     assemble_heisenberg,
     assemble_projector_p,
-    ground_multiplet_vector,
-    heisenberg_columns,
 )
 
 DEFAULT_DIM_CAP = 1 << 20
@@ -122,7 +111,7 @@ def full_spectrum(
     Raises ResourceLimitError when the total Hilbert dimension exceeds
     `DEFAULT_DIM_CAP` or any single sector exceeds `DENSE_SECTOR_CAP`;
     callers that only need the gap should use `spectral_gap`, which
-    solves only the lowest sectors sparsely.
+    solves only the lowest sectors.
     """
     total_dim = spin.site_dim**lattice.nsites
     if total_dim > DEFAULT_DIM_CAP:
@@ -175,176 +164,15 @@ class GapReport:
     gap: float
     reference: float
     deviation: float
-    residual: float  # largest Ritz residual ||Ax - theta x|| over the operators A solved
-    # dimensions of the blocks solved, sector by sector from n = 1, each
-    # sector's in the character order of `symmetry_blocks`: two
-    # reflection-parity blocks (even, odd), or up to four reflection x
-    # spin-flip blocks on the self-conjugate sector 2n = 2S*ell, with a
-    # character that has no state left out
-    block_dims: tuple
-    matvecs: int  # Lanczos operator applications (one per step) over all blocks
+    residual: float  # largest residual ||H x - gap x|| of the gap vector over the sectors solved
+    sector_dims: tuple  # dimension of each sector solved, in order
     sector: int  # the last magnon number n solved
 
 
-# Fixed seed of the Lanczos start vector, so a gap is bit-reproducible.
-_LANCZOS_SEED = 20260811
-# Relative Lanczos residual estimate at which the lowest Ritz value stops.
-_LANCZOS_TOL = 1e-13
-# Largest Ritz residual accepted.  For a symmetric H some eigenvalue lies
-# within ||Hv - theta v|| of theta, so this bounds the error of the gap
-# well inside its 1e-9 acceptance tolerance.
-_RITZ_RESIDUAL_BOUND = 1e-10
-# A Lanczos beta at or below this multiple of the operator scale seen so
-# far is roundoff: the Krylov space is invariant and the run stops.
-_BREAKDOWN_FACTOR = 1e-12
-
-
-def symmetry_blocks(basis: MagnonSectorBasis):
-    """(u, c, blocks): the sector's Heisenberg Hamiltonian split over the
-    characters of its symmetry group, with u the image of
-    `ground_multiplet_vector` in the trivial block, c the largest
-    absolute row sum of H (a bound on ||H||), and `blocks` an iterator
-    that builds one (character, CSR block) pair at a time.
-
-    The group is {1, P}, P the mirror map that sends each state to its
-    site-reversed image, and {1, P, F, PF} when 2n = 2S*M, where the
-    spin flip F sends n_x to 2S - n_x.  On such a self-conjugate sector
-    the base-(2S+1) keys of a state and its flip add up to the same
-    constant, so F maps row i to row dim - 1 - i.  A character is the
-    tuple of its signs chi(g) over the group elements in that order:
-    (1, p) for {1, P}, and (1, p, f, pf) for p, f in (+1, -1) for the
-    larger group, the trivial character first.
-
-    Each orbit is represented by its lowest row a.  The character-chi
-    basis vector of a is |orbit_a|^(-1/2) times the sum of chi(g) e_t
-    over the distinct images t = g a; it vanishes, and a is left out of
-    the block, when chi is not trivial on the stabilizer of a.  H commutes
-    with the group, so only the representatives' columns of H are built
-    (`heisenberg_columns`), and each entry H[t, b] with t = g a is
-    folded onto row a with the weight chi(g) sqrt(|orbit_b| / |orbit_a|).
-    Blocks are indexed by their representatives in ascending order, and
-    a character with no representative gives no block.  The iterator
-    holds the folded columns but not `basis`, so a caller that drops the
-    basis keeps only what the blocks are built from.
-    """
-    idx = np.arange(basis.dim)
-    mirror = basis.state_index(basis.states[:, ::-1])
-    images = [idx, mirror]
-    signs = [(1, p) for p in (1, -1)]
-    if 2 * basis.n == basis.spin.two_s * basis.lattice.nsites:
-        images += [idx[::-1], mirror[::-1]]
-        signs = [(1, p, f, p * f) for p in (1, -1) for f in (1, -1)]
-    images, signs = np.stack(images), np.array(signs)
-    rep = images.min(axis=0)
-    # every element is an involution, so the first g that takes t to its
-    # representative a also takes a to t
-    element = np.argmax(images == rep, axis=0)
-    stabilizer = images == idx
-    orbit = len(images) / stabilizer.sum(axis=0)
-    reps = idx[rep == idx]
-    position = np.cumsum(rep == idx) - 1  # block row of each representative
-    rows, cols, vals = heisenberg_columns(basis, reps)
-    c = float(np.bincount(cols, weights=np.abs(vals), minlength=basis.dim).max())
-    target = rep[rows]
-    vals = vals * np.sqrt(orbit[cols] / orbit[target])
-    entry_element, rows, cols = element[rows], position[target], position[cols]
-    u = ground_multiplet_vector(basis)[reps] * np.sqrt(orbit[reps])
-    stabilizer = stabilizer[:, reps]
-
-    def blocks():
-        for chi in signs:
-            member = ~stabilizer[chi < 0].any(axis=0)
-            size = int(member.sum())
-            if size == 0:
-                continue
-            at = np.cumsum(member) - 1
-            keep = member[rows] & member[cols]
-            yield tuple(chi.tolist()), sp.csr_matrix(
-                ((vals * chi[entry_element])[keep], (at[rows[keep]], at[cols[keep]])),
-                shape=(size, size),
-            )
-
-    return u, c, blocks()
-
-
-def lanczos(apply, dim, seed, maxiter=1000):
-    """Lowest eigenpair (theta, x) of the symmetric operator `apply` on
-    R^dim by unrestarted three-term Lanczos from a seeded Gaussian start
-    vector, with no reorthogonalization.
-
-    Each step keeps the tridiagonal coefficients alpha_j, beta_j and the
-    normalized Krylov vector v_j it makes.  Every 10 steps, and at step
-    m = dim, it takes the lowest eigenpair (theta, y) of T_m and stops
-    once the residual estimate |beta_{m+1} y_m| is at most
-    `_LANCZOS_TOL` * max(1, |theta|) (m = dim alone is no stop: without
-    reorthogonalization the first dim vectors need not span the space);
-    lost orthogonality only adds ghost copies above the extreme Ritz
-    value, which converges regardless.  It returns
-    x = sum_j y_j v_j / ||.|| from the stored vectors, so m steps cost m
-    operator applications.  The stored basis costs m * dim * 8 bytes,
-    so at most `maxiter` * dim * 8 bytes (8 kB per state) before the
-    RuntimeError.  The gap's blocks are small: every chain of up to 24
-    sites at S = 1/2 or 16 sites at S = 1 stops at a sector of at most
-    276 states, and no block of theirs takes more than 90 steps.  A
-    beta at roundoff of the operator scale means the Krylov space is
-    invariant: the run stops there, with theta exact on that space.
-    Inner products are taken as (w * v).sum(): on long vectors a BLAS
-    dot product can cost as much as the sparse product itself.  Raises
-    RuntimeError when maxiter steps do not converge.
-    """
-    start = np.random.default_rng(seed).standard_normal(dim)
-    start /= np.linalg.norm(start)
-    alphas, betas = [], []
-    krylov = [start]
-    v_prev, v, beta = np.zeros(dim), start, 0.0
-    scale = 0.0
-    for m in range(1, maxiter + 1):
-        w = apply(v)
-        alpha = float((w * v).sum())
-        w -= alpha * v
-        w -= beta * v_prev
-        beta = math.sqrt((w * w).sum())
-        alphas.append(alpha)
-        betas.append(beta)
-        scale = max(scale, abs(alpha) + beta)
-        invariant = beta <= _BREAKDOWN_FACTOR * scale
-        if invariant or m % 10 == 0 or m == dim:
-            (theta,), y = sla.eigh_tridiagonal(
-                alphas, betas[:-1], select="i", select_range=(0, 0)
-            )
-            if invariant or abs(beta * y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta)):
-                break
-        v_prev, v = v, w / beta
-        krylov.append(v)
-    else:
-        raise RuntimeError(f"Lanczos did not converge in {maxiter} steps")
-    x = y[0, 0] * start
-    for coeff, v in zip(y[1:, 0], krylov[1:]):
-        x += coeff * v
-    return float(theta), x / np.linalg.norm(x)
-
-
-def _lowest_eigenvalue(block, deflate=None):
-    """(theta, residual, matvecs): the lowest eigenvalue of the operator
-    A = block, or A = block + c u u^T when `deflate` is (c, u), found by
-    `lanczos`, the Ritz residual ||Ax - theta x|| of its vector, and the
-    number of Lanczos steps (one operator application each; the residual
-    product is not counted).  The rank-one term is applied as
-    u * (u * x).sum() for the reason given at `lanczos`."""
-    matvecs = 0
-
-    def apply(x):
-        nonlocal matvecs
-        matvecs += 1
-        y = block @ x
-        if deflate is not None:
-            c, u = deflate
-            y += c * u * (u * x).sum()
-        return y
-
-    theta, x = lanczos(apply, block.shape[0], _LANCZOS_SEED)
-    steps = matvecs
-    return theta, float(np.linalg.norm(apply(x) - theta * x)), steps
+# Largest residual accepted.  For a symmetric H some eigenvalue lies
+# within ||Hx - gap x|| of gap, so this bounds the error of the gap well
+# inside its 1e-9 acceptance tolerance.
+_RESIDUAL_BOUND = 1e-10
 
 
 def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
@@ -353,42 +181,36 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
 
     Sector n (magnon number n <= S*ell) holds one copy of every
     total-spin multiplet with J >= S*ell - n and exactly one zero mode,
-    the maximal-spin state v.  The sectors n = 1, 2, ... are solved in
-    turn, each sized against `DEFAULT_DIM_CAP` before it is enumerated,
-    and the gap is the lowest nonzero eigenvalue of the last one.  The
-    loop stops at the middle sector n = floor(S*ell), which holds every
-    multiplet, or earlier, as soon as the Casimir floor
-    H >= (2/l^3)(k0 - J(J+1)), k0 = S*ell(S*ell + 1), at the largest
-    multiplet not yet held, J = S*ell - n - 1, exceeds gap + residual +
-    tol: the floor decreases in J, so every multiplet left out lies
-    above the gap, whatever the symmetry or magnon number of the gap
-    mode.  The floor is used only when the lattice holds every chain bond
-    (x, x+1); on any other lattice the loop runs to the middle sector.
+    the maximal-spin state.  The sectors n = 2, 3, ... are solved in
+    turn, each built by `dense_sectors` (so sized against
+    `DENSE_SECTOR_CAP` before it is enumerated) and solved for its two
+    lowest eigenpairs by one dense `eigh`; the gap is the second
+    eigenvalue of the last one.  The loop stops at the middle sector
+    n = floor(S*ell), which holds every multiplet, or earlier, as soon
+    as the Casimir floor H >= (2/l^3)(k0 - J(J+1)), k0 = S*ell(S*ell + 1),
+    at the largest multiplet not yet held, J = S*ell - n - 1, exceeds
+    gap + residual + tol: the floor decreases in J, so every multiplet
+    left out lies above the gap, whatever the magnon number of the gap
+    mode.  The floor is used only when the lattice holds every chain
+    bond (x, x+1); on any other lattice the loop runs to the middle
+    sector.
 
-    H commutes with the chain's reflection, and with the spin flip on
-    the self-conjugate sector 2n = 2S*ell, so each sector splits into
-    two or four blocks, one per character of that group
-    (`symmetry_blocks`).  The blocks are built and solved one at a time,
-    each freed before the next is built, and the basis is dropped once
-    u and c are taken.  v is invariant, with image u in the trivial
-    block, so a sector's lowest nonzero eigenvalue is the smallest of
-    the lowest eigenvalue of the deflated trivial block H_1 + c u u^T
-    (c >= ||H|| moves the zero mode to the top of the spectrum) and the
-    lowest eigenvalues of the other blocks.  Every block, of one state
-    or of many, is solved by `lanczos` (seeded random start vector, so
-    gaps are bit-reproducible); `matvecs` counts its operator
-    applications over every sector solved, `block_dims` lists every
-    block solved in order and `sector` is the last n.  A Ritz residual is
-    taken on the operator Lanczos solved, so on H_1 + c u u^T for the
-    trivial block: that operator has the spectrum of H_1 on the
-    complement of u, plus c >= ||H|| >= gap.
+    Sector 1 is solved only when it is the middle sector.  Starting at
+    sector 2 is exact, because sector 2 holds every multiplet of sector
+    1, and sector 1 could never stop the loop: its floor, at
+    J = S*ell - 2, is 8S/l^2 - 4/l^3, while the gap is at least
+    8.99 S/l^2 for l >= 3.
 
-    Raises ResourceLimitError, before enumerating it, when a sector the
-    loop reaches has more than `DEFAULT_DIM_CAP` states.  With the
-    tolerance tol = `_ZERO_TOL_FACTOR` * max(c, 1), raises RuntimeError
-    when ||H_1 u|| (= ||H v||) exceeds tol in a sector, so v is not a
-    zero mode; when the gap is not above tol, so v is not the only zero
-    mode; or when a Ritz residual exceeds `_RITZ_RESIDUAL_BOUND`.
+    `sector_dims` lists the dimension of every sector solved and
+    `sector` is the last n.  With tol = `_ZERO_TOL_FACTOR` * max(c, 1),
+    c the largest absolute row sum of H (a bound on ||H||), raises
+    RuntimeError when a sector's lowest eigenvalue is not within tol of
+    zero, so the maximal-spin state is not its lowest; when the gap is
+    not above tol, so that state is not the only zero mode; or when the
+    residual exceeds `_RESIDUAL_BOUND`.  Raises ResourceLimitError,
+    before enumerating it, when a sector the loop reaches has more than
+    `DENSE_SECTOR_CAP` states: at sector 2, that refuses chains of more
+    than 110 sites at 2S = 1 and of more than 109 sites at 2S = 2.
     """
     if lattice.dimension != 1:
         raise ValueError("the gap report is defined for chains")
@@ -398,30 +220,20 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     # every bond term is >= 0, so H >= H_chain, whose Casimir floor is the
     # one `boundlab.verify_casimir_lower_bound` certifies
     floor_applies = set(lattice.bonds()) >= {(x, x + 1) for x in range(ell - 1)}
-    residual, dims, matvecs = 0.0, [], 0
-    for n in range(1, middle + 1):
-        require_sector_dimensions(ell, spin.two_s, [n], DEFAULT_DIM_CAP)
-        u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, n))
-        tol = _ZERO_TOL_FACTOR * max(c, 1.0)
-        thetas = []
-        for chi, block in blocks:
-            deflate = None
-            if min(chi) > 0:  # the trivial block, which holds u
-                zero_resid = float(np.linalg.norm(block @ u))
-                if not zero_resid <= tol:
-                    raise RuntimeError(
-                        f"residual ||H v|| = {zero_resid:.1e} of the maximal-spin vector "
-                        f"exceeds {tol:.1e}"
-                    )
-                deflate = (c, u)
-            theta, resid, steps = _lowest_eigenvalue(block, deflate)
-            thetas.append(theta)
-            residual = max(residual, resid)
-            dims.append(block.shape[0])
-            matvecs += steps
-            del block  # free the block before the next one is built
+    residual, dims = 0.0, []
+    for n in range(min(2, middle), middle + 1):
+        ((_, h),) = dense_sectors(lattice, spin, [n])
+        tol = _ZERO_TOL_FACTOR * max(float(np.abs(h).sum(axis=1).max()), 1.0)
+        w, x = sla.eigh(h, subset_by_index=[0, 1])
+        if not abs(w[0]) <= tol:
+            raise RuntimeError(
+                f"lowest eigenvalue {w[0]!r} of sector {n} is not a zero mode "
+                f"(tolerance {tol:.1e})"
+            )
         # sector n holds every multiplet of sector n - 1
-        gap = min(thetas)
+        gap = float(w[1])
+        residual = max(residual, float(np.linalg.norm(h @ x[:, 1] - gap * x[:, 1])))
+        dims.append(len(h))
         j_left = s_max - n - 1  # the largest total spin sector n does not hold
         floor = (2.0 / ell**3) * (s_max * (s_max + 1.0) - j_left * (j_left + 1.0))
         if floor_applies and floor > gap + residual + tol:
@@ -431,14 +243,13 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
             f"lowest eigenvalue {gap!r} beside the maximal-spin state is a second "
             f"zero mode (tolerance {tol:.1e})"
         )
-    if not residual <= _RITZ_RESIDUAL_BOUND:
+    if not residual <= _RESIDUAL_BOUND:
         raise RuntimeError(
-            f"Ritz residual {residual:.1e} exceeds {_RITZ_RESIDUAL_BOUND:.0e}"
+            f"Ritz residual {residual:.1e} exceeds {_RESIDUAL_BOUND:.0e}"
         )
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims),
-        matvecs, n,
+        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims), n,
     )
 
 

@@ -4,9 +4,8 @@ None of these is reached by the command line or the certificate suites:
 the tensor-product Hamiltonian (built from the textbook m-projection
 ladder, not the occupation ladder the sector assemblies use), the
 coordinate-collapse table on sorted coordinates (the collapse matrix's
-reference), the two-pass Lanczos that rebuilds its Krylov vectors
-instead of storing them (the one-pass solver's reference), the gap
-solved on the middle sector, which holds every multiplet (the
+reference), the maximal-spin vector of a sector, the gap solved
+sparsely on the middle sector, which holds every multiplet (the
 reference of the gap's sector loop), the Bessel/Hurwitz series for the
 continuum integrals, and the continuum constants evaluated both by
 quadrature and in closed form.
@@ -19,16 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 import scipy.special
 
-from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis
+from magnonlab.basis import MagnonSectorBasis, SpinLattice, SpinMagnitude, enumerate_sector_basis
 from magnonlab.magnongas import _quad, log_one_minus_exp
-from magnonlab.spectra import (
-    _BREAKDOWN_FACTOR,
-    _LANCZOS_TOL,
-    _lowest_eigenvalue,
-    symmetry_blocks,
-)
+from magnonlab.operators import assemble_heisenberg
 
 # ---------------------------------------------------------------------------
 # tensor-product Hamiltonian
@@ -101,72 +96,47 @@ def build_coordinate_map_v(ell: int, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# two-pass Lanczos
+# maximal-spin vector and middle-sector gap
 # ---------------------------------------------------------------------------
 
 
-def two_pass_lanczos(apply, dim, seed, maxiter=5000):
-    """Lowest eigenpair (theta, x) by the same unrestarted three-term
-    recurrence as `spectra.lanczos`, storing no Krylov basis.
+def ground_multiplet_vector(basis: MagnonSectorBasis) -> np.ndarray:
+    """Unit vector of the maximal-total-spin state inside a sector.
 
-    The first pass keeps only the tridiagonal coefficients and stops by
-    the same test; a second pass repeats the recurrence with the stored
-    coefficients, so it rebuilds the same vectors v_j, and returns
-    x = sum_j y_j v_j / ||.||.  m steps cost 2m - 1 operator
-    applications.
+    The fully symmetric n-magnon state has occupation amplitudes
+    proportional to prod_x sqrt(C(2S, n_x)); it spans the zero-energy
+    eigenspace of the sector block.
     """
-    start = np.random.default_rng(seed).standard_normal(dim)
-    start /= np.linalg.norm(start)
-    alphas, betas = [], []
-    v_prev, v, beta = np.zeros(dim), start, 0.0
-    scale = 0.0
-    for m in range(1, maxiter + 1):
-        w = apply(v)
-        alpha = float((w * v).sum())
-        w -= alpha * v
-        w -= beta * v_prev
-        beta = math.sqrt((w * w).sum())
-        alphas.append(alpha)
-        betas.append(beta)
-        scale = max(scale, abs(alpha) + beta)
-        invariant = beta <= _BREAKDOWN_FACTOR * scale
-        if invariant or m % 10 == 0 or m == dim:
-            (theta,), y = sla.eigh_tridiagonal(
-                alphas, betas[:-1], select="i", select_range=(0, 0)
-            )
-            if invariant or abs(beta * y[-1, 0]) <= _LANCZOS_TOL * max(1.0, abs(theta)):
-                break
-        v_prev, v = v, w / beta
-    else:
-        raise RuntimeError(f"Lanczos did not converge in {maxiter} steps")
-    x = y[0, 0] * start
-    v_prev, v, beta = np.zeros(dim), start, 0.0
-    for j in range(m - 1):
-        w = apply(v)
-        w -= alphas[j] * v
-        w -= beta * v_prev
-        beta = betas[j]
-        v_prev, v = v, w / beta
-        x += y[j + 1, 0] * v
-    return float(theta), x / np.linalg.norm(x)
+    two_s = basis.spin.two_s
+    site_amp = np.array(
+        [math.sqrt(math.comb(two_s, k)) if k <= two_s else 0.0
+         for k in range(basis.cap + 1)]
+    )
+    v = np.prod(site_amp[basis.states], axis=1)
+    nrm = np.linalg.norm(v)
+    if nrm == 0.0:
+        raise ValueError("sector carries no maximal-spin state")
+    return v / nrm
 
 
-# ---------------------------------------------------------------------------
-# middle-sector gap
-# ---------------------------------------------------------------------------
+# Seed of the random start vector of the middle-sector ARPACK solve.
+_EIGSH_SEED = 20260811
 
 
 def middle_sector_gap(lattice: SpinLattice, spin: SpinMagnitude) -> float:
     """Lowest nonzero eigenvalue of the middle sector n = floor(S*l),
-    which holds one copy of every total-spin multiplet: the lowest
-    eigenvalue over its symmetry blocks, the trivial block deflated by
-    the maximal-spin vector, each block solved by `lanczos`."""
+    which holds one copy of every total-spin multiplet: the second
+    lowest eigenvalue of its sparse matrix, by ARPACK (k = 2) from a
+    seeded random start vector.  A start vector with a symmetry, such
+    as all ones (reflection-even), would never reach a gap mode of the
+    other parity.  A sector of two states, too small for ARPACK, is
+    solved densely."""
     n = (spin.two_s * lattice.nsites) // 2
-    u, c, blocks = symmetry_blocks(enumerate_sector_basis(lattice, spin, n))
-    return min(
-        _lowest_eigenvalue(block, (c, u) if min(chi) > 0 else None)[0]
-        for chi, block in blocks
-    )
+    h = assemble_heisenberg(enumerate_sector_basis(lattice, spin, n)).to_csr()
+    if h.shape[0] <= 2:
+        return float(sla.eigvalsh(h.toarray())[1])
+    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(h.shape[0])
+    return float(np.sort(spla.eigsh(h, k=2, which="SA", v0=v0, return_eigenvectors=False))[1])
 
 
 # ---------------------------------------------------------------------------

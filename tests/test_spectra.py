@@ -1,6 +1,4 @@
-import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from magnonlab.operators import (
     assemble_free_boson_t,
     assemble_heisenberg,
     assemble_total_spin_squared,
-    ground_multiplet_vector,
 )
 from magnonlab.spectra import (
     ResourceLimitError,
@@ -29,9 +26,8 @@ from magnonlab.spectra import (
     gibbs_variational_upper,
     sector_energy_spin_pairs,
     spectral_gap,
-    symmetry_blocks,
 )
-from oracles import middle_sector_gap, two_pass_lanczos
+from oracles import ground_multiplet_vector, middle_sector_gap
 
 
 def test_full_spectrum_two_sites_halfspin():
@@ -140,11 +136,11 @@ def _oracle_gap(lat, spin):
 
 
 def test_sparse_gap_path_agrees_with_dense():
-    # the parity blocks of sectors 1 (8 states) and 2 (36 states), where
-    # the Casimir floor stops the loop; the middle sector has 1107 states
+    # sector 2 (36 states) alone, where the Casimir floor stops the loop;
+    # the middle sector has 1107 states
     lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
     report = spectral_gap(lat, spin)
-    assert report.block_dims == (4, 4, 20, 16) and report.sector == 2
+    assert report.sector_dims == (36,) and report.sector == 2
     assert 0.0 < report.residual <= 1e-10
     assert report.gap == pytest.approx(_oracle_gap(lat, spin), abs=1e-10)
 
@@ -214,7 +210,8 @@ def _self_conjugate(basis):
 
 def character_isometries(basis):
     """[(chi, Q)]: one CSR isometry per character of the sector's
-    symmetry group, the oracle of `symmetry_blocks`.
+    symmetry group, a test-only check that the sector Hamiltonian
+    commutes with the chain's mirror and spin-flip symmetries.
 
     The group elements are row maps found by lookup: the identity, the
     mirror P and, on a self-conjugate sector, the flip F (the rows of
@@ -249,31 +246,6 @@ def character_isometries(basis):
 PARITY_CHAINS = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 9)]
 
 
-@pytest.mark.parametrize("ell,two_s", PARITY_CHAINS + [(ell, 3) for ell in range(2, 9)])
-def test_parity_blocks_equal_the_projected_sector(ell, two_s):
-    # every sector n, so both the {1, P} blocks and, where 2S*l is even,
-    # the reflection x spin-flip blocks of the middle sector are checked
-    lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
-    for n in range(two_s * ell + 1):
-        basis = enumerate_sector_basis(lat, spin, n)
-        h = assemble_heisenberg(basis).to_csr()
-        isometries = [(chi, q) for chi, q in character_isometries(basis) if q.shape[1]]
-        u, c, blocks = symmetry_blocks(basis)
-        blocks = list(blocks)
-        assert [chi for chi, _ in blocks] == [chi for chi, _ in isometries]
-        for (_, block), (_, q) in zip(blocks, isometries):
-            assert block.shape == (q.shape[1], q.shape[1])
-            assert np.abs((block - q.T @ h @ q).data).max(initial=0.0) <= 1e-14
-        v = ground_multiplet_vector(basis)
-        trivial = isometries[0][1]
-        np.testing.assert_allclose(u, trivial.T @ v, rtol=0, atol=1e-15)
-        # u lies in the trivial block: it gives back v, and no other block sees v
-        np.testing.assert_allclose(trivial @ u, v, rtol=0, atol=1e-15)
-        for _, q in isometries[1:]:
-            assert np.abs(q.T @ v).max() <= 1e-15
-        assert c == pytest.approx(abs(h).sum(axis=1).max(), rel=1e-14, abs=0.0)
-
-
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
 def test_mirror_map_is_an_involution_and_splits_every_sector(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
@@ -282,16 +254,19 @@ def test_mirror_map_is_an_involution_and_splits_every_sector(ell, two_s):
         rows = np.arange(basis.dim)
         mirror = basis.state_index(basis.states[:, ::-1])
         assert np.array_equal(mirror[mirror], rows)
+        h = assemble_heisenberg(basis).to_dense()
+        # the chain Hamiltonian is mirror symmetric entry for entry
+        assert np.array_equal(h[np.ix_(mirror, mirror)], h)
         if _self_conjugate(basis):
             # the flip reverses the lexicographic order of a self-conjugate sector
             assert np.array_equal(basis.state_index(two_s - basis.states), rows[::-1])
+            # and commutes with H up to the rounding of its sqrt hop amplitudes
+            np.testing.assert_allclose(h[::-1, ::-1], h, rtol=0, atol=1e-13)
         isometries = character_isometries(basis)
         assert len(isometries) == (4 if _self_conjugate(basis) else 2)
         q = sp.hstack([q for _, q in isometries]).toarray()
         assert q.shape == (basis.dim, basis.dim)
         assert np.allclose(q.T @ q, np.eye(basis.dim), atol=1e-15)
-        _, _, blocks = symmetry_blocks(basis)
-        assert sum(block.shape[0] for _, block in blocks) == basis.dim
 
 
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
@@ -299,34 +274,13 @@ def test_parity_block_spectra_recombine_to_the_sector_spectrum(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
     for n in range(two_s * ell + 1):
         basis = enumerate_sector_basis(lat, spin, n)
-        _, _, blocks = symmetry_blocks(basis)
-        spectra = [sla.eigvalsh(block.toarray()) for _, block in blocks]
+        h = assemble_heisenberg(basis).to_dense()
+        qs = [q.toarray() for _, q in character_isometries(basis) if q.shape[1]]
+        blocks = [q.T @ h @ q for q in qs]
+        spectra = [sla.eigvalsh(block) for block in blocks]
         np.testing.assert_allclose(
-            np.sort(np.concatenate(spectra)),
-            sla.eigvalsh(assemble_heisenberg(basis).to_dense()),
-            rtol=0, atol=1e-12,
+            np.sort(np.concatenate(spectra)), sla.eigvalsh(h), rtol=0, atol=1e-12,
         )
-
-
-@pytest.mark.parametrize(
-    "ell,characters,dims",
-    [
-        # one mirror pair, which is also a flip pair: P and F act alike
-        (2, [(1, 1, 1, 1), (1, -1, -1, 1)], (1, 1)),
-        # orbits {0011, 1100}, {0101, 1010} (fixed by PF) and {0110, 1001}
-        # (fixed by P): no state carries the character (1, -1, 1, -1)
-        (4, [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, -1, 1)], (3, 1, 2)),
-    ],
-)
-def test_symmetry_blocks_skip_empty_characters(ell, characters, dims):
-    basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(1), ell // 2)
-    _, _, blocks = symmetry_blocks(basis)
-    blocks = list(blocks)
-    assert [chi for chi, _ in blocks] == characters
-    assert tuple(block.shape[0] for _, block in blocks) == dims
-    # the gap loop reaches the middle sector of these chains last
-    report = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(1))
-    assert report.sector == ell // 2 and report.block_dims[-len(dims):] == dims
 
 
 def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
@@ -342,8 +296,7 @@ def test_spectral_gap_never_builds_the_full_spectrum(monkeypatch):
             assert report.deviation <= 1e-9 and report.residual <= 1e-10
 
 
-def test_lanczos_gap_is_bit_reproducible():
-    # four reflection x spin-flip blocks at 2S*l = 16, two parity blocks at 11
+def test_spectral_gap_is_bit_reproducible():
     for ell, two_s in ((8, 2), (11, 1)):
         lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
         first, second = spectral_gap(lat, spin), spectral_gap(lat, spin)
@@ -353,24 +306,27 @@ def test_lanczos_gap_is_bit_reproducible():
 @pytest.mark.parametrize(
     "spoil,message",
     [
-        # a Ritz vector off by 1e-6 has a residual far above the bound
-        (lambda theta, x: (theta, x + 1e-6 * np.roll(x, 1)), "Ritz residual"),
-        # a Ritz value off by 1e-3 no longer matches its vector
-        pytest.param(lambda theta, x: (theta + 1e-3, x), "Ritz residual",
+        # a gap vector off by 1e-6 has a residual far above the bound
+        (lambda w, x: (w, x + 1e-6 * np.roll(x, 1, axis=0)), "Ritz residual"),
+        # a gap off by 1e-3 no longer matches its vector
+        pytest.param(lambda w, x: (w + [0.0, 1e-3], x), "Ritz residual",
                      id="shifted-theta-Ritz residual"),
-        # a Ritz value at zero is a second zero mode
-        (lambda theta, x: (theta * 0, x), "zero mode"),
+        # a gap at zero is a second zero mode
+        (lambda w, x: (w * 0, x), "zero mode"),
+        # a lowest eigenvalue 1e-6 off zero is not the maximal-spin zero mode
+        pytest.param(lambda w, x: (w + [1e-6, 0.0], x), "is not a zero mode",
+                     id="shifted-zero-mode"),
     ],
 )
 def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
     from magnonlab import spectra
 
-    exact = spectra.lanczos
+    exact = spectra.sla.eigh
 
     def spoiled(*args, **kwargs):
         return spoil(*exact(*args, **kwargs))
 
-    monkeypatch.setattr(spectra, "lanczos", spoiled)
+    monkeypatch.setattr(spectra.sla, "eigh", spoiled)
     with pytest.raises(RuntimeError, match=message):
         spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
 
@@ -386,10 +342,10 @@ class _CutChain(SpinLattice):
 
 def test_a_second_zero_mode_in_the_blocks_raises():
     # each half of chain 8 at 2S=2 is a spin-4 ground multiplet; coupled to
-    # total spin T=0..8 they give 9 zero modes in the middle sector, five of
-    # them even, so the maximal-spin vector is a zero mode but not the only
-    # one; without the middle bond the Casimir floor does not apply, and
-    # the loop runs to the middle sector
+    # total spin T=0..8 they give 9 zero modes in the middle sector, so the
+    # maximal-spin vector is a zero mode but not the only one; without the
+    # middle bond the Casimir floor does not apply, and the loop runs to
+    # the middle sector
     lattice = _CutChain(1, (8,))
     basis = enumerate_sector_basis(lattice, SpinMagnitude(2), 8)
     assert np.linalg.norm(assemble_heisenberg(basis).to_csr() @ ground_multiplet_vector(basis)) < 1e-12
@@ -397,33 +353,34 @@ def test_a_second_zero_mode_in_the_blocks_raises():
         spectral_gap(lattice, SpinMagnitude(2))
 
 
-def test_spectral_gap_calls_lanczos_once_per_block_and_never_assembles_csr(monkeypatch):
+def test_spectral_gap_calls_eigh_once_per_sector_and_never_assembles_csr(monkeypatch):
     from magnonlab import operators, spectra
 
     dims = []
-    exact = spectra.lanczos
+    exact = spectra.sla.eigh
 
-    def recorded(apply, dim, *args, **kwargs):
-        dims.append(dim)
-        return exact(apply, dim, *args, **kwargs)
+    def recorded(a, *args, **kwargs):
+        dims.append(len(a))
+        return exact(a, *args, **kwargs)
 
     def refuse(self):
         raise AssertionError("HermitianOperator.to_csr called")
 
-    monkeypatch.setattr(spectra, "lanczos", recorded)
+    monkeypatch.setattr(spectra.sla, "eigh", recorded)
     monkeypatch.setattr(operators.HermitianOperator, "to_csr", refuse)
     for ell, two_s in ((8, 2), (12, 1), (4, 1)):
         spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
-    # the parity blocks of sectors 1 and 2, where the Casimir floor stops
-    # the first two chains; chain 4 at 2S=1 runs to its middle sector,
-    # whose blocks of 3, 1 and 2 states are solved by Lanczos too
-    assert dims == [4, 4, 20, 16, 6, 6, 36, 30, 2, 2, 3, 1, 2]
+    # sector 2, where the Casimir floor stops the first two chains and
+    # which is the middle sector of chain 4 at 2S=1
+    assert dims == [36, 66, 6]
+    # chains 2 and 4 at 2S=1 run to their middle sector
+    for ell in (2, 4):
+        assert spectral_gap(SpinLattice.chain(ell), SpinMagnitude(1)).sector == ell // 2
 
 
-def test_spectral_gap_holds_one_block_and_its_krylov_basis_at_a_time():
-    # chain 12 at 2S=2 stops at sector 2 (78 states) and peaks at about
-    # 52 kB; its middle sector of 73,789 states, solved block by block,
-    # peaked at 32 MB
+def test_spectral_gap_holds_one_small_sector_at_a_time():
+    # chain 12 at 2S=2 stops at sector 2 (78 states); its middle sector of
+    # 73,789 states is never built
     import tracemalloc
 
     tracemalloc.start()
@@ -434,150 +391,6 @@ def test_spectral_gap_holds_one_block_and_its_krylov_basis_at_a_time():
         tracemalloc.stop()
     assert report.deviation <= 1e-9 and report.residual <= 1e-10
     assert peak <= 1e6
-
-
-def test_gap_report_counts_lanczos_matvecs():
-    first = spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
-    second = spectral_gap(SpinLattice.chain(8), SpinMagnitude(2))
-    assert first.matvecs > 0 and first.matvecs == second.matvecs
-    assert spectral_gap(SpinLattice.chain(4), SpinMagnitude(1)).matvecs > 0
-
-
-def _random_symmetric(dim, seed):
-    """Seeded sparse symmetric matrix with about 8 entries per row."""
-    a = sp.random(dim, dim, density=8 / dim, random_state=seed, format="csr")
-    return (a + a.T).tocsr()
-
-
-def _operator(a, deflate, seed):
-    """(apply, dense): the matrix a, or a + c u u^T with a random unit u
-    and c >= ||a|| when `deflate`; dense() builds it as an array."""
-    if not deflate:
-        return (lambda x: a @ x), a.toarray
-    u = np.random.default_rng(seed).standard_normal(a.shape[0])
-    u /= np.linalg.norm(u)
-    c = float(abs(a).sum(axis=1).max())
-    return (lambda x: a @ x + c * u * (u * x).sum()), (lambda: a.toarray() + c * np.outer(u, u))
-
-
-def _eigvalsh_lowest(dim, apply, dense):
-    return sla.eigvalsh(dense(), subset_by_index=(0, 0))[0]
-
-
-def _eigsh_lowest(dim, apply, dense):
-    import scipy.sparse.linalg as spla
-
-    op = spla.LinearOperator((dim, dim), matvec=apply, dtype=float)
-    (lowest,), _ = spla.eigsh(op, k=1, which="SA", tol=1e-13, v0=np.ones(dim))
-    return lowest
-
-
-# a dense solve at 3000 states takes 2 s, so ARPACK is the oracle there
-@pytest.mark.parametrize(
-    "dim,oracle", [(250, _eigvalsh_lowest), (800, _eigvalsh_lowest), (3000, _eigsh_lowest)],
-    ids=["250-eigvalsh", "800-eigvalsh", "3000-eigsh"],
-)
-@pytest.mark.parametrize("deflate", [False, True], ids=["plain", "deflated"])
-def test_lanczos_matches_the_oracle_lowest_eigenvalue(dim, oracle, deflate):
-    from magnonlab.spectra import lanczos
-
-    apply, dense = _operator(_random_symmetric(dim, seed=dim), deflate, seed=dim + 1)
-    theta, x = lanczos(apply, dim, seed=7)
-    assert theta == pytest.approx(oracle(dim, apply, dense), abs=1e-10)
-    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(apply(x) - theta * x) <= 1e-10
-
-
-@pytest.mark.parametrize("dim", [250, 800, 3000])
-@pytest.mark.parametrize("deflate", [False, True], ids=["plain", "deflated"])
-def test_lanczos_equals_the_two_pass_oracle_bit_for_bit(dim, deflate):
-    # the oracle rebuilds each Krylov vector by the same arithmetic the
-    # one-pass solver stores it from
-    from magnonlab.spectra import lanczos
-
-    apply, _ = _operator(_random_symmetric(dim, seed=dim), deflate, seed=dim + 1)
-    theta, x = lanczos(apply, dim, seed=7)
-    oracle_theta, oracle_x = two_pass_lanczos(apply, dim, seed=7)
-    assert theta == oracle_theta
-    assert np.array_equal(x, oracle_x)
-
-
-def test_gap_reports_equal_the_two_pass_oracle_driven_ones(monkeypatch):
-    # the gap-sweep chains: l = 2..12 at 2S = 1, 2
-    from magnonlab import spectra
-
-    cases = [(ell, two_s) for two_s in (1, 2) for ell in range(2, 13)]
-    reports = [spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s)) for ell, two_s in cases]
-    steps = []
-
-    def oracle(apply, dim, seed):
-        calls = []
-
-        def counted(x):
-            calls.append(1)
-            return apply(x)
-
-        result = two_pass_lanczos(counted, dim, seed)
-        steps[-1] += (len(calls) + 1) // 2  # m steps, then m - 1 to rebuild
-        return result
-
-    monkeypatch.setattr(spectra, "lanczos", oracle)
-    for (ell, two_s), report in zip(cases, reports):
-        steps.append(0)
-        expected = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
-        assert report == dataclasses.replace(expected, matvecs=steps[-1])
-
-
-def test_lanczos_tests_convergence_when_its_steps_reach_the_block_dimension():
-    # the middle sector of chain 8 at 2S=1 has blocks of 23, 15, 12 and 20
-    # states; tested only every 10 steps they ran 190 steps to a Ritz
-    # residual of 1.2e-11 (the sectors the gap now solves are too small to
-    # show it: a 4-state block breaks down after 4 steps)
-    from magnonlab.spectra import _lowest_eigenvalue
-
-    basis = enumerate_sector_basis(SpinLattice.chain(8), SpinMagnitude(1), 4)
-    u, c, blocks = symmetry_blocks(basis)
-    results = [_lowest_eigenvalue(block, (c, u) if min(chi) > 0 else None)
-               for chi, block in blocks]
-    assert sum(steps for _, _, steps in results) <= 130
-    assert max(resid for _, resid, _ in results) <= 1e-12
-
-
-def test_lanczos_is_bit_reproducible():
-    from magnonlab.spectra import lanczos
-
-    a = _random_symmetric(1000, seed=5)
-    first, second = (lanczos(lambda x: a @ x, 1000, seed=9) for _ in range(2))
-    assert first[0] == second[0] and np.array_equal(first[1], second[1])
-
-
-def test_lanczos_raises_when_maxiter_is_reached():
-    from magnonlab.spectra import lanczos
-
-    a = _random_symmetric(2000, seed=13)
-    with pytest.raises(RuntimeError, match="did not converge in 5 steps"):
-        lanczos(lambda x: a @ x, 2000, seed=1, maxiter=5)
-
-
-def test_lanczos_stops_cleanly_on_an_invariant_krylov_space():
-    # three distinct values: the Krylov space is exhausted after 3 steps
-    # and the next beta is roundoff, never a divisor
-    from magnonlab.spectra import lanczos
-
-    d = np.array([1.0, 2.0, 5.0])[np.arange(300) % 3]
-    calls = []
-
-    def apply(x):
-        calls.append(1)
-        return d * x
-
-    with np.errstate(all="raise"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        theta, x = lanczos(apply, 300, seed=4)
-    assert len(calls) == 3  # three steps; the vector comes from the stored basis
-    assert np.all(np.isfinite(x))
-    assert theta == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(d * x - theta * x) <= 1e-12
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
@@ -839,8 +652,8 @@ def test_dense_sectors_refuse_at_the_call_before_enumerating(monkeypatch):
 
 
 def test_spectral_gap_refuses_a_middle_sector_above_the_cap(monkeypatch):
-    # chain 4 at S=1/2 runs to its middle sector n=2 (6 states), which a
-    # cap of 5 refuses before enumerating it, after sector 1 (4 states)
+    # chain 4 at S=1/2 starts at its middle sector n=2 (6 states), which a
+    # cap of 5 refuses before enumerating any sector
     from magnonlab import spectra
 
     enumerated = []
@@ -851,18 +664,25 @@ def test_spectral_gap_refuses_a_middle_sector_above_the_cap(monkeypatch):
         return exact(lattice, spin, n, **kwargs)
 
     monkeypatch.setattr(spectra, "enumerate_sector_basis", recorded)
-    monkeypatch.setattr(spectra, "DEFAULT_DIM_CAP", 5)
+    monkeypatch.setattr(spectra, "DENSE_SECTOR_CAP", 5)
     with pytest.raises(ResourceLimitError, match=r"^sector n=2 has dimension 6 > 5$"):
         spectral_gap(SpinLattice.chain(4), SpinMagnitude(1))
-    assert enumerated == [1]
+    assert enumerated == []
+
+
+def test_spectral_gap_refuses_sector_two_above_the_dense_cap(monkeypatch):
+    # chain 110 at S=1/2 is the longest whose sector 2 (5995 states) fits
+    _forbid_enumeration(monkeypatch)
+    with pytest.raises(ResourceLimitError, match=r"^sector n=2 has dimension 6105 > 6000$"):
+        spectral_gap(SpinLattice.chain(111), SpinMagnitude(1))
 
 
 def test_spectral_gap_solves_a_chain_whose_middle_sector_is_above_the_cap():
-    # chain 24 at S=1/2: the middle sector n=12 has 2,704,156 states, above
-    # DEFAULT_DIM_CAP, and the Casimir floor stops the loop at sector 2
+    # chain 24 at S=1/2: the middle sector n=12 has 2,704,156 states, far
+    # above DENSE_SECTOR_CAP, and the Casimir floor stops the loop at sector 2
     report = spectral_gap(SpinLattice.chain(24), SpinMagnitude(1))
     assert sector_dimension(24, 12, 1) > 1 << 20
-    assert report.sector == 2 and report.block_dims == (12, 12, 144, 132)
+    assert report.sector == 2 and report.sector_dims == (276,)
     assert report.deviation <= 1e-9 and report.residual <= 1e-10
 
 
@@ -877,21 +697,25 @@ def test_every_gap_sweep_chain_stops_below_its_middle_sector():
             assert last < sector_dimension(ell, two_s * ell // 2, two_s), (ell, two_s)
 
 
-@pytest.mark.parametrize("ell,two_s", [(12, 2), (14, 2)])  # 73,789 and 616,227 states
+# the loop reaches enumeration of sector 2 (78 and 105 states) whatever the
+# size of the middle sector (73,789 and 616,227 states)
+@pytest.mark.parametrize("ell,two_s", [(12, 2), (14, 2)])
 def test_spectral_gap_admits_middle_sectors_below_the_cap(monkeypatch, ell, two_s):
     enumerated = _forbid_enumeration(monkeypatch)
     with pytest.raises(enumerated):
         spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
 
 
-def test_large_middle_sector_gap_goes_straight_to_sparse(monkeypatch):
-    # every gap-sweep chain, l = 2..12 at 2S = 1, 2, down to l = 2, whose
-    # trivial block is the zero mode alone
-    _forbid_dense_solves(monkeypatch)
+def test_every_gap_sweep_chain_meets_its_reference_and_residual_bound():
+    # every gap-sweep chain, l = 2..12 at 2S = 1, 2; sector 2 holds every
+    # multiplet of sector 1, so a chain whose middle sector is 2 or above
+    # starts there and never solves sector 1
     for two_s in (1, 2):
         for ell in range(2, 13):
             report = spectral_gap(SpinLattice.chain(ell), SpinMagnitude(two_s))
             assert report.deviation <= 1e-9 and report.residual <= 1e-10, (ell, two_s)
+            if two_s * ell // 2 >= 2:
+                assert report.sector_dims[0] == sector_dimension(ell, 2, two_s), (ell, two_s)
 
 
 def test_nan_free_energy_fails_subadditivity_and_localization(monkeypatch):
