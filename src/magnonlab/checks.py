@@ -2,26 +2,26 @@
 
 Each check maps a name to a runner producing a list of certificates;
 the default grids match the sizes the package is expected to certify,
-the quick grids are trimmed for smoke runs, and explicit overrides
-(`ells`, `spins`, `ns`, `betas`) replace the corresponding axis of the
-grid.  A suite takes only the overrides its runner names, and
-`run_check` rejects any other.  The chain of every override length and
-the spin of every override 2S are built before the first cell runs, and
-the php-leq-t, casimir, laplacian, vnorm and density runners also size
-every cell's sectors against their cap there (`sector_dimension`,
-nothing enumerated), so a bad value or an oversized cell is refused
-before any work.  Cells run one after another in grid order;
-consecutive cells that differ only in beta share one call of their
-check, which builds its spectra once for all their betas (no result
-outlives that call).  Random-state cells draw from streams
-seeded by the root seed and the cell's parameters (`rng_for`), so a
-cell's certificates do not depend on which other cells run.
+and the quick grids are trimmed for smoke runs.  A grid is a list of
+blocks, each the product of one value list per cell axis (`_cells`).
+An override (`ells`, `spins`, `ns`, `betas`) replaces its axis in every
+block, except that casimir, truncation and subadditivity run one
+fallback block under any override.  A suite takes only the overrides
+its runner names, and `run_check` rejects any other.  `_prepare` checks
+every override value and sizes every sector of every cell before the
+first cell runs (`sector_dimension`, nothing enumerated), so a bad value
+or an oversized cell is refused before any work.  Cells run in grid
+order; consecutive cells that differ only in beta share one call of
+their check, which builds its spectra once for all their betas.
+Random-state cells draw from streams seeded by the root seed and the
+cell's parameters (`rng_for`), so a cell's certificates do not depend on
+which other cells run.
 """
 
 from __future__ import annotations
 
 import inspect
-from itertools import groupby
+from itertools import groupby, product
 
 import scipy.linalg as sla
 
@@ -31,7 +31,6 @@ from .boundlab import (
     gibbs_cdf,
     gibbs_random_state,
     haar_random_state,
-    require_php_sector,
     rng_for,
     verify_casimir_lower_bound,
     verify_density_bounds,
@@ -54,25 +53,54 @@ from .spectra import (
 
 # Beta of the Gibbs-sampled states of the density suite.
 _GIBBS_BETA = 2.0
+# Random states sampled per cell of the laplacian, vnorm and density suites.
+_SAMPLES = {"default": 100, "quick": 20}
 # The command-line flag of each grid-axis override.
 _OVERRIDE_FLAGS = {"ells": "--ell", "spins": "--two-s", "ns": "--n", "betas": "--beta"}
 
 
-def _axis(override, default):
-    if override is None:
-        return tuple(default)
-    return tuple(override)
+def _cells(blocks, overrides, fits=None):
+    """Cells of a grid: each block is a sequence of value lists, one per
+    cell axis, and its cells are their product in order.  A non-None
+    entry of `overrides` replaces its axis in every block, a block equal
+    to an earlier one is then dropped, and `fits(*cell)` keeps the
+    admissible cells."""
+    blocks = dict.fromkeys(
+        tuple(tuple(axis if override is None else override)
+              for axis, override in zip(block, overrides))
+        for block in blocks
+    )
+    return [cell for block in blocks for cell in product(*block) if not fits or fits(*cell)]
 
 
-def _build_chains_and_spins(ells, spins):
-    """Build the chain of every length in the `ells` override and the
-    spin of every 2S in the `spins` override (the default grids hold
-    valid ones), so that a bad value raises before the first cell runs
-    and no cell filter drops it."""
+def _prepare(cells, sectors=None, ells=None, spins=None, ns=None, rule=None,
+             limit=DENSE_SECTOR_CAP):
+    """Return `cells` once no override is bad and no cell too large: build
+    the chain of every `ells` value and the spin of every `spins` value,
+    which no `fits` filter drops; refuse an `ns` value that no cell uses
+    (cells need `rule`), then a negative one; then size the sectors
+    `sectors(*cell)` = (sites, per-site cap, magnon numbers) of every
+    cell against `limit`."""
     for ell in ells or ():
         SpinLattice.chain(ell)
     for two_s in spins or ():
         SpinMagnitude(two_s)
+    sized = [sectors(*cell) for cell in cells] if sectors else []
+    used = {n for _, _, numbers in sized for n in numbers}
+    for n in ns or ():
+        if n not in used:
+            raise ValueError(f"n={n} gives no cell: no requested ell and 2S satisfy {rule}")
+    for n in ns or ():
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got n={n}")
+    for sites, cap, numbers in sized:
+        require_sector_dimensions(sites, cap, numbers, limit)
+    return cells
+
+
+def _whole_chain(ell, two_s, *_):
+    """Every sector of the chain of `ell` sites at 2S = `two_s`."""
+    return ell, two_s, range(two_s * ell + 1)
 
 
 def _per_beta_run(check, cells):
@@ -86,106 +114,60 @@ def _per_beta_run(check, cells):
 
 
 def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
-    two_s_list = _axis(spins, (1, 2, 3) if grid == "default" else (1, 2))
-    _build_chains_and_spins((), spins)
-    return [verify_su2_representation(SpinMagnitude(two_s)) for two_s in two_s_list]
+    blocks = {"default": [((1, 2, 3),)], "quick": [((1, 2),)]}[grid]
+    cells = _prepare(_cells(blocks, (spins,)), spins=spins)
+    return [verify_su2_representation(SpinMagnitude(two_s)) for (two_s,) in cells]
 
 
 def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    if grid == "default":
-        ell_ax, spin_ax, n_ax = range(2, 6), (1, 2, 3), range(0, 9)
-    else:
-        ell_ax, spin_ax, n_ax = (2, 3), (1, 2), range(0, 4)
-    cells = [
-        (ell, two_s, n)
-        for ell in _axis(ells, ell_ax)
-        for two_s in _axis(spins, spin_ax)
-        for n in _axis(ns, n_ax)
-    ]
-    _build_chains_and_spins(ells, spins)
-    for ell, _, n in cells:
-        require_php_sector(ell, n)
+    blocks = {
+        "default": [(range(2, 6), (1, 2, 3), range(9))],
+        "quick": [((2, 3), (1, 2), range(4))],
+    }[grid]
+    # the n-boson sectors are uncapped: the per-site cap is n
+    cells = _prepare(_cells(blocks, (ells, spins, ns)), lambda ell, _, n: (ell, n, [n]),
+                     ells, spins, ns)
     return [verify_php_leq_t(ell, SpinMagnitude(two_s), n) for ell, two_s, n in cells]
 
 
 def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None):
-    if ells is not None or spins is not None:
-        cells = [
-            (ell, two_s)
-            for ell in _axis(ells, (4,))
-            for two_s in _axis(spins, (1,))
-        ]
-    elif grid == "default":
-        cells = [(ell, 1) for ell in range(2, 11)] + [(ell, 2) for ell in range(2, 7)]
-    else:
-        cells = [(ell, 1) for ell in (2, 3, 4)] + [(2, 2), (3, 2)]
-    _build_chains_and_spins(ells, spins)
-    for ell, two_s in cells:
-        require_sector_dimensions(ell, two_s, range(two_s * ell + 1), DENSE_SECTOR_CAP)
+    blocks = {
+        "default": [(range(2, 11), (1,)), (range(2, 7), (2,))],
+        "quick": [((2, 3, 4), (1,)), ((2, 3), (2,))],
+    }[grid]
+    if ells or spins:
+        blocks = [((4,), (1,))]
+    cells = _prepare(_cells(blocks, (ells, spins)), _whole_chain, ells, spins)
     return [verify_casimir_lower_bound(ell, SpinMagnitude(two_s)) for ell, two_s in cells]
 
 
 def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    if grid == "default":
-        ell_ax, spin_ax, samples = range(2, 7), (1, 2), 100
-    else:
-        ell_ax, spin_ax, samples = range(2, 5), (1, 2), 20
-    cells = [
-        (ell, two_s, n)
-        for ell in _axis(ells, ell_ax)
-        for two_s in _axis(spins, spin_ax)
-        for n in (ns if ns is not None else range(0, ell + 1))
-        if n <= ell
-    ]
-    _build_chains_and_spins(ells, spins)
-    _require_every_n(ns, {n for _, _, n in cells}, "n <= ell")
-    for ell, two_s, n in cells:
-        require_sector_dimensions(ell, two_s, [n], DENSE_SECTOR_CAP)
+    ell_ax = {"default": range(2, 7), "quick": range(2, 5)}[grid]
+    blocks = [(ell_ax, (1, 2), range(max(ells or ell_ax) + 1))]
+    cells = _cells(blocks, (ells, spins, ns), lambda ell, _, n: n <= ell)
+    _prepare(cells, lambda ell, two_s, n: (ell, two_s, [n]), ells, spins, ns, "n <= ell")
     certs = []
     for ell, two_s, n in cells:
         certs.append(verify_laplacian_lower_bound(ell, SpinMagnitude(two_s), n))
         if two_s == 1 and n >= 1:
             certs.append(
-                verify_halfspin_quadratic_form_equality(ell, n, samples, seed=seed)
+                verify_halfspin_quadratic_form_equality(ell, n, _SAMPLES[grid], seed=seed)
             )
     return certs
 
 
-def _require_every_n(ns, used, rule):
-    """Raise ValueError for the first value of an explicit `ns` override
-    that no cell uses, instead of dropping it silently."""
-    for n in ns or ():
-        if n not in used:
-            raise ValueError(
-                f"n={n} gives no cell: no requested ell and 2S satisfy {rule}"
-            )
-
-
-def _random_state_cells(ells, ns, spins, defaults, limit):
-    """Cells (ell, n, two_s) of a random-state suite, each sector sized
-    against `limit` before any cell runs."""
-    ell_ax, n_ax, spin_ax = defaults
-    cells = [
-        (ell, n, two_s)
-        for ell in _axis(ells, ell_ax)
-        for n in _axis(ns, n_ax)
-        for two_s in _axis(spins, spin_ax)
-        if n <= two_s * ell
-    ]
-    _build_chains_and_spins(ells, spins)
-    _require_every_n(ns, {n for _, n, _ in cells}, "n <= 2S*ell")
-    for ell, n, two_s in cells:
-        require_sector_dimensions(ell, two_s, [n], limit)
-    return cells
+def _random_state_cells(block, ells, spins, ns, limit):
+    """Prepared cells (ell, n, two_s) of a random-state suite."""
+    cells = _cells([block], (ells, ns, spins), lambda ell, n, two_s: n <= two_s * ell)
+    return _prepare(cells, lambda ell, n, two_s: (ell, two_s, [n]), ells, spins, ns,
+                    "n <= 2S*ell", limit)
 
 
 def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    if grid == "default":
-        ell_ax, n_ax, spin_ax, samples = (4, 5), (2, 3), (1, 2), 100
-    else:
-        ell_ax, n_ax, spin_ax, samples = (4,), (2,), (1, 2), 20
+    block = {"default": ((4, 5), (2, 3), (1, 2)), "quick": ((4,), (2,), (1, 2))}[grid]
+    samples = _SAMPLES[grid]
     certs = []
-    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax), DEFAULT_DIM_CAP)
+    cells = _random_state_cells(block, ells, spins, ns, DEFAULT_DIM_CAP)
     for ell, n, two_s in cells:
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         vmat, _ = coordinate_collapse_matrix(basis)
@@ -202,12 +184,10 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
 
 
 def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    if grid == "default":
-        ell_ax, n_ax, spin_ax, samples = (4, 5, 6), (2, 3), (1, 2), 100
-    else:
-        ell_ax, n_ax, spin_ax, samples = (4, 5), (2,), (1, 2), 20
+    block = {"default": ((4, 5, 6), (2, 3), (1, 2)), "quick": ((4, 5), (2,), (1, 2))}[grid]
+    samples = _SAMPLES[grid]
     certs = []
-    cells = _random_state_cells(ells, ns, spins, (ell_ax, n_ax, spin_ax), DENSE_SECTOR_CAP)
+    cells = _random_state_cells(block, ells, spins, ns, DENSE_SECTOR_CAP)
     for ell, n, two_s in cells:
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
         energies, vectors = sla.eigh(h)
@@ -229,57 +209,40 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
 
 
 def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
-    if ells is not None or spins is not None or betas is not None:
-        cells = [
-            (ell, two_s, beta)
-            for ell in _axis(ells, (4,))
-            for two_s in _axis(spins, (1,))
-            for beta in _axis(betas, (8.0,))
-        ]
-    elif grid == "default":
-        cells = [(ell, 1, beta) for ell in (3, 4, 5) for beta in (4.0, 8.0)]
-        cells += [(3, 2, 4.0), (4, 2, 4.0)]
-    else:
-        cells = [(3, 1, 4.0), (4, 1, 8.0)]
-    _build_chains_and_spins(ells, spins)
+    blocks = {
+        "default": [((3, 4, 5), (1,), (4.0, 8.0)), ((3, 4), (2,), (4.0,))],
+        "quick": [((3,), (1,), (4.0,)), ((4,), (1,), (8.0,))],
+    }[grid]
+    if ells or spins or betas:
+        blocks = [((4,), (1,), (8.0,))]
+    cells = _prepare(_cells(blocks, (ells, spins, betas)), _whole_chain, ells, spins)
     return _per_beta_run(verify_low_energy_truncation, cells)
 
 
 def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
-    if ells is not None or spins is not None or betas is not None:
-        cells = [
-            (total, two_s, beta)
-            for total in _axis(ells, (6,))
-            for two_s in _axis(spins, (1,))
-            for beta in _axis(betas, (2.0,))
-        ]
-    elif grid == "default":
-        cells = [(total, 1, beta) for total in (4, 6, 8) for beta in (1.0, 2.0, 8.0)]
-        cells += [(total, 2, beta) for total in (4, 5) for beta in (1.0, 2.0)]
-    else:
-        cells = [(4, 1, 2.0), (4, 2, 1.0)]
+    blocks = {
+        "default": [((4, 6, 8), (1,), (1.0, 2.0, 8.0)), ((4, 5), (2,), (1.0, 2.0))],
+        "quick": [((4,), (1,), (2.0,)), ((4,), (2,), (1.0,))],
+    }[grid]
+    if ells or spins or betas:
+        blocks = [((6,), (1,), (2.0,))]
     for total in ells or ():
         if total < 2:
             raise ValueError(f"subadditivity splits a chain of L >= 2 sites, got L={total}")
-    _build_chains_and_spins((), spins)
+    cells = _prepare(_cells(blocks, (ells, spins, betas)), _whole_chain, ells, spins)
     return _per_beta_run(check_subadditivity, cells)
 
 
 def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
-    if grid == "default":
-        cells = [
-            (7, 2, 1, 2.0),
-            (7, 2, 1, 4.0),
-            (9, 3, 1, 2.0),
-            (10, 2, 1, 4.0),
-            (7, 2, 2, 2.0),
-        ]
-    else:
-        cells = [(7, 2, 1, 4.0)]
-    if betas is not None:
-        # (7, 2, 1) runs at two default betas but once per override beta
-        triples = dict.fromkeys(cell[:-1] for cell in cells)
-        cells = [(*triple, beta) for triple in triples for beta in betas]
+    cells = {
+        "default": [(7, 2, 1, 2.0), (7, 2, 1, 4.0), (9, 3, 1, 2.0), (10, 2, 1, 4.0),
+                    (7, 2, 2, 2.0)],
+        "quick": [(7, 2, 1, 4.0)],
+    }[grid]
+    # each cell is a block, so under --beta the two (7, 2, 1) blocks are one
+    cells = _cells([[(value,) for value in cell] for cell in cells], (None, None, None, betas))
+    # a cell (L, ell, two_s, beta) builds no chain longer than L
+    _prepare(cells, lambda total, _, two_s, beta: _whole_chain(total, two_s))
     return _per_beta_run(check_localization_bound, cells)
 
 

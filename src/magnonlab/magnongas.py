@@ -194,11 +194,11 @@ def _log_shifted_antiderivative(a, v0):
     return v0 * math.log(a + v0 * v0) - 2.0 * v0 + 2.0 * ra * math.atan(v0 / ra)
 
 
-def _log_occupation_integral(x, u_lo, u_hi, shift=0.0):
-    """integral over u in [u_lo, u_hi] of ln(1 - e^{-(shift + x eps(u/sqrt x))}) du.
+def _log_occupation_integral(x, u_hi, shift=0.0):
+    """integral over u in [0, u_hi] of ln(1 - e^{-(shift + x eps(u/sqrt x))}) du.
 
     The thermal substitution p = u/sqrt(x) makes the integrand scale free;
-    for u_lo = 0 the logarithmic endpoint singularity ln(shift + u^2) is
+    the logarithmic endpoint singularity ln(shift + u^2) at u = 0 is
     integrated in closed form so the adaptive quadrature only ever sees a
     smooth remainder and its error estimate is trustworthy.
     Returns (value, error_estimate).
@@ -212,8 +212,6 @@ def _log_occupation_integral(x, u_lo, u_hi, shift=0.0):
     def plain(u):
         return log_one_minus_exp(shift + x * dispersion(u / rx))
 
-    if u_lo > 0.0:
-        return _quad(plain, u_lo, u_hi)
     u0 = min(1.0, 0.5 * u_hi)
 
     def smooth(u):
@@ -232,7 +230,7 @@ def _integral_1d_quad(x):
     quadrature with the singular endpoint handled analytically."""
     rx = math.sqrt(x)
     u_hi = min(math.pi * rx, 45.0)
-    val, err = _log_occupation_integral(x, 0.0, u_hi)
+    val, err = _log_occupation_integral(x, u_hi)
     val /= rx
     err /= rx
     if abs(val) > 0 and err / abs(val) > 1e-10:
@@ -250,7 +248,7 @@ def _integral_2d_quad(x):
 
     def inner(u):
         shift = x * dispersion(u / rx)
-        v, _ = _log_occupation_integral(x, 0.0, u_hi, shift=shift)
+        v, _ = _log_occupation_integral(x, u_hi, shift=shift)
         return v / rx
 
     val, err = _quad(inner, 0.0, u_hi, epsrel=1e-11)
@@ -289,7 +287,7 @@ def missing_mode_term(ell: int, beta: float, s: float) -> float:
     x = beta * s
     rx = math.sqrt(x)
     u_hi = min(math.pi / (ell + 1) * rx, 45.0)
-    val, _ = _log_occupation_integral(x, 0.0, u_hi)
+    val, _ = _log_occupation_integral(x, u_hi)
     return -val / (rx * math.pi * beta)
 
 

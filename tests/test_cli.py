@@ -523,6 +523,17 @@ def test_verify_refuses_a_cell_outside_its_check_before_any_work(
          "error: n must be >= 0, got n=-1"),
         (["--check", "density", "--ell", "4,15", "--n", "2,7", "--two-s", "1"],
          "dense_sectors", "error: sector n=7 has dimension 6435 > 6000"),
+        # the spectrum suites size every sector of each cell's longest chain
+        (["--check", "truncation", "--ell", "5,15"], "verify_low_energy_truncation",
+         "error: sector n=7 has dimension 6435 > 6000"),
+        (["--check", "subadditivity", "--ell", "12,16"], "check_subadditivity",
+         "error: sector n=6 has dimension 8008 > 6000"),
+        (["--check", "laplacian", "--n", "2,-1"], "verify_laplacian_lower_bound",
+         "error: n must be >= 0, got n=-1"),
+        (["--check", "vnorm", "--n", "2,-1"], "enumerate_sector_basis",
+         "error: n must be >= 0, got n=-1"),
+        (["--check", "density", "--n", "2,-1"], "dense_sectors",
+         "error: n must be >= 0, got n=-1"),
     ],
 )
 def test_verify_refuses_a_bad_cell_before_the_first_cell_runs(
@@ -544,6 +555,41 @@ def test_verify_localization_runs_each_cell_once_per_beta(tmp_path):
     params = [json.dumps(json.loads(line)["params"], sort_keys=True)
               for line in read_lines(ledger).splitlines()]
     assert len(params) == len(set(params)) == 4
+
+
+def _laplacian_params(ell):
+    params = []
+    for n in range(ell + 1):
+        params.append({"ell": ell, "two_s": 1, "n": n})
+        if n >= 1:
+            params.append({"ell": ell, "n": n, "samples": 100})
+    return params
+
+
+@pytest.mark.parametrize(
+    "argv,params",
+    [
+        # casimir, truncation and subadditivity run their fallback block
+        (["casimir", "--ell", "4"], [{"ell": 4, "two_s": 1}]),
+        (["truncation", "--beta", "2"], [{"ell": 4, "two_s": 1, "beta": 2.0}]),
+        (["subadditivity", "--two-s", "2"], [{"L": 6, "two_s": 2, "beta": 2.0}]),
+        # each default triple once, with both override betas
+        (["localization", "--beta", "2,2"],
+         [{"L": total, "ell": ell, "two_s": two_s, "beta": 2.0}
+          for total, ell, two_s in ((7, 2, 1), (9, 3, 1), (10, 2, 1), (7, 2, 2))
+          for _ in range(2)]),
+        # n runs 0..ell (2S = 2 is left out: its ell = 9 sectors take seconds)
+        (["laplacian", "--ell", "9", "--two-s", "1"], _laplacian_params(9)),
+        # a repeated override value repeats its cells
+        (["vnorm", "--ell", "4,4"],
+         [{"ell": 4, "n": n, "two_s": two_s, "samples": 100}
+          for _ in range(2) for n in (2, 3) for two_s in (1, 2)]),
+    ],
+)
+def test_verify_override_cells_run_in_a_pinned_order(tmp_path, argv, params):
+    ledger = tmp_path / "certs.jsonl"
+    assert main(["verify", "--check", *argv, "--out", str(ledger)]) == 0
+    assert [json.loads(line)["params"] for line in read_lines(ledger).splitlines()] == params
 
 
 @pytest.mark.parametrize(
