@@ -7,9 +7,12 @@ files.  A table's columns are the keys of the rows its command builds,
 in the order it builds them; JSON lines sort them.  Energies are in
 units of the exchange coupling; beta is in inverse such units.
 
-`free-energy` and `verify` import the solver modules (and with them
-scipy's linear algebra) inside their command functions; `asymptotics`
-and the preliminary `budget` evaluate closed forms and never load them.
+`free-energy`, `verify` and the exact-ED `budget` import the solver
+modules (and with them scipy's linear algebra) inside their command
+functions; `asymptotics` and the preliminary `budget` evaluate closed
+forms and never load them.  The exact-ED `budget` builds one spectrum
+per box for all its betas, and a box the solver refuses carries that
+refusal on every row.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .basis import ResourceLimitError, SpinLattice, SpinMagnitude
 from .certificates import CHECK_NAMES, DEFAULT_SEED, write_certificate_ledger
-from .magnongas import E0_SOURCES, compute_budget, leading_term, lower_envelope, upper_envelope
+from .magnongas import compute_budget, leading_term, lower_envelope, upper_envelope
 
 UNITS_HEADER = "# units: energies in exchange-coupling units; beta in inverse exchange units"
 
@@ -256,12 +259,23 @@ def cmd_budget(args):
     fields = ("e0", "n0", "delta", "ell0", "implied_c", "informative")
     rows = []
     for ell in ells:
-        for beta in betas:
+        # f_l(beta/2) of the box at every beta, or None for the preliminary bound
+        f_halves, refusal = [None] * len(betas), ""
+        if args.e0_source == "exact-ed":
+            from .spectra import chain_free_energies
+
             try:
-                budget = compute_budget(ell, beta, spin, e0_source=args.e0_source)
-                values, error = [getattr(budget, name) for name in fields], ""
-            except (ValueError, ResourceLimitError) as exc:
-                values, error = [None] * len(fields), str(exc)
+                f_halves = chain_free_energies(ell, spin, [beta / 2 for beta in betas])
+            except ResourceLimitError as exc:
+                refusal = str(exc)
+        for beta, f_half in zip(betas, f_halves):
+            values, error = [None] * len(fields), refusal
+            if not refusal:
+                try:
+                    budget = compute_budget(ell, beta, spin.s, f_half)
+                    values = [getattr(budget, name) for name in fields]
+                except ValueError as exc:
+                    error = str(exc)
             row = {"ell": ell, "beta": beta, "two_s": two_s, "e0_source": args.e0_source}
             rows.append({**row, **dict(zip(fields, values)), "error": error})
     _write_rows(args.out, rows, args.format)
@@ -351,7 +365,7 @@ def build_parser():
     p_b.add_argument("--two-s", default="1")
     p_b.add_argument("--ell", default="6", help="comma list of box sizes")
     p_b.add_argument("--beta", default="logspace:1:32:9")
-    p_b.add_argument("--e0-source", choices=E0_SOURCES, default="preliminary")
+    p_b.add_argument("--e0-source", choices=("preliminary", "exact-ed"), default="preliminary")
     p_b.set_defaults(func=cmd_budget)
 
     return parser

@@ -8,9 +8,10 @@ Everything here is scalar/numpy arithmetic on explicit formulas; the
 only tunable is the proportionality constant in the box-size choice
 l ~ (beta S)^a (polylog), exposed as `scale` with default 1 and always
 reported next to results.  `scipy.integrate` is looked up where it is
-called (scipy loads it on first access), and the exact-ED budget
-imports `spectra` in its own branch, so the envelopes and the
-preliminary budget load no scipy submodule.
+called (scipy loads it on first access), so the envelopes and the
+budget load no scipy submodule.  No `magnonlab` module is imported
+here: exact diagonalization uses these closed forms, never the reverse,
+and the exact-ED budget receives its f_l(beta/2) from the caller.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
-
-from .basis import SpinMagnitude
 
 TWO_PLUS_NINE_OVER_SQRT8 = 2.0 + 9.0 / math.sqrt(8.0)
 UNDERFLOW_EXPONENT = 746.0  # exp(-y) == 0.0 in float64 beyond this
@@ -428,34 +427,31 @@ class LowerBoundBudget:
         return self.delta < 1.0
 
 
-E0_SOURCES = ("preliminary", "exact-ed")
-
-
 def compute_budget(
     ell: int,
     beta: float,
-    spin,
-    e0_source: str = "preliminary",
+    s: float,
+    f_half: float | None = None,
 ) -> LowerBoundBudget:
     """Assemble (E0, N0, delta, l0) for a box of size ell at inverse
-    temperature beta.
+    temperature beta and spin s.
 
-    E0 = -l f_l(beta/2) with f_l either from exact diagonalization
-    ("exact-ed", needs a SpinMagnitude and a feasible dimension) or from
-    the coarse preliminary bound ("preliminary", any size; requires
-    ell >= l0(beta/2)/2, the scale below which that bound is not
-    designed to operate).  N0 = E0 l^2 / (2S); delta is the dilution
-    budget; l0 reports sqrt(4 beta S / ln(beta S)) at the budget's own
-    beta.
+    E0 = -l f_l(beta/2), with `f_half` the box's exact f_l(beta/2) from
+    the caller (exact diagonalization), or, when it is None, the coarse
+    preliminary bound (any size; requires ell >= l0(beta/2)/2, the scale
+    below which that bound is not designed to operate).
+    N0 = E0 l^2 / (2S); delta is the dilution budget; l0 reports
+    sqrt(4 beta S / ln(beta S)) at the budget's own beta; `implied_c`
+    is left None unless ln((beta/2) S) and ln((beta/2) S^3) are both
+    positive.
     """
-    s = spin.s if isinstance(spin, SpinMagnitude) else float(spin)
     x = beta * s
     if x <= 1.0:
         raise ValueError(f"budget requires beta*S > 1, got {x}")
     ell0 = math.sqrt(4.0 * x / math.log(x))
     beta_half = beta / 2.0
-    if e0_source == "preliminary":
-        x_half = beta_half * s
+    x_half = beta_half * s
+    if f_half is None:
         if x_half <= 1.0:
             raise ValueError(f"preliminary bound requires (beta/2)*S > 1, got {x_half}")
         ell0_half = math.sqrt(4.0 * x_half / math.log(x_half))
@@ -464,23 +460,15 @@ def compute_budget(
                 f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.2f} "
                 f"at beta/2, got ell={ell}"
             )
-        bound = preliminary_free_energy_bound(beta_half, s, ell)
-    elif e0_source == "exact-ed":
-        if not isinstance(spin, SpinMagnitude):
-            raise ValueError(f"the exact-ed budget needs a SpinMagnitude, got {spin!r}")
-        from .spectra import chain_free_energy
-
-        bound = chain_free_energy(ell, spin, beta_half)
-    else:
-        raise ValueError(f"e0_source must be one of {E0_SOURCES}, got {e0_source!r}")
-    e0 = -ell * bound
+        f_half = preliminary_free_energy_bound(beta_half, s, ell)
+    e0 = -ell * f_half
     n0 = e0 * ell**2 / (2.0 * s)
     delta = delta_dilution(e0, ell, s)
     log_arg = beta_half * s**3
     implied_c = None
-    if log_arg > 1.0:
+    if min(x_half, log_arg) > 1.0:
         denom = (
-            math.sqrt(math.log(beta_half * s))
+            math.sqrt(math.log(x_half))
             * beta_half**-1.5
             * s**-0.5
             * math.log(log_arg)

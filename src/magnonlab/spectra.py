@@ -35,6 +35,7 @@ from .basis import (
     require_sector_dimensions,
 )
 from .certificates import InequalityCertificate, worst
+from .magnongas import free_boson_sum
 from .operators import (
     assemble_dirichlet_heisenberg,
     assemble_heisenberg,
@@ -142,19 +143,19 @@ def free_energy(spectrum: SectorSpectrum, beta: float) -> float:
     )
 
 
-def chain_free_energy(
-    ell: int, spin: SpinMagnitude, beta: float, variant: str = "free"
-) -> float:
-    """Free energy per site of an open chain of length ell (ell = 1 allowed:
-    a single free spin has 2S+1 zero-energy states)."""
+def chain_free_energies(ell: int, spin: SpinMagnitude, betas, variant: str = "free") -> list:
+    """Free energy per site of an open chain of length ell at each beta in
+    `betas`, all from one spectrum (ell = 1 allowed: a single free spin
+    has 2S+1 zero-energy states)."""
     if ell == 1:
         if variant != "free":
             raise ValueError("single-site chain is only defined for the free variant")
-        if not 0 < beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {beta}")
-        return -math.log(spin.site_dim) / beta
+        for beta in betas:
+            if not 0 < beta < math.inf:
+                raise ValueError(f"beta must be positive and finite, got {beta}")
+        return [-math.log(spin.site_dim) / beta for beta in betas]
     spectrum = full_spectrum(SpinLattice.chain(ell), spin, variant)
-    return free_energy(spectrum, beta)
+    return [free_energy(spectrum, beta) for beta in betas]
 
 
 @dataclass
@@ -260,24 +261,20 @@ def check_subadditivity(total_length: int, spin: SpinMagnitude, betas) -> list:
     if total_length < 2:
         raise ValueError(f"subadditivity splits a chain of L >= 2 sites, got L={total_length}")
     # longest chain first: it has the largest sectors, so it refuses before any work
-    chains = {
-        ell: full_spectrum(SpinLattice.chain(ell), spin) for ell in range(total_length, 1, -1)
-    }
+    f = {ell: chain_free_energies(ell, spin, betas) for ell in range(total_length, 0, -1)}
     certs = []
-    for beta in betas:
-        f = {ell: free_energy(spectrum, beta) for ell, spectrum in chains.items()}
-        f[1] = chain_free_energy(1, spin, beta)
+    for i, beta in enumerate(betas):
         slacks = []
         for ell in range(1, total_length):
             rest = total_length - ell
             slacks.append(
-                total_length * f[total_length] - ell * f[ell] - rest * f[rest]
+                total_length * f[total_length][i] - ell * f[ell][i] - rest * f[rest][i]
             )
         certs.append(InequalityCertificate(
             name="subadditivity",
             params={"L": total_length, "two_s": spin.two_s, "beta": beta},
             slack=float(worst(slacks)),
-            tolerance=1e-12 * max(1.0, abs(total_length * f[total_length])),
+            tolerance=1e-12 * max(1.0, abs(total_length * f[total_length][i])),
         ))
     return certs
 
@@ -294,14 +291,13 @@ def check_localization_bound(total_length: int, ell: int, spin: SpinMagnitude, b
             f"L={total_length} is not of the form k*(ell+1)+1 for ell={ell}"
         )
     factor = 1.0 / (1.0 + 1.0 / ell)
-    spectra = [
-        full_spectrum(SpinLattice.chain(total_length), spin),
-        full_spectrum(SpinLattice.chain(ell), spin, "dirichlet"),
-        full_spectrum(SpinLattice.chain(ell), spin),
-    ]
+    columns = zip(
+        chain_free_energies(total_length, spin, betas),
+        chain_free_energies(ell, spin, betas, "dirichlet"),
+        chain_free_energies(ell, spin, betas),
+    )
     certs = []
-    for beta in betas:
-        f_big, f_pin, f_small = (free_energy(spectrum, beta) for spectrum in spectra)
+    for beta, (f_big, f_pin, f_small) in zip(betas, columns):
         slack_main = factor * f_pin - f_big
         slack_cross = factor * f_pin - f_small
         certs.append(InequalityCertificate(
@@ -414,8 +410,6 @@ def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     ratio z_p/z_free, the eigenvalue sum of Gamma, and the gap to the
     plain free-boson pressure.
     """
-    from .magnongas import dirichlet_modes, free_boson_sum
-
     z_p = 0.0
     mu_total = 0.0
     energy_num = 0.0
@@ -438,9 +432,8 @@ def gibbs_variational_upper(ell: int, spin: SpinMagnitude, beta: float):
     entropy_term = xlogx_sum / z_p - math.log(z_p)
     value = (energy + entropy_term / beta) / ell
     f_pin = free_energy_from_eigenvalues(np.concatenate(pinned_eigs), beta, ell)
-    x = beta * spin.s * dirichlet_modes(ell, 1).energies
-    z_free = math.exp(-float(np.sum(np.log1p(-np.exp(-x)))))
     free_boson_value = free_boson_sum(ell, 1, beta, spin.s)
+    z_free = math.exp(-beta * ell * free_boson_value)
     # eigenvalue sum over trace: a genuine consistency check on the
     # eigendecompositions feeding the entropy term
     gamma_trace = mu_total / z_p

@@ -26,6 +26,7 @@ from magnonlab.boundlab import (
 from magnonlab.checks import run_check
 from magnonlab.magnongas import compute_budget
 from magnonlab.operators import assemble_heisenberg
+from magnonlab.spectra import chain_free_energies
 from oracles import build_coordinate_map_v
 
 
@@ -433,7 +434,7 @@ def test_truncation_beta_list_equals_one_beta_calls(ell, two_s):
 
 
 def test_budget_preliminary_path():
-    budget = compute_budget(34, 20000.0, SpinMagnitude(1))
+    budget = compute_budget(34, 20000.0, 0.5)
     assert budget.e0 > 0
     assert budget.n0 == pytest.approx(budget.e0 * 34**2 / 1.0, rel=1e-12)
     assert budget.delta == pytest.approx(
@@ -447,21 +448,17 @@ def test_budget_preliminary_path():
 
 def test_budget_precondition():
     with pytest.raises(ValueError, match="l0/2"):
-        compute_budget(3, 20000.0, SpinMagnitude(1))
+        compute_budget(3, 20000.0, 0.5)
     with pytest.raises(ValueError, match="beta\\*S > 1"):
-        compute_budget(10, 1.0, SpinMagnitude(1))
-    with pytest.raises(ValueError, match="e0_source"):
-        compute_budget(10, 100.0, SpinMagnitude(1), e0_source="bogus")
-
-
-def test_budget_exact_ed_needs_a_spin_magnitude():
-    # a bare s would be diagonalized at some nearby 2S while n0 and delta use s
-    with pytest.raises(ValueError, match="SpinMagnitude"):
-        compute_budget(6, 8.0, 0.7, e0_source="exact-ed")
+        compute_budget(10, 1.0, 0.5)
+    # beta*S > 1 is checked before the preliminary bound and for an exact f_l too
+    with pytest.raises(ValueError, match="beta\\*S > 1"):
+        compute_budget(10, 1.0, 0.5, -0.1)
 
 
 def test_budget_exact_ed_path():
-    budget = compute_budget(6, 8.0, SpinMagnitude(1), e0_source="exact-ed")
+    (f_half,) = chain_free_energies(6, SpinMagnitude(1), [4.0])
+    budget = compute_budget(6, 8.0, 0.5, f_half)
     assert budget.e0 >= 0
     # E0 = -l f_l(beta/2) is capped by the infinite-temperature entropy
     assert budget.e0 <= 6 * math.log(2.0) / 4.0 + 1e-12
@@ -470,11 +467,9 @@ def test_budget_exact_ed_path():
 
 
 def test_budget_e0_monotone_in_beta():
-    spin = SpinMagnitude(1)
-    e0s = [
-        compute_budget(5, beta, spin, e0_source="exact-ed").e0
-        for beta in (4.0, 8.0, 16.0, 32.0)
-    ]
+    betas = [4.0, 8.0, 16.0, 32.0]
+    f_halves = chain_free_energies(5, SpinMagnitude(1), [beta / 2 for beta in betas])
+    e0s = [compute_budget(5, beta, 0.5, f_half).e0 for beta, f_half in zip(betas, f_halves)]
     assert all(a >= b - 1e-12 for a, b in zip(e0s, e0s[1:]))
     assert all(e >= 0 for e in e0s)
 

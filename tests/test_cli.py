@@ -210,10 +210,53 @@ def test_budget_exact_ed(tmp_path):
     assert float(row[4]) >= 0.0
 
 
+def test_budget_exact_ed_builds_one_spectrum_per_box(tmp_path, monkeypatch):
+    from magnonlab import spectra
+
+    calls = []
+    exact = spectra.full_spectrum
+
+    def counted(lattice, spin, variant="free"):
+        calls.append((lattice.nsites, spin.two_s, variant))
+        return exact(lattice, spin, variant)
+
+    monkeypatch.setattr(spectra, "full_spectrum", counted)
+    out = tmp_path / "be.csv"
+    assert main(["budget", "--ell", "5,6", "--beta", "4,8,16", "--e0-source", "exact-ed",
+                 "--out", str(out)]) == 0
+    assert calls == [(5, 1, "free"), (6, 1, "free")]
+    assert len(read_lines(out).splitlines()) == 2 + 2 * 3
+
+
+def test_budget_exact_ed_reports_a_refused_box_on_every_row(tmp_path):
+    out = tmp_path / "be.csv"
+    # beta = 1 has beta*S <= 1, but the box is refused before any row is built
+    assert main(["budget", "--ell", "30", "--beta", "1,8", "--e0-source", "exact-ed",
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_lines(out).splitlines()[1:]))
+    assert [row["beta"] for row in rows] == ["1.0", "8.0"]
+    for row in rows:
+        assert row["error"].startswith("total dimension 1073741824 exceeds cap")
+        assert row["e0"] == ""
+
+
+def test_budget_exact_ed_between_the_two_logarithms_has_data_and_no_implied_c(tmp_path):
+    # 2S = 4, beta = 0.8, 0.9: (beta/2) S <= 1 < (beta/2) S^3
+    out = tmp_path / "be.csv"
+    assert main(["budget", "--two-s", "4", "--ell", "3", "--beta", "0.8,0.9",
+                 "--e0-source", "exact-ed", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(read_lines(out).splitlines()[1:]))
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"] == "" and row["implied_c"] == ""
+        assert float(row["e0"]) > 0 and float(row["delta"]) > 0
+
+
 # sha256 of each table the README does not pin: every table command in
 # JSON lines (free energy with and without the scaled pair, both envelope
-# dimensions, a budget with error rows), and that budget's CSV, whose
-# error rows leave the value columns empty
+# dimensions, a budget with error rows, an exact-ED budget with the
+# single-site box, a beta*S <= 1 row and data rows), and the first
+# budget's CSV, whose error rows leave the value columns empty
 TABLE_DIGESTS = {
     "free-energy --length 4 --beta 1,2 --format json":
         "80b7ad8323508620f9812218325dd6843e9816bbb9c80134aa50275da2b5f4da",
@@ -227,6 +270,8 @@ TABLE_DIGESTS = {
         "681c821cf5e599cf199375f8d5a1970c18f513ed8c1ddac5b84bd6c519338dd5",
     "budget --ell 1,40 --beta 4,32":
         "b319993f8a4b9837ed445bc8fbd646d5188e667390b11d521a5d68b551acebfe",
+    "budget --ell 1,4,6 --beta 1,4,8 --e0-source exact-ed --format json":
+        "75d3183c87fc26cf0e33aa0657a43ab938d512be14885cd1d16b0f658025f361",
 }
 
 
@@ -722,6 +767,19 @@ print(json.dumps(sorted(
 )
 def test_closed_form_commands_load_no_scipy_subpackage(tmp_path, argv):
     assert json.loads(_run_fresh(tmp_path, LOADED_SCIPY, argv)) == []
+
+
+LOADED_MAGNONLAB = """
+import json, sys
+import magnonlab.magnongas
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "magnonlab")))
+"""
+
+
+def test_the_closed_forms_import_no_other_magnonlab_module(tmp_path):
+    # exact diagonalization uses the closed forms, never the reverse
+    loaded = json.loads(_run_fresh(tmp_path, LOADED_MAGNONLAB, []))
+    assert loaded == ["magnonlab", "magnonlab.magnongas"]
 
 
 LOADED_SPARSE_LINALG = """

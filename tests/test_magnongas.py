@@ -306,12 +306,12 @@ def test_delta_dilution_arithmetic():
 def test_preliminary_bound_is_valid_lower_bound():
     # compare against exact diagonalization on small chains
     from magnonlab.basis import SpinMagnitude
-    from magnonlab.spectra import chain_free_energy
+    from magnonlab.spectra import chain_free_energies
 
     for ell, two_s, beta in ((4, 1, 8.0), (5, 1, 12.0), (3, 2, 6.0)):
         s = two_s / 2
         bound = preliminary_free_energy_bound(beta, s, ell)
-        exact = chain_free_energy(ell, SpinMagnitude(two_s), beta)
+        (exact,) = chain_free_energies(ell, SpinMagnitude(two_s), [beta])
         assert bound <= exact + 1e-12
 
 

@@ -15,7 +15,7 @@ from magnonlab.operators import (
 )
 from magnonlab.spectra import (
     ResourceLimitError,
-    chain_free_energy,
+    chain_free_energies,
     check_localization_bound,
     check_subadditivity,
     dense_sectors,
@@ -97,9 +97,11 @@ def test_logsumexp_stability_large_beta():
 
 
 def test_single_site_chain_free_energy():
-    assert chain_free_energy(1, SpinMagnitude(2), 2.0) == pytest.approx(
-        -math.log(3.0) / 2.0, abs=1e-15
+    assert chain_free_energies(1, SpinMagnitude(2), [2.0, 5.0]) == pytest.approx(
+        [-math.log(3.0) / 2.0, -math.log(3.0) / 5.0], abs=1e-15
     )
+    with pytest.raises(ValueError, match="free variant"):
+        chain_free_energies(1, SpinMagnitude(2), [2.0], "dirichlet")
 
 
 @pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
@@ -107,15 +109,16 @@ def test_free_energies_reject_a_beta_that_is_not_positive_and_finite(beta):
     with pytest.raises(ValueError, match="beta"):
         free_energy_from_eigenvalues([0.0, 1.0], beta, 2)
     with pytest.raises(ValueError, match="beta"):
-        chain_free_energy(1, SpinMagnitude(1), beta)
+        chain_free_energies(1, SpinMagnitude(1), [1.0, beta])
 
 
 def test_dirichlet_dominates_free():
     for ell, two_s in ((3, 1), (4, 1), (3, 2)):
         spin = SpinMagnitude(two_s)
-        for beta in (0.5, 2.0, 8.0):
-            f_pin = chain_free_energy(ell, spin, beta, "dirichlet")
-            assert f_pin >= chain_free_energy(ell, spin, beta)
+        betas = [0.5, 2.0, 8.0]
+        pinned = chain_free_energies(ell, spin, betas, "dirichlet")
+        for f_pin, f_free in zip(pinned, chain_free_energies(ell, spin, betas)):
+            assert f_pin >= f_free
             assert f_pin <= 0.0
 
 
@@ -410,9 +413,9 @@ def test_doubling_monotonicity():
     # equal split of the subadditivity: f_{2l} >= f_l
     for ell, two_s, beta in ((2, 1, 2.0), (3, 1, 4.0), (2, 2, 1.0)):
         spin = SpinMagnitude(two_s)
-        assert chain_free_energy(2 * ell, spin, beta) >= chain_free_energy(
-            ell, spin, beta
-        ) - 1e-12
+        (f_double,) = chain_free_energies(2 * ell, spin, [beta])
+        (f_single,) = chain_free_energies(ell, spin, [beta])
+        assert f_double >= f_single - 1e-12
 
 
 def test_localization_certificate():
