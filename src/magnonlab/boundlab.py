@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .basis import (
     MagnonSectorBasis,
@@ -140,13 +139,14 @@ def neumann_boson_laplacian(nsites: int, n: int) -> np.ndarray:
 
 
 def coordinate_collapse_matrix(basis: MagnonSectorBasis):
-    """Orthonormal-basis matrix of the collapse map.
+    """Triplets `(rows, cols, vals)` of the collapse map V, and the target states.
 
     Maps the n-boson sector on [1, l] to the n-boson sector on
     [1, l-n+1]: states with any doubly occupied site are annihilated;
-    a distinct-coordinate state goes to its collapsed occupation with
-    amplitude 1/sqrt(prod_a m_a!), the multinomial factor relating
-    symmetric wave-function values to occupation amplitudes.
+    a distinct-coordinate state (`cols`, in basis order) goes to its
+    collapsed occupation with amplitude 1/sqrt(prod_a m_a!), the
+    multinomial factor relating symmetric wave-function values to
+    occupation amplitudes.  `rows` is a permutation of the target states.
     """
     ell = basis.lattice.nsites
     n = basis.n
@@ -165,16 +165,9 @@ def coordinate_collapse_matrix(basis: MagnonSectorBasis):
     for m in images.T:
         vals /= root_factorial[m]
     if target_sites == 1:  # SpinLattice needs two sites; one site holds one state
-        t_states, rows = np.array([[n]]), np.zeros(len(cols), dtype=np.int64)
-    else:
-        target = enumerate_sector_basis(
-            SpinLattice.chain(target_sites), basis.spin, n, capped=False
-        )
-        t_states, rows = target.states, target.state_index(images)
-    mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(t_states.shape[0], basis.dim)
-    ).tocsr()
-    return mat, t_states
+        return (np.zeros(len(cols), dtype=np.int64), cols, vals), np.array([[n]])
+    target = enumerate_sector_basis(SpinLattice.chain(target_sites), basis.spin, n, capped=False)
+    return (target.state_index(images), cols, vals), target.states
 
 
 def verify_laplacian_lower_bound(
@@ -185,13 +178,14 @@ def verify_laplacian_lower_bound(
     of the shrunken box."""
     ((basis, h),) = dense_sectors(SpinLattice.chain(ell), spin, [n])
     scale = float(np.abs(sla.eigvalsh(h)).max())
-    vmat, _ = coordinate_collapse_matrix(basis)
-    lap = neumann_boson_laplacian(ell - n + 1, n)
-    rhs = vmat.T @ (lap @ vmat.toarray())
-    # the difference is formed in H's storage and the collapsed Laplacian
-    # is freed before eigvalsh copies it
+    (rows, cols, vals), _ = coordinate_collapse_matrix(basis)
+    # V^T L V is v_j L[rows_j, rows_k] v_k on the distinct-coordinate block;
+    # scaled by v_k, then v_j, then S, it rounds as the product V^T (L V)
+    rhs = neumann_boson_laplacian(ell - n + 1, n)[np.ix_(rows, rows)]
+    rhs *= vals[None, :]
+    rhs *= vals[:, None]
     rhs *= spin.s
-    h -= rhs
+    h[np.ix_(cols, cols)] -= rhs  # in H's storage; rhs is freed before eigvalsh copies H
     del rhs
     return _psd_certificate(
         "coordinate-laplacian-bound", {"ell": ell, "two_s": spin.two_s, "n": n}, h, scale
@@ -293,13 +287,15 @@ def two_particle_density(state: CoordinateState) -> np.ndarray:
     return rho
 
 
-def verify_vnorm_lower_bound(state: CoordinateState, vmat) -> InequalityCertificate:
+def verify_vnorm_lower_bound(state: CoordinateState, collapse) -> InequalityCertificate:
     """Certify |V psi|^2 >= 1 - (1/2) sum rho(x,x) - sum rho(x,x+1):
     collapsing distinct coordinates loses at most the doubly occupied
-    and neighboring-pair weight.  `vmat` is the collapse matrix V of the
+    and neighboring-pair weight.  `collapse` is the triplets of V on the
     state's sector (`coordinate_collapse_matrix(basis)[0]`)."""
     basis = state.basis
-    vpsi = vmat @ state.amplitudes
+    rows, cols, vals = collapse
+    vpsi = np.zeros(len(rows))
+    vpsi[rows] = vals * state.amplitudes[cols]  # one entry per row, in target order
     rho = two_particle_density(state)
     rhs = 1.0 - 0.5 * float(np.trace(rho)) - float(
         np.sum(np.diag(rho, 1))
@@ -360,7 +356,9 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
     E0 = -l f_l(beta/2), and that every counted state with minimal
     3-component for its multiplet sits in a sector n < N0 = E0 l^2/(2S),
     one certificate per beta in `betas`; the (E, t) pairs of every
-    sector are computed once for all of them."""
+    sector are computed once for all of them.  A cutoff E0 or N0 that
+    is not finite (f_l(beta/2) overflows at a tiny beta) makes the
+    slack NaN, so the certificate fails."""
     s = spin.s
     s_max = s * ell
     per_sector = [
@@ -381,10 +379,13 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
         trunc_slack = rhs - lhs
         sector_slacks = n0 - sectors[lowest & (energies < e0)]
         sector_slack = float(worst(sector_slacks)) if sector_slacks.size else n0
+        slack = worst([trunc_slack, sector_slack])
+        if not (math.isfinite(e0) and math.isfinite(n0)):
+            slack = math.nan  # an overflowed cutoff certifies nothing
         certs.append(InequalityCertificate(
             name="low-energy-truncation",
             params={"ell": ell, "two_s": spin.two_s, "beta": beta},
-            slack=worst([trunc_slack, sector_slack]),
+            slack=slack,
             tolerance=1e-12 * max(1.0, lhs),
             extras={
                 "truncation_slack": trunc_slack,

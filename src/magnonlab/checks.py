@@ -170,10 +170,10 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
     cells = _random_state_cells(block, ells, spins, ns, DEFAULT_DIM_CAP)
     for ell, n, two_s in cells:
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
-        vmat, _ = coordinate_collapse_matrix(basis)
+        collapse, _ = coordinate_collapse_matrix(basis)
         rng = rng_for(seed, 1, ell, n, two_s)
         cert = worst(
-            (verify_vnorm_lower_bound(haar_random_state(basis, rng), vmat)
+            (verify_vnorm_lower_bound(haar_random_state(basis, rng), collapse)
              for _ in range(samples)),
             key=lambda c: c.slack,
         )

@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # a float power past the largest double
+        print(f"error: overflow: {exc.args[-1]}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ Hamiltonian with its square-root-dressed hopping, the boundary-pinned
 variant, the free-boson hopping operator, the free-boundary Laplacian,
 the diagonal of the occupancy projector, and the total-spin Casimir.
 Matrices are collected as coordinate triplets, each (row, col) at most
-once; `to_dense` fills them straight into a dense block and `to_csr`
-builds the sparse matrix.  Every hopping operator comes from the one
-sector kernel `_hop_operator`.
+once; `to_dense` fills them straight into a dense block, and only
+`to_csr` (never called by a solver) imports `scipy.sparse`.  Every
+hopping operator comes from the one sector kernel `_hop_operator`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .basis import MagnonSectorBasis, SpinMagnitude
 from .certificates import InequalityCertificate
@@ -36,7 +35,8 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.basis.dim
 
-    def to_csr(self) -> sp.csr_matrix:
+    def to_csr(self):
+        import scipy.sparse as sp  # only tests and the bench tracer convert to CSR
         return sp.coo_matrix(
             (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
         ).tocsr()

@@ -139,7 +139,7 @@ def test_criterion_07_pair_density_property_suite():
                 h = assemble_heisenberg(basis).to_dense()
                 energies, vectors = sla.eigh(h)
                 cdf = gibbs_cdf(energies, 2.0)
-                vmat, _ = coordinate_collapse_matrix(basis)
+                collapse, _ = coordinate_collapse_matrix(basis)
                 haar_rng = rng_for(SEED, 7, ell, n, two_s, 0)
                 gibbs_rng = rng_for(SEED, 7, ell, n, two_s, 1)
                 states = [haar_random_state(basis, haar_rng) for _ in range(100)]
@@ -149,7 +149,7 @@ def test_criterion_07_pair_density_property_suite():
                 for state in states:
                     total += 1
                     c_off, c_diag = verify_density_bounds(state, h)
-                    c_norm = verify_vnorm_lower_bound(state, vmat)
+                    c_norm = verify_vnorm_lower_bound(state, collapse)
                     if not (c_off.passed and c_diag.passed and c_norm.passed):
                         violations += 1
     report(7, violations == 0,

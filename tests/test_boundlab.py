@@ -140,8 +140,8 @@ def test_worst_of_samples_keeps_a_nan_slack(monkeypatch):
     exact = checks.verify_vnorm_lower_bound
     calls = []
 
-    def nan_on_second_sample(state, vmat):
-        cert = exact(state, vmat)
+    def nan_on_second_sample(state, collapse):
+        cert = exact(state, collapse)
         calls.append(cert)
         if len(calls) == 2:
             cert.slack = math.nan
@@ -175,13 +175,23 @@ def test_coordinate_map_examples():
         build_coordinate_map_v(3, 4)
 
 
+def _dense(collapse, shape):
+    """The collapse map V as a dense matrix rebuilt from its triplets (a
+    repeated (row, col) would be summed)."""
+    rows, cols, vals = collapse
+    vmat = np.zeros(shape)
+    np.add.at(vmat, (rows, cols), vals)
+    return vmat
+
+
 def test_collapse_matrix_structure():
     basis = enumerate_sector_basis(SpinLattice.chain(4), SpinMagnitude(1), 2)
-    vmat, targets = coordinate_collapse_matrix(basis)
+    collapse, targets = coordinate_collapse_matrix(basis)
+    vmat = _dense(collapse, (len(targets), basis.dim))
     assert vmat.shape == (targets.shape[0], basis.dim)
     # every source column has exactly one entry; every target row at least one
-    assert np.all(np.asarray((vmat != 0).sum(axis=0)).ravel() == 1)
-    assert np.all(np.asarray((vmat != 0).sum(axis=1)).ravel() >= 1)
+    assert np.all((vmat != 0).sum(axis=0) == 1)
+    assert np.all((vmat != 0).sum(axis=1) >= 1)
     # norms never increase under the collapse
     rng = rng_for(3, 11)
     for _ in range(50):
@@ -192,11 +202,12 @@ def test_collapse_matrix_structure():
 
 def test_collapse_matrix_drops_multiply_occupied_sources():
     basis = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(2), 2)
-    vmat, _ = coordinate_collapse_matrix(basis)
+    collapse, targets = coordinate_collapse_matrix(basis)
+    vmat = _dense(collapse, (len(targets), basis.dim))
     col = basis.state_index((2, 0, 0))
-    assert vmat[:, col].nnz == 0
+    assert np.count_nonzero(vmat[:, col]) == 0
     col11 = basis.state_index((1, 1, 0))
-    assert vmat[:, col11].nnz == 1
+    assert np.count_nonzero(vmat[:, col11]) == 1
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
@@ -205,7 +216,13 @@ def test_collapse_matrix_matches_coordinate_table(ell, two_s):
     # reference: the dict collapse table, weights 1/sqrt(prod_a m_a!)
     for n in range(ell + 1):
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
-        vmat, targets = coordinate_collapse_matrix(basis)
+        (rows, cols, vals), targets = coordinate_collapse_matrix(basis)
+        # the vnorm verifier scatters V psi into target order, one entry
+        # per row: rows must be a permutation of the target states, and
+        # cols the states with no site occupied twice, in basis order
+        assert np.array_equal(np.sort(rows), np.arange(len(targets)))
+        distinct = [i for i, occ in enumerate(basis.states.tolist()) if max(occ, default=0) <= 1]
+        assert cols.tolist() == distinct
         target_row = {tuple(t): i for i, t in enumerate(targets.tolist())}
         expected = np.zeros((len(targets), basis.dim))
         for xs, image in build_coordinate_map_v(ell, n).items():
@@ -216,7 +233,7 @@ def test_collapse_matrix_matches_coordinate_table(ell, two_s):
             expected[target_row[tuple(counts.tolist())], basis.state_index(occ)] = (
                 1.0 / math.sqrt(prod)
             )
-        got = vmat.toarray()
+        got = _dense((rows, cols, vals), expected.shape)
         assert np.array_equal(got != 0, expected != 0)
         np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
@@ -248,10 +265,10 @@ def test_laplacian_bound_is_equality_for_one_magnon():
     assert cert.passed and abs(cert.slack) < 1e-12
 
 
-def test_laplacian_bound_holds_at_most_four_dense_copies_of_its_sector():
-    # H, the dense collapse matrix and the two collapsed products; the
-    # difference is formed in H's storage and eigvalsh copies it only once
-    # the collapsed Laplacian is freed
+def test_laplacian_bound_holds_at_most_three_dense_copies_of_its_sector():
+    # H and two more copies at a time: the Laplacian and its gathered
+    # block, then the block and the block of H it is subtracted from; the
+    # block is freed before eigvalsh copies the difference
     import tracemalloc
 
     dim = 1287  # n=5 sector of chain 13 at S=1/2, collapsed onto a box of 9 sites
@@ -262,7 +279,7 @@ def test_laplacian_bound_holds_at_most_four_dense_copies_of_its_sector():
     finally:
         tracemalloc.stop()
     assert cert.passed
-    assert peak <= 4.5 * 8 * dim**2
+    assert peak <= 3.25 * 8 * dim**2
 
 
 def test_laplacian_bound_full_box():
@@ -344,23 +361,23 @@ def test_two_particle_density_random_invariants():
 
 def test_vnorm_certificates():
     basis = enumerate_sector_basis(SpinLattice.chain(4), SpinMagnitude(1), 2)
-    vmat, _ = coordinate_collapse_matrix(basis)
+    collapse, _ = coordinate_collapse_matrix(basis)
     # spread-out pair: collapse is isometric, right side <= 1
     far = CoordinateState.from_occupation(basis, (1, 0, 0, 1))
-    cert = verify_vnorm_lower_bound(far, vmat)
+    cert = verify_vnorm_lower_bound(far, collapse)
     assert cert.passed and cert.extras["vnorm_sq"] == pytest.approx(1.0)
     # adjacent pair: right side collapses to 0
     near = CoordinateState.from_occupation(basis, (1, 1, 0, 0))
-    cert2 = verify_vnorm_lower_bound(near, vmat)
+    cert2 = verify_vnorm_lower_bound(near, collapse)
     assert cert2.passed and cert2.extras["rhs"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vnorm_random_states():
     basis = enumerate_sector_basis(SpinLattice.chain(5), SpinMagnitude(2), 3)
-    vmat, _ = coordinate_collapse_matrix(basis)
+    collapse, _ = coordinate_collapse_matrix(basis)
     rng = rng_for(23, 9)
     for _ in range(100):
-        assert verify_vnorm_lower_bound(haar_random_state(basis, rng), vmat).passed
+        assert verify_vnorm_lower_bound(haar_random_state(basis, rng), collapse).passed
 
 
 def test_density_bounds_ground_state():
@@ -421,6 +438,16 @@ def test_truncation_certificates():
     (cert,) = verify_low_energy_truncation(3, SpinMagnitude(1), [64.0])
     # very low temperature: the right side approaches 1 + (zero modes)
     assert cert.passed
+
+
+@pytest.mark.parametrize("beta", [1e-320, 1e-307])
+def test_truncation_with_a_cutoff_that_is_not_finite_fails(beta):
+    # at 1e-320 f_l(beta/2) overflows, so E0 and N0 are inf; at 1e-307
+    # E0 is finite and N0 = E0 l^2/(2S) overflows on its own
+    with np.errstate(over="ignore"):
+        (cert,) = verify_low_energy_truncation(3, SpinMagnitude(1), [beta])
+    assert not math.isfinite(cert.extras["n0"])
+    assert math.isnan(cert.slack) and not cert.passed
 
 
 @pytest.mark.parametrize("ell,two_s", [(3, 1), (4, 1), (3, 2)])

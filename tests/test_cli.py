@@ -446,6 +446,24 @@ def test_free_energy_refuses_a_non_finite_f(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["asymptotics", "--beta-s", "1e89"],
+        ["asymptotics", "--beta-s", "1e250", "--dimension", "2"],
+        ["asymptotics", "--beta-s", "1e6", "--upper-scale", "1e300"],
+        ["free-energy", "--length", "3", "--beta", "1e210", "--scaled"],
+    ],
+    ids=["entropy-error", "2d-envelope", "upper-scale", "scaled-f"],
+)
+def test_a_value_that_overflows_is_a_one_line_error(tmp_path, capsys, argv):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["free-energy", "--length", "3", "--beta", "1", "--config", "{tmp}/missing.cfg",
          "--out", "{tmp}/f.csv"],
         ["free-energy", "--length", "3", "--beta", "1", "--out", "{tmp}/missing/f.csv"],
@@ -782,12 +800,15 @@ def test_the_closed_forms_import_no_other_magnonlab_module(tmp_path):
     assert loaded == ["magnonlab", "magnonlab.magnongas"]
 
 
-LOADED_SPARSE_LINALG = """
+LOADED_SPARSE = """
 import sys
-from magnonlab.cli import main
-code = main(sys.argv[1:])
-assert code == 0, code
-print("scipy.sparse.linalg" in sys.modules)
+if sys.argv[1:]:
+    from magnonlab.cli import main
+    code = main(sys.argv[1:])
+    assert code == 0, code
+else:
+    import magnonlab.checks  # every solver module, and no command run
+print("scipy.sparse" in sys.modules, "scipy.sparse.linalg" in sys.modules)
 """
 
 
@@ -796,10 +817,17 @@ print("scipy.sparse.linalg" in sys.modules)
     [
         ["free-energy", "--length", "3", "--beta", "1", "--out", "fe.csv"],
         ["verify", "--check", "casimir", "--ell", "4", "--two-s", "1"],
+        ["free-energy", "--two-s", "1", "--length", "12", "--beta", "logspace:1:32:9",
+         "--scaled", "--out", "curves.csv"],
+        ["free-energy", "--extent", "3", "--beta", "1,2,4", "--out", "grid.csv"],
+        ["verify", "--check", "php-leq-t", "--grid", "default", "--out", "certs.jsonl"],
+        [],
     ],
 )
 def test_exact_diagonalization_commands_leave_sparse_linalg_unloaded(tmp_path, argv):
-    assert _run_fresh(tmp_path, LOADED_SPARSE_LINALG, argv).splitlines()[-1] == "False"
+    # neither scipy.sparse nor its linalg: only HermitianOperator.to_csr
+    # imports scipy.sparse, and no command calls it
+    assert _run_fresh(tmp_path, LOADED_SPARSE, argv).splitlines()[-1] == "False False"
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():
