@@ -12,6 +12,7 @@ so the command line can list them without importing the solvers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,20 +41,31 @@ class InequalityCertificate:
         return self.verdict == "pass"
 
     def to_record(self) -> dict:
+        """The ledger row, with each non-finite float as a string (`_json_number`)."""
         rec = {
             "name": self.name,
-            "params": self.params,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
+            "params": {k: _json_number(v) for k, v in self.params.items()},
+            "slack": _json_number(self.slack),
+            "tolerance": _json_number(self.tolerance),
             "verdict": self.verdict,
             "seed": self.seed,
         }
         if self.extras:
-            rec["extras"] = self.extras
+            rec["extras"] = {k: _json_number(v) for k, v in self.extras.items()}
         return rec
 
     def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
+        """One line of strict JSON; raises ValueError on a NaN or inf left in it."""
+        return json.dumps(self.to_record(), sort_keys=True, allow_nan=False)
+
+
+def _json_number(value):
+    """A NaN or infinite float as the string "nan", "inf" or "-inf", which
+    strict JSON can hold (`json.dumps` would write NaN or Infinity); any
+    other value unchanged."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    return value
 
 
 def write_certificate_ledger(certificates, path) -> None:

@@ -146,8 +146,7 @@ def cmd_free_energy(args):
     for variant in variants:
         spectrum = full_spectrum(lattice, spin, variant)
         for beta in betas:
-            with np.errstate(over="ignore"):  # an overflowing f is refused below
-                f = free_energy(spectrum, beta)
+            f = free_energy(spectrum, beta)
             if not math.isfinite(f):
                 raise ValueError(f"free energy {f!r} at beta={beta!r} is not finite")
             row = {

@@ -15,12 +15,20 @@ the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` stays unreduced: it holds one dense sector at a
 time and diagonalizes it in its own storage.
+
+`sector_energy_spin_pairs` holds numpy's OpenBLAS pool to one thread
+while it alternates numpy products with scipy solves: numpy and scipy
+each bundle an OpenBLAS, and two pools as wide as the machine spin
+against each other.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -131,10 +139,14 @@ def full_spectrum(
 
 
 def free_energy_from_eigenvalues(eigenvalues, beta: float, nsites: int) -> float:
-    """f = -(1/(beta*M)) ln sum exp(-beta E), max-shifted for overflow safety."""
+    """f = -(1/(beta*M)) ln sum exp(-beta E), max-shifted for overflow safety.
+
+    At a beta so small that f overflows, returns -inf without a warning;
+    each caller refuses or fails the non-finite value."""
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    return float(-logsumexp(-beta * np.asarray(eigenvalues)) / (beta * nsites))
+    with np.errstate(over="ignore"):
+        return float(-logsumexp(-beta * np.asarray(eigenvalues)) / (beta * nsites))
 
 
 def free_energy(spectrum: SectorSpectrum, beta: float) -> float:
@@ -314,6 +326,57 @@ def check_localization_bound(total_length: int, ell: int, spin: SpinMagnitude, b
 # joint (energy, total-spin) decomposition of a sector
 # ---------------------------------------------------------------------------
 
+# (result of `_find_numpy_openblas`,) once `_numpy_openblas` has run: a
+# handle on a library of the process, the same for every caller
+_numpy_openblas_found = None
+
+
+def _numpy_openblas():
+    """`_find_numpy_openblas()`, looked up on the first call, not at import."""
+    global _numpy_openblas_found
+    if _numpy_openblas_found is None:
+        _numpy_openblas_found = (_find_numpy_openblas(),)
+    return _numpy_openblas_found[0]
+
+
+def _find_numpy_openblas():
+    """(get, set) thread-count functions of the OpenBLAS bundled in the
+    numpy wheel (`numpy.libs/libscipy_openblas64_*.so`), or None when
+    there is no such library.  numpy has already loaded it, so this maps
+    nothing new."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # unloadable, or another OpenBLAS build
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _numpy_blas_one_thread():
+    """Hold numpy's OpenBLAS pool to one thread inside the block and
+    restore its previous count on leaving, also on an exception.  Does
+    nothing where `_numpy_openblas` finds no library.  scipy's pool is
+    left as it is."""
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.ndarray):
     """Simultaneous eigendata (energies, spins) of a sector, given its
     basis, its dense Hamiltonian `h` (as yielded by `dense_sectors`) and
@@ -324,6 +387,17 @@ def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.nda
     The Casimir commutes with the Hamiltonian, so its eigenspaces are
     invariant blocks; each block is diagonalized separately, giving the
     exact quantum number t alongside every energy.
+
+    The projections `block.T @ h @ block` run on numpy's OpenBLAS and
+    the solves on scipy's; numpy's pool is held to one thread while they
+    alternate (`_numpy_blas_one_thread`), since two 2-thread pools on
+    two CPUs spin against each other: over chains 2..10 at S=1/2 the
+    loop took 0.30 s with both pools at two threads and 0.16 s with
+    numpy's at one (medians of 15 passes).  numpy's dgemm rounds the
+    same at one and two threads up to chain 10 sector 4 at S=1/2 and
+    chain 6 at S=1; chain 10 sector 5 (252 states), chains 11 and 12 at
+    S=1/2 and chains 7 and 8 at S=1 move by up to 8e-14, to the bits a
+    one-CPU machine gives.
     """
     w, vecs = sla.eigh(s2)
     s_max = basis.spin.s * basis.lattice.nsites
@@ -331,13 +405,14 @@ def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.nda
     t_ladder = np.arange(t_min, s_max + 0.5, 1.0)
     targets = t_ladder * (t_ladder + 1.0)
     energies, spins = [], []
-    for t, target in zip(t_ladder, targets):
-        sel = np.abs(w - target) < 0.25
-        if not np.any(sel):
-            continue
-        block = vecs[:, sel]
-        energies.append(sla.eigvalsh(block.T @ h @ block))
-        spins.append(np.full(len(energies[-1]), t))
+    with _numpy_blas_one_thread():
+        for t, target in zip(t_ladder, targets):
+            sel = np.abs(w - target) < 0.25
+            if not np.any(sel):
+                continue
+            block = vecs[:, sel]
+            energies.append(sla.eigvalsh(block.T @ h @ block))
+            spins.append(np.full(len(energies[-1]), t))
     energies, spins = np.concatenate(energies), np.concatenate(spins)
     if len(energies) != basis.dim:
         raise RuntimeError("Casimir eigenvalues did not cluster onto t(t+1) ladder")

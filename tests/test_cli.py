@@ -2,6 +2,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -441,6 +442,32 @@ def test_free_energy_refuses_a_non_finite_f(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["subadditivity", "truncation"])
+def test_verify_fails_an_overflowing_free_energy_without_a_warning(capsys, check):
+    # beta=1e-320 overflows f = -ln Z / (beta l) to -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--check", check, "--beta", "1e-320"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("FAIL ")
+
+
+@pytest.mark.parametrize("check", ["subadditivity", "truncation"])
+def test_a_non_finite_ledger_value_is_written_as_strict_json(tmp_path, check):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    out = tmp_path / "s.jsonl"
+    assert main(["verify", "--check", check, "--beta", "1e-320", "--out", str(out)]) == 1
+    (record,) = [json.loads(line, parse_constant=refuse) for line in out.read_text().splitlines()]
+    assert record["slack"] == "nan" and record["verdict"] == "fail"
+    cert = certificates.InequalityCertificate(
+        "x", {"beta": -math.inf}, math.nan, math.inf, extras={"e0": math.inf, "n": 1.0})
+    assert json.loads(cert.to_json(), parse_constant=refuse) == {
+        "name": "x", "params": {"beta": "-inf"}, "slack": "nan", "tolerance": "inf",
+        "verdict": "fail", "seed": None, "extras": {"e0": "inf", "n": 1.0}}
 
 
 @pytest.mark.parametrize(

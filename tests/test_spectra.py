@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from magnonlab import spectra
 from magnonlab.basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, sector_dimension
 from magnonlab.operators import (
     assemble_dirichlet_heisenberg,
@@ -478,6 +479,36 @@ def test_sector_energy_spin_pairs():
     assert ts == [0.5, 0.5, 1.5]
     zero = energies[spins == 1.5]
     assert len(zero) == 1 and abs(zero[0]) < 1e-12
+
+
+def test_numpy_blas_scope_restores_the_thread_count_also_on_an_exception():
+    blas = spectra._numpy_openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS bundled in the numpy wheel")
+    get, _ = blas
+    before = get()
+    with spectra._numpy_blas_one_thread():
+        assert get() == 1
+    assert get() == before
+    with pytest.raises(ZeroDivisionError):
+        with spectra._numpy_blas_one_thread():
+            1 / 0
+    assert get() == before
+
+
+def test_numpy_blas_scope_without_the_library_does_nothing(monkeypatch):
+    basis = enumerate_sector_basis(SpinLattice.chain(6), SpinMagnitude(1), 3)
+    h = assemble_heisenberg(basis).to_dense()
+    s2 = assemble_total_spin_squared(basis).to_dense()
+    scoped = sector_energy_spin_pairs(basis, h, s2)
+    blas = spectra._numpy_openblas()
+    monkeypatch.setattr(spectra, "_numpy_openblas", lambda: None)
+    if blas is not None:
+        before = blas[0]()
+        with spectra._numpy_blas_one_thread():
+            assert blas[0]() == before
+    for unscoped, exact in zip(sector_energy_spin_pairs(basis, h, s2), scoped):
+        assert unscoped.tobytes() == exact.tobytes()
 
 
 # (l, 2S, beta) -> value, gamma_trace, trial_trace_ratio from the earlier
