@@ -63,19 +63,14 @@ def _psd_certificate(name, params, difference, norm_scale):
 # projected pinned Hamiltonian below the free hopping operator
 # ---------------------------------------------------------------------------
 
-def require_php_sector(ell: int, n: int) -> None:
-    """Raise ValueError for n < 0 and ResourceLimitError for an uncapped
-    n-boson sector of the chain above `DENSE_SECTOR_CAP`, before any
+def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
+    """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
+    pinned chain of length ell.  Raises ValueError for n < 0 and
+    ResourceLimitError for a sector above `DENSE_SECTOR_CAP`, before any
     work."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
     require_sector_dimensions(ell, n, [n], DENSE_SECTOR_CAP)  # uncapped: the cap is n
-
-
-def verify_php_leq_t(ell: int, spin: SpinMagnitude, n: int) -> InequalityCertificate:
-    """Certify T - P H^D P >= 0 on the uncapped n-boson sector of a
-    pinned chain of length ell."""
-    require_php_sector(ell, n)
     basis = enumerate_sector_basis(SpinLattice.chain(ell), spin, n, capped=False)
     t = assemble_free_boson_t(basis).to_dense()
     scale = float(np.abs(sla.eigvalsh(t)).max())
@@ -106,13 +101,20 @@ def verify_casimir_lower_bound(ell: int, spin: SpinMagnitude) -> InequalityCerti
     chain_slacks = []
     scale = 1.0
     for basis, h in dense_sectors(SpinLattice.chain(ell), spin):
-        s2 = assemble_total_spin_squared(basis).to_dense()
-        diff = h - (2.0 / ell**3) * (k0 * np.eye(basis.dim) - s2)
-        eigs = sla.eigvalsh(diff)
-        matrix_slacks.append(float(eigs[0]))
-        scale = max(scale, float(np.abs(sla.eigvalsh(h)).max()))
-        energies, spins = sector_energy_spin_pairs(basis, h, s2)
+        casimir = assemble_total_spin_squared(basis).to_dense()
+        # D = H - (2/l^3)(k0 I - S^2) in one buffer, each entry rounded as in
+        # the dense sum.  H, S^2 and D are bitwise symmetric: a transpose is
+        # the same matrix, which LAPACK overwrites once it is not read again
+        d = np.subtract(0.0, casimir)
+        d.reshape(-1)[:: basis.dim + 1] += k0
+        d *= 2.0 / ell**3
+        np.subtract(h, d, out=d)
+        matrix_slacks.append(float(sla.eigvalsh(d.T, overwrite_a=True)[0]))
+        del d
+        casimir = sla.eigh(casimir.T, overwrite_a=True)  # frees the matrix for its eigenpairs
+        energies, spins = sector_energy_spin_pairs(basis, h, casimir)
         chain_slacks.append(energies - (2.0 * s / ell**2) * (s_max - spins))
+        scale = max(scale, float(np.abs(sla.eigvalsh(h.T, overwrite_a=True)).max()))
     matrix_slack = worst(matrix_slacks)
     chain_slack = float(worst(np.concatenate(chain_slacks)))
     return InequalityCertificate(
@@ -240,12 +242,6 @@ class CoordinateState:
             raise ValueError("cannot normalize the zero vector")
         self.amplitudes = np.asarray(self.amplitudes, dtype=float) / nrm
 
-    @classmethod
-    def from_occupation(cls, basis, occ):
-        v = np.zeros(basis.dim)
-        v[basis.state_index(occ)] = 1.0
-        return cls(basis, v)
-
 
 def haar_random_state(basis: MagnonSectorBasis, rng) -> CoordinateState:
     return CoordinateState(basis, rng.standard_normal(basis.dim))
@@ -361,8 +357,11 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
     slack NaN, so the certificate fails."""
     s = spin.s
     s_max = s * ell
+    # the Casimir is bitwise symmetric: LAPACK overwrites its transpose
     per_sector = [
-        sector_energy_spin_pairs(basis, h, assemble_total_spin_squared(basis).to_dense())
+        sector_energy_spin_pairs(
+            basis, h, sla.eigh(assemble_total_spin_squared(basis).to_dense().T, overwrite_a=True)
+        )
         for basis, h in dense_sectors(SpinLattice.chain(ell), spin)
     ]
     energies = np.concatenate([e for e, _ in per_sector])

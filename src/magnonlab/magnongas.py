@@ -370,6 +370,10 @@ def delta_dilution(e0: float, ell: int, s: float) -> float:
     return TWO_PLUS_NINE_OVER_SQRT8 * e0**2 * ell**3 / s**2
 
 
+def _ell0(x):  # sqrt(4x / ln x), bit for bit, without the 4x that overflows past x ~ 4.5e307
+    return 2.0 * math.sqrt(x / math.log(x))
+
+
 def preliminary_free_energy_bound(beta: float, s: float, ell: int) -> float:
     """Coarse rigorous lower bound on the chain free energy per site.
 
@@ -394,7 +398,7 @@ def preliminary_free_energy_bound(beta: float, s: float, ell: int) -> float:
     def single(m):
         return float(count_part(float(m)) + gap_part(float(m)))
 
-    ell0 = math.sqrt(4.0 * x / math.log(x))
+    ell0 = _ell0(x)
     if ell <= ell0:
         return single(ell)
     a = max(2, math.ceil(ell0 / 2.0))
@@ -448,13 +452,13 @@ def compute_budget(
     x = beta * s
     if x <= 1.0:
         raise ValueError(f"budget requires beta*S > 1, got {x}")
-    ell0 = math.sqrt(4.0 * x / math.log(x))
+    ell0 = _ell0(x)
     beta_half = beta / 2.0
     x_half = beta_half * s
     if f_half is None:
         if x_half <= 1.0:
             raise ValueError(f"preliminary bound requires (beta/2)*S > 1, got {x_half}")
-        ell0_half = math.sqrt(4.0 * x_half / math.log(x_half))
+        ell0_half = _ell0(x_half)
         if ell < ell0_half / 2.0:
             raise ValueError(
                 f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.2f} "

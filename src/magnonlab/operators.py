@@ -49,14 +49,6 @@ class HermitianOperator:
         dense[self.rows, self.cols] = self.vals
         return dense
 
-    def hermiticity_defect(self) -> float:
-        """max |M - M^T| entry relative to max |M| (0 for empty operators)."""
-        m = self.to_csr()
-        scale = abs(m).max() if m.nnz else 0.0
-        if scale == 0.0:
-            return 0.0
-        return abs(m - m.T).max() / scale
-
 
 def _sqrt_dressing(occ_after, two_s):
     """sqrt of the positive part of 1 - n/(2S), with n the occupation the

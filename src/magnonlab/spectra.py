@@ -16,10 +16,12 @@ Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` stays unreduced: it holds one dense sector at a
 time and diagonalizes it in its own storage.
 
-`sector_energy_spin_pairs` holds numpy's OpenBLAS pool to one thread
-while it alternates numpy products with scipy solves: numpy and scipy
-each bundle an OpenBLAS, and two pools as wide as the machine spin
-against each other.
+`sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
+from its caller, which solves the Casimir in its own storage and frees
+it before the blocks are formed.  It holds numpy's OpenBLAS pool to one
+thread while it alternates numpy products with scipy solves: numpy and
+scipy each bundle an OpenBLAS, and two pools as wide as the machine
+spin against each other.
 """
 
 from __future__ import annotations
@@ -204,9 +206,7 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     at the largest multiplet not yet held, J = S*ell - n - 1, exceeds
     gap + residual + tol: the floor decreases in J, so every multiplet
     left out lies above the gap, whatever the magnon number of the gap
-    mode.  The floor is used only when the lattice holds every chain
-    bond (x, x+1); on any other lattice the loop runs to the middle
-    sector.
+    mode.
 
     Sector 1 is solved only when it is the middle sector.  Starting at
     sector 2 is exact, because sector 2 holds every multiplet of sector
@@ -230,9 +230,6 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
     ell = lattice.nsites
     s_max = spin.s * ell
     middle = (spin.two_s * ell) // 2
-    # every bond term is >= 0, so H >= H_chain, whose Casimir floor is the
-    # one `boundlab.verify_casimir_lower_bound` certifies
-    floor_applies = set(lattice.bonds()) >= {(x, x + 1) for x in range(ell - 1)}
     residual, dims = 0.0, []
     for n in range(min(2, middle), middle + 1):
         ((_, h),) = dense_sectors(lattice, spin, [n])
@@ -249,7 +246,7 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
         dims.append(len(h))
         j_left = s_max - n - 1  # the largest total spin sector n does not hold
         floor = (2.0 / ell**3) * (s_max * (s_max + 1.0) - j_left * (j_left + 1.0))
-        if floor_applies and floor > gap + residual + tol:
+        if floor > gap + residual + tol:
             break
     if not tol < gap:
         raise RuntimeError(
@@ -377,16 +374,18 @@ def _numpy_blas_one_thread():
         put(before)
 
 
-def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.ndarray):
+def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, casimir):
     """Simultaneous eigendata (energies, spins) of a sector, given its
     basis, its dense Hamiltonian `h` (as yielded by `dense_sectors`) and
-    its dense Casimir `s2` (`assemble_total_spin_squared`): two arrays,
-    energy E and total spin t of each eigenstate, t ascending and E
-    ascending within each t.
+    `casimir`, the (eigenvalues, eigenvectors) of its dense Casimir
+    (`sla.eigh` of `assemble_total_spin_squared`): two arrays, energy E
+    and total spin t of each eigenstate, t ascending and E ascending
+    within each t.
 
     The Casimir commutes with the Hamiltonian, so its eigenspaces are
     invariant blocks; each block is diagonalized separately, giving the
-    exact quantum number t alongside every energy.
+    exact quantum number t alongside every energy.  The caller solves
+    the Casimir, so it can free the matrix before the blocks are formed.
 
     The projections `block.T @ h @ block` run on numpy's OpenBLAS and
     the solves on scipy's; numpy's pool is held to one thread while they
@@ -399,7 +398,7 @@ def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, s2: np.nda
     S=1/2 and chains 7 and 8 at S=1 move by up to 8e-14, to the bits a
     one-CPU machine gives.
     """
-    w, vecs = sla.eigh(s2)
+    w, vecs = casimir
     s_max = basis.spin.s * basis.lattice.nsites
     t_min = abs(basis.n - s_max)
     t_ladder = np.arange(t_min, s_max + 0.5, 1.0)

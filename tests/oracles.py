@@ -6,9 +6,10 @@ ladder, not the occupation ladder the sector assemblies use), the
 coordinate-collapse table on sorted coordinates (the collapse matrix's
 reference), the maximal-spin vector of a sector, the gap solved
 sparsely on the middle sector, which holds every multiplet (the
-reference of the gap's sector loop), the Bessel/Hurwitz series for the
-continuum integrals, and the continuum constants evaluated both by
-quadrature and in closed form.
+reference of the gap's sector loop), an operator's hermiticity defect
+and the basis state of one occupation vector, the Bessel/Hurwitz series
+for the continuum integrals, and the continuum constants evaluated both
+by quadrature and in closed form.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import scipy.sparse.linalg as spla
 import scipy.special
 
 from magnonlab.basis import MagnonSectorBasis, SpinLattice, SpinMagnitude, enumerate_sector_basis
+from magnonlab.boundlab import CoordinateState
 from magnonlab.magnongas import _quad, log_one_minus_exp
-from magnonlab.operators import assemble_heisenberg
+from magnonlab.operators import HermitianOperator, assemble_heisenberg
 
 # ---------------------------------------------------------------------------
 # tensor-product Hamiltonian
@@ -93,6 +95,28 @@ def build_coordinate_map_v(ell: int, n: int) -> dict:
     if images != expected:
         raise RuntimeError("collapse map failed to cover the target box")
     return table
+
+
+# ---------------------------------------------------------------------------
+# hermiticity defect and occupation basis states
+# ---------------------------------------------------------------------------
+
+
+def hermiticity_defect(op: HermitianOperator) -> float:
+    """max |M - M^T| entry of an operator relative to max |M| (0 for an
+    empty one)."""
+    m = op.to_csr()
+    scale = abs(m).max() if m.nnz else 0.0
+    if scale == 0.0:
+        return 0.0
+    return abs(m - m.T).max() / scale
+
+
+def from_occupation(basis: MagnonSectorBasis, occ) -> CoordinateState:
+    """The basis state of one occupation vector `occ` of the sector."""
+    v = np.zeros(basis.dim)
+    v[basis.state_index(occ)] = 1.0
+    return CoordinateState(basis, v)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from magnonlab.checks import run_check
 from magnonlab.magnongas import compute_budget
 from magnonlab.operators import assemble_heisenberg
 from magnonlab.spectra import chain_free_energies
-from oracles import build_coordinate_map_v
+from oracles import build_coordinate_map_v, from_occupation
 
 
 def test_php_certificates_examples():
@@ -60,6 +60,21 @@ def test_php_holds_at_most_two_dense_copies_of_its_sector():
     assert peak <= 2.25 * 8 * dim**2
 
 
+def test_casimir_bound_holds_at_most_three_dense_copies_of_a_sector():
+    import tracemalloc
+
+    dim = 924  # the largest sector (n=6) of chain 12 at S=1/2
+    tracemalloc.start()
+    try:
+        cert = verify_casimir_lower_bound(12, SpinMagnitude(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    # H, the Casimir and D, or H, the Casimir and its eigenvectors
+    assert peak <= 3.25 * 8 * dim**2
+
+
 def test_casimir_certificates():
     for ell, two_s in ((4, 1), (3, 2), (2, 1)):
         cert = verify_casimir_lower_bound(ell, SpinMagnitude(two_s))
@@ -72,8 +87,8 @@ def test_casimir_nan_energy_fails_the_certificate(monkeypatch):
 
     exact = boundlab.sector_energy_spin_pairs
 
-    def nan_in_sector_one(basis, h, s2):
-        energies, spins = exact(basis, h, s2)
+    def nan_in_sector_one(basis, h, casimir):
+        energies, spins = exact(basis, h, casimir)
         if basis.n == 1:
             energies = np.full_like(energies, math.nan)
         return energies, spins
@@ -337,14 +352,14 @@ def test_halfspin_quadratic_form_equality():
 
 def test_two_particle_density_examples():
     basis = enumerate_sector_basis(SpinLattice.chain(4), SpinMagnitude(1), 2)
-    state = CoordinateState.from_occupation(basis, (1, 1, 0, 0))
+    state = from_occupation(basis, (1, 1, 0, 0))
     rho = two_particle_density(state)
     assert rho[0, 1] == 1.0 and rho[1, 0] == 1.0
     assert np.sum(np.abs(rho)) == pytest.approx(2.0)
     assert rho.sum() == pytest.approx(2 * 1)  # n(n-1)
 
     basis2 = enumerate_sector_basis(SpinLattice.chain(3), SpinMagnitude(2), 2)
-    state2 = CoordinateState.from_occupation(basis2, (2, 0, 0))
+    state2 = from_occupation(basis2, (2, 0, 0))
     rho2 = two_particle_density(state2)
     assert rho2[0, 0] == pytest.approx(2.0)
 
@@ -363,11 +378,11 @@ def test_vnorm_certificates():
     basis = enumerate_sector_basis(SpinLattice.chain(4), SpinMagnitude(1), 2)
     collapse, _ = coordinate_collapse_matrix(basis)
     # spread-out pair: collapse is isometric, right side <= 1
-    far = CoordinateState.from_occupation(basis, (1, 0, 0, 1))
+    far = from_occupation(basis, (1, 0, 0, 1))
     cert = verify_vnorm_lower_bound(far, collapse)
     assert cert.passed and cert.extras["vnorm_sq"] == pytest.approx(1.0)
     # adjacent pair: right side collapses to 0
-    near = CoordinateState.from_occupation(basis, (1, 1, 0, 0))
+    near = from_occupation(basis, (1, 1, 0, 0))
     cert2 = verify_vnorm_lower_bound(near, collapse)
     assert cert2.passed and cert2.extras["rhs"] == pytest.approx(0.0, abs=1e-12)
 

@@ -253,6 +253,16 @@ def test_budget_exact_ed_between_the_two_logarithms_has_data_and_no_implied_c(tm
         assert float(row["e0"]) > 0 and float(row["delta"]) > 0
 
 
+def test_budget_box_scale_stays_finite_where_four_beta_s_overflows(tmp_path):
+    # l0 = sqrt(4x / ln x) at x = beta S = 5e307, where 4x is past the largest double
+    out = tmp_path / "be.csv"
+    assert main(["budget", "--ell", "3", "--beta", "1e308", "--e0-source", "exact-ed",
+                 "--out", str(out)]) == 0
+    (row,) = csv.DictReader(read_lines(out).splitlines()[1:])
+    x = 1e308 * 0.5
+    assert float(row["ell0"]) == pytest.approx(math.sqrt(4.0 * (x / math.log(x))), rel=1e-15)
+
+
 # sha256 of each table the README does not pin: every table command in
 # JSON lines (free energy with and without the scaled pair, both envelope
 # dimensions, a budget with error rows, an exact-ED budget with the

@@ -113,6 +113,17 @@ def test_free_energies_reject_a_beta_that_is_not_positive_and_finite(beta):
         chain_free_energies(1, SpinMagnitude(1), [1.0, beta])
 
 
+def test_full_spectrum_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="unknown variant 'periodic'"):
+        full_spectrum(SpinLattice.chain(3), SpinMagnitude(1), variant="periodic")
+
+
+def test_spectral_gap_refuses_a_lattice_that_is_not_a_chain():
+    # so every lattice the gap solves holds each chain bond its Casimir floor needs
+    with pytest.raises(ValueError, match="defined for chains"):
+        spectral_gap(SpinLattice.square(3), SpinMagnitude(1))
+
+
 def test_dirichlet_dominates_free():
     for ell, two_s in ((3, 1), (4, 1), (3, 2)):
         spin = SpinMagnitude(two_s)
@@ -322,7 +333,7 @@ def test_spectral_gap_is_bit_reproducible():
                      id="shifted-zero-mode"),
     ],
 )
-def test_spoiled_lanczos_result_raises(monkeypatch, spoil, message):
+def test_spoiled_eigh_result_raises(monkeypatch, spoil, message):
     from magnonlab import spectra
 
     exact = spectra.sla.eigh
@@ -346,10 +357,9 @@ class _CutChain(SpinLattice):
 
 def test_a_second_zero_mode_in_the_blocks_raises():
     # each half of chain 8 at 2S=2 is a spin-4 ground multiplet; coupled to
-    # total spin T=0..8 they give 9 zero modes in the middle sector, so the
-    # maximal-spin vector is a zero mode but not the only one; without the
-    # middle bond the Casimir floor does not apply, and the loop runs to
-    # the middle sector
+    # total spin T=0..8 they give n+1 zero modes in sector n, so the
+    # maximal-spin vector is a zero mode but not the only one; the floor
+    # of the whole chain ends the loop at sector 2, with three zero modes
     lattice = _CutChain(1, (8,))
     basis = enumerate_sector_basis(lattice, SpinMagnitude(2), 8)
     assert np.linalg.norm(assemble_heisenberg(basis).to_csr() @ ground_multiplet_vector(basis)) < 1e-12
@@ -473,7 +483,7 @@ def test_sector_energy_spin_pairs():
     energies, spins = sector_energy_spin_pairs(
         basis,
         assemble_heisenberg(basis).to_dense(),
-        assemble_total_spin_squared(basis).to_dense(),
+        sla.eigh(assemble_total_spin_squared(basis).to_dense()),
     )
     ts = sorted(spins.tolist())
     assert ts == [0.5, 0.5, 1.5]
@@ -499,15 +509,15 @@ def test_numpy_blas_scope_restores_the_thread_count_also_on_an_exception():
 def test_numpy_blas_scope_without_the_library_does_nothing(monkeypatch):
     basis = enumerate_sector_basis(SpinLattice.chain(6), SpinMagnitude(1), 3)
     h = assemble_heisenberg(basis).to_dense()
-    s2 = assemble_total_spin_squared(basis).to_dense()
-    scoped = sector_energy_spin_pairs(basis, h, s2)
+    casimir = sla.eigh(assemble_total_spin_squared(basis).to_dense())
+    scoped = sector_energy_spin_pairs(basis, h, casimir)
     blas = spectra._numpy_openblas()
     monkeypatch.setattr(spectra, "_numpy_openblas", lambda: None)
     if blas is not None:
         before = blas[0]()
         with spectra._numpy_blas_one_thread():
             assert blas[0]() == before
-    for unscoped, exact in zip(sector_energy_spin_pairs(basis, h, s2), scoped):
+    for unscoped, exact in zip(sector_energy_spin_pairs(basis, h, casimir), scoped):
         assert unscoped.tobytes() == exact.tobytes()
 
 
@@ -613,6 +623,15 @@ def test_every_dense_sector_block_is_bitwise_symmetric(variant):
     for lattice, two_s in cases:
         for basis, h in dense_sectors(lattice, SpinMagnitude(two_s), variant=variant):
             assert np.array_equal(h, h.T), (lattice.nsites, two_s, basis.n)
+
+
+def test_every_casimir_block_is_bitwise_symmetric():
+    # the Casimir's callers hand LAPACK its transpose in place of it
+    for two_s, longest in ((1, 12), (2, 7), (3, 5)):
+        for ell in range(2, longest + 1):
+            for basis, _ in dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s)):
+                s2 = assemble_total_spin_squared(basis).to_dense()
+                assert np.array_equal(s2, s2.T), (ell, two_s, basis.n)
 
 
 @pytest.mark.parametrize(
