@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
+from . import lapack as sla
 from .basis import (
     MagnonSectorBasis,
     SpinLattice,

@@ -23,8 +23,7 @@ from __future__ import annotations
 import inspect
 from itertools import groupby, product
 
-import scipy.linalg as sla
-
+from . import lapack as sla
 from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_sector_dimensions
 from .boundlab import (
     coordinate_collapse_matrix,

@@ -8,7 +8,7 @@ in the order it builds them; JSON lines sort them.  Energies are in
 units of the exchange coupling; beta is in inverse such units.
 
 `free-energy`, `verify` and the exact-ED `budget` import the solver
-modules (and with them scipy's linear algebra) inside their command
+modules (and with them scipy's LAPACK extension) inside their command
 functions; `asymptotics` and the preliminary `budget` evaluate closed
 forms and never load them.  The exact-ED `budget` builds one spectrum
 per box for all its betas, and a box the solver refuses carries that

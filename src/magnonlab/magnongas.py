@@ -461,7 +461,7 @@ def compute_budget(
         ell0_half = _ell0(x_half)
         if ell < ell0_half / 2.0:
             raise ValueError(
-                f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.2f} "
+                f"preliminary-bound budget needs ell >= l0/2 = {ell0_half / 2.0:.6g} "
                 f"at beta/2, got ell={ell}"
             )
         f_half = preliminary_free_energy_bound(beta_half, s, ell)

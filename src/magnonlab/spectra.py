@@ -6,9 +6,13 @@ requested sectors against `DENSE_SECTOR_CAP` before it enumerates any
 basis and then yields (basis, dense H) one sector at a time.  The one
 exception is `boundlab.verify_php_leq_t`, whose uncapped free-boson
 sectors `dense_sectors` does not build: it sizes each against the same
-`DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector
-spectra come from a dense symmetric eigensolver (partition functions
-need every eigenvalue).  `spectral_gap` never needs the full spectrum:
+`DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector spectra come
+from the dense symmetric eigensolver of `magnonlab.lapack` (partition
+functions need every eigenvalue), and the free energy's log-sum-exp is
+a numpy copy of scipy's (`_logsumexp`), so no command loads the
+`scipy.linalg` or `scipy.special` package; only the test-only
+`free_boson_propagator` imports scipy.special's `comb` and `factorial`.
+`spectral_gap` never needs the full spectrum:
 it takes the sectors n = 2, 3, ... from `dense_sectors` in turn, solves
 each for its two lowest eigenpairs by one dense `eigh`, and stops at
 the middle sector, which holds every multiplet, or as soon as the
@@ -19,9 +23,9 @@ time and diagonalizes it in its own storage.
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
 it before the blocks are formed.  It holds numpy's OpenBLAS pool to one
-thread while it alternates numpy products with scipy solves: numpy and
-scipy each bundle an OpenBLAS, and two pools as wide as the machine
-spin against each other.
+thread while it alternates numpy products with solves on scipy's LAPACK:
+numpy and scipy each bundle an OpenBLAS, and two pools as wide as the
+machine spin against each other.
 """
 
 from __future__ import annotations
@@ -33,9 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.special import comb, factorial, logsumexp
 
+from . import lapack as sla
 from .basis import (
     MagnonSectorBasis,
     ResourceLimitError,
@@ -140,6 +143,20 @@ def full_spectrum(
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
+def _logsumexp(a):
+    """`scipy.special.logsumexp(a)` of a non-empty real 1-D array, by the
+    steps scipy 1.17 takes: every copy of the maximum is set aside as m,
+    the rest are summed after a shift, and a result that is not finite
+    is replaced by log(sum(exp(a)))."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max()
+        at_max = a == a_max
+        m = float(np.count_nonzero(at_max))
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum()
+        out = np.log1p(s if s == 0 else s / m) + np.log(m) + a_max
+        return out if np.isfinite(out) else np.log(np.exp(a).sum())
+
+
 def free_energy_from_eigenvalues(eigenvalues, beta: float, nsites: int) -> float:
     """f = -(1/(beta*M)) ln sum exp(-beta E), max-shifted for overflow safety.
 
@@ -148,7 +165,7 @@ def free_energy_from_eigenvalues(eigenvalues, beta: float, nsites: int) -> float
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     with np.errstate(over="ignore"):
-        return float(-logsumexp(-beta * np.asarray(eigenvalues)) / (beta * nsites))
+        return float(-_logsumexp(-beta * np.asarray(eigenvalues)) / (beta * nsites))
 
 
 def free_energy(spectrum: SectorSpectrum, beta: float) -> float:
@@ -406,10 +423,7 @@ def sector_energy_spin_pairs(basis: MagnonSectorBasis, h: np.ndarray, casimir):
     energies, spins = [], []
     with _numpy_blas_one_thread():
         for t, target in zip(t_ladder, targets):
-            sel = np.abs(w - target) < 0.25
-            if not np.any(sel):
-                continue
-            block = vecs[:, sel]
+            block = vecs[:, np.abs(w - target) < 0.25]
             energies.append(sla.eigvalsh(block.T @ h @ block))
             spins.append(np.full(len(energies[-1]), t))
     energies, spins = np.concatenate(energies), np.concatenate(spins)
@@ -439,6 +453,8 @@ def free_boson_propagator(basis: MagnonSectorBasis, beta: float) -> np.ndarray:
     evaluated for all pairs at once as products F @ W^T over blocks of the
     vectors k.
     """
+    from scipy.special import comb, factorial  # only tests build the propagator
+
     lattice, states, n = basis.lattice, basis.states, basis.n
     x, y = np.array(lattice.bonds()).T
     t = np.diag(np.full(lattice.nsites, 2.0 * lattice.dimension))

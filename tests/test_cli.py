@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -194,6 +195,16 @@ def test_budget_rows_and_error_marker(tmp_path):
     assert "needs ell >= l0/2" in bad
 
 
+def test_budget_error_cell_prints_l0_in_short_form(tmp_path):
+    # l0/2 at beta 1e308 has 153 digits before the point; the message
+    # gives it to six significant digits
+    out = tmp_path / "b.csv"
+    assert main(["budget", "--ell", "3", "--beta", "1e308", "--out", str(out)]) == 0
+    (row,) = list(csv.DictReader(read_lines(out).splitlines()[1:]))
+    assert "l0/2 = 1.87937e+152 " in row["error"]
+    assert max(len(number) for number in re.findall(r"\d[\d.e+-]*", row["error"])) <= 12
+
+
 @pytest.mark.parametrize("ells", ["0", "-3", "34,0", ","])
 def test_budget_rejects_box_sizes_below_one(tmp_path, capsys, ells):
     out = tmp_path / "b.csv"
@@ -278,9 +289,9 @@ TABLE_DIGESTS = {
     "asymptotics --dimension 2 --two-s 2 --beta-s 1e4,1e8 --format json":
         "b5a0a3ef272e6c9a2a3491f4be6ac57c4f334acbe09e1f560d29db37042586d5",
     "budget --ell 1,40 --beta 4,32 --format json":
-        "681c821cf5e599cf199375f8d5a1970c18f513ed8c1ddac5b84bd6c519338dd5",
+        "ee95be754545258314314dbb23ff28567f098e09dd22db9b7d9c6007c151f07a",
     "budget --ell 1,40 --beta 4,32":
-        "b319993f8a4b9837ed445bc8fbd646d5188e667390b11d521a5d68b551acebfe",
+        "e4f1f947219b6a0841e5de6f3b3f23c1b1d9a1518e92ed0a3f70baddcd3e4062",
     "budget --ell 1,4,6 --beta 1,4,8 --e0-source exact-ed --format json":
         "75d3183c87fc26cf0e33aa0657a43ab938d512be14885cd1d16b0f658025f361",
 }
@@ -822,6 +833,36 @@ print(json.dumps(sorted(
 )
 def test_closed_form_commands_load_no_scipy_subpackage(tmp_path, argv):
     assert json.loads(_run_fresh(tmp_path, LOADED_SCIPY, argv)) == []
+
+
+LOADED_LINALG = """
+import json, shlex, sys
+from magnonlab.cli import main
+for command in sys.argv[1:]:
+    assert main(shlex.split(command)) == 0, command
+    print("loaded:", json.dumps(sorted(
+        name for name in sys.modules if name.split(".")[:2] in (["scipy", "linalg"], ["scipy", "special"])
+    )))
+"""
+
+EXACT_DIAGONALIZATION_COMMANDS = [
+    "free-energy --two-s 1 --length 12 --beta logspace:1:32:9 --scaled --out curves.csv",
+    "free-energy --extent 3 --beta 1,2,4 --out grid.csv",
+    "verify --check php-leq-t --grid default --out certs.jsonl",
+    "verify --check casimir --ell 4 --two-s 1",
+    "budget --ell 4,6 --beta 4,8 --e0-source exact-ed --out budget-ed.csv",
+    *(f"verify --check {name} --grid quick" for name in certificates.CHECK_NAMES),
+]
+
+
+def test_exact_diagonalization_loads_neither_scipy_linalg_nor_special(tmp_path):
+    # the dense solves go through magnonlab.lapack, which loads scipy's
+    # LAPACK extension alone, and the free energy's logsumexp is numpy's;
+    # sys.modules only grows, so one interpreter serves every command
+    out = _run_fresh(tmp_path, LOADED_LINALG, EXACT_DIAGONALIZATION_COMMANDS)
+    loaded = [json.loads(line[len("loaded:"):]) for line in out.splitlines() if line.startswith("loaded:")]
+    assert len(loaded) == len(EXACT_DIAGONALIZATION_COMMANDS)
+    assert set(loaded[-1]) <= {"scipy.linalg._flapack"}
 
 
 LOADED_MAGNONLAB = """
