@@ -17,8 +17,12 @@ it takes the sectors n = 2, 3, ... from `dense_sectors` in turn, solves
 each for its two lowest eigenpairs by one dense `eigh`, and stops at
 the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
-gap.  `full_spectrum` stays unreduced: it holds one dense sector at a
-time and diagonalizes it in its own storage.
+gap.  `full_spectrum` solves a sector of at most `WHOLE_SECTOR_MAX`
+states whole, in its own storage; a larger one it splits into the two
+blocks of the reflection that reverses the site order (the mirror of a
+chain, the point reflection of a row-major grid), which together cost
+about a quarter of the whole solve.  Either way one dense block is held
+at a time.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -46,6 +50,7 @@ from .basis import (
     SpinMagnitude,
     enumerate_sector_basis,
     require_sector_dimensions,
+    sector_dimension,
 )
 from .certificates import InequalityCertificate, worst
 from .magnongas import free_boson_sum
@@ -57,6 +62,14 @@ from .operators import (
 
 DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
+# `full_spectrum` solves a sector of at most this many states whole, so
+# that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is split
+# into reflection-parity blocks, whose eigenvalues agree to rounding.
+# Bytes that pin the whole solve: chain 8 at 2S=2, n=8 (1107 states) in
+# test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
+# chain 12's 924-state sector in README `curves.csv`.  The gate goes
+# once the ledgers stop pinning rounding noise (ROADMAP item 20).
+WHOLE_SECTOR_MAX = 1107
 # An eigenvalue below this multiple of max(||H||, 1) counts as a zero mode.
 _ZERO_TOL_FACTOR = 1e-10
 
@@ -116,16 +129,19 @@ def full_spectrum(
 ) -> SectorSpectrum:
     """Dense eigenvalues of every magnon sector, ascending per sector.
 
-    One sector is held at a time and solved in place: the block is freed
+    One dense block is held at a time and solved in place: it is freed
     before the next one is built, and LAPACK overwrites it instead of
-    copying it, so a sector at `DENSE_SECTOR_CAP` = 6000 states costs
-    its 288 MB once, not twice.  `check_finite` stays on, so a NaN or
-    inf in a block raises ValueError.
+    copying it.  A sector of at most `WHOLE_SECTOR_MAX` states is solved
+    whole, from `dense_sectors`; a larger one as its two reflection-parity
+    blocks (`_parity_block_eigenvalues`), so a sector at
+    `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
+    (72 MB), not its 288 MB.  `check_finite` stays on, so a NaN or inf in
+    a block raises ValueError.
 
-    Raises ResourceLimitError when the total Hilbert dimension exceeds
-    `DEFAULT_DIM_CAP` or any single sector exceeds `DENSE_SECTOR_CAP`;
-    callers that only need the gap should use `spectral_gap`, which
-    solves only the lowest sectors.
+    Raises ResourceLimitError, before any basis is enumerated, when the
+    total Hilbert dimension exceeds `DEFAULT_DIM_CAP` or any single
+    sector exceeds `DENSE_SECTOR_CAP`; callers that only need the gap
+    should use `spectral_gap`, which solves only the lowest sectors.
     """
     total_dim = spin.site_dim**lattice.nsites
     if total_dim > DEFAULT_DIM_CAP:
@@ -133,14 +149,62 @@ def full_spectrum(
             f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
             "restrict to individual sectors instead"
         )
+    sectors = range(spin.two_s * lattice.nsites + 1)
+    require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
     sector_eigs = []
-    for _, h in dense_sectors(lattice, spin, variant=variant):
+    for n in sectors:
+        if sector_dimension(lattice.nsites, n, spin.two_s) > WHOLE_SECTOR_MAX:
+            basis = enumerate_sector_basis(lattice, spin, n)
+            sector_eigs.append(_parity_block_eigenvalues(_assemble_variant(basis, variant)))
+            continue
+        ((_, h),) = dense_sectors(lattice, spin, [n], variant)
         # h is bitwise symmetric, so h.T is the same matrix in Fortran
         # order and LAPACK overwrites it without a copy; dsyevr returns
         # the eigenvalues ascending
         sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
         del h  # free the block before the next one is built
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
+
+
+def _parity_block_eigenvalues(op) -> np.ndarray:
+    """Eigenvalues, ascending, of the sector operator `op`, from its two
+    blocks under the reflection r that reverses the site order.  Every
+    Hamiltonian `_assemble_variant` builds commutes with r: on a chain r
+    is the mirror, which also maps the pinned ends onto each other, and
+    on a row-major square grid it is the point reflection.
+
+    r maps each state to itself or to a partner, so the orbits have one
+    or two states.  The even block Q+^T H Q+ has one column per orbit,
+    weight 1/sqrt(|orbit|) on each of its states; the odd block Q-^T H Q-
+    has one column per two-state orbit, +1/sqrt(2) on its lower row and
+    -1/sqrt(2) on the higher.  Each triplet (i, j, v) adds
+    v q_i q_j / sqrt(|orbit i| |orbit j|), q = +-1 the weight's sign, to
+    the entry of the orbits of i and j; the block is filled straight in
+    Fortran order and overwritten by LAPACK, and the even block is freed
+    before the odd one is built.
+    """
+    basis = op.basis
+    rows = np.arange(basis.dim)
+    mirror = basis.state_index(basis.states[:, ::-1])
+    lowest = np.minimum(rows, mirror)
+    orbit_size = np.where(mirror == rows, 1.0, 2.0)
+    size = orbit_size[op.rows] * orbit_size[op.cols]  # |orbit i| |orbit j| of each triplet
+    eigs = []
+    for sign in (np.ones(basis.dim), np.sign(mirror - rows)):
+        first = (mirror >= rows) & (sign != 0)  # the lowest row of each orbit in the block
+        k = int(first.sum())
+        orbit = (np.cumsum(first) - 1)[lowest]
+        q = sign[op.rows] * sign[op.cols]
+        kept = q != 0
+        block = np.zeros((k, k), order="F")
+        np.add.at(
+            block,
+            (orbit[op.rows[kept]], orbit[op.cols[kept]]),
+            op.vals[kept] * q[kept] / np.sqrt(size[kept]),
+        )
+        eigs.append(sla.eigvalsh(block, overwrite_a=True))
+        del block  # free the even block before the odd one is built
+    return np.sort(np.concatenate(eigs))
 
 
 def _logsumexp(a):

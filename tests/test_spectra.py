@@ -28,7 +28,7 @@ from magnonlab.spectra import (
     sector_energy_spin_pairs,
     spectral_gap,
 )
-from oracles import ground_multiplet_vector, middle_sector_gap
+from oracles import ground_multiplet_vector, middle_sector_gap, tensor_product_heisenberg
 
 
 def test_full_spectrum_two_sites_halfspin():
@@ -282,6 +282,29 @@ def test_mirror_map_is_an_involution_and_splits_every_sector(ell, two_s):
         q = sp.hstack([q for _, q in isometries]).toarray()
         assert q.shape == (basis.dim, basis.dim)
         assert np.allclose(q.T @ q, np.eye(basis.dim), atol=1e-15)
+
+
+def lattice_id(value):
+    """Test id of a lattice parameter ("chain8", "square3"); pytest's own for the rest."""
+    if isinstance(value, SpinLattice):
+        return ("chain" if value.dimension == 1 else "square") + str(value.extents[0])
+    return None
+
+
+@pytest.mark.parametrize(
+    "lattice,two_s,variant",
+    [(SpinLattice.chain(ell), two_s, "dirichlet") for ell, two_s in PARITY_CHAINS]
+    + [(SpinLattice.square(side), two_s, "free") for side in (2, 3) for two_s in (1, 2)],
+    ids=lattice_id,
+)
+def test_reversing_the_sites_is_an_involution_and_a_bitwise_symmetry(lattice, two_s, variant):
+    # full_spectrum's parity blocks rest on this: the mirror of the pinned
+    # chain and the point reflection of the row-major grid
+    for basis, h in dense_sectors(lattice, SpinMagnitude(two_s), variant=variant):
+        rows = np.arange(basis.dim)
+        mirror = basis.state_index(basis.states[:, ::-1])
+        assert np.array_equal(mirror[mirror], rows), basis.n
+        assert np.array_equal(h[np.ix_(mirror, mirror)], h), basis.n
 
 
 @pytest.mark.parametrize("ell,two_s", PARITY_CHAINS)
@@ -666,6 +689,88 @@ def test_full_spectrum_holds_one_sector_and_solves_it_in_place():
         tracemalloc.stop()
     # a LAPACK copy of the block, or the previous block kept alive, each add 1.0
     assert peak <= 1.25 * largest_sector_bytes
+
+
+def test_full_spectrum_holds_one_parity_block_above_the_gate():
+    import tracemalloc
+
+    even_block_bytes = 8 * 868**2  # chain 13, S=1/2, n=6: 848 two-state orbits + 20 palindromes
+    tracemalloc.start()
+    try:
+        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one block, LAPACK's finiteness mask (1/8 of it) and the sector's
+    # triplets read 1.28; the odd block kept alive adds 0.95, and one dense
+    # copy of the whole 1716-state sector alone is 3.9
+    assert peak <= 1.5 * even_block_bytes
+
+
+def _whole_sector_spectra(lattice, spin, variant):
+    return [np.sort(sla.eigvalsh(h)) for _, h in dense_sectors(lattice, spin, variant=variant)]
+
+
+SPLIT_CASES = [
+    (SpinLattice.chain(ell), two_s, variant)
+    for two_s, longest in ((1, 10), (2, 8))
+    for ell in range(2, longest + 1)
+    for variant in ("free", "dirichlet")
+] + [(SpinLattice.square(3), 1, "free")]
+
+
+@pytest.mark.parametrize("lattice,two_s,variant", SPLIT_CASES, ids=lattice_id)
+def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s, variant):
+    spin = SpinMagnitude(two_s)
+    whole = _whole_sector_spectra(lattice, spin, variant)
+    sizes = []
+    exact = spectra.sla.eigvalsh
+
+    def recorded(a, **kwargs):
+        sizes.append(len(a))
+        return exact(a, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
+    monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
+    split = full_spectrum(lattice, spin, variant).sector_eigenvalues
+    assert len(sizes) == 2 * len(whole)  # an even and an odd block per sector
+    for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
+        assert np.all(np.diff(eigs) >= 0), n
+        np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
+        states = enumerate_sector_basis(lattice, spin, n).states
+        palindromes = int(np.all(states == states[:, ::-1], axis=1).sum())
+        even, odd = sizes[2 * n : 2 * n + 2]
+        assert (even + odd, even - odd) == (len(states), palindromes), n
+
+
+@pytest.mark.parametrize(
+    "lattice,two_s",
+    [(SpinLattice.chain(ell), 1) for ell in range(2, 7)]
+    + [(SpinLattice.chain(ell), 2) for ell in range(2, 5)]
+    + [(SpinLattice.square(2), 1), (SpinLattice.square(2), 2)],
+    ids=lattice_id,
+)
+def test_parity_blocks_match_the_tensor_product_oracle(monkeypatch, lattice, two_s):
+    spin = SpinMagnitude(two_s)
+    oracle = np.sort(sla.eigvalsh(tensor_product_heisenberg(lattice, spin)))
+    monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
+    eigs = np.sort(full_spectrum(lattice, spin).all_eigenvalues)
+    assert np.abs(eigs - oracle).max() <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["free", "dirichlet"])
+def test_chain_13_splits_only_the_sectors_above_the_gate(variant):
+    lattice, spin = SpinLattice.chain(13), SpinMagnitude(1)
+    spectrum = full_spectrum(lattice, spin, variant)
+    whole = _whole_sector_spectra(lattice, spin, variant)
+    split = []
+    for n, (eigs, reference) in enumerate(zip(spectrum.sector_eigenvalues, whole, strict=True)):
+        if len(eigs) <= spectra.WHOLE_SECTOR_MAX:
+            assert np.array_equal(eigs, reference), n
+        else:
+            split.append(n)
+            np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
+    assert split == [5, 6, 7, 8]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
