@@ -20,9 +20,12 @@ Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` solves a sector of at most `WHOLE_SECTOR_MAX`
 states whole, in its own storage; a larger one it splits into the two
 blocks of the reflection that reverses the site order (the mirror of a
-chain, the point reflection of a row-major grid), which together cost
-about a quarter of the whole solve.  Either way one dense block is held
-at a time.
+chain, the point reflection of a row-major grid).  On the free lattice
+the spin flip maps sector n onto sector 2S*sites - n, so a large sector
+past the middle copies its conjugate's eigenvalues and the middle
+sector splits into four blocks, of reflection and flip; a free chain 14
+at S=1/2 costs about half its two-block solve.  Either way one dense
+block is held at a time.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -35,6 +38,7 @@ machine spin against each other.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -64,7 +68,8 @@ DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
 # `full_spectrum` solves a sector of at most this many states whole, so
 # that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is split
-# into reflection-parity blocks, whose eigenvalues agree to rounding.
+# into symmetry blocks, or on the free lattice copied from its spin-flip
+# conjugate, and its eigenvalues agree to rounding.
 # Bytes that pin the whole solve: chain 8 at 2S=2, n=8 (1107 states) in
 # test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
 # chain 12's 924-state sector in README `curves.csv`.  The gate goes
@@ -132,11 +137,17 @@ def full_spectrum(
     One dense block is held at a time and solved in place: it is freed
     before the next one is built, and LAPACK overwrites it instead of
     copying it.  A sector of at most `WHOLE_SECTOR_MAX` states is solved
-    whole, from `dense_sectors`; a larger one as its two reflection-parity
-    blocks (`_parity_block_eigenvalues`), so a sector at
-    `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
-    (72 MB), not its 288 MB.  `check_finite` stays on, so a NaN or inf in
-    a block raises ValueError.
+    whole, from `dense_sectors`.  A larger one is solved as the blocks
+    of its symmetries (`_symmetry_block_eigenvalues`): the two
+    reflection-parity blocks, so a sector at `DENSE_SECTOR_CAP` = 6000
+    states costs one block of about 3000 states (72 MB), not its 288 MB.
+    The free Hamiltonian also commutes with the spin flip
+    m_x -> 2S - m_x, which maps sector n onto sector N - n, N = 2S*sites:
+    above the gate, a free sector past the middle copies the eigenvalues
+    of its conjugate, and the self-conjugate middle sector splits into
+    the four blocks of reflection and flip.  The pinned chain's boundary
+    field breaks the flip, so it solves every sector.  `check_finite`
+    stays on, so a NaN or inf in a block raises ValueError.
 
     Raises ResourceLimitError, before any basis is enumerated, when the
     total Hilbert dimension exceeds `DEFAULT_DIM_CAP` or any single
@@ -149,49 +160,71 @@ def full_spectrum(
             f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
             "restrict to individual sectors instead"
         )
-    sectors = range(spin.two_s * lattice.nsites + 1)
+    top = spin.two_s * lattice.nsites
+    sectors = range(top + 1)
     require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
+    flip_symmetric = variant == "free"
     sector_eigs = []
     for n in sectors:
-        if sector_dimension(lattice.nsites, n, spin.two_s) > WHOLE_SECTOR_MAX:
+        if sector_dimension(lattice.nsites, n, spin.two_s) <= WHOLE_SECTOR_MAX:
+            ((_, h),) = dense_sectors(lattice, spin, [n], variant)
+            # h is bitwise symmetric, so h.T is the same matrix in Fortran
+            # order and LAPACK overwrites it without a copy; dsyevr returns
+            # the eigenvalues ascending
+            sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
+            del h  # free the block before the next one is built
+        elif flip_symmetric and 2 * n > top:
+            # a copy, so that no two sectors share one array
+            sector_eigs.append(sector_eigs[top - n].copy())
+        else:
             basis = enumerate_sector_basis(lattice, spin, n)
-            sector_eigs.append(_parity_block_eigenvalues(_assemble_variant(basis, variant)))
-            continue
-        ((_, h),) = dense_sectors(lattice, spin, [n], variant)
-        # h is bitwise symmetric, so h.T is the same matrix in Fortran
-        # order and LAPACK overwrites it without a copy; dsyevr returns
-        # the eigenvalues ascending
-        sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
-        del h  # free the block before the next one is built
+            maps = [basis.state_index(basis.states[:, ::-1])]
+            if flip_symmetric and 2 * n == top:
+                maps.append(basis.state_index(spin.two_s - basis.states))
+            op = _assemble_variant(basis, variant)
+            sector_eigs.append(_symmetry_block_eigenvalues(op, maps))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
-def _parity_block_eigenvalues(op) -> np.ndarray:
-    """Eigenvalues, ascending, of the sector operator `op`, from its two
-    blocks under the reflection r that reverses the site order.  Every
-    Hamiltonian `_assemble_variant` builds commutes with r: on a chain r
-    is the mirror, which also maps the pinned ends onto each other, and
-    on a row-major square grid it is the point reflection.
+def _symmetry_block_eigenvalues(op, maps) -> np.ndarray:
+    """Eigenvalues, ascending, of the sector operator `op`, from its
+    blocks under the group G generated by `maps`: row maps of commuting
+    involutions, each a symmetry of `op`.  The reflection r that
+    reverses the site order commutes with every Hamiltonian
+    `_assemble_variant` builds (on a chain r is the mirror, which also
+    maps the pinned ends onto each other; on a row-major square grid it
+    is the point reflection), and the spin flip with the free one on a
+    self-conjugate sector.
 
-    r maps each state to itself or to a partner, so the orbits have one
-    or two states.  The even block Q+^T H Q+ has one column per orbit,
-    weight 1/sqrt(|orbit|) on each of its states; the odd block Q-^T H Q-
-    has one column per two-state orbit, +1/sqrt(2) on its lower row and
-    -1/sqrt(2) on the higher.  Each triplet (i, j, v) adds
-    v q_i q_j / sqrt(|orbit i| |orbit j|), q = +-1 the weight's sign, to
-    the entry of the orbits of i and j; the block is filled straight in
-    Fortran order and overwritten by LAPACK, and the even block is freed
-    before the odd one is built.
+    Each character chi of G (one sign per generator, listed with the
+    first generator's sign varying slowest) has one block.  An orbit is
+    represented by its lowest row, and chi keeps it only if chi is 1 on
+    the orbit's stabilizer; the kept orbit's column has weight
+    chi(g)/sqrt(|orbit|) on each row g(rep).  Each triplet (i, j, v)
+    adds v q_i q_j / sqrt(|orbit i| |orbit j|), q = chi(g) the weight's
+    sign, to the entry of the orbits of i and j; each block is filled
+    straight in Fortran order and overwritten by LAPACK, and freed
+    before the next one is built.  With one generator these are the
+    even and odd parity blocks.
     """
-    basis = op.basis
-    rows = np.arange(basis.dim)
-    mirror = basis.state_index(basis.states[:, ::-1])
-    lowest = np.minimum(rows, mirror)
-    orbit_size = np.where(mirror == rows, 1.0, 2.0)
+    rows = np.arange(op.basis.dim)
+    # images[e] = g_e(rows), where bit k of e says whether g_e applies maps[k]
+    images = [rows]
+    for m in maps:
+        images += [m[image] for image in images]
+    images = np.array(images)
+    lowest = images.min(axis=0)
+    stabilizer = images == rows
+    orbit_size = len(images) / stabilizer.sum(axis=0)
     size = orbit_size[op.rows] * orbit_size[op.cols]  # |orbit i| |orbit j| of each triplet
+    to_lowest = (images == lowest).argmax(axis=0)  # an element taking each row to its orbit's lowest
+    bits = (np.arange(len(images))[:, None] >> np.arange(len(maps))) & 1
     eigs = []
-    for sign in (np.ones(basis.dim), np.sign(mirror - rows)):
-        first = (mirror >= rows) & (sign != 0)  # the lowest row of each orbit in the block
+    for signs in itertools.product((1, -1), repeat=len(maps)):
+        chi = np.prod(np.where(bits == 1, signs, 1), axis=1)
+        in_block = ~np.any(stabilizer & (chi[:, None] < 0), axis=0)
+        sign = np.where(in_block, chi[to_lowest], 0)
+        first = (lowest == rows) & in_block  # the lowest row of each orbit in the block
         k = int(first.sum())
         orbit = (np.cumsum(first) - 1)[lowest]
         q = sign[op.rows] * sign[op.cols]
@@ -203,7 +236,7 @@ def _parity_block_eigenvalues(op) -> np.ndarray:
             op.vals[kept] * q[kept] / np.sqrt(size[kept]),
         )
         eigs.append(sla.eigvalsh(block, overwrite_a=True))
-        del block  # free the even block before the odd one is built
+        del block  # free this block before the next one is built
     return np.sort(np.concatenate(eigs))
 
 

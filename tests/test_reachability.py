@@ -5,9 +5,9 @@ One interpreter runs, under `sys.setprofile`, these commands through
 `magnonlab.cli.main` in a fresh directory: the README commands (the keys
 of `bench/references.json["cli-readme"]`, which is only read), an
 exact-ED `budget`, one `free-energy` each with `--format json`,
-`--plot-script` and `--config`, one of chain 13 (whose sectors above
-`spectra.WHOLE_SECTOR_MAX` are split into parity blocks), and every
-suite on `--grid quick`.  Each frame whose code lives in the package is
+`--plot-script` and `--config`, one of chain 14 (whose sectors above
+`spectra.WHOLE_SECTOR_MAX` are split into symmetry blocks, or copied
+from their spin-flip conjugates), and every suite on `--grid quick`.  Each frame whose code lives in the package is
 matched to a `def` that `ast` finds there, methods and nested functions
 included, by file, first line and name; that needs no `co_qualname`, so
 it runs on Python 3.10 too.
@@ -36,7 +36,7 @@ RUNS = [
     "free-energy --length 4 --beta 1,2 --format json --out fe.jsonl",
     "free-energy --length 4 --beta 1,2 --out fe.csv --plot-script plot.py",
     "free-energy --config fe.cfg --out fe-config.csv",
-    "free-energy --length 13 --beta 1 --out fe13.csv",
+    "free-energy --length 14 --beta 1 --out fe14.csv",
     *(f"verify --check {name} --grid quick" for name in CHECK_NAMES),
 ]
 

@@ -733,14 +733,112 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
     monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
     split = full_spectrum(lattice, spin, variant).sector_eigenvalues
-    assert len(sizes) == 2 * len(whole)  # an even and an odd block per sector
+    top = two_s * lattice.nsites
+    # an even and an odd block per sector; on the free lattice none past
+    # the middle, which copies its conjugate, and the four blocks of
+    # reflection and flip at a self-conjugate middle
+    counts = [2 if variant == "dirichlet" or 2 * n < top else 4 if 2 * n == top else 0
+              for n in range(top + 1)]
+    assert len(sizes) == sum(counts)
+    ends = np.cumsum(counts)
     for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
         assert np.all(np.diff(eigs) >= 0), n
         np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
+        blocks = sizes[ends[n] - counts[n] : ends[n]]
+        if not blocks:
+            continue
         states = enumerate_sector_basis(lattice, spin, n).states
-        palindromes = int(np.all(states == states[:, ::-1], axis=1).sum())
-        even, odd = sizes[2 * n : 2 * n + 2]
-        assert (even + odd, even - odd) == (len(states), palindromes), n
+        fixed = [len(states), int(np.all(states == states[:, ::-1], axis=1).sum())]
+        if len(blocks) == 2:
+            even, odd = blocks
+            assert (even + odd, even - odd) == tuple(fixed), n
+        else:
+            # 1/4 sum_g chi(g) fix(g) over g = 1, R, F, RF, chi = (p, f)
+            flipped = two_s - states
+            fixed += [int(np.all(states == flipped, axis=1).sum()),
+                      int(np.all(states[:, ::-1] == flipped, axis=1).sum())]
+            expected = [(fixed[0] + p * fixed[1] + f * fixed[2] + p * f * fixed[3]) // 4
+                        for p in (1, -1) for f in (1, -1)]
+            assert blocks == expected, n
+
+
+def _record_solve_sizes(monkeypatch):
+    """A list that gets the size of every block `full_spectrum` solves."""
+    sizes = []
+    exact = spectra.sla.eigvalsh
+
+    def recorded(a, **kwargs):
+        sizes.append(len(a))
+        return exact(a, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
+    return sizes
+
+
+def test_chain_14_builds_no_block_above_the_even_block_of_sector_6(monkeypatch):
+    import tracemalloc
+
+    even_block_bytes = 8 * 1519**2  # chain 14, S=1/2, n=6: 1484 two-state orbits + 35 palindromes
+    sizes = _record_solve_sizes(monkeypatch)
+    tracemalloc.start()
+    try:
+        full_spectrum(SpinLattice.chain(14), SpinMagnitude(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # sectors 0..4 and 10..14 whole, 5 and 6 as parity blocks, 7 as the
+    # four blocks of reflection and flip; 8 and 9 copy 6 and 5
+    assert sizes == [1, 14, 91, 364, 1001, 1001, 1001, 1519, 1484, 890, 826, 826, 890,
+                     1001, 364, 91, 14, 1]
+    # neither the 3432-state middle sector nor its 1716-state parity
+    # block is built
+    assert peak <= 1.5 * even_block_bytes
+
+
+FLIP_CASES = (
+    [(SpinLattice.chain(ell), 1) for ell in range(2, 11)]
+    + [(SpinLattice.chain(ell), 2) for ell in range(2, 9)]
+    + [(SpinLattice.square(side), two_s) for side in (2, 3) for two_s in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("lattice,two_s", FLIP_CASES, ids=lattice_id)
+def test_the_spin_flip_maps_each_free_sector_onto_its_conjugate(lattice, two_s):
+    # full_spectrum copies sector n's eigenvalues into sector 2S*sites - n
+    # on this: the conjugate sector is the flipped one, in reversed order
+    spin = SpinMagnitude(two_s)
+    top = two_s * lattice.nsites
+    for n in range(top // 2 + 1):
+        (basis, h), *pair = dense_sectors(lattice, spin, sorted({n, top - n}))
+        conjugate, h_conjugate = pair[0] if pair else (basis, h)
+        assert np.array_equal(conjugate.states, (two_s - basis.states)[::-1]), n
+        if two_s == 1:
+            assert np.array_equal(h_conjugate, h[::-1, ::-1]), n
+        else:  # up to the rounding of the sqrt hop amplitudes
+            assert np.abs(h_conjugate - h[::-1, ::-1]).max() <= 1e-15, n
+        del h, h_conjugate
+
+
+@pytest.mark.parametrize("two_s", [1, 2])
+@pytest.mark.parametrize("ell", range(3, 9))
+def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
+    spectrum = full_spectrum(SpinLattice.chain(ell), SpinMagnitude(two_s), "dirichlet")
+    eigs = spectrum.sector_eigenvalues
+    top = two_s * ell
+    for n in range((top + 1) // 2):
+        assert not np.allclose(eigs[n], eigs[top - n], rtol=0, atol=1e-8), n
+
+
+@pytest.mark.parametrize("variant,solves", [("dirichlet", 10 + 2 * 4), ("free", 10 + 2 * 2)])
+def test_chain_13_reuses_conjugate_sectors_only_on_the_free_chain(monkeypatch, variant, solves):
+    # sectors 0..4 and 9..13 are solved whole and 5..8 as parity blocks;
+    # on the free chain 7 and 8 copy 6 and 5
+    calls = _record_solve_sizes(monkeypatch)
+    spectrum = full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), variant)
+    assert len(calls) == solves
+    eigs = spectrum.sector_eigenvalues
+    for n in (7, 8):
+        assert eigs[n] is not eigs[13 - n]
 
 
 @pytest.mark.parametrize(
