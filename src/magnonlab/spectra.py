@@ -18,14 +18,18 @@ each for its two lowest eigenpairs by one dense `eigh`, and stops at
 the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` solves a sector of at most `WHOLE_SECTOR_MAX`
-states whole, in its own storage; a larger one it splits into the two
-blocks of the reflection that reverses the site order (the mirror of a
-chain, the point reflection of a row-major grid).  On the free lattice
-the spin flip maps sector n onto sector 2S*sites - n, so a large sector
-past the middle copies its conjugate's eigenvalues and the middle
-sector splits into four blocks, of reflection and flip; a free chain 14
-at S=1/2 costs about half its two-block solve.  Either way one dense
-block is held at a time.
+states whole, in its own storage.  Above that, a free chain's sector is
+the union of the highest-weight blocks of the total spins it holds, each
+block built on sequential-coupling paths from Racah's 6j symbols and
+solved once per call, so a (2J+1)-fold multiplet is no longer solved
+2J+1 times: free chain 14 at S=1/2 costs about 40% of its
+symmetry-block solve.  Any other large sector splits into the
+two blocks of the reflection that reverses the site order (the mirror
+of the pinned chain, the point reflection of a row-major grid); on a
+free grid the spin flip maps sector n onto sector 2S*sites - n, so a
+large sector past the middle copies its conjugate's eigenvalues and the
+middle sector splits into four blocks, of reflection and flip.  Every
+way, one dense block is held at a time.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -67,9 +71,10 @@ from .operators import (
 DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
 # `full_spectrum` solves a sector of at most this many states whole, so
-# that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is split
-# into symmetry blocks, or on the free lattice copied from its spin-flip
-# conjugate, and its eigenvalues agree to rounding.
+# that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is taken
+# from the highest-weight blocks on a free chain, and elsewhere split into
+# symmetry blocks or, on a free grid, copied from its spin-flip conjugate,
+# and its eigenvalues agree to rounding.
 # Bytes that pin the whole solve: chain 8 at 2S=2, n=8 (1107 states) in
 # test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
 # chain 12's 924-state sector in README `curves.csv`.  The gate goes
@@ -137,17 +142,28 @@ def full_spectrum(
     One dense block is held at a time and solved in place: it is freed
     before the next one is built, and LAPACK overwrites it instead of
     copying it.  A sector of at most `WHOLE_SECTOR_MAX` states is solved
-    whole, from `dense_sectors`.  A larger one is solved as the blocks
-    of its symmetries (`_symmetry_block_eigenvalues`): the two
+    whole, from `dense_sectors`.
+
+    Above the gate, the free chain commutes with the total spin, and
+    sector n holds one highest-weight state of each multiplet of total
+    spin J >= |S*sites - n|.  Its eigenvalues are the sorted union of the
+    blocks n' = 0..min(n, N - n), N = 2S*sites, the block n' holding the
+    highest-weight states of J = S*sites - n' (`_highest_weight_block`).
+    Each block is built and solved once per call, and the 6j bond
+    matrices are shared by all of them, in dicts that die with the call.
+
+    A larger sector of any other lattice or variant is solved as the
+    blocks of its symmetries (`_symmetry_block_eigenvalues`): the two
     reflection-parity blocks, so a sector at `DENSE_SECTOR_CAP` = 6000
     states costs one block of about 3000 states (72 MB), not its 288 MB.
-    The free Hamiltonian also commutes with the spin flip
-    m_x -> 2S - m_x, which maps sector n onto sector N - n, N = 2S*sites:
-    above the gate, a free sector past the middle copies the eigenvalues
-    of its conjugate, and the self-conjugate middle sector splits into
-    the four blocks of reflection and flip.  The pinned chain's boundary
-    field breaks the flip, so it solves every sector.  `check_finite`
-    stays on, so a NaN or inf in a block raises ValueError.
+    On a free grid the Hamiltonian also commutes with the spin flip
+    m_x -> 2S - m_x, which maps sector n onto sector N - n: above the
+    gate, a sector past the middle copies the eigenvalues of its
+    conjugate, and the self-conjugate middle sector splits into the four
+    blocks of reflection and flip.  The pinned chain's boundary field
+    breaks both the total spin and the flip, so it solves every sector
+    as two parity blocks.  `check_finite` stays on, so a NaN or inf in a
+    block raises ValueError.
 
     Raises ResourceLimitError, before any basis is enumerated, when the
     total Hilbert dimension exceeds `DEFAULT_DIM_CAP` or any single
@@ -164,6 +180,8 @@ def full_spectrum(
     sectors = range(top + 1)
     require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
     flip_symmetric = variant == "free"
+    free_chain = flip_symmetric and lattice.dimension == 1
+    multiplets, bond_matrices = {}, {}  # highest-weight eigenvalues and bond matrices, this call only
     sector_eigs = []
     for n in sectors:
         if sector_dimension(lattice.nsites, n, spin.two_s) <= WHOLE_SECTOR_MAX:
@@ -173,6 +191,14 @@ def full_spectrum(
             # the eigenvalues ascending
             sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
             del h  # free the block before the next one is built
+        elif free_chain:
+            held = range(min(n, top - n) + 1)  # sector n holds every J >= |S*sites - n|
+            for m in held:
+                if m not in multiplets:
+                    block = _highest_weight_block(lattice.nsites, spin.two_s, m, bond_matrices)
+                    multiplets[m] = sla.eigvalsh(block, overwrite_a=True)
+                    del block  # free this block before the next one is built
+            sector_eigs.append(np.sort(np.concatenate([multiplets[m] for m in held])))
         elif flip_symmetric and 2 * n > top:
             # a copy, so that no two sectors share one array
             sector_eigs.append(sector_eigs[top - n].copy())
@@ -238,6 +264,138 @@ def _symmetry_block_eigenvalues(op, maps) -> np.ndarray:
         eigs.append(sla.eigvalsh(block, overwrite_a=True))
         del block  # free this block before the next one is built
     return np.sort(np.concatenate(eigs))
+
+
+def _six_j(a, b, c, d, e, f) -> float:
+    """Wigner 6j symbol {a b c; d e f} of doubled spins (each argument is
+    2j), by Racah's formula in exact integers; 0 when a triad
+    (a b c), (a e f), (d b f), (d e c) breaks the triangle rule.
+
+    Each term of Racah's sum times P = prod (t_max - alpha_i)!
+    prod (beta_j - t_min)! is an integer, so the sum is N/P with N exact,
+    and the symbol is sign(N) sqrt(N^2 Delta^2 / P^2), Delta^2 the
+    product of the four triangle coefficients as one integer ratio:
+    one rounding for the division and one for the root."""
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    num = den = 1
+    for x, y, z in triads:
+        if (x + y + z) % 2 or x > y + z or y > x + z or z > x + y:
+            return 0.0
+        num *= (math.factorial((x + y - z) // 2) * math.factorial((x - y + z) // 2)
+                * math.factorial((y + z - x) // 2))
+        den *= math.factorial((x + y + z) // 2 + 1)
+    alphas = [sum(triad) // 2 for triad in triads]
+    betas = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
+    lo, hi = max(alphas), min(betas)
+    scale = math.prod(math.factorial(hi - x) for x in alphas)
+    scale *= math.prod(math.factorial(y - lo) for y in betas)
+    total = 0
+    for t in range(lo, hi + 1):
+        term = math.factorial(t + 1)
+        for x in alphas:
+            term *= math.factorial(hi - x) // math.factorial(t - x)
+        for y in betas:
+            term *= math.factorial(y - lo) // math.factorial(y - t)
+        total += -term if t % 2 else term
+    return math.copysign(math.sqrt(total * total * num / (scale * scale * den)), total)
+
+
+def _bond_matrix(a, c, two_s) -> np.ndarray:
+    """S^2 - S_k.S_{k+1} on the coupling paths through 2J_{k-1} = a and
+    2J_{k+1} = c, the bond's only other quantum numbers: row i holds
+    2J_k = a - 2S + 2i, i = 0..2S, and a row whose J_k is not allowed is
+    zero.  Recoupling J_{k-1} (x) (s_k (x) s_{k+1} -> K) gives
+    S^2 - sum_K U U' (K(K+1) - 2S(S+1))/2 with
+    U = sqrt((2b+1)(2K+1)) {a S b; S c K}; the recoupling phase
+    (-1)^(a+2S+c) is the same for every b and K, so it cancels.  The
+    average with its transpose makes the matrix bitwise symmetric."""
+    ks = np.arange(0, 2 * two_s + 1, 2)  # 2K of the pair: K = 0..2S
+    # S^2 - (K(K+1) - 2S(S+1))/2, in doubled spins
+    mu = (4 * two_s * two_s + 4 * two_s - ks * (ks + 2)) / 8
+    u = np.zeros((two_s + 1, len(ks)))
+    for b in range(abs(a - two_s), a + two_s + 1, 2):
+        for col, k in enumerate(ks.tolist()):
+            u[(b - a + two_s) // 2, col] = (
+                math.sqrt((b + 1) * (k + 1)) * _six_j(a, two_s, b, two_s, c, k))
+    m = (u * mu) @ u.T
+    return (m + m.T) / 2
+
+
+def _completion_counts(nsites, two_s, two_j):
+    """(follows, count) of the sequential-coupling paths of `nsites`
+    spins S = two_s/2 to total spin two_j/2, in doubled spins.
+
+    A path is (2J_0, 2J_1, ..., 2J_nsites) with J_0 = 0, each J_k in
+    |J_{k-1} - S| .. J_{k-1} + S (so J_1 = S) and J_nsites = two_j/2:
+    `follows[a, b]` is that triangle rule (a, 2S, b), and `count[k, j]`
+    is the number of ways to finish a path that holds 2J_k = j, so
+    count[0, 0] is the number of paths, the multiplicity of total spin
+    two_j/2.  Nothing is enumerated."""
+    top = two_s * nsites
+    j = np.arange(top + 1)
+    gap = np.abs(j[:, None] - j[None, :])
+    follows = (gap <= two_s) & (two_s <= j[:, None] + j[None, :]) & (gap % 2 == two_s % 2)
+    count = np.zeros((nsites + 1, top + 1), dtype=np.int64)
+    count[nsites, two_j] = 1
+    for k in range(nsites - 1, -1, -1):
+        count[k] = follows.astype(np.int64) @ count[k + 1]
+    return follows, count
+
+
+def _coupling_paths(nsites, two_s, two_j):
+    """The sequential-coupling paths of `_completion_counts`, one row
+    (2J_0, ..., 2J_nsites) each, ascending lexicographically, and their
+    ranking table.  `offset[k, a, b]` adds up the counts of the values
+    below b that may follow 2J_{k-1} = a, so the rank of a path is
+    sum_k offset[k, J_{k-1}, J_k]: like `basis._key_weights`, a row's
+    index comes from its entries alone.  Returns (paths, offset, follows).
+    """
+    follows, count = _completion_counts(nsites, two_s, two_j)
+    weights = follows[None] * count[:, None, :]
+    offset = np.cumsum(weights, axis=2) - weights
+    paths = np.zeros((1, 1), dtype=np.int64)
+    for k in range(1, nsites + 1):
+        # np.nonzero walks row-major: parents ascending, children ascending in each
+        parent, child = np.nonzero(follows[paths[:, -1]] & (count[k] > 0))
+        paths = np.column_stack([paths[parent], child])
+    return paths, offset, follows
+
+
+def _highest_weight_block(nsites, two_s, n, bond_matrices) -> np.ndarray:
+    """Dense free-chain Hamiltonian, in Fortran order, on the
+    highest-weight states of total spin J = S*nsites - n: the
+    `_coupling_paths` to J, which number sector_dimension(n) -
+    sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, by the
+    `_bond_matrix` of (2J_{k-1}, 2J_{k+1}); `bond_matrices` caches those
+    by that pair for the caller.  Every hop target of a bond comes out
+    of one numpy batch per new J_k, from the ranking table, and the
+    block is summed from them by one `np.bincount`."""
+    paths, offset, follows = _coupling_paths(nsites, two_s, two_s * nsites - 2 * n)
+    dim = len(paths)
+    side = two_s * nsites + 1
+    # table[a, c] = the bond matrix of (2J_{k-1}, 2J_{k+1}) = (a, c), for every pair a bond meets
+    table = np.zeros((side, side, two_s + 1, two_s + 1))
+    for pair in np.unique(paths[:, :-2] * side + paths[:, 2:]).tolist():
+        key = divmod(pair, side)
+        if key not in bond_matrices:
+            bond_matrices[key] = _bond_matrix(*key, two_s)
+        table[key] = bond_matrices[key]
+    rows = np.arange(dim)
+    flat, values = [], []
+    for k in range(1, nsites):
+        a, b, c = paths[:, k - 1], paths[:, k], paths[:, k + 1]
+        rest = rows - offset[k, a, b] - offset[k + 1, b, c]  # rank without J_k's terms
+        for i in range(two_s + 1):
+            new = a - two_s + 2 * i  # the new 2J_k
+            ok = new >= 0
+            ok[ok] = follows[a[ok], new[ok]] & follows[new[ok], c[ok]]
+            a_, new_, c_ = a[ok], new[ok], c[ok]
+            target = rest[ok] + offset[k, a_, new_] + offset[k + 1, new_, c_]
+            flat.append(target * dim + rows[ok])
+            values.append(table[a_, c_, (b[ok] - a_ + two_s) // 2, i])
+    h = np.bincount(np.concatenate(flat), np.concatenate(values), minlength=dim * dim)
+    # h[t*dim + r] is H[r, t], so the C-order array is H^T and its transpose H in Fortran order
+    return h.reshape(dim, dim).T
 
 
 def _logsumexp(a):

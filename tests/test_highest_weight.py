@@ -1,0 +1,138 @@
+"""The free chain's highest-weight blocks, which `full_spectrum` solves
+for every free-chain sector above `WHOLE_SECTOR_MAX`: Racah's 6j symbols,
+the coupling paths and their ranking, and each block's Hamiltonian.  The
+sector spectra the blocks give are checked against the whole solve in
+`test_spectra.test_parity_blocks_match_the_whole_sector_solve` and the
+tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from magnonlab import spectra
+from magnonlab.basis import SpinLattice, SpinMagnitude, sector_dimension
+from magnonlab.spectra import (
+    _completion_counts,
+    _coupling_paths,
+    _highest_weight_block,
+    _six_j,
+    full_spectrum,
+)
+
+
+def allowed(a, two_s, c):
+    """Doubled J_k between 2J_{k-1} = a and 2J_{k+1} = c."""
+    return [b for b in range(abs(a - two_s), a + two_s + 1, 2) if abs(b - two_s) <= c <= b + two_s]
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+def test_six_j_symbols_are_orthogonal(two_s):
+    # sum_K (2K+1)(2b+1) {a S b; S c K}{a S b'; S c K} = delta_bb'
+    for a in range(0, 13):
+        for c in range(max(a - 2 * two_s, (a + 2 * two_s) % 2), a + 2 * two_s + 1, 2):
+            bs = allowed(a, two_s, c)
+            for b, b2 in itertools.product(bs, repeat=2):
+                total = sum(
+                    (k + 1) * (b + 1) * _six_j(a, two_s, b, two_s, c, k) * _six_j(a, two_s, b2, two_s, c, k)
+                    for k in range(0, 2 * two_s + 1, 2)
+                )
+                assert abs(total - (b == b2)) <= 1e-14, (a, b, b2, c)
+
+
+def test_six_j_is_zero_off_the_triangle_rule():
+    assert _six_j(1, 1, 4, 1, 1, 0) == 0.0  # (1/2, 1/2, 2) is no triad
+    assert _six_j(1, 1, 1, 1, 1, 1) == 0.0  # 1/2 + 1/2 + 1/2 is not an integer
+    assert _six_j(2, 2, 2, 2, 2, 6) == 0.0  # (1, 1, 3) is no triad
+
+
+def test_six_j_matches_sympy():
+    wigner = pytest.importorskip("sympy.physics.wigner")
+    from sympy import Rational
+
+    rng = np.random.default_rng(6)
+    checked = 0
+    while checked < 60:
+        args = rng.integers(0, 13, 6).tolist()
+        ours = _six_j(*args)
+        if ours == 0.0:
+            continue
+        reference = float(wigner.wigner_6j(*(Rational(x, 2) for x in args)))
+        assert abs(ours - reference) <= 4.5e-16 * abs(reference), args
+        checked += 1
+    assert _six_j(1, 1, 2, 1, 1, 0) == 0.5
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+@pytest.mark.parametrize("ell", range(2, 17))
+def test_path_counts_are_the_multiplicities(ell, two_s):
+    # counting only: chain 16 at 2S = 4 has 5^16 states
+    top = two_s * ell
+    states = 0
+    for two_j in range(top % 2, top + 1, 2):
+        n = (top - two_j) // 2
+        _, count = _completion_counts(ell, two_s, two_j)
+        dim = int(count[0, 0])
+        assert dim == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), two_j
+        states += (two_j + 1) * dim
+    assert states == (two_s + 1) ** ell
+
+
+@pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
+                         + [(ell, 3) for ell in range(2, 6)])
+def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
+    top = two_s * ell
+    for two_j in range(top % 2, top + 1, 2):
+        paths, offset, follows = _coupling_paths(ell, two_s, two_j)
+        assert len(paths) == _completion_counts(ell, two_s, two_j)[1][0, 0]
+        assert np.all(paths[:, 0] == 0) and np.all(paths[:, -1] == two_j)
+        assert np.all(follows[paths[:, :-1], paths[:, 1:]])
+        rows = [tuple(p) for p in paths.tolist()]
+        assert rows == sorted(set(rows))  # strictly ascending
+        ranks = sum(offset[k, paths[:, k - 1], paths[:, k]] for k in range(1, ell + 1))
+        assert np.array_equal(ranks, np.arange(len(paths)))
+
+
+@pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
+                         + [(ell, 3) for ell in range(2, 6)] + [(ell, 4) for ell in range(2, 5)])
+def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two_s):
+    # a recoupling phase that depends on J_k or K would break the symmetry
+    bond_matrices = {}
+    for n in range(two_s * ell // 2 + 1):
+        h = _highest_weight_block(ell, two_s, n, bond_matrices)
+        assert len(h) == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)
+        assert h.flags.f_contiguous
+        assert np.array_equal(h, h.T), n
+
+
+def test_each_block_is_solved_once_per_call(monkeypatch):
+    lattice, spin = SpinLattice.chain(8), SpinMagnitude(1)
+    built = []
+    exact = spectra._highest_weight_block
+
+    def recorded(nsites, two_s, n, bond_matrices):
+        built.append(n)
+        return exact(nsites, two_s, n, bond_matrices)
+
+    monkeypatch.setattr(spectra, "_highest_weight_block", recorded)
+    monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
+    full_spectrum(lattice, spin)
+    assert built == [0, 1, 2, 3, 4]
+    full_spectrum(lattice, spin)  # nothing is kept across calls
+    assert built == [0, 1, 2, 3, 4] * 2
+
+
+def test_a_nan_in_a_highest_weight_block_raises(monkeypatch):
+    exact = spectra._highest_weight_block
+
+    def spoiled(nsites, two_s, n, bond_matrices):
+        h = exact(nsites, two_s, n, bond_matrices)
+        if n == 2:
+            h[1, 1] = np.nan
+        return h
+
+    monkeypatch.setattr(spectra, "_highest_weight_block", spoiled)
+    monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        full_spectrum(SpinLattice.chain(6), SpinMagnitude(1))

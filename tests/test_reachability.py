@@ -6,8 +6,8 @@ One interpreter runs, under `sys.setprofile`, these commands through
 of `bench/references.json["cli-readme"]`, which is only read), an
 exact-ED `budget`, one `free-energy` each with `--format json`,
 `--plot-script` and `--config`, one of chain 14 (whose sectors above
-`spectra.WHOLE_SECTOR_MAX` are split into symmetry blocks, or copied
-from their spin-flip conjugates), and every suite on `--grid quick`.  Each frame whose code lives in the package is
+`spectra.WHOLE_SECTOR_MAX` come from the free chain's highest-weight
+blocks), and every suite on `--grid quick`.  Each frame whose code lives in the package is
 matched to a `def` that `ast` finds there, methods and nested functions
 included, by file, first line and name; that needs no `co_qualname`, so
 it runs on Python 3.10 too.

@@ -713,10 +713,11 @@ def _whole_sector_spectra(lattice, spin, variant):
 
 SPLIT_CASES = [
     (SpinLattice.chain(ell), two_s, variant)
-    for two_s, longest in ((1, 10), (2, 8))
+    for two_s, longest in ((1, 10), (2, 8), (3, 6))
     for ell in range(2, longest + 1)
     for variant in ("free", "dirichlet")
-] + [(SpinLattice.square(3), 1, "free")]
+] + [(SpinLattice.square(2), 1, "free"), (SpinLattice.square(2), 2, "free"),
+     (SpinLattice.square(3), 1, "free")]
 
 
 @pytest.mark.parametrize("lattice,two_s,variant", SPLIT_CASES, ids=lattice_id)
@@ -734,11 +735,18 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
     split = full_spectrum(lattice, spin, variant).sector_eigenvalues
     top = two_s * lattice.nsites
-    # an even and an odd block per sector; on the free lattice none past
-    # the middle, which copies its conjugate, and the four blocks of
-    # reflection and flip at a self-conjugate middle
-    counts = [2 if variant == "dirichlet" or 2 * n < top else 4 if 2 * n == top else 0
-              for n in range(top + 1)]
+    free_chain = variant == "free" and lattice.dimension == 1
+    # on the free chain, sector n up to the middle solves its one new
+    # highest-weight block, of total spin S*sites - n, and the sectors
+    # past the middle reuse them; elsewhere an even and an odd block per
+    # sector, except on a free grid, where a sector past the middle copies
+    # its conjugate and a self-conjugate middle splits four ways by
+    # reflection and flip
+    if free_chain:
+        counts = [1 if 2 * n <= top else 0 for n in range(top + 1)]
+    else:
+        counts = [2 if variant == "dirichlet" or 2 * n < top else 4 if 2 * n == top else 0
+                  for n in range(top + 1)]
     assert len(sizes) == sum(counts)
     ends = np.cumsum(counts)
     for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
@@ -746,6 +754,10 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
         np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
         blocks = sizes[ends[n] - counts[n] : ends[n]]
         if not blocks:
+            continue
+        if free_chain:
+            ell = lattice.nsites
+            assert blocks == [sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)], n
             continue
         states = enumerate_sector_basis(lattice, spin, n).states
         fixed = [len(states), int(np.all(states == states[:, ::-1], axis=1).sum())]
@@ -778,7 +790,7 @@ def _record_solve_sizes(monkeypatch):
 def test_chain_14_builds_no_block_above_the_even_block_of_sector_6(monkeypatch):
     import tracemalloc
 
-    even_block_bytes = 8 * 1519**2  # chain 14, S=1/2, n=6: 1484 two-state orbits + 35 palindromes
+    largest_block_bytes = 8 * 1001**2  # sector 4 whole, and the blocks of spin 2 and 1
     sizes = _record_solve_sizes(monkeypatch)
     tracemalloc.start()
     try:
@@ -786,13 +798,14 @@ def test_chain_14_builds_no_block_above_the_even_block_of_sector_6(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # sectors 0..4 and 10..14 whole, 5 and 6 as parity blocks, 7 as the
-    # four blocks of reflection and flip; 8 and 9 copy 6 and 5
-    assert sizes == [1, 14, 91, 364, 1001, 1001, 1001, 1519, 1484, 890, 826, 826, 890,
+    # sectors 0..4 and 10..14 whole; sector 5 solves the highest-weight
+    # blocks of spin 7..2, 6 the block of spin 1 and 7 the block of spin
+    # 0, and 8 and 9 reuse the blocks of 6 and 5
+    assert sizes == [1, 14, 91, 364, 1001, 1, 13, 77, 273, 637, 1001, 1001, 429,
                      1001, 364, 91, 14, 1]
-    # neither the 3432-state middle sector nor its 1716-state parity
-    # block is built
-    assert peak <= 1.5 * even_block_bytes
+    # neither the 3432-state middle sector nor any of its symmetry blocks
+    # is built
+    assert peak <= 1.5 * largest_block_bytes
 
 
 FLIP_CASES = (
@@ -829,10 +842,12 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
         assert not np.allclose(eigs[n], eigs[top - n], rtol=0, atol=1e-8), n
 
 
-@pytest.mark.parametrize("variant,solves", [("dirichlet", 10 + 2 * 4), ("free", 10 + 2 * 2)])
+@pytest.mark.parametrize("variant,solves", [("dirichlet", 10 + 2 * 4), ("free", 10 + 6 + 1)])
 def test_chain_13_reuses_conjugate_sectors_only_on_the_free_chain(monkeypatch, variant, solves):
-    # sectors 0..4 and 9..13 are solved whole and 5..8 as parity blocks;
-    # on the free chain 7 and 8 copy 6 and 5
+    # sectors 0..4 and 9..13 are solved whole; on the pinned chain 5..8 as
+    # parity blocks, and on the free chain 5 solves the highest-weight
+    # blocks of spin 13/2..3/2, 6 the block of spin 1/2, and 7 and 8
+    # reuse the blocks of 6 and 5
     calls = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), variant)
     assert len(calls) == solves
@@ -845,6 +860,7 @@ def test_chain_13_reuses_conjugate_sectors_only_on_the_free_chain(monkeypatch, v
     "lattice,two_s",
     [(SpinLattice.chain(ell), 1) for ell in range(2, 7)]
     + [(SpinLattice.chain(ell), 2) for ell in range(2, 5)]
+    + [(SpinLattice.chain(ell), 3) for ell in range(2, 4)]
     + [(SpinLattice.square(2), 1), (SpinLattice.square(2), 2)],
     ids=lattice_id,
 )
