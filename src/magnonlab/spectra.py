@@ -20,16 +20,17 @@ Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` solves a sector of at most `WHOLE_SECTOR_MAX`
 states whole, in its own storage.  Above that, a free chain's sector is
 the union of the highest-weight blocks of the total spins it holds, each
-block built on sequential-coupling paths from Racah's 6j symbols and
 solved once per call, so a (2J+1)-fold multiplet is no longer solved
-2J+1 times: free chain 14 at S=1/2 costs about 40% of its
-symmetry-block solve.  Any other large sector splits into the
-two blocks of the reflection that reverses the site order (the mirror
-of the pinned chain, the point reflection of a row-major grid); on a
-free grid the spin flip maps sector n onto sector 2S*sites - n, so a
-large sector past the middle copies its conjugate's eigenvalues and the
-middle sector splits into four blocks, of reflection and flip.  Every
-way, one dense block is held at a time.
+2J+1 times.  A block's basis is its sequential-coupling paths, written
+as their steps: the occupation vectors of one magnon sector that obey
+the triangle rule, ranked by the same key lookup as every sector basis,
+and its bonds come from Racah's 6j symbols.  Any other large sector
+splits into the two blocks of the reflection that reverses the site
+order (the mirror of the pinned chain, the point reflection of a
+row-major grid); on a free grid the spin flip maps sector n onto sector
+2S*sites - n, so a large sector past the middle copies its conjugate's
+eigenvalues and the middle sector splits into four blocks, of
+reflection and flip.  Every way, one dense block is held at a time.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -148,9 +149,10 @@ def full_spectrum(
     sector n holds one highest-weight state of each multiplet of total
     spin J >= |S*sites - n|.  Its eigenvalues are the sorted union of the
     blocks n' = 0..min(n, N - n), N = 2S*sites, the block n' holding the
-    highest-weight states of J = S*sites - n' (`_highest_weight_block`).
-    Each block is built and solved once per call, and the 6j bond
-    matrices are shared by all of them, in dicts that die with the call.
+    highest-weight states of J = S*sites - n' (`_highest_weight_block`),
+    on the basis of the coupling paths to J (`_coupling_basis`).  Each
+    block is built and solved once per call, and the 6j bond matrices
+    are shared by all of them, in dicts that die with the call.
 
     A larger sector of any other lattice or variant is solved as the
     blocks of its symmetries (`_symmetry_block_eigenvalues`): the two
@@ -255,11 +257,8 @@ def _symmetry_block_eigenvalues(op, maps) -> np.ndarray:
         orbit = (np.cumsum(first) - 1)[lowest]
         q = sign[op.rows] * sign[op.cols]
         kept = q != 0
-        block = np.zeros((k, k), order="F")
-        np.add.at(
-            block,
-            (orbit[op.rows[kept]], orbit[op.cols[kept]]),
-            op.vals[kept] * q[kept] / np.sqrt(size[kept]),
+        block = _dense_block(
+            orbit[op.rows[kept]], orbit[op.cols[kept]], op.vals[kept] * q[kept] / np.sqrt(size[kept]), k,
         )
         eigs.append(sla.eigvalsh(block, overwrite_a=True))
         del block  # free this block before the next one is built
@@ -321,57 +320,36 @@ def _bond_matrix(a, c, two_s) -> np.ndarray:
     return (m + m.T) / 2
 
 
-def _completion_counts(nsites, two_s, two_j):
-    """(follows, count) of the sequential-coupling paths of `nsites`
-    spins S = two_s/2 to total spin two_j/2, in doubled spins.
+def _coupling_basis(nsites, two_s, n):
+    """The sequential-coupling paths of `nsites` spins S = two_s/2 to
+    total spin J = S*nsites - n, as (basis, paths).
 
-    A path is (2J_0, 2J_1, ..., 2J_nsites) with J_0 = 0, each J_k in
-    |J_{k-1} - S| .. J_{k-1} + S (so J_1 = S) and J_nsites = two_j/2:
-    `follows[a, b]` is that triangle rule (a, 2S, b), and `count[k, j]`
-    is the number of ways to finish a path that holds 2J_k = j, so
-    count[0, 0] is the number of paths, the multiplicity of total spin
-    two_j/2.  Nothing is enumerated."""
-    top = two_s * nsites
-    j = np.arange(top + 1)
-    gap = np.abs(j[:, None] - j[None, :])
-    follows = (gap <= two_s) & (two_s <= j[:, None] + j[None, :]) & (gap % 2 == two_s % 2)
-    count = np.zeros((nsites + 1, top + 1), dtype=np.int64)
-    count[nsites, two_j] = 1
-    for k in range(nsites - 1, -1, -1):
-        count[k] = follows.astype(np.int64) @ count[k + 1]
-    return follows, count
-
-
-def _coupling_paths(nsites, two_s, two_j):
-    """The sequential-coupling paths of `_completion_counts`, one row
-    (2J_0, ..., 2J_nsites) each, ascending lexicographically, and their
-    ranking table.  `offset[k, a, b]` adds up the counts of the values
-    below b that may follow 2J_{k-1} = a, so the rank of a path is
-    sum_k offset[k, J_{k-1}, J_k]: like `basis._key_weights`, a row's
-    index comes from its entries alone.  Returns (paths, offset, follows).
-    """
-    follows, count = _completion_counts(nsites, two_s, two_j)
-    weights = follows[None] * count[:, None, :]
-    offset = np.cumsum(weights, axis=2) - weights
-    paths = np.zeros((1, 1), dtype=np.int64)
-    for k in range(1, nsites + 1):
-        # np.nonzero walks row-major: parents ascending, children ascending in each
-        parent, child = np.nonzero(follows[paths[:, -1]] & (count[k] > 0))
-        paths = np.column_stack([paths[parent], child])
-    return paths, offset, follows
+    A path (2J_0, ..., 2J_nsites), in doubled spins, has J_0 = 0 and each
+    J_k in |J_{k-1} - S| .. J_{k-1} + S.  Its steps d_k = J_k - J_{k-1} + S
+    lie in 0..2S and add up to 2S*nsites - n, so they are the occupation
+    vectors of that magnon sector whose partial sums keep
+    J_{k-1} + J_k >= S, in the same lexicographic order as the paths.
+    `basis` is the `MagnonSectorBasis` of those step vectors, and row i
+    of `paths` is the path of its row i."""
+    sector = enumerate_sector_basis(SpinLattice.chain(nsites), SpinMagnitude(two_s), two_s * nsites - n)
+    paths = np.zeros((sector.dim, nsites + 1), dtype=np.int64)
+    np.cumsum(2 * sector.states - two_s, axis=1, out=paths[:, 1:])
+    kept = np.all(paths[:, :-1] + paths[:, 1:] >= two_s, axis=1)
+    basis = MagnonSectorBasis(sector.lattice, sector.spin, sector.n, True, sector.states[kept])
+    return basis, paths[kept]
 
 
 def _highest_weight_block(nsites, two_s, n, bond_matrices) -> np.ndarray:
     """Dense free-chain Hamiltonian, in Fortran order, on the
-    highest-weight states of total spin J = S*nsites - n: the
-    `_coupling_paths` to J, which number sector_dimension(n) -
+    highest-weight states of total spin J = S*nsites - n: the paths of
+    `_coupling_basis`, which number sector_dimension(n) -
     sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, by the
     `_bond_matrix` of (2J_{k-1}, 2J_{k+1}); `bond_matrices` caches those
-    by that pair for the caller.  Every hop target of a bond comes out
-    of one numpy batch per new J_k, from the ranking table, and the
-    block is summed from them by one `np.bincount`."""
-    paths, offset, follows = _coupling_paths(nsites, two_s, two_s * nsites - 2 * n)
-    dim = len(paths)
+    by that pair for the caller.  Moving J_k to the bond matrix's value i
+    sets step k to i and step k+1 to the rest of their sum, so every hop
+    target of a bond comes out of one `state_index` batch."""
+    basis, paths = _coupling_basis(nsites, two_s, n)
+    steps = basis.states
     side = two_s * nsites + 1
     # table[a, c] = the bond matrix of (2J_{k-1}, 2J_{k+1}) = (a, c), for every pair a bond meets
     table = np.zeros((side, side, two_s + 1, two_s + 1))
@@ -380,22 +358,30 @@ def _highest_weight_block(nsites, two_s, n, bond_matrices) -> np.ndarray:
         if key not in bond_matrices:
             bond_matrices[key] = _bond_matrix(*key, two_s)
         table[key] = bond_matrices[key]
-    rows = np.arange(dim)
-    flat, values = [], []
+    sources, targets, values = [], [], []
+    moves = np.arange(two_s + 1)[:, None]  # step k after the move, one row per value
     for k in range(1, nsites):
-        a, b, c = paths[:, k - 1], paths[:, k], paths[:, k + 1]
-        rest = rows - offset[k, a, b] - offset[k + 1, b, c]  # rank without J_k's terms
-        for i in range(two_s + 1):
-            new = a - two_s + 2 * i  # the new 2J_k
-            ok = new >= 0
-            ok[ok] = follows[a[ok], new[ok]] & follows[new[ok], c[ok]]
-            a_, new_, c_ = a[ok], new[ok], c[ok]
-            target = rest[ok] + offset[k, a_, new_] + offset[k + 1, new_, c_]
-            flat.append(target * dim + rows[ok])
-            values.append(table[a_, c_, (b[ok] - a_ + two_s) // 2, i])
-    h = np.bincount(np.concatenate(flat), np.concatenate(values), minlength=dim * dim)
-    # h[t*dim + r] is H[r, t], so the C-order array is H^T and its transpose H in Fortran order
-    return h.reshape(dim, dim).T
+        a, c = paths[:, k - 1], paths[:, k + 1]
+        new, rest = a - two_s + 2 * moves, steps[:, k - 1] + steps[:, k] - moves  # the new 2J_k and step k+1
+        # np.nonzero walks row-major, each new step k in turn and its rows
+        # ascending: the triplet order, and so the rounding, of a loop over i
+        i, row = np.nonzero((a + new >= two_s) & (new + c >= two_s) & (rest >= 0) & (rest <= two_s))
+        moved = steps[row]
+        moved[:, k - 1], moved[:, k] = i, rest[i, row]
+        sources.append(row)
+        targets.append(basis.state_index(moved))
+        values.append(table[a[row], c[row], steps[row, k - 1], i])
+    return _dense_block(np.concatenate(sources), np.concatenate(targets), np.concatenate(values), basis.dim)
+
+
+def _dense_block(rows, cols, vals, dim) -> np.ndarray:
+    """The dim x dim matrix, in Fortran order, whose entry (i, j) is the
+    sum of the values of the triplets (rows, cols, vals) at (i, j), added
+    to 0.0 in triplet order."""
+    # entry t = j*dim + i of the sum is M[i, j], so its C-order reshape is
+    # M^T; with no triplets np.bincount returns integers, hence the cast
+    flat = np.bincount(cols * dim + rows, vals, minlength=dim * dim).astype(np.float64, copy=False)
+    return flat.reshape(dim, dim).T
 
 
 def _logsumexp(a):

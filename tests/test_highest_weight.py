@@ -1,9 +1,9 @@
 """The free chain's highest-weight blocks, which `full_spectrum` solves
 for every free-chain sector above `WHOLE_SECTOR_MAX`: Racah's 6j symbols,
-the coupling paths and their ranking, and each block's Hamiltonian.  The
-sector spectra the blocks give are checked against the whole solve in
-`test_spectra.test_parity_blocks_match_the_whole_sector_solve` and the
-tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
+the coupling paths as the rows of a magnon-sector basis, and each block's
+Hamiltonian.  The sector spectra the blocks give are checked against the
+whole solve in `test_spectra.test_parity_blocks_match_the_whole_sector_solve`
+and the tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
 """
 
 import itertools
@@ -14,8 +14,7 @@ import pytest
 from magnonlab import spectra
 from magnonlab.basis import SpinLattice, SpinMagnitude, sector_dimension
 from magnonlab.spectra import (
-    _completion_counts,
-    _coupling_paths,
+    _coupling_basis,
     _highest_weight_block,
     _six_j,
     full_spectrum,
@@ -64,34 +63,52 @@ def test_six_j_matches_sympy():
     assert _six_j(1, 1, 2, 1, 1, 0) == 0.5
 
 
+def coupling_paths(ell, two_s, two_j):
+    """Every path (0, 2J_1, ..., 2J_ell = two_j), J_k in |J_{k-1} - S| ..
+    J_{k-1} + S, by recursion, which grows them in ascending order."""
+    def grow(path):
+        if len(path) == ell + 1:
+            if path[-1] == two_j:
+                yield list(path)
+            return
+        for b in range(abs(path[-1] - two_s), path[-1] + two_s + 1, 2):
+            yield from grow(path + (b,))
+
+    return list(grow((0,)))
+
+
+# The largest coupling sector the count enumerates: chain 8 at 2S = 4 has
+# a middle sector of 38165 states, and chains 16, 11, 9 and 8 at 2S = 1..4
+# are the longest whose middle sectors fit.
+COUNTED = 40_000
+
+
 @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
 @pytest.mark.parametrize("ell", range(2, 17))
 def test_path_counts_are_the_multiplicities(ell, two_s):
-    # counting only: chain 16 at 2S = 4 has 5^16 states
+    # on a longer chain only the blocks of sectors up to COUNTED states
+    # are counted, and the sum over every spin is left out
     top = two_s * ell
     states = 0
-    for two_j in range(top % 2, top + 1, 2):
-        n = (top - two_j) // 2
-        _, count = _completion_counts(ell, two_s, two_j)
-        dim = int(count[0, 0])
-        assert dim == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), two_j
-        states += (two_j + 1) * dim
-    assert states == (two_s + 1) ** ell
+    for n in range(top // 2 + 1):
+        if sector_dimension(ell, n, two_s) > COUNTED:
+            break
+        basis, _ = _coupling_basis(ell, two_s, n)
+        assert basis.dim == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), n
+        states += (top - 2 * n + 1) * basis.dim
+    else:
+        assert states == (two_s + 1) ** ell
 
 
 @pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
                          + [(ell, 3) for ell in range(2, 6)])
 def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
     top = two_s * ell
-    for two_j in range(top % 2, top + 1, 2):
-        paths, offset, follows = _coupling_paths(ell, two_s, two_j)
-        assert len(paths) == _completion_counts(ell, two_s, two_j)[1][0, 0]
-        assert np.all(paths[:, 0] == 0) and np.all(paths[:, -1] == two_j)
-        assert np.all(follows[paths[:, :-1], paths[:, 1:]])
-        rows = [tuple(p) for p in paths.tolist()]
-        assert rows == sorted(set(rows))  # strictly ascending
-        ranks = sum(offset[k, paths[:, k - 1], paths[:, k]] for k in range(1, ell + 1))
-        assert np.array_equal(ranks, np.arange(len(paths)))
+    for n in range(top // 2 + 1):
+        basis, paths = _coupling_basis(ell, two_s, n)
+        assert paths.tolist() == coupling_paths(ell, two_s, top - 2 * n), n
+        assert np.array_equal(2 * basis.states, np.diff(paths, axis=1) + two_s)
+        assert np.array_equal(basis.state_index(basis.states), np.arange(basis.dim))
 
 
 @pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]

@@ -150,7 +150,7 @@ def _oracle_gap(lat, spin):
     return float(ev[ev > 1e-10 * max(spec.scale, 1.0)].min())
 
 
-def test_sparse_gap_path_agrees_with_dense():
+def test_the_casimir_floor_stops_the_chain_8_gap_at_sector_2():
     # sector 2 (36 states) alone, where the Casimir floor stops the loop;
     # the middle sector has 1107 states
     lat, spin = SpinLattice.chain(8), SpinMagnitude(2)
@@ -843,7 +843,7 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
 
 
 @pytest.mark.parametrize("variant,solves", [("dirichlet", 10 + 2 * 4), ("free", 10 + 6 + 1)])
-def test_chain_13_reuses_conjugate_sectors_only_on_the_free_chain(monkeypatch, variant, solves):
+def test_chain_13_solve_counts_and_no_shared_sector_arrays(monkeypatch, variant, solves):
     # sectors 0..4 and 9..13 are solved whole; on the pinned chain 5..8 as
     # parity blocks, and on the free chain 5 solves the highest-weight
     # blocks of spin 13/2..3/2, 6 the block of spin 1/2, and 7 and 8
