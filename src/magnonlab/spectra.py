@@ -27,10 +27,7 @@ the triangle rule, ranked by the same key lookup as every sector basis,
 and its bonds come from Racah's 6j symbols.  Any other large sector
 splits into the two blocks of the reflection that reverses the site
 order (the mirror of the pinned chain, the point reflection of a
-row-major grid); on a free grid the spin flip maps sector n onto sector
-2S*sites - n, so a large sector past the middle copies its conjugate's
-eigenvalues and the middle sector splits into four blocks, of
-reflection and flip.  Every way, one dense block is held at a time.
+row-major grid).  Either way, one dense block is held at a time.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -43,7 +40,6 @@ machine spin against each other.
 from __future__ import annotations
 
 import ctypes
-import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -73,9 +69,8 @@ DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
 # `full_spectrum` solves a sector of at most this many states whole, so
 # that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is taken
-# from the highest-weight blocks on a free chain, and elsewhere split into
-# symmetry blocks or, on a free grid, copied from its spin-flip conjugate,
-# and its eigenvalues agree to rounding.
+# from the highest-weight blocks on a free chain, and elsewhere from the
+# two reflection-parity blocks, and its eigenvalues agree to rounding.
 # Bytes that pin the whole solve: chain 8 at 2S=2, n=8 (1107 states) in
 # test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
 # chain 12's 924-state sector in README `curves.csv`.  The gate goes
@@ -154,17 +149,13 @@ def full_spectrum(
     block is built and solved once per call, and the 6j bond matrices
     are shared by all of them, in dicts that die with the call.
 
-    A larger sector of any other lattice or variant is solved as the
-    blocks of its symmetries (`_symmetry_block_eigenvalues`): the two
-    reflection-parity blocks, so a sector at `DENSE_SECTOR_CAP` = 6000
-    states costs one block of about 3000 states (72 MB), not its 288 MB.
-    On a free grid the Hamiltonian also commutes with the spin flip
-    m_x -> 2S - m_x, which maps sector n onto sector N - n: above the
-    gate, a sector past the middle copies the eigenvalues of its
-    conjugate, and the self-conjugate middle sector splits into the four
-    blocks of reflection and flip.  The pinned chain's boundary field
-    breaks both the total spin and the flip, so it solves every sector
-    as two parity blocks.  `check_finite` stays on, so a NaN or inf in a
+    A larger sector of any other lattice or variant, the pinned chain
+    (whose boundary field breaks the total spin) and the free grid
+    alike, is solved as the two blocks of the reflection that reverses
+    the site order (`_parity_block_eigenvalues`), so a sector at
+    `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
+    (72 MB), not its 288 MB.  Every block goes through `lapack.eigh`,
+    which reads it with `np.asarray_chkfinite`, so a NaN or inf in a
     block raises ValueError.
 
     Raises ResourceLimitError, before any basis is enumerated, when the
@@ -181,8 +172,7 @@ def full_spectrum(
     top = spin.two_s * lattice.nsites
     sectors = range(top + 1)
     require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
-    flip_symmetric = variant == "free"
-    free_chain = flip_symmetric and lattice.dimension == 1
+    free_chain = variant == "free" and lattice.dimension == 1
     multiplets, bond_matrices = {}, {}  # highest-weight eigenvalues and bond matrices, this call only
     sector_eigs = []
     for n in sectors:
@@ -201,64 +191,45 @@ def full_spectrum(
                     multiplets[m] = sla.eigvalsh(block, overwrite_a=True)
                     del block  # free this block before the next one is built
             sector_eigs.append(np.sort(np.concatenate([multiplets[m] for m in held])))
-        elif flip_symmetric and 2 * n > top:
-            # a copy, so that no two sectors share one array
-            sector_eigs.append(sector_eigs[top - n].copy())
         else:
             basis = enumerate_sector_basis(lattice, spin, n)
-            maps = [basis.state_index(basis.states[:, ::-1])]
-            if flip_symmetric and 2 * n == top:
-                maps.append(basis.state_index(spin.two_s - basis.states))
-            op = _assemble_variant(basis, variant)
-            sector_eigs.append(_symmetry_block_eigenvalues(op, maps))
+            sector_eigs.append(_parity_block_eigenvalues(_assemble_variant(basis, variant)))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
-def _symmetry_block_eigenvalues(op, maps) -> np.ndarray:
-    """Eigenvalues, ascending, of the sector operator `op`, from its
-    blocks under the group G generated by `maps`: row maps of commuting
-    involutions, each a symmetry of `op`.  The reflection r that
-    reverses the site order commutes with every Hamiltonian
-    `_assemble_variant` builds (on a chain r is the mirror, which also
-    maps the pinned ends onto each other; on a row-major square grid it
-    is the point reflection), and the spin flip with the free one on a
-    self-conjugate sector.
+def _parity_block_eigenvalues(op) -> np.ndarray:
+    """Eigenvalues, ascending, of the sector operator `op`, from its even
+    and odd blocks under the reflection that reverses the site order,
+    found as a row map by lookup.  The reflection commutes with every
+    Hamiltonian `_assemble_variant` builds: on a chain it is the mirror,
+    which also maps the pinned ends onto each other, and on a row-major
+    square grid it is the point reflection.
 
-    Each character chi of G (one sign per generator, listed with the
-    first generator's sign varying slowest) has one block.  An orbit is
-    represented by its lowest row, and chi keeps it only if chi is 1 on
-    the orbit's stabilizer; the kept orbit's column has weight
-    chi(g)/sqrt(|orbit|) on each row g(rep).  Each triplet (i, j, v)
-    adds v q_i q_j / sqrt(|orbit i| |orbit j|), q = chi(g) the weight's
+    An orbit {i, mirror[i]} is represented by its lower row.  The even
+    block takes every orbit, with weight 1/sqrt(|orbit|) on each of its
+    rows; the odd block takes the two-row orbits, with weight +1/sqrt(2)
+    on the lower row and -1/sqrt(2) on the other.  Each triplet
+    (i, j, v) adds v q_i q_j / sqrt(|orbit i| |orbit j|), q the weight's
     sign, to the entry of the orbits of i and j; each block is filled
     straight in Fortran order and overwritten by LAPACK, and freed
-    before the next one is built.  With one generator these are the
-    even and odd parity blocks.
+    before the next one is built.
     """
-    rows = np.arange(op.basis.dim)
-    # images[e] = g_e(rows), where bit k of e says whether g_e applies maps[k]
-    images = [rows]
-    for m in maps:
-        images += [m[image] for image in images]
-    images = np.array(images)
-    lowest = images.min(axis=0)
-    stabilizer = images == rows
-    orbit_size = len(images) / stabilizer.sum(axis=0)
+    basis = op.basis
+    rows, mirror = np.arange(basis.dim), basis.state_index(basis.states[:, ::-1])
+    lower = np.minimum(rows, mirror)
+    orbit_size = 1 + (mirror != rows)
     size = orbit_size[op.rows] * orbit_size[op.cols]  # |orbit i| |orbit j| of each triplet
-    to_lowest = (images == lowest).argmax(axis=0)  # an element taking each row to its orbit's lowest
-    bits = (np.arange(len(images))[:, None] >> np.arange(len(maps))) & 1
     eigs = []
-    for signs in itertools.product((1, -1), repeat=len(maps)):
-        chi = np.prod(np.where(bits == 1, signs, 1), axis=1)
-        in_block = ~np.any(stabilizer & (chi[:, None] < 0), axis=0)
-        sign = np.where(in_block, chi[to_lowest], 0)
-        first = (lowest == rows) & in_block  # the lowest row of each orbit in the block
-        k = int(first.sum())
-        orbit = (np.cumsum(first) - 1)[lowest]
+    # the weight's sign on each row: 1 in the even block; in the odd one
+    # +1 on the lower row of a pair, -1 on the upper, 0 on a palindrome
+    for sign in (np.ones_like(rows), np.sign(mirror - rows)):
+        first = (lower == rows) & (sign != 0)  # the lower row of each orbit in the block
+        orbit = (np.cumsum(first) - 1)[lower]
         q = sign[op.rows] * sign[op.cols]
         kept = q != 0
         block = _dense_block(
-            orbit[op.rows[kept]], orbit[op.cols[kept]], op.vals[kept] * q[kept] / np.sqrt(size[kept]), k,
+            orbit[op.rows[kept]], orbit[op.cols[kept]], op.vals[kept] * q[kept] / np.sqrt(size[kept]),
+            int(first.sum()),
         )
         eigs.append(sla.eigvalsh(block, overwrite_a=True))
         del block  # free this block before the next one is built

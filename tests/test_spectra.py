@@ -697,7 +697,8 @@ def test_full_spectrum_holds_one_parity_block_above_the_gate():
     even_block_bytes = 8 * 868**2  # chain 13, S=1/2, n=6: 848 two-state orbits + 20 palindromes
     tracemalloc.start()
     try:
-        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1))
+        # the pinned chain: the free one takes highest-weight blocks instead
+        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -739,14 +740,8 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
     # on the free chain, sector n up to the middle solves its one new
     # highest-weight block, of total spin S*sites - n, and the sectors
     # past the middle reuse them; elsewhere an even and an odd block per
-    # sector, except on a free grid, where a sector past the middle copies
-    # its conjugate and a self-conjugate middle splits four ways by
-    # reflection and flip
-    if free_chain:
-        counts = [1 if 2 * n <= top else 0 for n in range(top + 1)]
-    else:
-        counts = [2 if variant == "dirichlet" or 2 * n < top else 4 if 2 * n == top else 0
-                  for n in range(top + 1)]
+    # sector
+    counts = [(1 if 2 * n <= top else 0) if free_chain else 2 for n in range(top + 1)]
     assert len(sizes) == sum(counts)
     ends = np.cumsum(counts)
     for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
@@ -760,18 +755,9 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
             assert blocks == [sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)], n
             continue
         states = enumerate_sector_basis(lattice, spin, n).states
-        fixed = [len(states), int(np.all(states == states[:, ::-1], axis=1).sum())]
-        if len(blocks) == 2:
-            even, odd = blocks
-            assert (even + odd, even - odd) == tuple(fixed), n
-        else:
-            # 1/4 sum_g chi(g) fix(g) over g = 1, R, F, RF, chi = (p, f)
-            flipped = two_s - states
-            fixed += [int(np.all(states == flipped, axis=1).sum()),
-                      int(np.all(states[:, ::-1] == flipped, axis=1).sum())]
-            expected = [(fixed[0] + p * fixed[1] + f * fixed[2] + p * f * fixed[3]) // 4
-                        for p in (1, -1) for f in (1, -1)]
-            assert blocks == expected, n
+        even, odd = blocks
+        palindromes = int(np.all(states == states[:, ::-1], axis=1).sum())
+        assert (even + odd, even - odd) == (len(states), palindromes), n
 
 
 def _record_solve_sizes(monkeypatch):
@@ -787,7 +773,7 @@ def _record_solve_sizes(monkeypatch):
     return sizes
 
 
-def test_chain_14_builds_no_block_above_the_even_block_of_sector_6(monkeypatch):
+def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
     import tracemalloc
 
     largest_block_bytes = 8 * 1001**2  # sector 4 whole, and the blocks of spin 2 and 1
@@ -817,8 +803,8 @@ FLIP_CASES = (
 
 @pytest.mark.parametrize("lattice,two_s", FLIP_CASES, ids=lattice_id)
 def test_the_spin_flip_maps_each_free_sector_onto_its_conjugate(lattice, two_s):
-    # full_spectrum copies sector n's eigenvalues into sector 2S*sites - n
-    # on this: the conjugate sector is the flipped one, in reversed order
+    # the conjugate sector is the flipped one, in reversed order, so a
+    # free sector and its conjugate have one spectrum
     spin = SpinMagnitude(two_s)
     top = two_s * lattice.nsites
     for n in range(top // 2 + 1):
@@ -902,6 +888,21 @@ def test_a_non_finite_sector_block_raises_from_full_spectrum(monkeypatch, bad):
     monkeypatch.setattr(spectra, "dense_sectors", spoiled)
     with pytest.raises(ValueError, match="infs or NaNs"):
         full_spectrum(SpinLattice.chain(4), SpinMagnitude(1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_parity_block_raises_from_full_spectrum(monkeypatch, bad):
+    exact = spectra._assemble_variant
+
+    def spoiled(basis, variant):
+        op = exact(basis, variant)
+        if basis.n == 6:  # pinned chain 13's 1716-state sector, solved as parity blocks
+            op.vals[0] = bad
+        return op
+
+    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
 
 
 def _forbid_enumeration(monkeypatch):
