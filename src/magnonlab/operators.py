@@ -5,9 +5,11 @@ Hamiltonian with its square-root-dressed hopping, the boundary-pinned
 variant, the free-boson hopping operator, the free-boundary Laplacian,
 the diagonal of the occupancy projector, and the total-spin Casimir.
 Matrices are collected as coordinate triplets, each (row, col) at most
-once; `to_dense` fills them straight into a dense block, and only
-`to_csr` (never called by a solver) imports `scipy.sparse`.  Every
-hopping operator comes from the one sector kernel `_hop_operator`.
+once.  `dense_block` is the one place where triplets become a dense
+matrix: `to_dense` and every block `spectra.full_spectrum` solves go
+through it, and only `to_csr` (never called by a solver) imports
+`scipy.sparse`.  Every hopping operator comes from the one sector
+kernel `_hop_operator`.
 """
 
 from __future__ import annotations
@@ -42,12 +44,22 @@ class HermitianOperator:
         ).tocsr()
 
     def to_dense(self) -> np.ndarray:
-        # the hop kernel emits each (row, col) at most once (the diagonal
-        # kept apart, one target per hop), so a plain fill equals
-        # `to_csr().toarray()`, whose summing of duplicates never acts
-        dense = np.zeros((self.dim, self.dim))
-        dense[self.rows, self.cols] = self.vals
-        return dense
+        # the transpose of the Fortran-order fill of (cols, rows) is the
+        # matrix itself in C order, a layout the ledgers pin: numpy's
+        # products on it (`sector_energy_spin_pairs`) round by it.  The hop
+        # kernel emits each (row, col) at most once (the diagonal kept
+        # apart, one target per hop), so no sum acts
+        return dense_block(self.cols, self.rows, self.vals, self.dim).T
+
+
+def dense_block(rows, cols, vals, dim) -> np.ndarray:
+    """The dim x dim matrix, in Fortran order, whose entry (i, j) is the
+    sum of the values of the triplets (rows, cols, vals) at (i, j), added
+    to 0.0 in triplet order."""
+    # entry t = j*dim + i of the sum is M[i, j], so its C-order reshape is
+    # M^T; with no triplets np.bincount returns integers, hence the cast
+    flat = np.bincount(cols * dim + rows, vals, minlength=dim * dim).astype(np.float64, copy=False)
+    return flat.reshape(dim, dim).T
 
 
 def _sqrt_dressing(occ_after, two_s):

@@ -1,11 +1,13 @@
 """Sector diagonalization, exact finite-size free energies, and the
 variational upper bound with the projected free-boson trial state.
 
-Every dense sector is built by `dense_sectors`, which sizes all the
-requested sectors against `DENSE_SECTOR_CAP` before it enumerates any
-basis and then yields (basis, dense H) one sector at a time.  The one
-exception is `boundlab.verify_php_leq_t`, whose uncapped free-boson
-sectors `dense_sectors` does not build: it sizes each against the same
+Every dense matrix is filled from triplets by `operators.dense_block`.
+Every sector is sized against `DENSE_SECTOR_CAP` before any basis is
+enumerated: `dense_sectors` does so for the sectors it is asked for and
+then yields (basis, dense H) one sector at a time, and `full_spectrum`
+does so for all of them and then builds each sector's triplets itself.
+The one exception is `boundlab.verify_php_leq_t`, whose uncapped
+free-boson sectors neither builds: it sizes each against the same
 `DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector spectra come
 from the dense symmetric eigensolver of `magnonlab.lapack` (partition
 functions need every eigenvalue), and the free energy's log-sum-exp is
@@ -17,17 +19,18 @@ it takes the sectors n = 2, 3, ... from `dense_sectors` in turn, solves
 each for its two lowest eigenpairs by one dense `eigh`, and stops at
 the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
-gap.  `full_spectrum` solves a sector of at most `WHOLE_SECTOR_MAX`
-states whole, in its own storage.  Above that, a free chain's sector is
-the union of the highest-weight blocks of the total spins it holds, each
-solved once per call, so a (2J+1)-fold multiplet is no longer solved
-2J+1 times.  A block's basis is its sequential-coupling paths, written
-as their steps: the occupation vectors of one magnon sector that obey
-the triangle rule, ranked by the same key lookup as every sector basis,
-and its bonds come from Racah's 6j symbols.  Any other large sector
-splits into the two blocks of the reflection that reverses the site
-order (the mirror of the pinned chain, the point reflection of a
-row-major grid).  Either way, one dense block is held at a time.
+gap.  `full_spectrum` solves every block it forms at one site, each a
+triplet set filled as it is solved and overwritten by LAPACK, so one
+dense block is held at a time.  A sector of at most `WHOLE_SECTOR_MAX`
+states is one block.  Above that, a free chain's sector is the union of
+the highest-weight blocks of the total spins it holds, each solved once
+per call, so a (2J+1)-fold multiplet is no longer solved 2J+1 times.  A
+block's basis is its sequential-coupling paths, written as their steps:
+the occupation vectors of one magnon sector that obey the triangle
+rule, ranked by the same key lookup as every sector basis, and its
+bonds come from Racah's 6j symbols.  Any other large sector splits into
+the two blocks of the reflection that reverses the site order (the
+mirror of the pinned chain, the point reflection of a row-major grid).
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -63,6 +66,7 @@ from .operators import (
     assemble_dirichlet_heisenberg,
     assemble_heisenberg,
     assemble_projector_p,
+    dense_block,
 )
 
 DEFAULT_DIM_CAP = 1 << 20
@@ -135,10 +139,13 @@ def full_spectrum(
 ) -> SectorSpectrum:
     """Dense eigenvalues of every magnon sector, ascending per sector.
 
-    One dense block is held at a time and solved in place: it is freed
-    before the next one is built, and LAPACK overwrites it instead of
-    copying it.  A sector of at most `WHOLE_SECTOR_MAX` states is solved
-    whole, from `dense_sectors`.
+    Every block is a triplet set, solved at one site: it is filled by
+    `operators.dense_block` only as it is solved, and LAPACK overwrites
+    it instead of copying it, so one dense block is held at a time.  A
+    sector's eigenvalues are the sorted union of its blocks' eigenvalues.
+    A sector of at most `WHOLE_SECTOR_MAX` states is one block, the
+    triplets of its Hamiltonian, and its eigenvalues are dsyevr's
+    ascending output.
 
     Above the gate, the free chain commutes with the total spin, and
     sector n holds one highest-weight state of each multiplet of total
@@ -152,7 +159,7 @@ def full_spectrum(
     A larger sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
     alike, is solved as the two blocks of the reflection that reverses
-    the site order (`_parity_block_eigenvalues`), so a sector at
+    the site order (`_parity_blocks`), so a sector at
     `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
     (72 MB), not its 288 MB.  Every block goes through `lapack.eigh`,
     which reads it with `np.asarray_chkfinite`, so a NaN or inf in a
@@ -176,50 +183,46 @@ def full_spectrum(
     multiplets, bond_matrices = {}, {}  # highest-weight eigenvalues and bond matrices, this call only
     sector_eigs = []
     for n in sectors:
-        if sector_dimension(lattice.nsites, n, spin.two_s) <= WHOLE_SECTOR_MAX:
-            ((_, h),) = dense_sectors(lattice, spin, [n], variant)
-            # h is bitwise symmetric, so h.T is the same matrix in Fortran
-            # order and LAPACK overwrites it without a copy; dsyevr returns
-            # the eigenvalues ascending
-            sector_eigs.append(sla.eigvalsh(h.T, overwrite_a=True))
-            del h  # free the block before the next one is built
-        elif free_chain:
+        large = sector_dimension(lattice.nsites, n, spin.two_s) > WHOLE_SECTOR_MAX
+        if large and free_chain:
             held = range(min(n, top - n) + 1)  # sector n holds every J >= |S*sites - n|
-            for m in held:
-                if m not in multiplets:
-                    block = _highest_weight_block(lattice.nsites, spin.two_s, m, bond_matrices)
-                    multiplets[m] = sla.eigvalsh(block, overwrite_a=True)
-                    del block  # free this block before the next one is built
-            sector_eigs.append(np.sort(np.concatenate([multiplets[m] for m in held])))
+            new = [m for m in held if m not in multiplets]
+            blocks = (_highest_weight_block(lattice.nsites, spin.two_s, m, bond_matrices) for m in new)
         else:
-            basis = enumerate_sector_basis(lattice, spin, n)
-            sector_eigs.append(_parity_block_eigenvalues(_assemble_variant(basis, variant)))
+            op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
+            blocks = _parity_blocks(op) if large else [(op.rows, op.cols, op.vals, op.dim)]
+        # a block is filled only as it is solved, and LAPACK overwrites it
+        # instead of copying it, so one dense block is held at a time
+        eigs = [sla.eigvalsh(dense_block(*block), overwrite_a=True) for block in blocks]
+        if large and free_chain:
+            multiplets.update(zip(new, eigs))
+            eigs = [multiplets[m] for m in held]
+        sector_eigs.append(np.sort(np.concatenate(eigs)))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
 
-def _parity_block_eigenvalues(op) -> np.ndarray:
-    """Eigenvalues, ascending, of the sector operator `op`, from its even
-    and odd blocks under the reflection that reverses the site order,
-    found as a row map by lookup.  The reflection commutes with every
-    Hamiltonian `_assemble_variant` builds: on a chain it is the mirror,
-    which also maps the pinned ends onto each other, and on a row-major
-    square grid it is the point reflection.
+def _parity_blocks(op):
+    """The even and odd blocks of the sector operator `op` under the
+    reflection that reverses the site order, found as a row map by
+    lookup, yielded in turn as triplets (rows, cols, vals, dim).  The
+    reflection commutes with every Hamiltonian `_assemble_variant`
+    builds: on a chain it is the mirror, which also maps the pinned ends
+    onto each other, and on a row-major square grid it is the point
+    reflection.
 
     An orbit {i, mirror[i]} is represented by its lower row.  The even
     block takes every orbit, with weight 1/sqrt(|orbit|) on each of its
     rows; the odd block takes the two-row orbits, with weight +1/sqrt(2)
     on the lower row and -1/sqrt(2) on the other.  Each triplet
-    (i, j, v) adds v q_i q_j / sqrt(|orbit i| |orbit j|), q the weight's
-    sign, to the entry of the orbits of i and j; each block is filled
-    straight in Fortran order and overwritten by LAPACK, and freed
-    before the next one is built.
+    (i, j, v) of `op` becomes the triplet v q_i q_j / sqrt(|orbit i|
+    |orbit j|), q the weight's sign, at the orbits of i and j, in the
+    order of `op`'s triplets.
     """
     basis = op.basis
     rows, mirror = np.arange(basis.dim), basis.state_index(basis.states[:, ::-1])
     lower = np.minimum(rows, mirror)
     orbit_size = 1 + (mirror != rows)
     size = orbit_size[op.rows] * orbit_size[op.cols]  # |orbit i| |orbit j| of each triplet
-    eigs = []
     # the weight's sign on each row: 1 in the even block; in the odd one
     # +1 on the lower row of a pair, -1 on the upper, 0 on a palindrome
     for sign in (np.ones_like(rows), np.sign(mirror - rows)):
@@ -227,13 +230,10 @@ def _parity_block_eigenvalues(op) -> np.ndarray:
         orbit = (np.cumsum(first) - 1)[lower]
         q = sign[op.rows] * sign[op.cols]
         kept = q != 0
-        block = _dense_block(
+        yield (
             orbit[op.rows[kept]], orbit[op.cols[kept]], op.vals[kept] * q[kept] / np.sqrt(size[kept]),
             int(first.sum()),
         )
-        eigs.append(sla.eigvalsh(block, overwrite_a=True))
-        del block  # free this block before the next one is built
-    return np.sort(np.concatenate(eigs))
 
 
 def _six_j(a, b, c, d, e, f) -> float:
@@ -310,8 +310,8 @@ def _coupling_basis(nsites, two_s, n):
     return basis, paths[kept]
 
 
-def _highest_weight_block(nsites, two_s, n, bond_matrices) -> np.ndarray:
-    """Dense free-chain Hamiltonian, in Fortran order, on the
+def _highest_weight_block(nsites, two_s, n, bond_matrices):
+    """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
     highest-weight states of total spin J = S*nsites - n: the paths of
     `_coupling_basis`, which number sector_dimension(n) -
     sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, by the
@@ -342,17 +342,7 @@ def _highest_weight_block(nsites, two_s, n, bond_matrices) -> np.ndarray:
         sources.append(row)
         targets.append(basis.state_index(moved))
         values.append(table[a[row], c[row], steps[row, k - 1], i])
-    return _dense_block(np.concatenate(sources), np.concatenate(targets), np.concatenate(values), basis.dim)
-
-
-def _dense_block(rows, cols, vals, dim) -> np.ndarray:
-    """The dim x dim matrix, in Fortran order, whose entry (i, j) is the
-    sum of the values of the triplets (rows, cols, vals) at (i, j), added
-    to 0.0 in triplet order."""
-    # entry t = j*dim + i of the sum is M[i, j], so its C-order reshape is
-    # M^T; with no triplets np.bincount returns integers, hence the cast
-    flat = np.bincount(cols * dim + rows, vals, minlength=dim * dim).astype(np.float64, copy=False)
-    return flat.reshape(dim, dim).T
+    return np.concatenate(sources), np.concatenate(targets), np.concatenate(values), basis.dim
 
 
 def _logsumexp(a):
@@ -393,10 +383,7 @@ def chain_free_energies(ell: int, spin: SpinMagnitude, betas, variant: str = "fr
     if ell == 1:
         if variant != "free":
             raise ValueError("single-site chain is only defined for the free variant")
-        for beta in betas:
-            if not 0 < beta < math.inf:
-                raise ValueError(f"beta must be positive and finite, got {beta}")
-        return [-math.log(spin.site_dim) / beta for beta in betas]
+        return [free_energy_from_eigenvalues(np.zeros(spin.site_dim), beta, 1) for beta in betas]
     spectrum = full_spectrum(SpinLattice.chain(ell), spin, variant)
     return [free_energy(spectrum, beta) for beta in betas]
 

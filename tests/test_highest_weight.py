@@ -13,6 +13,7 @@ import pytest
 
 from magnonlab import spectra
 from magnonlab.basis import SpinLattice, SpinMagnitude, sector_dimension
+from magnonlab.operators import dense_block
 from magnonlab.spectra import (
     _coupling_basis,
     _highest_weight_block,
@@ -117,7 +118,7 @@ def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two
     # a recoupling phase that depends on J_k or K would break the symmetry
     bond_matrices = {}
     for n in range(two_s * ell // 2 + 1):
-        h = _highest_weight_block(ell, two_s, n, bond_matrices)
+        h = dense_block(*_highest_weight_block(ell, two_s, n, bond_matrices))
         assert len(h) == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)
         assert h.flags.f_contiguous
         assert np.array_equal(h, h.T), n
@@ -144,10 +145,10 @@ def test_a_nan_in_a_highest_weight_block_raises(monkeypatch):
     exact = spectra._highest_weight_block
 
     def spoiled(nsites, two_s, n, bond_matrices):
-        h = exact(nsites, two_s, n, bond_matrices)
+        rows, cols, vals, dim = exact(nsites, two_s, n, bond_matrices)
         if n == 2:
-            h[1, 1] = np.nan
-        return h
+            vals[np.flatnonzero(rows == cols)[0]] = np.nan  # a diagonal value
+        return rows, cols, vals, dim
 
     monkeypatch.setattr(spectra, "_highest_weight_block", spoiled)
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)

@@ -14,6 +14,7 @@ from magnonlab.operators import (
     assemble_heisenberg,
     assemble_projector_p,
     assemble_total_spin_squared,
+    dense_block,
     occupancy_weight,
     verify_su2_representation,
 )
@@ -335,6 +336,7 @@ def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors():
             expected = _loop_reference(basis, pairs, -s, False, lambda occ: 2.0 * s * sum(occ))
             assert len(op.vals) == len(expected) and _entries(op.rows, op.cols, op.vals) == expected
             assert np.array_equal(op.to_dense(), op.to_csr().toarray())
+            assert op.to_dense().flags.c_contiguous
             return
         expected = _loop_reference(
             basis, pairs, -s, True,
@@ -346,5 +348,25 @@ def test_hop_kernel_repeats_loop_arithmetic_on_random_sectors():
         # the Casimir hops over every ordered pair of sites, not just bonds
         s2 = assemble_total_spin_squared(basis)
         assert np.array_equal(s2.to_dense(), s2.to_csr().toarray())
+        # C order: numpy's products on a Hamiltonian round by its layout
+        assert op.to_dense().flags.c_contiguous and s2.to_dense().flags.c_contiguous
 
     check()
+
+
+def test_dense_block_sums_duplicates_in_triplet_order():
+    # the pinned chain's parity blocks rest on this order: 0.1 + 0.2 + 0.3
+    # rounds to 0.6000000000000001, 0.3 + 0.2 + 0.1 to 0.6
+    rows, cols = np.array([1, 1, 1, 0]), np.array([0, 0, 0, 1])
+    forward = dense_block(rows, cols, np.array([0.1, 0.2, 0.3, 5.0]), 2)
+    backward = dense_block(rows, cols, np.array([0.3, 0.2, 0.1, 5.0]), 2)
+    assert forward[1, 0] == 0.6000000000000001 and backward[1, 0] == 0.6
+    assert forward[0, 1] == 5.0 and forward[0, 0] == forward[1, 1] == 0.0
+    assert forward.flags.f_contiguous
+
+
+def test_dense_block_of_no_triplets_is_a_float_zero_block():
+    empty = np.array([], dtype=np.int64)
+    block = dense_block(empty, empty, np.array([]), 3)
+    assert block.dtype == np.float64 and block.flags.f_contiguous
+    assert np.array_equal(block, np.zeros((3, 3)))

@@ -875,17 +875,15 @@ def test_chain_13_splits_only_the_sectors_above_the_gate(variant):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_sector_block_raises_from_full_spectrum(monkeypatch, bad):
-    from magnonlab import spectra
+    exact = spectra._assemble_variant
 
-    exact = spectra.dense_sectors
+    def spoiled(basis, variant):
+        op = exact(basis, variant)
+        if basis.n == 2:  # chain 4's 6-state sector, solved whole
+            op.vals[0] = bad
+        return op
 
-    def spoiled(*args, **kwargs):
-        for basis, h in exact(*args, **kwargs):
-            if basis.n == 2:
-                h[1, 1] = bad
-            yield basis, h
-
-    monkeypatch.setattr(spectra, "dense_sectors", spoiled)
+    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
     with pytest.raises(ValueError, match="infs or NaNs"):
         full_spectrum(SpinLattice.chain(4), SpinMagnitude(1))
 
