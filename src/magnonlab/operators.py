@@ -248,7 +248,8 @@ def verify_su2_representation(spin: SpinMagnitude) -> InequalityCertificate:
 
     The slack is minus the worst absolute residual of [S3,S+-] -+ S+-,
     [S+,S-] - 2 S3 and vec(S)^2 - S(S+1) Id; all must vanish for the
-    occupation ladder to carry spin S.
+    occupation ladder to carry spin S.  They round at about u S(S+1), so
+    the tolerance is 1e-12 max(1, S(S+1)/4), 1e-12 up to 2S = 3.
     """
     sp_, sm_, s3 = boson_spin_matrices(spin)
     comm = lambda a, b: a @ b - b @ a
@@ -264,5 +265,5 @@ def verify_su2_representation(spin: SpinMagnitude) -> InequalityCertificate:
         name="su2-representation",
         params={"two_s": spin.two_s},
         slack=-float(max(res)),
-        tolerance=1e-12,
+        tolerance=1e-12 * max(1.0, s * (s + 1) / 4),
     )

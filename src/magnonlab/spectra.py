@@ -21,16 +21,14 @@ the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` solves every block it forms at one site, each a
 triplet set filled as it is solved and overwritten by LAPACK, so one
-dense block is held at a time.  A sector of at most `WHOLE_SECTOR_MAX`
-states is one block.  Above that, a free chain's sector is the union of
-the highest-weight blocks of the total spins it holds, each solved once
-per call, so a (2J+1)-fold multiplet is no longer solved 2J+1 times.  A
-block's basis is its sequential-coupling paths, written as their steps:
-the occupation vectors of one magnon sector that obey the triangle
-rule, ranked by the same key lookup as every sector basis, and its
-bonds come from Racah's 6j symbols.  Any other large sector splits into
-the two blocks of the reflection that reverses the site order (the
-mirror of the pinned chain, the point reflection of a row-major grid).
+dense block is held at a time.  A lattice whose middle sector, the
+largest, has more than `WHOLE_SECTOR_MAX` states has every sector split:
+a free chain solves each multiplet once, in the highest-weight block of
+its total spin, on the sequential-coupling paths written as occupation
+vectors of one magnon sector, with bonds from Racah's 6j symbols; any
+other lattice solves the two blocks of the reflection that reverses the
+site order (the mirror of the pinned chain, the point reflection of a
+row-major grid).
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -71,14 +69,14 @@ from .operators import (
 
 DEFAULT_DIM_CAP = 1 << 20
 DENSE_SECTOR_CAP = 6000
-# `full_spectrum` solves a sector of at most this many states whole, so
-# that its eigenvalues are bitwise `eigvalsh(h)`; a larger one is taken
-# from the highest-weight blocks on a free chain, and elsewhere from the
-# two reflection-parity blocks, and its eigenvalues agree to rounding.
-# Bytes that pin the whole solve: chain 8 at 2S=2, n=8 (1107 states) in
+# `full_spectrum` solves every sector whole, bitwise `eigvalsh(h)`, on a
+# lattice whose middle sector, the largest, has at most this many
+# states; a larger lattice splits every sector, and its eigenvalues agree
+# to rounding.  Bytes that pin the whole solve: chain 8 at 2S=2 (middle
+# sector 1107 states) in
 # test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
-# chain 12's 924-state sector in README `curves.csv`.  The gate goes
-# once the ledgers stop pinning rounding noise (ROADMAP item 20).
+# chain 12 in README `curves.csv`.  The gate goes once the ledgers stop
+# pinning rounding noise (ROADMAP item 20).
 WHOLE_SECTOR_MAX = 1107
 # An eigenvalue below this multiple of max(||H||, 1) counts as a zero mode.
 _ZERO_TOL_FACTOR = 1e-10
@@ -143,20 +141,20 @@ def full_spectrum(
     `operators.dense_block` only as it is solved, and LAPACK overwrites
     it instead of copying it, so one dense block is held at a time.  A
     sector's eigenvalues are the sorted union of its blocks' eigenvalues.
-    A sector of at most `WHOLE_SECTOR_MAX` states is one block, the
-    triplets of its Hamiltonian, and its eigenvalues are dsyevr's
-    ascending output.
+    Whether to split is one decision per call: when the middle sector,
+    the largest, has at most `WHOLE_SECTOR_MAX` states, each sector is
+    one block, the triplets of its Hamiltonian, and its eigenvalues are
+    dsyevr's ascending output.
 
-    Above the gate, the free chain commutes with the total spin, and
-    sector n holds one highest-weight state of each multiplet of total
-    spin J >= |S*sites - n|.  Its eigenvalues are the sorted union of the
-    blocks n' = 0..min(n, N - n), N = 2S*sites, the block n' holding the
-    highest-weight states of J = S*sites - n' (`_highest_weight_block`),
-    on the basis of the coupling paths to J (`_coupling_basis`).  Each
-    block is built and solved once per call, and the 6j bond matrices
-    are shared by all of them, in dicts that die with the call.
+    Otherwise the free chain, which commutes with the total spin, takes
+    sector n <= N/2, N = 2S*sites, as the sorted union of sector n - 1
+    and block n, the highest-weight states of J = S*sites - n
+    (`_highest_weight_block`) on the coupling paths to J
+    (`_coupling_basis`), and sector n > N/2 as a copy of sector N - n.
+    Each block is built and solved once per call, and the 6j bond
+    matrices are shared by all of them, in a dict that dies with the call.
 
-    A larger sector of any other lattice or variant, the pinned chain
+    Every sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
     alike, is solved as the two blocks of the reflection that reverses
     the site order (`_parity_blocks`), so a sector at
@@ -177,26 +175,25 @@ def full_spectrum(
             "restrict to individual sectors instead"
         )
     top = spin.two_s * lattice.nsites
-    sectors = range(top + 1)
-    require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
-    free_chain = variant == "free" and lattice.dimension == 1
-    multiplets, bond_matrices = {}, {}  # highest-weight eigenvalues and bond matrices, this call only
-    sector_eigs = []
-    for n in sectors:
-        large = sector_dimension(lattice.nsites, n, spin.two_s) > WHOLE_SECTOR_MAX
-        if large and free_chain:
-            held = range(min(n, top - n) + 1)  # sector n holds every J >= |S*sites - n|
-            new = [m for m in held if m not in multiplets]
-            blocks = (_highest_weight_block(lattice.nsites, spin.two_s, m, bond_matrices) for m in new)
+    require_sector_dimensions(lattice.nsites, spin.two_s, range(top + 1), DENSE_SECTOR_CAP)
+    # the middle sector is the largest, so this splits every sector or none
+    split = sector_dimension(lattice.nsites, top // 2, spin.two_s) > WHOLE_SECTOR_MAX
+    free_chain = split and variant == "free" and lattice.dimension == 1
+    bond_matrices, sector_eigs = {}, []  # bond matrices for this call only
+    for n in range(top + 1):
+        if free_chain and 2 * n > top:  # the spin flip's conjugate sector
+            sector_eigs.append(sector_eigs[top - n].copy())
+            continue
+        if free_chain:
+            blocks = [_highest_weight_block(lattice.nsites, spin.two_s, n, bond_matrices)]
         else:
             op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
-            blocks = _parity_blocks(op) if large else [(op.rows, op.cols, op.vals, op.dim)]
+            blocks = _parity_blocks(op) if split else [(op.rows, op.cols, op.vals, op.dim)]
         # a block is filled only as it is solved, and LAPACK overwrites it
         # instead of copying it, so one dense block is held at a time
         eigs = [sla.eigvalsh(dense_block(*block), overwrite_a=True) for block in blocks]
-        if large and free_chain:
-            multiplets.update(zip(new, eigs))
-            eigs = [multiplets[m] for m in held]
+        if free_chain and n:  # sector n holds every multiplet of sector n - 1
+            eigs.append(sector_eigs[n - 1])
         sector_eigs.append(np.sort(np.concatenate(eigs)))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
 
@@ -267,7 +264,8 @@ def _six_j(a, b, c, d, e, f) -> float:
         for y in betas:
             term *= math.factorial(y - lo) // math.factorial(y - t)
         total += -term if t % 2 else term
-    return math.copysign(math.sqrt(total * total * num / (scale * scale * den)), total)
+    root = math.sqrt(total * total * num / (scale * scale * den))
+    return -root if total < 0 else root
 
 
 def _bond_matrix(a, c, two_s) -> np.ndarray:

@@ -62,6 +62,10 @@ def test_six_j_matches_sympy():
         assert abs(ours - reference) <= 4.5e-16 * abs(reference), args
         checked += 1
     assert _six_j(1, 1, 2, 1, 1, 0) == 0.5
+    # Racah's sum exceeds 2^1024 here, so its sign is not taken in floats
+    for args, reference in [((58, 58, 116, 58, 174, 116), 0.008547008547008548),
+                            ((57, 57, 114, 57, 171, 114), -0.008695652173913044)]:
+        assert abs(_six_j(*args) - reference) <= 4.5e-16 * abs(reference), args
 
 
 def coupling_paths(ell, two_s, two_j):
@@ -125,7 +129,7 @@ def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two
 
 
 def test_each_block_is_solved_once_per_call(monkeypatch):
-    lattice, spin = SpinLattice.chain(8), SpinMagnitude(1)
+    spin = SpinMagnitude(1)
     built = []
     exact = spectra._highest_weight_block
 
@@ -134,10 +138,15 @@ def test_each_block_is_solved_once_per_call(monkeypatch):
         return exact(nsites, two_s, n, bond_matrices)
 
     monkeypatch.setattr(spectra, "_highest_weight_block", recorded)
+    # at the real gate, chain 13's 1716-state middle sector splits the
+    # lattice, and every block up to the middle is built once
+    full_spectrum(SpinLattice.chain(13), spin)
+    assert built == list(range(7))
+    built.clear()
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
-    full_spectrum(lattice, spin)
+    full_spectrum(SpinLattice.chain(8), spin)
     assert built == [0, 1, 2, 3, 4]
-    full_spectrum(lattice, spin)  # nothing is kept across calls
+    full_spectrum(SpinLattice.chain(8), spin)  # nothing is kept across calls
     assert built == [0, 1, 2, 3, 4] * 2
 
 

@@ -147,6 +147,27 @@ def test_su2_representation(two_s):
     assert -cert.slack <= 1e-12
 
 
+@pytest.mark.parametrize("two_s", [72, 100, 400])
+def test_su2_representation_passes_at_large_spin(two_s):
+    # the residuals round at about u S(S+1): 2S = 72 is the first to
+    # exceed a flat 1e-12
+    assert verify_su2_representation(SpinMagnitude(two_s)).verdict == "pass"
+
+
+@pytest.mark.parametrize("two_s", [1, 3, 100, 400])
+def test_su2_representation_fails_a_scaled_raising_operator(monkeypatch, two_s):
+    import magnonlab.operators as operators
+
+    exact = operators.boson_spin_matrices
+
+    def scaled(spin):
+        sp_, sm_, s3 = exact(spin)
+        return sp_ * (1 + 1e-9), sm_, s3
+
+    monkeypatch.setattr(operators, "boson_spin_matrices", scaled)
+    assert verify_su2_representation(SpinMagnitude(two_s)).verdict == "fail"
+
+
 @pytest.mark.parametrize("ell,two_s", [(3, 1), (4, 1), (3, 2), (2, 3)])
 def test_hermiticity_and_symmetry_invariants(ell, two_s):
     lat, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)

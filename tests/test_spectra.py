@@ -776,7 +776,7 @@ def _record_solve_sizes(monkeypatch):
 def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
     import tracemalloc
 
-    largest_block_bytes = 8 * 1001**2  # sector 4 whole, and the blocks of spin 2 and 1
+    largest_block_bytes = 8 * 1001**2  # the highest-weight blocks of spin 2 and 1
     sizes = _record_solve_sizes(monkeypatch)
     tracemalloc.start()
     try:
@@ -784,11 +784,10 @@ def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # sectors 0..4 and 10..14 whole; sector 5 solves the highest-weight
-    # blocks of spin 7..2, 6 the block of spin 1 and 7 the block of spin
-    # 0, and 8 and 9 reuse the blocks of 6 and 5
-    assert sizes == [1, 14, 91, 364, 1001, 1, 13, 77, 273, 637, 1001, 1001, 429,
-                     1001, 364, 91, 14, 1]
+    # the 3432-state middle sector splits the lattice: sector n = 0..7
+    # solves the one highest-weight block of spin 7 - n, and the sectors
+    # past the middle copy their conjugates
+    assert sizes == [1, 13, 77, 273, 637, 1001, 1001, 429]
     # neither the 3432-state middle sector nor any of its symmetry blocks
     # is built
     assert peak <= 1.5 * largest_block_bytes
@@ -828,15 +827,17 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
         assert not np.allclose(eigs[n], eigs[top - n], rtol=0, atol=1e-8), n
 
 
-@pytest.mark.parametrize("variant,solves", [("dirichlet", 10 + 2 * 4), ("free", 10 + 6 + 1)])
+@pytest.mark.parametrize("variant,solves", [("dirichlet", 2 * 14), ("free", 7)])
 def test_chain_13_solve_counts_and_no_shared_sector_arrays(monkeypatch, variant, solves):
-    # sectors 0..4 and 9..13 are solved whole; on the pinned chain 5..8 as
-    # parity blocks, and on the free chain 5 solves the highest-weight
-    # blocks of spin 13/2..3/2, 6 the block of spin 1/2, and 7 and 8
-    # reuse the blocks of 6 and 5
+    # the 1716-state middle sector splits the lattice: the pinned chain
+    # solves every sector as two parity blocks (sectors 0 and 13 with an
+    # empty odd one), and the free chain's sector n = 0..6 its one
+    # highest-weight block, of spin 13/2 - n; 7..13 copy their conjugates
     calls = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), variant)
     assert len(calls) == solves
+    if variant == "free":
+        assert calls == [1, 12, 65, 208, 429, 572, 429]
     eigs = spectrum.sector_eigenvalues
     for n in (7, 8):
         assert eigs[n] is not eigs[13 - n]
@@ -859,18 +860,21 @@ def test_parity_blocks_match_the_tensor_product_oracle(monkeypatch, lattice, two
 
 
 @pytest.mark.parametrize("variant", ["free", "dirichlet"])
-def test_chain_13_splits_only_the_sectors_above_the_gate(variant):
+def test_chain_13_splits_every_sector_by_its_large_ones(variant):
+    # sectors 5..8 (1287 and 1716 states) lie above the gate, so every
+    # sector is split, each within rounding of its whole solve
     lattice, spin = SpinLattice.chain(13), SpinMagnitude(1)
     spectrum = full_spectrum(lattice, spin, variant)
     whole = _whole_sector_spectra(lattice, spin, variant)
+    split_lattice = max(map(len, whole)) > spectra.WHOLE_SECTOR_MAX
     split = []
     for n, (eigs, reference) in enumerate(zip(spectrum.sector_eigenvalues, whole, strict=True)):
-        if len(eigs) <= spectra.WHOLE_SECTOR_MAX:
-            assert np.array_equal(eigs, reference), n
-        else:
+        if split_lattice:
             split.append(n)
             np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
-    assert split == [5, 6, 7, 8]
+        else:
+            assert np.array_equal(eigs, reference), n
+    assert split == list(range(14))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
