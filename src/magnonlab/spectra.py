@@ -72,12 +72,10 @@ DENSE_SECTOR_CAP = 6000
 # `full_spectrum` solves every sector whole, bitwise `eigvalsh(h)`, on a
 # lattice whose middle sector, the largest, has at most this many
 # states; a larger lattice splits every sector, and its eigenvalues agree
-# to rounding.  Bytes that pin the whole solve: chain 8 at 2S=2 (middle
-# sector 1107 states) in
-# test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit, and
-# chain 12 in README `curves.csv`.  The gate goes once the ledgers stop
-# pinning rounding noise (ROADMAP item 20).
-WHOLE_SECTOR_MAX = 1107
+# to rounding.  The one committed output that pins the whole solve is
+# README `curves.csv`: chain 12 at S=1/2, middle sector 924 states.  The
+# gate goes once the ledgers stop pinning rounding noise (ROADMAP item 20).
+WHOLE_SECTOR_MAX = 924
 # An eigenvalue below this multiple of max(||H||, 1) counts as a zero mode.
 _ZERO_TOL_FACTOR = 1e-10
 
@@ -242,7 +240,11 @@ def _six_j(a, b, c, d, e, f) -> float:
     prod (beta_j - t_min)! is an integer, so the sum is N/P with N exact,
     and the symbol is sign(N) sqrt(N^2 Delta^2 / P^2), Delta^2 the
     product of the four triangle coefficients as one integer ratio:
-    one rounding for the division and one for the root."""
+    one rounding for the division and one for the root.  Term t of N is
+    (t+1)! prod (t_max - alpha_i)!/(t - alpha_i)! prod (beta_j - t_min)!/(beta_j - t)!,
+    and each term is the last times (t+1) prod (beta_j - t + 1) /
+    prod (t - alpha_i), a division of integers that is exact because
+    both terms are integers."""
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
     num = den = 1
     for x, y, z in triads:
@@ -256,13 +258,10 @@ def _six_j(a, b, c, d, e, f) -> float:
     lo, hi = max(alphas), min(betas)
     scale = math.prod(math.factorial(hi - x) for x in alphas)
     scale *= math.prod(math.factorial(y - lo) for y in betas)
-    total = 0
-    for t in range(lo, hi + 1):
-        term = math.factorial(t + 1)
-        for x in alphas:
-            term *= math.factorial(hi - x) // math.factorial(t - x)
-        for y in betas:
-            term *= math.factorial(y - lo) // math.factorial(y - t)
+    term = math.factorial(lo + 1) * math.prod(math.perm(hi - x, hi - lo) for x in alphas)
+    total = term if lo % 2 == 0 else -term
+    for t in range(lo + 1, hi + 1):
+        term = term * (t + 1) * math.prod(y - t + 1 for y in betas) // math.prod(t - x for x in alphas)
         total += -term if t % 2 else term
     root = math.sqrt(total * total * num / (scale * scale * den))
     return -root if total < 0 else root

@@ -7,9 +7,10 @@ coordinate-collapse table on sorted coordinates (the collapse matrix's
 reference), the maximal-spin vector of a sector, the gap solved
 sparsely on the middle sector, which holds every multiplet (the
 reference of the gap's sector loop), an operator's hermiticity defect
-and the basis state of one occupation vector, the Bessel/Hurwitz series
-for the continuum integrals, and the continuum constants evaluated both
-by quadrature and in closed form.
+and the basis state of one occupation vector, Racah's 6j sum with every
+term's factorials taken anew, the Bessel/Hurwitz series for the
+continuum integrals, and the continuum constants evaluated both by
+quadrature and in closed form.
 """
 
 from __future__ import annotations
@@ -161,6 +162,42 @@ def middle_sector_gap(lattice: SpinLattice, spin: SpinMagnitude) -> float:
         return float(sla.eigvalsh(h.toarray())[1])
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(h.shape[0])
     return float(np.sort(spla.eigsh(h, k=2, which="SA", v0=v0, return_eigenvectors=False))[1])
+
+
+# ---------------------------------------------------------------------------
+# Racah's 6j sum, term by term
+# ---------------------------------------------------------------------------
+
+
+def six_j_by_factorials(a, b, c, d, e, f) -> float:
+    """Wigner 6j symbol {a b c; d e f} of doubled spins, as
+    `spectra._six_j` gives it, with every term of Racah's sum built from
+    its own factorials: (t+1)! prod (t_max - alpha_i)!/(t - alpha_i)!
+    prod (beta_j - t_min)!/(beta_j - t)!.  The integer sum N, and with it
+    every rounding, is the same as the term-ratio recursion's."""
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    num = den = 1
+    for x, y, z in triads:
+        if (x + y + z) % 2 or x > y + z or y > x + z or z > x + y:
+            return 0.0
+        num *= (math.factorial((x + y - z) // 2) * math.factorial((x - y + z) // 2)
+                * math.factorial((y + z - x) // 2))
+        den *= math.factorial((x + y + z) // 2 + 1)
+    alphas = [sum(triad) // 2 for triad in triads]
+    betas = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
+    lo, hi = max(alphas), min(betas)
+    scale = math.prod(math.factorial(hi - x) for x in alphas)
+    scale *= math.prod(math.factorial(y - lo) for y in betas)
+    total = 0
+    for t in range(lo, hi + 1):
+        term = math.factorial(t + 1)
+        for x in alphas:
+            term *= math.factorial(hi - x) // math.factorial(t - x)
+        for y in betas:
+            term *= math.factorial(y - lo) // math.factorial(y - t)
+        total += -term if t % 2 else term
+    root = math.sqrt(total * total * num / (scale * scale * den))
+    return -root if total < 0 else root
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from magnonlab.spectra import (
     _six_j,
     full_spectrum,
 )
+from oracles import six_j_by_factorials
 
 
 def allowed(a, two_s, c):
@@ -66,6 +67,29 @@ def test_six_j_matches_sympy():
     for args, reference in [((58, 58, 116, 58, 174, 116), 0.008547008547008548),
                             ((57, 57, 114, 57, 171, 114), -0.008695652173913044)]:
         assert abs(_six_j(*args) - reference) <= 4.5e-16 * abs(reference), args
+
+
+def bond_six_j_arguments(two_s, a):
+    """The arguments (a, S, b, S, c, K), doubled, of every 6j symbol the
+    bond matrices through 2J_{k-1} = a evaluate."""
+    for c in range(max(a - 2 * two_s, (a + 2 * two_s) % 2), a + 2 * two_s + 1, 2):
+        for b in allowed(a, two_s, c):
+            for k in range(0, 2 * two_s + 1, 2):
+                yield a, two_s, b, two_s, c, k
+
+
+def test_six_j_equals_the_term_by_term_sum_bit_for_bit():
+    # every bond-matrix symbol up to 2J_{k-1} = 12 at 2S = 1..5, a sample
+    # of those at 2S = 40, and random arguments, many off the triangle rule
+    rng = np.random.default_rng(40)
+    args = [x for two_s in range(1, 6) for a in range(13) for x in bond_six_j_arguments(two_s, a)]
+    large = [x for a in (1, 40, 120) for x in bond_six_j_arguments(40, a)]
+    args += [large[i] for i in rng.choice(len(large), 1500, replace=False)]
+    args += rng.integers(0, 81, (1500, 6)).tolist()
+    ours = np.array([_six_j(*x) for x in args])
+    reference = np.array([six_j_by_factorials(*x) for x in args])
+    assert np.count_nonzero(ours) > 2000
+    assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
 
 
 def coupling_paths(ell, two_s, two_j):

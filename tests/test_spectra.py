@@ -657,16 +657,18 @@ def test_every_casimir_block_is_bitwise_symmetric():
                 assert np.array_equal(s2, s2.T), (ell, two_s, basis.n)
 
 
+# lattices solved whole: chain 12 sits at the gate (middle sector 924
+# states), and chain 7 is the longest S=1 chain below it (393 states)
 @pytest.mark.parametrize(
     "lattice,two_s,variant",
     [
         (SpinLattice.chain(12), 1, "free"),
         (SpinLattice.chain(12), 1, "dirichlet"),
-        (SpinLattice.chain(8), 2, "free"),
-        (SpinLattice.chain(8), 2, "dirichlet"),
+        (SpinLattice.chain(7), 2, "free"),
+        (SpinLattice.chain(7), 2, "dirichlet"),
         (SpinLattice.square(3), 1, "free"),
     ],
-    ids=["chain12-free", "chain12-dirichlet", "chain8-2S2-free", "chain8-2S2-dirichlet", "square3"],
+    ids=["chain12-free", "chain12-dirichlet", "chain7-2S2-free", "chain7-2S2-dirichlet", "square3"],
 )
 def test_in_place_sector_solve_equals_the_copying_solve_bit_for_bit(lattice, two_s, variant):
     spin = SpinMagnitude(two_s)
@@ -884,6 +886,56 @@ def test_chain_13_splits_every_sector_by_its_large_ones(variant):
         else:
             assert np.array_equal(eigs, reference), n
     assert split == list(range(14))
+
+
+@pytest.mark.parametrize("variant", ["free", "dirichlet"])
+def test_chain_8_at_s_1_splits_every_sector(monkeypatch, variant):
+    # the 1107-state middle sector lies above the gate: the free chain
+    # solves sector n = 0..8's one highest-weight block, of spin 8 - n,
+    # and the pinned chain two parity blocks per sector, the largest the
+    # even block of the middle sector, (1107 + 19 palindromes) / 2 states
+    lattice, spin = SpinLattice.chain(8), SpinMagnitude(2)
+    whole = _whole_sector_spectra(lattice, spin, variant)
+    sizes = _record_solve_sizes(monkeypatch)
+    spectrum = full_spectrum(lattice, spin, variant)
+    for n, (eigs, reference) in enumerate(zip(spectrum.sector_eigenvalues, whole, strict=True)):
+        np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
+    if variant == "free":
+        assert sizes == [1, 7, 28, 76, 154, 238, 280, 232, 91]
+    else:
+        pairs = zip(sizes[::2], sizes[1::2], strict=True)
+        assert [even + odd for even, odd in pairs] == [len(eigs) for eigs in whole]
+    assert max(sizes) <= 563
+
+
+def test_the_gate_is_the_largest_lattice_a_committed_output_solves_whole(monkeypatch, tmp_path):
+    # every lattice `full_spectrum` builds for the README `free-energy`
+    # commands and the default-grid suites, whose bytes bench/references.json
+    # pins (it is only read): the largest middle sector among them is the gate
+    import json
+    from pathlib import Path
+
+    from magnonlab.checks import CHECKS
+    from magnonlab.cli import main
+
+    middles = []
+    exact = spectra.full_spectrum
+
+    def recorded(lattice, spin, variant="free"):
+        top = spin.two_s * lattice.nsites
+        middles.append(sector_dimension(lattice.nsites, top // 2, spin.two_s))
+        return exact(lattice, spin, variant)
+
+    monkeypatch.setattr(spectra, "full_spectrum", recorded)
+    monkeypatch.chdir(tmp_path)
+    references = json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())
+    commands = [command for command in references["cli-readme"] if command.startswith("free-energy")]
+    assert commands
+    for command in commands:
+        assert main(command.split()) == 0, command
+    for run in CHECKS.values():
+        run(grid="default")
+    assert max(middles) == spectra.WHOLE_SECTOR_MAX
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
