@@ -149,8 +149,8 @@ def full_spectrum(
     and block n, the highest-weight states of J = S*sites - n
     (`_highest_weight_block`) on the coupling paths to J
     (`_coupling_basis`), and sector n > N/2 as a copy of sector N - n.
-    Each block is built and solved once per call, and the 6j bond
-    matrices are shared by all of them, in a dict that dies with the call.
+    Each block is built and solved once per call, from the 6j bond
+    matrices of the coupling pairs it meets, which die with it.
 
     Every sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
@@ -177,13 +177,13 @@ def full_spectrum(
     # the middle sector is the largest, so this splits every sector or none
     split = sector_dimension(lattice.nsites, top // 2, spin.two_s) > WHOLE_SECTOR_MAX
     free_chain = split and variant == "free" and lattice.dimension == 1
-    bond_matrices, sector_eigs = {}, []  # bond matrices for this call only
+    sector_eigs = []
     for n in range(top + 1):
         if free_chain and 2 * n > top:  # the spin flip's conjugate sector
             sector_eigs.append(sector_eigs[top - n].copy())
             continue
         if free_chain:
-            blocks = [_highest_weight_block(lattice.nsites, spin.two_s, n, bond_matrices)]
+            blocks = [_highest_weight_block(lattice.nsites, spin.two_s, n)]
         else:
             op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
             blocks = _parity_blocks(op) if split else [(op.rows, op.cols, op.vals, op.dim)]
@@ -267,25 +267,27 @@ def _six_j(a, b, c, d, e, f) -> float:
     return -root if total < 0 else root
 
 
-def _bond_matrix(a, c, two_s) -> np.ndarray:
+def _bond_matrix(a, c, two_s):
     """S^2 - S_k.S_{k+1} on the coupling paths through 2J_{k-1} = a and
-    2J_{k+1} = c, the bond's only other quantum numbers: row i holds
-    2J_k = a - 2S + 2i, i = 0..2S, and a row whose J_k is not allowed is
-    zero.  Recoupling J_{k-1} (x) (s_k (x) s_{k+1} -> K) gives
+    2J_{k+1} = c, the bond's only other quantum numbers, as (rows, m):
+    index i = 0..2S stands for 2J_k = a - 2S + 2i, `rows` lists the i
+    whose J_k both triads (a S b), (S c b) allow, and m is the matrix on
+    them; every other row and column is zero.  Recoupling
+    J_{k-1} (x) (s_k (x) s_{k+1} -> K) gives
     S^2 - sum_K U U' (K(K+1) - 2S(S+1))/2 with
-    U = sqrt((2b+1)(2K+1)) {a S b; S c K}; the recoupling phase
+    U = sqrt((2b+1)(2K+1)) {a S b; S c K}, taken on the K of the triad
+    (a c K), where the 6j symbol can be nonzero; the recoupling phase
     (-1)^(a+2S+c) is the same for every b and K, so it cancels.  The
     average with its transpose makes the matrix bitwise symmetric."""
-    ks = np.arange(0, 2 * two_s + 1, 2)  # 2K of the pair: K = 0..2S
+    # doubled spins: 2K of the triad (a c K) with K <= 2S, and 2J_k of both triads
+    ks = np.arange(abs(a - c), min(a + c, 2 * two_s) + 1, 2)
+    bs = np.arange(max(abs(a - two_s), abs(c - two_s)), min(a, c) + two_s + 1, 2)
     # S^2 - (K(K+1) - 2S(S+1))/2, in doubled spins
     mu = (4 * two_s * two_s + 4 * two_s - ks * (ks + 2)) / 8
-    u = np.zeros((two_s + 1, len(ks)))
-    for b in range(abs(a - two_s), a + two_s + 1, 2):
-        for col, k in enumerate(ks.tolist()):
-            u[(b - a + two_s) // 2, col] = (
-                math.sqrt((b + 1) * (k + 1)) * _six_j(a, two_s, b, two_s, c, k))
+    u = np.array([[math.sqrt((b + 1) * (k + 1)) * _six_j(a, two_s, b, two_s, c, k) for k in ks.tolist()]
+                  for b in bs.tolist()])
     m = (u * mu) @ u.T
-    return (m + m.T) / 2
+    return (bs - a + two_s) // 2, (m + m.T) / 2
 
 
 def _coupling_basis(nsites, two_s, n):
@@ -307,25 +309,27 @@ def _coupling_basis(nsites, two_s, n):
     return basis, paths[kept]
 
 
-def _highest_weight_block(nsites, two_s, n, bond_matrices):
+def _highest_weight_block(nsites, two_s, n):
     """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
     highest-weight states of total spin J = S*nsites - n: the paths of
     `_coupling_basis`, which number sector_dimension(n) -
     sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, by the
-    `_bond_matrix` of (2J_{k-1}, 2J_{k+1}); `bond_matrices` caches those
-    by that pair for the caller.  Moving J_k to the bond matrix's value i
-    sets step k to i and step k+1 to the rest of their sum, so every hop
-    target of a bond comes out of one `state_index` batch."""
+    `_bond_matrix` of (2J_{k-1}, 2J_{k+1}), built once for each pair the
+    block meets: one (2S+1)^2 matrix per pair, so a block of two sites
+    holds one, of the size of their whole middle sector.  Moving J_k to
+    the bond matrix's value i sets step k to i and step k+1 to the rest
+    of their sum, so every hop target of a bond comes out of one
+    `state_index` batch."""
     basis, paths = _coupling_basis(nsites, two_s, n)
     steps = basis.states
     side = two_s * nsites + 1
-    # table[a, c] = the bond matrix of (2J_{k-1}, 2J_{k+1}) = (a, c), for every pair a bond meets
-    table = np.zeros((side, side, two_s + 1, two_s + 1))
-    for pair in np.unique(paths[:, :-2] * side + paths[:, 2:]).tolist():
-        key = divmod(pair, side)
-        if key not in bond_matrices:
-            bond_matrices[key] = _bond_matrix(*key, two_s)
-        table[key] = bond_matrices[key]
+    # table[pair[row, k - 1]] = the bond matrix of row's (2J_{k-1}, 2J_{k+1})
+    keys, pair = np.unique(paths[:, :-2] * side + paths[:, 2:], return_inverse=True)
+    pair = pair.reshape(basis.dim, nsites - 1)
+    table = np.zeros((len(keys), two_s + 1, two_s + 1))
+    for bond, key in zip(table, keys.tolist()):
+        rows, m = _bond_matrix(*divmod(key, side), two_s)
+        bond[np.ix_(rows, rows)] = m
     sources, targets, values = [], [], []
     moves = np.arange(two_s + 1)[:, None]  # step k after the move, one row per value
     for k in range(1, nsites):
@@ -338,7 +342,7 @@ def _highest_weight_block(nsites, two_s, n, bond_matrices):
         moved[:, k - 1], moved[:, k] = i, rest[i, row]
         sources.append(row)
         targets.append(basis.state_index(moved))
-        values.append(table[a[row], c[row], steps[row, k - 1], i])
+        values.append(table[pair[row, k - 1], steps[row, k - 1], i])
     return np.concatenate(sources), np.concatenate(targets), np.concatenate(values), basis.dim
 
 

@@ -7,6 +7,7 @@ and the tensor-product oracle in `test_parity_blocks_match_the_tensor_product_or
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,9 +145,8 @@ def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
                          + [(ell, 3) for ell in range(2, 6)] + [(ell, 4) for ell in range(2, 5)])
 def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two_s):
     # a recoupling phase that depends on J_k or K would break the symmetry
-    bond_matrices = {}
     for n in range(two_s * ell // 2 + 1):
-        h = dense_block(*_highest_weight_block(ell, two_s, n, bond_matrices))
+        h = dense_block(*_highest_weight_block(ell, two_s, n))
         assert len(h) == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)
         assert h.flags.f_contiguous
         assert np.array_equal(h, h.T), n
@@ -157,9 +157,9 @@ def test_each_block_is_solved_once_per_call(monkeypatch):
     built = []
     exact = spectra._highest_weight_block
 
-    def recorded(nsites, two_s, n, bond_matrices):
+    def recorded(nsites, two_s, n):
         built.append(n)
-        return exact(nsites, two_s, n, bond_matrices)
+        return exact(nsites, two_s, n)
 
     monkeypatch.setattr(spectra, "_highest_weight_block", recorded)
     # at the real gate, chain 13's 1716-state middle sector splits the
@@ -177,8 +177,8 @@ def test_each_block_is_solved_once_per_call(monkeypatch):
 def test_a_nan_in_a_highest_weight_block_raises(monkeypatch):
     exact = spectra._highest_weight_block
 
-    def spoiled(nsites, two_s, n, bond_matrices):
-        rows, cols, vals, dim = exact(nsites, two_s, n, bond_matrices)
+    def spoiled(nsites, two_s, n):
+        rows, cols, vals, dim = exact(nsites, two_s, n)
         if n == 2:
             vals[np.flatnonzero(rows == cols)[0]] = np.nan  # a diagonal value
         return rows, cols, vals, dim
@@ -187,3 +187,35 @@ def test_a_nan_in_a_highest_weight_block_raises(monkeypatch):
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
     with pytest.raises(ValueError, match="infs or NaNs"):
         full_spectrum(SpinLattice.chain(6), SpinMagnitude(1))
+
+
+def test_two_spins_of_2s_924_solve_one_state_per_block_in_a_whole_blocks_memory(monkeypatch):
+    # the middle sector, 925 states, lies above the gate, and each of
+    # sectors 0..924 solves one highest-weight state, of spin
+    # J = 924 - n: E_J = S^2 + S(S+1) - J(J+1)/2, S = 462
+    two_s, s = 924, 462
+    solved = []
+    exact = spectra.sla.eigvalsh
+
+    def recorded(a, **kwargs):
+        solved.append(len(a))
+        return exact(a, **kwargs)
+
+    monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
+    spectrum = full_spectrum(SpinLattice.chain(2), SpinMagnitude(two_s))
+    assert solved == [1] * (two_s + 1)
+    j = np.arange(two_s, -1, -1.0)
+    energies = s * s + s * (s + 1) - j * (j + 1) / 2
+    for n, eigs in enumerate(spectrum.sector_eigenvalues):
+        reference = np.sort(energies[: min(n, 2 * two_s - n) + 1])
+        np.testing.assert_allclose(eigs, reference, rtol=1e-15, atol=0, err_msg=f"n={n}")
+    # a block holds the bond matrices of its own coupling pairs: here one
+    # (2S+1)^2 matrix, the size of the whole solve's middle block
+    tracemalloc.start()
+    try:
+        for n in (0, two_s // 2, two_s):
+            _highest_weight_block(2, two_s, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (two_s + 1) ** 2 * 8

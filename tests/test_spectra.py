@@ -829,29 +829,42 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
         assert not np.allclose(eigs[n], eigs[top - n], rtol=0, atol=1e-8), n
 
 
-# the case ids keep the solve counts of the lattice that split only its
-# sectors above the gate (10 whole + 2 * 4 and 10 + 6 + 1), so the case
-# names stay stable across that change
+# the chain-13 case ids keep the solve counts of the lattice that split
+# only its sectors above the gate (10 whole + 2 * 4 and 10 + 6 + 1), so
+# the case names stay stable across that change
 @pytest.mark.parametrize(
-    "variant,solves",
+    "lattice,two_s,variant,largest,free_blocks",
     [
-        pytest.param("dirichlet", 2 * 14, id="dirichlet-18"),
-        pytest.param("free", 7, id="free-17"),
+        pytest.param(SpinLattice.chain(13), 1, "dirichlet", 868, None, id="dirichlet-18"),
+        pytest.param(SpinLattice.chain(13), 1, "free", 572, [1, 12, 65, 208, 429, 572, 429], id="free-17"),
+        pytest.param(SpinLattice.chain(8), 2, "dirichlet", 563, None, id="chain8-2S2-dirichlet"),
+        pytest.param(SpinLattice.chain(8), 2, "free", 280, [1, 7, 28, 76, 154, 238, 280, 232, 91],
+                     id="chain8-2S2-free"),
     ],
 )
-def test_chain_13_solve_counts_and_no_shared_sector_arrays(monkeypatch, variant, solves):
-    # the 1716-state middle sector splits the lattice: the pinned chain
-    # solves every sector as two parity blocks (sectors 0 and 13 with an
-    # empty odd one), and the free chain's sector n = 0..6 its one
-    # highest-weight block, of spin 13/2 - n; 7..13 copy their conjugates
+def test_chain_13_solve_counts_and_no_shared_sector_arrays(
+    monkeypatch, lattice, two_s, variant, largest, free_blocks
+):
+    # the middle sector (1716 states at 2S = 1, 1107 at 2S = 2) splits
+    # the lattice: the pinned chain solves every sector as two parity
+    # blocks (the end sectors with an empty odd one), the largest the
+    # even block of the middle sector, (states + palindromes) / 2; the
+    # free chain's sector n <= N/2, N = 2S*sites, its one highest-weight
+    # block, of spin N/2 - n, and the sectors past the middle copy their
+    # conjugates
+    top = two_s * lattice.nsites
     calls = _record_solve_sizes(monkeypatch)
-    spectrum = full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), variant)
-    assert len(calls) == solves
+    spectrum = full_spectrum(lattice, SpinMagnitude(two_s), variant)
     if variant == "free":
-        assert calls == [1, 12, 65, 208, 429, 572, 429]
+        assert calls == free_blocks
+    else:
+        pairs = zip(calls[::2], calls[1::2], strict=True)
+        dims = [sector_dimension(lattice.nsites, n, two_s) for n in range(top + 1)]
+        assert [even + odd for even, odd in pairs] == dims
+    assert max(calls) == largest
     eigs = spectrum.sector_eigenvalues
-    for n in (7, 8):
-        assert eigs[n] is not eigs[13 - n]
+    for n in range(top // 2 + 1, top + 1):
+        assert eigs[n] is not eigs[top - n]
 
 
 @pytest.mark.parametrize(
@@ -870,42 +883,25 @@ def test_parity_blocks_match_the_tensor_product_oracle(monkeypatch, lattice, two
     assert np.abs(eigs - oracle).max() <= 1e-10
 
 
-@pytest.mark.parametrize("variant", ["free", "dirichlet"])
-def test_chain_13_splits_every_sector_by_its_large_ones(variant):
-    # sectors 5..8 (1287 and 1716 states) lie above the gate, so every
-    # sector is split, each within rounding of its whole solve
-    lattice, spin = SpinLattice.chain(13), SpinMagnitude(1)
+@pytest.mark.parametrize(
+    "lattice,two_s,variant",
+    [
+        pytest.param(SpinLattice.chain(13), 1, "free", id="free"),
+        pytest.param(SpinLattice.chain(13), 1, "dirichlet", id="dirichlet"),
+        pytest.param(SpinLattice.chain(8), 2, "free", id="chain8-2S2-free"),
+        pytest.param(SpinLattice.chain(8), 2, "dirichlet", id="chain8-2S2-dirichlet"),
+    ],
+)
+def test_chain_13_splits_every_sector_by_its_large_ones(lattice, two_s, variant):
+    # chain 13's sectors 5..8 (1287 and 1716 states) and chain 8's middle
+    # sector at S=1 (1107 states) lie above the gate, so every sector is
+    # split, each within rounding of its whole solve
+    spin = SpinMagnitude(two_s)
     spectrum = full_spectrum(lattice, spin, variant)
     whole = _whole_sector_spectra(lattice, spin, variant)
-    split_lattice = max(map(len, whole)) > spectra.WHOLE_SECTOR_MAX
-    split = []
-    for n, (eigs, reference) in enumerate(zip(spectrum.sector_eigenvalues, whole, strict=True)):
-        if split_lattice:
-            split.append(n)
-            np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
-        else:
-            assert np.array_equal(eigs, reference), n
-    assert split == list(range(14))
-
-
-@pytest.mark.parametrize("variant", ["free", "dirichlet"])
-def test_chain_8_at_s_1_splits_every_sector(monkeypatch, variant):
-    # the 1107-state middle sector lies above the gate: the free chain
-    # solves sector n = 0..8's one highest-weight block, of spin 8 - n,
-    # and the pinned chain two parity blocks per sector, the largest the
-    # even block of the middle sector, (1107 + 19 palindromes) / 2 states
-    lattice, spin = SpinLattice.chain(8), SpinMagnitude(2)
-    whole = _whole_sector_spectra(lattice, spin, variant)
-    sizes = _record_solve_sizes(monkeypatch)
-    spectrum = full_spectrum(lattice, spin, variant)
+    assert max(map(len, whole)) > spectra.WHOLE_SECTOR_MAX
     for n, (eigs, reference) in enumerate(zip(spectrum.sector_eigenvalues, whole, strict=True)):
         np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
-    if variant == "free":
-        assert sizes == [1, 7, 28, 76, 154, 238, 280, 232, 91]
-    else:
-        pairs = zip(sizes[::2], sizes[1::2], strict=True)
-        assert [even + odd for even, odd in pairs] == [len(eigs) for eigs in whole]
-    assert max(sizes) <= 563
 
 
 def test_the_gate_is_the_largest_lattice_a_committed_output_solves_whole(monkeypatch, tmp_path):
