@@ -25,10 +25,10 @@ dense block is held at a time.  A lattice whose middle sector, the
 largest, has more than `WHOLE_SECTOR_MAX` states has every sector split:
 a free chain solves each multiplet once, in the highest-weight block of
 its total spin, on the sequential-coupling paths written as occupation
-vectors of one magnon sector, with bonds from Racah's 6j symbols; any
-other lattice solves the two blocks of the reflection that reverses the
-site order (the mirror of the pinned chain, the point reflection of a
-row-major grid).
+vectors of one magnon sector, each bond a closed-form tridiagonal
+matrix in the J_k it changes; any other lattice solves the two blocks
+of the reflection that reverses the site order (the mirror of the
+pinned chain, the point reflection of a row-major grid).
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -149,8 +149,9 @@ def full_spectrum(
     and block n, the highest-weight states of J = S*sites - n
     (`_highest_weight_block`) on the coupling paths to J
     (`_coupling_basis`), and sector n > N/2 as a copy of sector N - n.
-    Each block is built and solved once per call, from the 6j bond
-    matrices of the coupling pairs it meets, which die with it.
+    Each block is built and solved once per call, each bond a closed-form
+    tridiagonal matrix in the one coupled spin J_k it changes, evaluated on
+    all of the block's rows at once.
 
     Every sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
@@ -231,65 +232,6 @@ def _parity_blocks(op):
         )
 
 
-def _six_j(a, b, c, d, e, f) -> float:
-    """Wigner 6j symbol {a b c; d e f} of doubled spins (each argument is
-    2j), by Racah's formula in exact integers; 0 when a triad
-    (a b c), (a e f), (d b f), (d e c) breaks the triangle rule.
-
-    Each term of Racah's sum times P = prod (t_max - alpha_i)!
-    prod (beta_j - t_min)! is an integer, so the sum is N/P with N exact,
-    and the symbol is sign(N) sqrt(N^2 Delta^2 / P^2), Delta^2 the
-    product of the four triangle coefficients as one integer ratio:
-    one rounding for the division and one for the root.  Term t of N is
-    (t+1)! prod (t_max - alpha_i)!/(t - alpha_i)! prod (beta_j - t_min)!/(beta_j - t)!,
-    and each term is the last times (t+1) prod (beta_j - t + 1) /
-    prod (t - alpha_i), a division of integers that is exact because
-    both terms are integers."""
-    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
-    num = den = 1
-    for x, y, z in triads:
-        if (x + y + z) % 2 or x > y + z or y > x + z or z > x + y:
-            return 0.0
-        num *= (math.factorial((x + y - z) // 2) * math.factorial((x - y + z) // 2)
-                * math.factorial((y + z - x) // 2))
-        den *= math.factorial((x + y + z) // 2 + 1)
-    alphas = [sum(triad) // 2 for triad in triads]
-    betas = [(a + b + d + e) // 2, (b + c + e + f) // 2, (c + a + f + d) // 2]
-    lo, hi = max(alphas), min(betas)
-    scale = math.prod(math.factorial(hi - x) for x in alphas)
-    scale *= math.prod(math.factorial(y - lo) for y in betas)
-    term = math.factorial(lo + 1) * math.prod(math.perm(hi - x, hi - lo) for x in alphas)
-    total = term if lo % 2 == 0 else -term
-    for t in range(lo + 1, hi + 1):
-        term = term * (t + 1) * math.prod(y - t + 1 for y in betas) // math.prod(t - x for x in alphas)
-        total += -term if t % 2 else term
-    root = math.sqrt(total * total * num / (scale * scale * den))
-    return -root if total < 0 else root
-
-
-def _bond_matrix(a, c, two_s):
-    """S^2 - S_k.S_{k+1} on the coupling paths through 2J_{k-1} = a and
-    2J_{k+1} = c, the bond's only other quantum numbers, as (rows, m):
-    index i = 0..2S stands for 2J_k = a - 2S + 2i, `rows` lists the i
-    whose J_k both triads (a S b), (S c b) allow, and m is the matrix on
-    them; every other row and column is zero.  Recoupling
-    J_{k-1} (x) (s_k (x) s_{k+1} -> K) gives
-    S^2 - sum_K U U' (K(K+1) - 2S(S+1))/2 with
-    U = sqrt((2b+1)(2K+1)) {a S b; S c K}, taken on the K of the triad
-    (a c K), where the 6j symbol can be nonzero; the recoupling phase
-    (-1)^(a+2S+c) is the same for every b and K, so it cancels.  The
-    average with its transpose makes the matrix bitwise symmetric."""
-    # doubled spins: 2K of the triad (a c K) with K <= 2S, and 2J_k of both triads
-    ks = np.arange(abs(a - c), min(a + c, 2 * two_s) + 1, 2)
-    bs = np.arange(max(abs(a - two_s), abs(c - two_s)), min(a, c) + two_s + 1, 2)
-    # S^2 - (K(K+1) - 2S(S+1))/2, in doubled spins
-    mu = (4 * two_s * two_s + 4 * two_s - ks * (ks + 2)) / 8
-    u = np.array([[math.sqrt((b + 1) * (k + 1)) * _six_j(a, two_s, b, two_s, c, k) for k in ks.tolist()]
-                  for b in bs.tolist()])
-    m = (u * mu) @ u.T
-    return (bs - a + two_s) // 2, (m + m.T) / 2
-
-
 def _coupling_basis(nsites, two_s, n):
     """The sequential-coupling paths of `nsites` spins S = two_s/2 to
     total spin J = S*nsites - n, as (basis, paths).
@@ -313,37 +255,39 @@ def _highest_weight_block(nsites, two_s, n):
     """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
     highest-weight states of total spin J = S*nsites - n: the paths of
     `_coupling_basis`, which number sector_dimension(n) -
-    sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, by the
-    `_bond_matrix` of (2J_{k-1}, 2J_{k+1}), built once for each pair the
-    block meets: one (2S+1)^2 matrix per pair, so a block of two sites
-    holds one, of the size of their whole middle sector.  Moving J_k to
-    the bond matrix's value i sets step k to i and step k+1 to the rest
-    of their sum, so every hop target of a bond comes out of one
-    `state_index` batch."""
+    sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, and by at
+    most one (Edmonds, Angular Momentum in Quantum Mechanics, 7.1.6 and
+    7.1.8, with the 6j symbols that have an argument 1).  In doubled spins
+    a = 2J_{k-1}, b = 2J_k, c = 2J_{k+1}, T = 2S and x' = x(x+2), the
+    projection theorem gives the diagonal S_k.S_{k+1} =
+    (b' + T' - a')(c' - b' - T')/(16 b'), 0 at b = 0, and raising J_k to
+    u = b + 2 has amplitude sqrt(P(a) P(c)) / (32 u sqrt(u^2 - 1)), with
+    P(x) = (u+x+T+2)(x+T+2-u)(u-x+T)(u+x-T).  P(a) is 0 when step k is
+    already 2S and P(c) when step k+1 is 0, so the raises are exactly the
+    hops of one step from site k+1 to site k that `hop_targets` makes,
+    and a raise keeps every J_{k-1} + J_k >= S.  The bond S^2 - S_k.S_{k+1}
+    takes each row's diagonal summed over the bonds, and minus each
+    amplitude at (row, raised) and at (raised, row), so the block is
+    bitwise symmetric."""
     basis, paths = _coupling_basis(nsites, two_s, n)
-    steps = basis.states
-    side = two_s * nsites + 1
-    # table[pair[row, k - 1]] = the bond matrix of row's (2J_{k-1}, 2J_{k+1})
-    keys, pair = np.unique(paths[:, :-2] * side + paths[:, 2:], return_inverse=True)
-    pair = pair.reshape(basis.dim, nsites - 1)
-    table = np.zeros((len(keys), two_s + 1, two_s + 1))
-    for bond, key in zip(table, keys.tolist()):
-        rows, m = _bond_matrix(*divmod(key, side), two_s)
-        bond[np.ix_(rows, rows)] = m
-    sources, targets, values = [], [], []
-    moves = np.arange(two_s + 1)[:, None]  # step k after the move, one row per value
-    for k in range(1, nsites):
-        a, c = paths[:, k - 1], paths[:, k + 1]
-        new, rest = a - two_s + 2 * moves, steps[:, k - 1] + steps[:, k] - moves  # the new 2J_k and step k+1
-        # np.nonzero walks row-major, each new step k in turn and its rows
-        # ascending: the triplet order, and so the rounding, of a loop over i
-        i, row = np.nonzero((a + new >= two_s) & (new + c >= two_s) & (rest >= 0) & (rest <= two_s))
-        moved = steps[row]
-        moved[:, k - 1], moved[:, k] = i, rest[i, row]
-        sources.append(row)
-        targets.append(basis.state_index(moved))
-        values.append(table[pair[row, k - 1], steps[row, k - 1], i])
-    return np.concatenate(sources), np.concatenate(targets), np.concatenate(values), basis.dim
+    steps, t = basis.states, float(two_s)
+    # x' of 2J_{k-1}, 2J_k, 2J_{k+1} and 2S, one column per bond
+    a, b, c = (x * (x + 2.0) for x in (paths[:, :-2], paths[:, 1:-1], paths[:, 2:]))
+    tt = t * (t + 2)
+    dots = np.divide((b + tt - a) * (c - b - tt), 16 * b, out=np.zeros_like(b), where=b > 0)
+    diagonal = np.sum(t * t / 4 - dots, axis=1)
+    # row, site: step `site` can rise and step `site + 1` fall, i.e. J_{site+1} rises
+    row, site = np.nonzero((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))
+    raised = basis.hop_targets(row, site + 1, site)
+    u = paths[row, site + 1] + 2.0
+
+    def p(x):
+        return (u + x + t + 2) * (x + t + 2 - u) * (u - x + t) * (u + x - t)
+
+    off_diagonal = -np.sqrt(p(paths[row, site]) * p(paths[row, site + 2])) / (32 * u * np.sqrt(u * u - 1))
+    index = np.arange(basis.dim)
+    return (np.concatenate([index, row, raised]), np.concatenate([index, raised, row]),
+            np.concatenate([diagonal, off_diagonal, off_diagonal]), basis.dim)
 
 
 def _logsumexp(a):

@@ -8,9 +8,10 @@ reference), the maximal-spin vector of a sector, the gap solved
 sparsely on the middle sector, which holds every multiplet (the
 reference of the gap's sector loop), an operator's hermiticity defect
 and the basis state of one occupation vector, Racah's 6j sum with every
-term's factorials taken anew, the Bessel/Hurwitz series for the
-continuum integrals, and the continuum constants evaluated both by
-quadrature and in closed form.
+term's factorials taken anew, the free chain's bond matrix recoupled
+from it (the reference of the closed-form highest-weight blocks), the
+Bessel/Hurwitz series for the continuum integrals, and the continuum
+constants evaluated both by quadrature and in closed form.
 """
 
 from __future__ import annotations
@@ -165,16 +166,20 @@ def middle_sector_gap(lattice: SpinLattice, spin: SpinMagnitude) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Racah's 6j sum, term by term
+# Racah's 6j sum, term by term, and the recoupled bond matrix
 # ---------------------------------------------------------------------------
 
 
 def six_j_by_factorials(a, b, c, d, e, f) -> float:
-    """Wigner 6j symbol {a b c; d e f} of doubled spins, as
-    `spectra._six_j` gives it, with every term of Racah's sum built from
-    its own factorials: (t+1)! prod (t_max - alpha_i)!/(t - alpha_i)!
-    prod (beta_j - t_min)!/(beta_j - t)!.  The integer sum N, and with it
-    every rounding, is the same as the term-ratio recursion's."""
+    """Wigner 6j symbol {a b c; d e f} of doubled spins (each argument is
+    2j), by Racah's formula in exact integers; 0 when a triad (a b c),
+    (a e f), (d b f), (d e c) breaks the triangle rule.  Each term of the
+    sum, (t+1)! prod (t_max - alpha_i)!/(t - alpha_i)!
+    prod (beta_j - t_min)!/(beta_j - t)!, is an integer built from its
+    own factorials, so the sum is an exact integer N, and the symbol is
+    sign(N) sqrt(N^2 Delta^2 / P^2), P = prod (t_max - alpha_i)!
+    prod (beta_j - t_min)! and Delta^2 the product of the four triangle
+    coefficients: one rounding for the division and one for the root."""
     triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
     num = den = 1
     for x, y, z in triads:
@@ -198,6 +203,28 @@ def six_j_by_factorials(a, b, c, d, e, f) -> float:
         total += -term if t % 2 else term
     root = math.sqrt(total * total * num / (scale * scale * den))
     return -root if total < 0 else root
+
+
+def recoupled_bond_matrix(a, c, two_s):
+    """S^2 - S_k.S_{k+1} on the coupling paths through 2J_{k-1} = a and
+    2J_{k+1} = c, by 6j recoupling, as (rows, m): index i = 0..2S stands
+    for 2J_k = a - 2S + 2i, `rows` lists the i whose J_k both triads
+    (a S b), (S c b) allow, and m is the dense matrix on them.  Recoupling
+    J_{k-1} (x) (s_k (x) s_{k+1} -> K) gives
+    S^2 - sum_K U U' (K(K+1) - 2S(S+1))/2 with
+    U = sqrt((2b+1)(2K+1)) {a S b; S c K}, taken on the K of the triad
+    (a c K); the recoupling phase (-1)^(a+2S+c) is the same for every b
+    and K, so it cancels.  The average with its transpose makes the
+    matrix bitwise symmetric."""
+    # doubled spins: 2K of the triad (a c K) with K <= 2S, and 2J_k of both triads
+    ks = np.arange(abs(a - c), min(a + c, 2 * two_s) + 1, 2)
+    bs = np.arange(max(abs(a - two_s), abs(c - two_s)), min(a, c) + two_s + 1, 2)
+    # S^2 - (K(K+1) - 2S(S+1))/2, in doubled spins
+    mu = (4 * two_s * two_s + 4 * two_s - ks * (ks + 2)) / 8
+    u = np.array([[math.sqrt((b + 1) * (k + 1)) * six_j_by_factorials(a, two_s, b, two_s, c, k)
+                   for k in ks.tolist()] for b in bs.tolist()])
+    m = (u * mu) @ u.T
+    return (bs - a + two_s) // 2, (m + m.T) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -475,6 +475,16 @@ def test_verify_fails_an_overflowing_free_energy_without_a_warning(capsys, check
     assert err == "" and out.startswith("FAIL ")
 
 
+def test_truncation_at_a_huge_beta_fails_without_a_warning(capsys):
+    # chain 4's zero modes round to about -5.5e-17, so exp(-beta E)
+    # overflows at beta=1e20: both traces are inf and the slack NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--check", "truncation", "--beta", "1e20"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("FAIL ") and "slack=nan" in out
+
+
 @pytest.mark.parametrize("check", ["subadditivity", "truncation"])
 def test_a_non_finite_ledger_value_is_written_as_strict_json(tmp_path, check):
     def refuse(constant):

@@ -1,11 +1,14 @@
 """The free chain's highest-weight blocks, which `full_spectrum` solves
-for every free-chain sector above `WHOLE_SECTOR_MAX`: Racah's 6j symbols,
-the coupling paths as the rows of a magnon-sector basis, and each block's
-Hamiltonian.  The sector spectra the blocks give are checked against the
-whole solve in `test_spectra.test_parity_blocks_match_the_whole_sector_solve`
+for every free-chain sector above `WHOLE_SECTOR_MAX`: the coupling paths
+as the rows of a magnon-sector basis, each block's Hamiltonian from the
+closed-form tridiagonal bond, checked against the bond matrices that 6j
+recoupling gives (`oracles.recoupled_bond_matrix`), and the 6j symbols of
+that reference.  The sector spectra the blocks give are checked against
+the whole solve in `test_spectra.test_parity_blocks_match_the_whole_sector_solve`
 and the tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
 """
 
+import functools
 import itertools
 import tracemalloc
 
@@ -15,13 +18,8 @@ import pytest
 from magnonlab import spectra
 from magnonlab.basis import SpinLattice, SpinMagnitude, sector_dimension
 from magnonlab.operators import dense_block
-from magnonlab.spectra import (
-    _coupling_basis,
-    _highest_weight_block,
-    _six_j,
-    full_spectrum,
-)
-from oracles import six_j_by_factorials
+from magnonlab.spectra import _coupling_basis, _highest_weight_block, full_spectrum
+from oracles import recoupled_bond_matrix, six_j_by_factorials
 
 
 def allowed(a, two_s, c):
@@ -37,16 +35,17 @@ def test_six_j_symbols_are_orthogonal(two_s):
             bs = allowed(a, two_s, c)
             for b, b2 in itertools.product(bs, repeat=2):
                 total = sum(
-                    (k + 1) * (b + 1) * _six_j(a, two_s, b, two_s, c, k) * _six_j(a, two_s, b2, two_s, c, k)
+                    (k + 1) * (b + 1) * six_j_by_factorials(a, two_s, b, two_s, c, k)
+                    * six_j_by_factorials(a, two_s, b2, two_s, c, k)
                     for k in range(0, 2 * two_s + 1, 2)
                 )
                 assert abs(total - (b == b2)) <= 1e-14, (a, b, b2, c)
 
 
 def test_six_j_is_zero_off_the_triangle_rule():
-    assert _six_j(1, 1, 4, 1, 1, 0) == 0.0  # (1/2, 1/2, 2) is no triad
-    assert _six_j(1, 1, 1, 1, 1, 1) == 0.0  # 1/2 + 1/2 + 1/2 is not an integer
-    assert _six_j(2, 2, 2, 2, 2, 6) == 0.0  # (1, 1, 3) is no triad
+    assert six_j_by_factorials(1, 1, 4, 1, 1, 0) == 0.0  # (1/2, 1/2, 2) is no triad
+    assert six_j_by_factorials(1, 1, 1, 1, 1, 1) == 0.0  # 1/2 + 1/2 + 1/2 is not an integer
+    assert six_j_by_factorials(2, 2, 2, 2, 2, 6) == 0.0  # (1, 1, 3) is no triad
 
 
 def test_six_j_matches_sympy():
@@ -57,40 +56,17 @@ def test_six_j_matches_sympy():
     checked = 0
     while checked < 60:
         args = rng.integers(0, 13, 6).tolist()
-        ours = _six_j(*args)
+        ours = six_j_by_factorials(*args)
         if ours == 0.0:
             continue
         reference = float(wigner.wigner_6j(*(Rational(x, 2) for x in args)))
         assert abs(ours - reference) <= 4.5e-16 * abs(reference), args
         checked += 1
-    assert _six_j(1, 1, 2, 1, 1, 0) == 0.5
+    assert six_j_by_factorials(1, 1, 2, 1, 1, 0) == 0.5
     # Racah's sum exceeds 2^1024 here, so its sign is not taken in floats
     for args, reference in [((58, 58, 116, 58, 174, 116), 0.008547008547008548),
                             ((57, 57, 114, 57, 171, 114), -0.008695652173913044)]:
-        assert abs(_six_j(*args) - reference) <= 4.5e-16 * abs(reference), args
-
-
-def bond_six_j_arguments(two_s, a):
-    """The arguments (a, S, b, S, c, K), doubled, of every 6j symbol the
-    bond matrices through 2J_{k-1} = a evaluate."""
-    for c in range(max(a - 2 * two_s, (a + 2 * two_s) % 2), a + 2 * two_s + 1, 2):
-        for b in allowed(a, two_s, c):
-            for k in range(0, 2 * two_s + 1, 2):
-                yield a, two_s, b, two_s, c, k
-
-
-def test_six_j_equals_the_term_by_term_sum_bit_for_bit():
-    # every bond-matrix symbol up to 2J_{k-1} = 12 at 2S = 1..5, a sample
-    # of those at 2S = 40, and random arguments, many off the triangle rule
-    rng = np.random.default_rng(40)
-    args = [x for two_s in range(1, 6) for a in range(13) for x in bond_six_j_arguments(two_s, a)]
-    large = [x for a in (1, 40, 120) for x in bond_six_j_arguments(40, a)]
-    args += [large[i] for i in rng.choice(len(large), 1500, replace=False)]
-    args += rng.integers(0, 81, (1500, 6)).tolist()
-    ours = np.array([_six_j(*x) for x in args])
-    reference = np.array([six_j_by_factorials(*x) for x in args])
-    assert np.count_nonzero(ours) > 2000
-    assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64))
+        assert abs(six_j_by_factorials(*args) - reference) <= 4.5e-16 * abs(reference), args
 
 
 def coupling_paths(ell, two_s, two_j):
@@ -152,6 +128,36 @@ def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two
         assert np.array_equal(h, h.T), n
 
 
+# the chains of the symmetry test above, up to chain 10 at S=1/2, which
+# the plain loop below assembles in under a second, and two large spins,
+# where the closed form's integer factors are large
+RECOUPLED = ([(ell, 1) for ell in range(2, 11)] + [(ell, 2) for ell in range(2, 8)]
+             + [(ell, 3) for ell in range(2, 6)] + [(ell, 4) for ell in range(2, 5)] + [(3, 17), (2, 40)])
+
+
+def test_every_block_equals_the_recoupled_bond_matrices():
+    # a plain loop over rows and bonds adds the row of the 6j bond matrix
+    # of (2J_{k-1}, 2J_{k+1}) at the path's own J_k to the paths that differ
+    # from it in J_k alone, entries off the tridiagonal (rounding noise) too
+    bond_matrix = functools.lru_cache(maxsize=None)(recoupled_bond_matrix)
+    for ell, two_s in RECOUPLED:
+        for n in range(two_s * ell // 2 + 1):
+            basis, paths = _coupling_basis(ell, two_s, n)
+            reference = np.zeros((basis.dim, basis.dim))
+            for row, steps in enumerate(basis.states):
+                for k in range(1, ell):
+                    values, m = bond_matrix(int(paths[row, k - 1]), int(paths[row, k + 1]), two_s)
+                    here = values.tolist().index(steps[k - 1])
+                    for value, entry in zip(values.tolist(), m[here]):
+                        moved = steps.copy()
+                        moved[k - 1], moved[k] = value, steps[k - 1] + steps[k] - value
+                        reference[row, basis.state_index(moved)] += entry
+                        if value == steps[k - 1] + 1:  # J_k raised: one unit moves from site k to k - 1
+                            assert basis.hop_targets(np.array([row]), k, k - 1)[0] == basis.state_index(moved)
+            h = dense_block(*_highest_weight_block(ell, two_s, n))
+            assert np.abs(h - reference).max() <= 1e-13 * np.abs(reference).max(), (ell, two_s, n)
+
+
 def test_each_block_is_solved_once_per_call(monkeypatch):
     spin = SpinMagnitude(1)
     built = []
@@ -209,8 +215,9 @@ def test_two_spins_of_2s_924_solve_one_state_per_block_in_a_whole_blocks_memory(
     for n, eigs in enumerate(spectrum.sector_eigenvalues):
         reference = np.sort(energies[: min(n, 2 * two_s - n) + 1])
         np.testing.assert_allclose(eigs, reference, rtol=1e-15, atol=0, err_msg=f"n={n}")
-    # a block holds the bond matrices of its own coupling pairs: here one
-    # (2S+1)^2 matrix, the size of the whole solve's middle block
+    # a block holds no bond matrix, only arrays of its own rows: here three
+    # one-state blocks stay within 20 (2S+1)-vectors of float64, where one
+    # (2S+1)^2 matrix of the recoupled bond would take 6.8 MB
     tracemalloc.start()
     try:
         for n in (0, two_s // 2, two_s):
@@ -218,4 +225,4 @@ def test_two_spins_of_2s_924_solve_one_state_per_block_in_a_whole_blocks_memory(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * (two_s + 1) ** 2 * 8
+    assert peak <= 20 * (two_s + 1) * 8
