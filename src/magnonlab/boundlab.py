@@ -373,13 +373,18 @@ def verify_low_energy_truncation(ell: int, spin: SpinMagnitude, betas) -> list:
     for beta in betas:
         e0 = -ell * free_energy_from_eigenvalues(energies, beta / 2.0, ell)
         n0 = e0 * ell**2 / (2.0 * s)
-        # a zero mode that rounds below 0 overflows exp at a huge beta; the
-        # inf it gives makes the slack NaN, and the certificate fails
+        counted = energies < e0
         with np.errstate(over="ignore"):
             lhs = float(np.exp(-beta * energies).sum())
-            rhs = 1.0 + float(np.exp(-beta * energies[energies < e0]).sum())
+            rhs = 1.0 + float(np.exp(-beta * energies[counted]).sum())
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            # a zero mode that rounds below 0 overflows exp at a huge beta;
+            # H >= 0, so such a rounding is clamped to 0
+            clamped = np.maximum(energies, 0.0)
+            lhs = float(np.exp(-beta * clamped).sum())
+            rhs = 1.0 + float(np.exp(-beta * clamped[counted]).sum())
         trunc_slack = rhs - lhs
-        sector_slacks = n0 - sectors[lowest & (energies < e0)]
+        sector_slacks = n0 - sectors[lowest & counted]
         sector_slack = float(worst(sector_slacks)) if sector_slacks.size else n0
         slack = worst([trunc_slack, sector_slack])
         if not (math.isfinite(e0) and math.isfinite(n0)):

@@ -13,6 +13,7 @@ from magnonlab.operators import (
     assemble_free_boson_t,
     assemble_heisenberg,
     assemble_total_spin_squared,
+    dense_block,
 )
 from magnonlab.spectra import (
     ResourceLimitError,
@@ -721,6 +722,11 @@ SPLIT_CASES = [
     for variant in ("free", "dirichlet")
 ] + [(SpinLattice.square(2), 1, "free"), (SpinLattice.square(2), 2, "free"),
      (SpinLattice.square(3), 1, "free")]
+# pinned S=1/2 chain of SPLIT_CASES -> the one sector m that `full_spectrum`
+# takes from free chain ell + 1's highest-weight block m once the gate is
+# down: the chains on which that block has at most half the sector's
+# states, rounded up
+HALF_SPIN_PAIRED = {3: 2, 5: 3, 7: 4, 9: 5}
 
 
 @pytest.mark.parametrize("lattice,two_s,variant", SPLIT_CASES, ids=lattice_id)
@@ -737,29 +743,68 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
     monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
     split = full_spectrum(lattice, spin, variant).sector_eigenvalues
-    top = two_s * lattice.nsites
+    ell, top = lattice.nsites, two_s * lattice.nsites
     free_chain = variant == "free" and lattice.dimension == 1
+    paired = HALF_SPIN_PAIRED.get(ell) if (variant, two_s) == ("dirichlet", 1) else None
     # on the free chain, sector n up to the middle solves its one new
     # highest-weight block, of total spin S*sites - n, and the sectors
-    # past the middle reuse them; elsewhere an even and an odd block per
-    # sector
-    counts = [(1 if 2 * n <= top else 0) if free_chain else 2 for n in range(top + 1)]
-    assert len(sizes) == sum(counts)
-    ends = np.cumsum(counts)
+    # past the middle reuse them; the paired sector of a pinned S=1/2
+    # chain solves free chain ell + 1's highest-weight block, after every
+    # other sector; elsewhere an even and an odd block per sector
+    order = sorted(range(top + 1), key=lambda n: n == paired)
+    counts = {n: 1 if n == paired else (1 if 2 * n <= top else 0) if free_chain else 2 for n in order}
+    assert len(sizes) == sum(counts.values())
+    solved = iter(sizes)
+    blocks_of = {n: [next(solved) for _ in range(counts[n])] for n in order}
     for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
         assert np.all(np.diff(eigs) >= 0), n
         np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
-        blocks = sizes[ends[n] - counts[n] : ends[n]]
+        blocks = blocks_of[n]
         if not blocks:
             continue
-        if free_chain:
-            ell = lattice.nsites
-            assert blocks == [sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)], n
+        if free_chain or n == paired:
+            chain = ell + (n == paired)
+            assert blocks == [sector_dimension(chain, n, two_s) - sector_dimension(chain, n - 1, two_s)], n
             continue
         states = enumerate_sector_basis(lattice, spin, n).states
         even, odd = blocks
         palindromes = int(np.all(states == states[:, ::-1], axis=1).sum())
         assert (even + odd, even - odd) == (len(states), palindromes), n
+
+
+def _pinned_sector_spectrum(ell, two_s, n):
+    """Whole-sector eigenvalues of pinned chain `ell`'s sector n, none past the top."""
+    if n > two_s * ell:
+        return np.zeros(0)
+    ((_, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n], "dirichlet")
+    return sla.eigvalsh(h, overwrite_a=True)
+
+
+def _highest_weight_spectrum(ell, two_s, n):
+    return sla.eigvalsh(dense_block(*spectra._highest_weight_block(ell, two_s, n)))
+
+
+@pytest.mark.parametrize("ell", range(2, 15))
+def test_a_pinned_half_spin_sector_is_a_free_highest_weight_block_and_a_pinned_sector(ell):
+    # what `full_spectrum` rests on, observed and unproven: pinned chain
+    # ell's sector m, 2m < ell + 2, is as a multiset the union of free
+    # chain ell + 1's highest-weight block m and pinned sector ell + 2 - m
+    # (none for m < 2); chain 14 checks only its paired sector 7
+    for m in [7] if ell == 14 else range((ell + 3) // 2):
+        union = np.concatenate([_highest_weight_spectrum(ell + 1, 1, m), _pinned_sector_spectrum(ell, 1, ell + 2 - m)])
+        np.testing.assert_allclose(
+            np.sort(union), _pinned_sector_spectrum(ell, 1, m), rtol=0, atol=1e-12, err_msg=f"m={m}"
+        )
+
+
+def test_at_spin_one_a_free_highest_weight_block_is_not_in_the_pinned_sector():
+    # why `full_spectrum` pairs sectors at S=1/2 only: free chain 5's
+    # highest-weight block 2 at S=1 has as many states as pinned chain 4's
+    # sector 2, so containment would be equality, and the two spectra
+    # differ (3 twice against 4 twice)
+    block, sector = _highest_weight_spectrum(5, 2, 2), _pinned_sector_spectrum(4, 2, 2)
+    assert len(block) == len(sector) == 10
+    assert not np.allclose(block, sector, rtol=0, atol=1e-8)
 
 
 def _record_solve_sizes(monkeypatch):
@@ -833,33 +878,36 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
 # only its sectors above the gate (10 whole + 2 * 4 and 10 + 6 + 1), so
 # the case names stay stable across that change
 @pytest.mark.parametrize(
-    "lattice,two_s,variant,largest,free_blocks",
+    "lattice,two_s,variant,largest,blocks",
     [
-        pytest.param(SpinLattice.chain(13), 1, "dirichlet", 868, None, id="dirichlet-18"),
+        pytest.param(SpinLattice.chain(13), 1, "dirichlet", 868, {7: 429}, id="dirichlet-18"),
         pytest.param(SpinLattice.chain(13), 1, "free", 572, [1, 12, 65, 208, 429, 572, 429], id="free-17"),
-        pytest.param(SpinLattice.chain(8), 2, "dirichlet", 563, None, id="chain8-2S2-dirichlet"),
+        pytest.param(SpinLattice.chain(8), 2, "dirichlet", 563, {}, id="chain8-2S2-dirichlet"),
         pytest.param(SpinLattice.chain(8), 2, "free", 280, [1, 7, 28, 76, 154, 238, 280, 232, 91],
                      id="chain8-2S2-free"),
     ],
 )
 def test_chain_13_solve_counts_and_no_shared_sector_arrays(
-    monkeypatch, lattice, two_s, variant, largest, free_blocks
+    monkeypatch, lattice, two_s, variant, largest, blocks
 ):
     # the middle sector (1716 states at 2S = 1, 1107 at 2S = 2) splits
     # the lattice: the pinned chain solves every sector as two parity
     # blocks (the end sectors with an empty odd one), the largest the
-    # even block of the middle sector, (states + palindromes) / 2; the
-    # free chain's sector n <= N/2, N = 2S*sites, its one highest-weight
-    # block, of spin N/2 - n, and the sectors past the middle copy their
-    # conjugates
+    # even block of sector 6, (states + palindromes) / 2, except that at
+    # 2S = 1 sector 7 (1716 states) is last, one highest-weight block of
+    # free chain 14 (`blocks`, sector: states); the free chain's sector
+    # n <= N/2, N = 2S*sites, its one highest-weight block, of spin
+    # N/2 - n, and the sectors past the middle copy their conjugates
     top = two_s * lattice.nsites
     calls = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(lattice, SpinMagnitude(two_s), variant)
     if variant == "free":
-        assert calls == free_blocks
+        assert calls == blocks
     else:
-        pairs = zip(calls[::2], calls[1::2], strict=True)
-        dims = [sector_dimension(lattice.nsites, n, two_s) for n in range(top + 1)]
+        parity_calls = calls[: len(calls) - len(blocks)]
+        assert calls[len(parity_calls) :] == list(blocks.values())
+        pairs = zip(parity_calls[::2], parity_calls[1::2], strict=True)
+        dims = [sector_dimension(lattice.nsites, n, two_s) for n in range(top + 1) if n not in blocks]
         assert [even + odd for even, odd in pairs] == dims
     assert max(calls) == largest
     eigs = spectrum.sector_eigenvalues
@@ -961,6 +1009,37 @@ def test_a_non_finite_parity_block_raises_from_full_spectrum(monkeypatch, bad):
 
     monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
     with pytest.raises(ValueError, match="infs or NaNs"):
+        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
+
+
+def test_a_wrong_highest_weight_block_fails_the_paired_sector_guard(monkeypatch):
+    exact = spectra._highest_weight_block
+
+    def shifted(nsites, two_s, n):
+        rows, cols, vals, dim = exact(nsites, two_s, n)
+        assert rows[0] == cols[0]  # a diagonal value
+        vals = vals.copy()
+        vals[0] += 1e-6
+        return rows, cols, vals, dim
+
+    monkeypatch.setattr(spectra, "_highest_weight_block", shifted)
+    # pinned chain 13's sector 7, from free chain 14's highest-weight block
+    with pytest.raises(RuntimeError, match="sector 7:"):
+        full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_paired_sector_raises_from_full_spectrum(monkeypatch, bad):
+    exact = spectra._assemble_variant
+
+    def spoiled(basis, variant):
+        op = exact(basis, variant)
+        if basis.n == 7:  # pinned chain 13's sector that only the guard assembles
+            op.vals[0] = bad
+        return op
+
+    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
+    with pytest.raises(RuntimeError, match="sector 7:"):
         full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
 
 
