@@ -488,7 +488,8 @@ def test_truncation_at_a_huge_beta_passes_without_a_warning(capsys, tmp_path):
     ledger = tmp_path / "ledger.jsonl"
     assert main(["verify", "--check", "truncation", "--out", str(ledger)]) == 0
     references = json.loads((Path(__file__).resolve().parents[1] / "bench" / "references.json").read_text())
-    assert hashlib.sha256(ledger.read_bytes()).hexdigest() == references["certify-suites"]["truncation"]["sha256"]
+    digest = references["certify-suites"]["truncation"]["sha256"]
+    assert hashlib.sha256(ledger.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("check", ["subadditivity", "truncation"])

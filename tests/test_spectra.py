@@ -791,7 +791,8 @@ def test_a_pinned_half_spin_sector_is_a_free_highest_weight_block_and_a_pinned_s
     # chain ell + 1's highest-weight block m and pinned sector ell + 2 - m
     # (none for m < 2); chain 14 checks only its paired sector 7
     for m in [7] if ell == 14 else range((ell + 3) // 2):
-        union = np.concatenate([_highest_weight_spectrum(ell + 1, 1, m), _pinned_sector_spectrum(ell, 1, ell + 2 - m)])
+        block = _highest_weight_spectrum(ell + 1, 1, m)
+        union = np.concatenate([block, _pinned_sector_spectrum(ell, 1, ell + 2 - m)])
         np.testing.assert_allclose(
             np.sort(union), _pinned_sector_spectrum(ell, 1, m), rtol=0, atol=1e-12, err_msg=f"m={m}"
         )
@@ -893,11 +894,12 @@ def test_chain_13_solve_counts_and_no_shared_sector_arrays(
     # the middle sector (1716 states at 2S = 1, 1107 at 2S = 2) splits
     # the lattice: the pinned chain solves every sector as two parity
     # blocks (the end sectors with an empty odd one), the largest the
-    # even block of sector 6, (states + palindromes) / 2, except that at
-    # 2S = 1 sector 7 (1716 states) is last, one highest-weight block of
-    # free chain 14 (`blocks`, sector: states); the free chain's sector
-    # n <= N/2, N = 2S*sites, its one highest-weight block, of spin
-    # N/2 - n, and the sectors past the middle copy their conjugates
+    # even block of a largest sector, (states + palindromes) / 2, except
+    # that at 2S = 1 sector 7 (1716 states) is last, one highest-weight
+    # block of free chain 14 (`blocks`, sector: states); the free
+    # chain's sector n <= N/2, N = 2S*sites, its one highest-weight block,
+    # of spin N/2 - n, and the sectors past the middle copy their
+    # conjugates
     top = two_s * lattice.nsites
     calls = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(lattice, SpinMagnitude(two_s), variant)
