@@ -22,16 +22,18 @@ Casimir floor of the largest total spin not yet held lies above the
 gap.  `full_spectrum` solves every block it forms at one site, each a
 triplet set filled as it is solved and overwritten by LAPACK, so one
 dense block is held at a time.  A lattice whose middle sector, the
-largest, has more than `WHOLE_SECTOR_MAX` states has every sector split:
-a free chain solves each multiplet once, in the highest-weight block of
-its total spin, on the sequential-coupling paths written as occupation
-vectors of one magnon sector, each bond a closed-form tridiagonal
-matrix in the J_k it changes; any other lattice solves the two blocks
-of the reflection that reverses the site order (the mirror of the
-pinned chain, the point reflection of a row-major grid), except that a
-pinned chain at S=1/2 takes its sectors whose free highest-weight
-block is at most half their size from that block and a larger pinned
-sector, each use checked against the sector's trace and Frobenius norm.
+largest, has more than `WHOLE_SECTOR_MAX` states has every sector split
+by the reflection that reverses the site order: a free chain solves
+each multiplet once, in the highest-weight block of its total spin,
+coupled from both ends so that the reflection is a signed row map and
+the block splits into an even and an odd half, each bond inside a half
+a closed-form tridiagonal matrix in the J_k it changes and the bonds at
+the middle closed-form 6j elements; any other lattice solves the two
+blocks of that reflection on each sector (the mirror of the pinned
+chain, the point reflection of a row-major grid), except that a pinned
+chain at S=1/2 takes its sectors m >= 2, 2m < sites + 2, from the halves
+of a free highest-weight block and a larger pinned sector, each use
+checked against the sector's trace and Frobenius norm.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -147,37 +149,43 @@ def full_spectrum(
     one block, the triplets of its Hamiltonian, and its eigenvalues are
     dsyevr's ascending output.
 
-    Otherwise the free chain, which commutes with the total spin, takes
-    sector n <= N/2, N = 2S*sites, as the sorted union of sector n - 1
-    and block n, the highest-weight states of J = S*sites - n
-    (`_highest_weight_block`) on the coupling paths to J
-    (`_coupling_basis`), and sector n > N/2 as a copy of sector N - n.
-    Each block is built and solved once per call, each bond a closed-form
-    tridiagonal matrix in the one coupled spin J_k it changes, evaluated on
-    all of the block's rows at once.
+    Otherwise every block is split by the reflection that reverses the
+    site order (`_parity_blocks`), and a half with no rows is not solved.
+    The free chain, which commutes with the total spin, takes sector
+    n <= N/2, N = 2S*sites, as the sorted union of sector n - 1 and the
+    two halves of block n, the highest-weight states of J = S*sites - n
+    (`_highest_weight_block`), and sector n > N/2 as a copy of sector
+    N - n.  The block's rows couple each half of the chain in order from
+    its end and then the halves, and on an odd chain the middle site last
+    (`_mirror_coupling`), so the reflection maps row to row up to a sign.
+    Each block is built and solved once per call, on all of its rows at
+    once: a bond inside a half is a closed-form tridiagonal matrix in the
+    one coupled spin J_k it changes, and the one or two bonds at the
+    middle change each of J_a, J_b and K by at most one.  Free chain 14 at
+    S=1/2 solves no half above 518 states, where its largest block has
+    1001.
 
     Every sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
-    alike, is solved as the two blocks of the reflection that reverses
-    the site order (`_parity_blocks`), so a sector at
+    alike, is solved as its two parity blocks, so a sector at
     `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
     (72 MB), not its 288 MB.  Every block goes through `lapack.eigh`,
     which reads it with `np.asarray_chkfinite`, so a NaN or inf in a
     block raises ValueError.
 
-    A split pinned chain of L sites at S=1/2 takes some sectors otherwise.
-    Its sector m, 2m < L+2, is as a multiset the union of free chain
-    L+1's highest-weight block m, sector_dimension(L+1, m) -
+    A split pinned chain of L sites at S=1/2 takes its sectors m >= 2,
+    2m < L+2, otherwise.  Such a sector is as a multiset the union of
+    free chain L+1's highest-weight block m, sector_dimension(L+1, m) -
     sector_dimension(L+1, m-1) states, and pinned sector L+2-m.  This is
     observed, to 1.2e-14 of the largest eigenvalue for every such m on
-    L = 2..14, and not proven; it fails at S=1.  It is used for the sectors m >= 2 whose
-    block has at most half the sector's states, rounded up, so never
-    more than the even parity block it replaces: the middle sector m=7
-    alone on chains 13 and 14.  Those sectors are solved after every
-    other, so their partner L+2-m is at hand, and each is guarded: the
-    sum and sum of squares of its eigenvalues must equal the trace and
-    squared Frobenius norm read off its triplets
-    (`_require_sector_moments`), or RuntimeError names the sector.
+    L = 2..14, and not proven; it fails at S=1.  Each such sector solves
+    the two halves of that block, which on pinned chain 14 hold at most
+    1008 states where its parity blocks hold up to 1716.  Those sectors
+    are solved after every other, from the middle down, so their partner
+    L+2-m is at hand, and each is guarded: the sum and sum of squares of
+    its eigenvalues must equal the trace and squared Frobenius norm read
+    off its triplets (`_require_sector_moments`), or RuntimeError names
+    the sector.
 
     Raises ResourceLimitError, before any basis is enumerated, when the
     total Hilbert dimension exceeds `DEFAULT_DIM_CAP` or any single
@@ -199,26 +207,26 @@ def full_spectrum(
     # free chain nsites + 1's highest-weight block m make up sector m's
     partners = {}
     if split and variant == "dirichlet" and lattice.dimension == 1 and spin.two_s == 1:
-        partners = {
-            m: nsites + 2 - m for m in range(2, (nsites + 3) // 2)
-            if 2 * (sector_dimension(nsites + 1, m, 1) - sector_dimension(nsites + 1, m - 1, 1))
-            <= sector_dimension(nsites, m, 1) + 1
-        }
+        partners = {m: nsites + 2 - m for m in range(2, (nsites + 3) // 2)}
     sector_eigs = [None] * (top + 1)
-    for n in sorted(range(top + 1), key=partners.__contains__):  # paired sectors last
+    # paired sectors last, from the middle down, so each partner is at hand
+    for n in sorted(range(top + 1), key=lambda n: partners.get(n, 0)):
         if free_chain and 2 * n > top:  # the spin flip's conjugate sector
             sector_eigs[n] = sector_eigs[top - n].copy()
             continue
-        if free_chain:
-            blocks = [_highest_weight_block(nsites, spin.two_s, n)]
-        elif n in partners:
-            blocks = [_highest_weight_block(nsites + 1, 1, n)]
+        if free_chain or n in partners:
+            chain, two_s = (nsites, spin.two_s) if free_chain else (nsites + 1, 1)
+            reflection = _mirror_coupling(chain, two_s, n)[-2:]
+            blocks = _parity_blocks(*_highest_weight_block(chain, two_s, n), *reflection)
         else:
             op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
-            blocks = _parity_blocks(op) if split else [(op.rows, op.cols, op.vals, op.dim)]
+            blocks = [(op.rows, op.cols, op.vals, op.dim)]
+            if split:  # the reversed occupation vector's row, every sign 1
+                blocks = _parity_blocks(*blocks[0], op.basis.state_index(op.basis.states[:, ::-1]), 1)
         # a block is filled only as it is solved, and LAPACK overwrites it
-        # instead of copying it, so one dense block is held at a time
-        eigs = [sla.eigvalsh(dense_block(*block), overwrite_a=True) for block in blocks]
+        # instead of copying it, so one dense block is held at a time; a
+        # half with no rows is not solved
+        eigs = [sla.eigvalsh(dense_block(*block), overwrite_a=True) for block in blocks if block[3]]
         if free_chain and n:  # sector n holds every multiplet of sector n - 1
             eigs.append(sector_eigs[n - 1])
         if n in partners:
@@ -246,97 +254,265 @@ def _require_sector_moments(lattice, spin, variant, n, eigs):
         )
 
 
-def _parity_blocks(op):
-    """The even and odd blocks of the sector operator `op` under the
-    reflection that reverses the site order, found as a row map by
-    lookup, yielded in turn as triplets (rows, cols, vals, dim).  The
-    reflection commutes with every Hamiltonian `_assemble_variant`
-    builds: on a chain it is the mirror, which also maps the pinned ends
-    onto each other, and on a row-major square grid it is the point
-    reflection.
+def _parity_blocks(rows, cols, vals, dim, mirror, sign):
+    """The even and odd blocks of the dim x dim symmetric matrix with
+    triplets (rows, cols, vals) under a reflection R that commutes with
+    it, yielded in turn as triplets (rows, cols, vals, dim).  R is the
+    signed involution R|i> = sign[i] |mirror[i]>, sign[i] = sign[mirror[i]]
+    = +-1 (`sign` may be the scalar 1).  On a sector of `_assemble_variant`
+    it reverses the site order, mirror[i] the row of the reversed
+    occupation vector and every sign 1: on a chain that is the mirror,
+    which also maps the pinned ends onto each other, and on a row-major
+    square grid the point reflection.  On a highest-weight block it is the
+    signed row map of `_mirror_coupling`.
 
-    An orbit {i, mirror[i]} is represented by its lower row.  The even
-    block takes every orbit, with weight 1/sqrt(|orbit|) on each of its
-    rows; the odd block takes the two-row orbits, with weight +1/sqrt(2)
-    on the lower row and -1/sqrt(2) on the other.  Each triplet
-    (i, j, v) of `op` becomes the triplet v q_i q_j / sqrt(|orbit i|
-    |orbit j|), q the weight's sign, at the orbits of i and j, in the
-    order of `op`'s triplets.
+    An orbit {i, mirror[i]} is represented by its lower row.  Block
+    p = +1, -1 takes the vector |lo> + p sign |hi> of each two-row orbit,
+    with weight 1/sqrt(2) on each row, and each fixed row i whose sign[i]
+    is p, with weight 1, so a fixed row of sign -1 is odd.  Each triplet
+    (i, j, v) becomes the triplet v q_i q_j / sqrt(|orbit i| |orbit j|),
+    q the weight's sign, at the orbits of i and j, in the order of the
+    triplets.
     """
-    basis = op.basis
-    rows, mirror = np.arange(basis.dim), basis.state_index(basis.states[:, ::-1])
-    lower = np.minimum(rows, mirror)
-    orbit_size = 1 + (mirror != rows)
-    size = orbit_size[op.rows] * orbit_size[op.cols]  # |orbit i| |orbit j| of each triplet
-    # the weight's sign on each row: 1 in the even block; in the odd one
-    # +1 on the lower row of a pair, -1 on the upper, 0 on a palindrome
-    for sign in (np.ones_like(rows), np.sign(mirror - rows)):
-        first = (lower == rows) & (sign != 0)  # the lower row of each orbit in the block
+    index = np.arange(dim)
+    lower = np.minimum(index, mirror)
+    orbit_size = 1 + (mirror != index)
+    size = orbit_size[rows] * orbit_size[cols]  # |orbit i| |orbit j| of each triplet
+    for p in (1, -1):
+        # the weight's sign on each row: 1 on the lower row of a pair,
+        # p*sign on the upper, and 1 or 0 on a fixed row as its sign is p or not
+        q = np.where(index < mirror, 1, np.where(index > mirror, p * sign, (1 + p * sign) // 2))
+        first = (lower == index) & (q != 0)  # the lower row of each orbit in the block
         orbit = (np.cumsum(first) - 1)[lower]
-        q = sign[op.rows] * sign[op.cols]
-        kept = q != 0
-        yield (
-            orbit[op.rows[kept]], orbit[op.cols[kept]], op.vals[kept] * q[kept] / np.sqrt(size[kept]),
-            int(first.sum()),
-        )
+        qq = q[rows] * q[cols]
+        kept = qq != 0
+        yield orbit[rows[kept]], orbit[cols[kept]], vals[kept] * qq[kept] / np.sqrt(size[kept]), int(first.sum())
 
 
-def _coupling_basis(nsites, two_s, n):
-    """The sequential-coupling paths of `nsites` spins S = two_s/2 to
-    total spin J = S*nsites - n, as (basis, paths).
+def _half_paths(nsites, two_s):
+    """Every sequential-coupling path of `nsites` spins S = two_s/2, to any
+    total spin, as the rows (2J_0, ..., 2J_nsites), in doubled spins, of
+    an int array in ascending lexicographic order.  J_0 = 0 and each J_k
+    lies in |J_{k-1} - S| .. J_{k-1} + S: a prefix expansion, one spin at
+    a time, tries J_{k-1} - S .. J_{k-1} + S and keeps J_{k-1} + J_k >= S.
+    The paths that share all but their last spin are consecutive rows,
+    their last spins ascending by one."""
+    paths = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(nsites):
+        grown = paths[:, -1:] + np.arange(-two_s, two_s + 1, 2)
+        row, col = np.nonzero(paths[:, -1:] + grown >= two_s)
+        paths = np.column_stack([paths[row], grown[row, col]])
+    return paths
 
-    A path (2J_0, ..., 2J_nsites), in doubled spins, has J_0 = 0 and each
-    J_k in |J_{k-1} - S| .. J_{k-1} + S.  Its steps d_k = J_k - J_{k-1} + S
-    lie in 0..2S and add up to 2S*nsites - n, so they are the occupation
-    vectors of that magnon sector whose partial sums keep
-    J_{k-1} + J_k >= S, in the same lexicographic order as the paths.
-    `basis` is the `MagnonSectorBasis` of those step vectors, and row i
-    of `paths` is the path of its row i."""
-    sector = enumerate_sector_basis(SpinLattice.chain(nsites), SpinMagnitude(two_s), two_s * nsites - n)
-    paths = np.zeros((sector.dim, nsites + 1), dtype=np.int64)
-    np.cumsum(2 * sector.states - two_s, axis=1, out=paths[:, 1:])
-    kept = np.all(paths[:, :-1] + paths[:, 1:] >= two_s, axis=1)
-    basis = MagnonSectorBasis(sector.lattice, sector.spin, sector.n, True, sector.states[kept])
-    return basis, paths[kept]
+
+def _mirror_coupling(nsites, two_s, n):
+    """The rows of free chain `nsites`'s highest-weight block n, of total
+    spin J = S*nsites - n, S = two_s/2, in the mirror-symmetric coupling,
+    as (paths, left, right, k, mirror, sign).
+
+    With h = nsites // 2, the left half, sites 1..h, is coupled in order
+    to J_a along a path of `_half_paths(h, two_s)`, and the right half,
+    sites nsites..nsites-h+1, likewise to J_b; then K runs over
+    J_a (x) J_b.  On an even chain J = K; on an odd one the middle site is
+    coupled last, J in K (x) S.  Row i is the path pair (left[i],
+    right[i]), rows of `paths`, and 2K = k[i]; the rows ascend in
+    (left, right, k), so a row is found by binary search over its integer
+    key.  They number sector_dimension(n) - sector_dimension(n - 1).
+
+    Reversing the sites maps the coupled state (a, b, K) to
+    (-1)^(J_a+J_b-K) (b, a, K), by the symmetry of the Clebsch-Gordan
+    coefficients in their two spins, and leaves the middle site and its
+    coupling alone: row mirror[i], with sign[i] = +-1."""
+    paths = _half_paths(nsites // 2, two_s)
+    ends = paths[:, -1]
+    npaths, middle, two_j = len(ends), two_s * (nsites % 2), two_s * nsites - 2 * n
+    # an even chain is an odd one whose middle spin is 0; J_b meets J_a in
+    # a triangle with some K in J (x) middle only within a range of spins,
+    # which is a range of the paths sorted by their last spin
+    by_end = np.argsort(ends, kind="stable")
+    first = np.searchsorted(ends[by_end], np.maximum(two_j - middle - ends, ends - two_j - middle))
+    per_left = np.searchsorted(ends[by_end], ends + two_j + middle, side="right") - first
+    left = np.repeat(np.arange(npaths), per_left)
+    right = by_end[first[left] + np.arange(len(left)) - (np.cumsum(per_left) - per_left)[left]]
+    ea, eb = ends[left], ends[right]
+    # 2K from the larger to the smaller bound of both triangles
+    lo = np.maximum(abs(ea - eb), abs(two_j - middle))
+    per_pair = np.maximum((np.minimum(ea + eb, two_j + middle) - lo) // 2 + 1, 0)
+    pair = np.repeat(np.arange(len(left)), per_pair)
+    k = lo[pair] + 2 * (np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair])
+    keys = _row_keys(npaths, nsites * two_s, left[pair], right[pair], k)
+    order = np.argsort(keys)
+    left, right, k, keys = left[pair][order], right[pair][order], k[order], keys[order]
+    mirror = np.searchsorted(keys, _row_keys(npaths, nsites * two_s, right, left, k))
+    sign = 1 - 2 * ((ends[left] + ends[right] - k) // 2 % 2)
+    return paths, left, right, k, mirror, sign
+
+
+def _row_keys(npaths, top, left, right, k):
+    """Integer key of each row (left, right, 2K) of `_mirror_coupling`, 2K <= top."""
+    return (left * npaths + right) * (top + 1) + k
+
+
+def _six_j_one(a, b, c, b1, c1):
+    """The Wigner 6j symbols {a b c; 1 c1 b1}, doubled spins as int
+    arrays, with b1 - b and c1 - c in -2, 0, 2 and every triad allowed but
+    (1 c1 c) or (1 b b1) when c1 = c = 0 or b1 = b = 0, where the symbol
+    is 0.  Edmonds' Table 5 gives, with s = A + B + C,
+      {A B C; 1 C-1 B-1} = (-1)^s sqrt(s(s+1)(s-2A-1)(s-2A) / F(2B-1) F(2C-1)),
+      {A B C; 1 C-1 B}   = (-1)^s sqrt(2(s+1)(s-2A)(s-2B)(s-2C+1) / F(2B) F(2C-1)),
+      {A B C; 1 C-1 B+1} = (-1)^s sqrt((s-2B-1)(s-2B)(s-2C+1)(s-2C+2) / F(2B+1) F(2C-1)),
+      {A B C; 1 C B}     = (-1)^(s+1) 2(B(B+1) + C(C+1) - A(A+1)) / sqrt(F(2B) F(2C)),
+    F(x) = x(x+1)(x+2).  Swapping columns 2 and 3, or the rows in both,
+    leaves the symbol as it is and carries every other case onto these:
+    after the swap of (b, b1) with (c, c1) where c is unchanged and b is
+    not, or where b falls and c rises, C is the larger of c, c1, and B is
+    b where b1 - b = c - c1 and the larger of b, b1 otherwise."""
+    swap = ((c1 == c) & (b1 != b)) | ((b1 < b) & (c1 > c))
+    b, c, b1, c1 = np.where(swap, c, b), np.where(swap, b, c), np.where(swap, c1, b1), np.where(swap, b1, c1)
+    db, dc = b1 - b, c1 - c
+    big_b, big_c = np.where(db == -dc, b, np.maximum(b, b1)), np.maximum(c, c1)
+    x, y, z = a / 2, big_b / 2, big_c / 2
+    s = x + y + z
+    spins = y * (y + 1) + z * (z + 1) - x * (x + 1)
+    flat = (db == 0) & (dc == 0)
+    cases = [flat, db == dc, db == 0]  # otherwise db = -dc = 2
+    numerator = np.select(cases, [4 * spins**2, s * (s + 1) * (s - 2 * x - 1) * (s - 2 * x),
+                                  2 * (s + 1) * (s - 2 * x) * (s - 2 * y) * (s - 2 * z + 1)],
+                          (s - 2 * y - 1) * (s - 2 * y) * (s - 2 * z + 1) * (s - 2 * z + 2))
+    f_b, f_c = (x * (x + 1.0) * (x + 2) for x in (big_b + np.select(cases, [0, -1, 0], 1), big_c - 1 + flat))
+    root = np.sqrt(np.divide(numerator, f_b * f_c, out=np.zeros_like(s), where=f_b * f_c > 0))
+    phase = 1 - 2 * ((a + big_b + big_c) // 2 % 2)
+    return phase * np.where(flat, -np.sign(spins), 1) * root
 
 
 def _highest_weight_block(nsites, two_s, n):
     """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
-    highest-weight states of total spin J = S*nsites - n: the paths of
-    `_coupling_basis`, which number sector_dimension(n) -
-    sector_dimension(n - 1).  Bond (k, k+1) changes J_k alone, and by at
-    most one (Edmonds, Angular Momentum in Quantum Mechanics, 7.1.6 and
-    7.1.8, with the 6j symbols that have an argument 1).  In doubled spins
-    a = 2J_{k-1}, b = 2J_k, c = 2J_{k+1}, T = 2S and x' = x(x+2), the
-    projection theorem gives the diagonal S_k.S_{k+1} =
+    highest-weight states of total spin J = S*nsites - n, the rows of
+    `_mirror_coupling`.
+
+    A bond inside a half, (k, k+1) of a path (2J_0, ..., 2J_h), changes
+    J_k alone, and by at most one (Edmonds, Angular Momentum in Quantum
+    Mechanics, 7.1.6 and 7.1.8, with the 6j symbols that have an argument
+    1).  In doubled spins a = 2J_{k-1}, b = 2J_k, c = 2J_{k+1}, T = 2S and
+    x' = x(x+2), the projection theorem gives the diagonal S_k.S_{k+1} =
     (b' + T' - a')(c' - b' - T')/(16 b'), 0 at b = 0, and raising J_k to
     u = b + 2 has amplitude sqrt(P(a) P(c)) / (32 u sqrt(u^2 - 1)), with
-    P(x) = (u+x+T+2)(x+T+2-u)(u-x+T)(u+x-T).  P(a) is 0 when step k is
-    already 2S and P(c) when step k+1 is 0, so the raises are exactly the
-    hops of one step from site k+1 to site k that `hop_targets` makes,
-    and a raise keeps every J_{k-1} + J_k >= S.  The bond S^2 - S_k.S_{k+1}
-    takes each row's diagonal summed over the bonds, and minus each
-    amplitude at (row, raised) and at (raised, row), so the block is
-    bitwise symmetric."""
-    basis, paths = _coupling_basis(nsites, two_s, n)
-    steps, t = basis.states, float(two_s)
-    # x' of 2J_{k-1}, 2J_k, 2J_{k+1} and 2S, one column per bond
+    P(x) = (u+x+T+2)(x+T+2-u)(u-x+T)(u+x-T), where the raised path exists.
+
+    The bonds at the middle are the first to cross the coupling order,
+    each element a product of three 6j symbols with an argument 1
+    (`_six_j_one`).  The last spin of a half, coupled to J_a after the
+    spin A, has the reduced element rho(A, J_a', J_a) =
+    (-1)^(A + S + J_a' + 1) sqrt((2J_a+1)(2J_a'+1)) {A S J_a'; 1 J_a S}
+    sigma, sigma = sqrt(S(S+1)(2S+1)) (7.1.8).  On an even chain the one
+    bond (h, h+1) joins the last sites of the halves, and changes J_a and
+    J_b by at most one each: by 7.1.6 its element is
+    (-1)^(J_a + J_b' + K) {K J_b' J_a'; 1 J_a J_b} rho(A, J_a', J_a)
+    rho(B, J_b', J_b).  On an odd chain the bond (h, h+1) from the left
+    half to the middle site, coupled last into J, changes J_a and K:
+    (-1)^(K + S + J) {J S K'; 1 K S} sigma (-1)^(J_a' + J_b + K + 1)
+    sqrt((2K+1)(2K'+1)) {J_b J_a' K'; 1 K J_a} rho(A, J_a', J_a) (7.1.6,
+    7.1.7), and the bond (h+1, h+2) is its mirror image.  Their diagonals
+    come from the
+    projection theorem, the last spin of a half being
+    alpha = (J_a(J_a+1) + S(S+1) - A(A+1)) / (2 J_a(J_a+1)) times J_a and
+    J_a being beta = (K(K+1) + J_a(J_a+1) - J_b(J_b+1)) / (2 K(K+1)) times
+    K: alpha_a alpha_b (K(K+1) - J_a(J_a+1) - J_b(J_b+1))/2 across an even
+    middle, alpha_a beta (J(J+1) - K(K+1) - S(S+1))/2 into an odd one.
+
+    The left half's bonds (and the odd chain's bond into the middle site)
+    are built on the rows; the right half's are their images under the
+    signed row map R of `_mirror_coupling`, since the Hamiltonian commutes
+    with R.  Each bond S^2 - S_k.S_{k'} takes S^2 minus its diagonal on
+    each row, and minus each element at (row, raised) and (raised, row),
+    so the block is bitwise symmetric."""
+    paths, left, right, k, mirror, sign = _mirror_coupling(nsites, two_s, n)
+    npaths, top, dim, t = len(paths), two_s * nsites, len(left), float(two_s)
+    tt, two_j = t * (t + 2), two_s * nsites - 2 * n
+    keys = _row_keys(npaths, top, left, right, k)
+    # x' of 2J_{k-1}, 2J_k, 2J_{k+1} and 2S, one column per bond inside a half
     a, b, c = (x * (x + 2.0) for x in (paths[:, :-2], paths[:, 1:-1], paths[:, 2:]))
-    tt = t * (t + 2)
     dots = np.divide((b + tt - a) * (c - b - tt), 16 * b, out=np.zeros_like(b), where=b > 0)
-    diagonal = np.sum(t * t / 4 - dots, axis=1)
-    # row, site: step `site` can rise and step `site + 1` fall, i.e. J_{site+1} rises
-    row, site = np.nonzero((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))
-    raised = basis.hop_targets(row, site + 1, site)
-    u = paths[row, site + 1] + 2.0
+    steps = (np.diff(paths, axis=1) + two_s) // 2
+    # path, site: step `site` can rise and step `site + 1` fall, i.e. J_{site+1} rises
+    path, site = np.nonzero((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))
+    weights = (two_s + 1) ** np.arange(steps.shape[1] - 1, -1, -1)
+    path_keys = steps @ weights
+    raised_path = np.searchsorted(path_keys, path_keys[path] + weights[site] - weights[site + 1])
+    u = paths[path, site + 1] + 2.0
 
     def p(x):
         return (u + x + t + 2) * (x + t + 2 - u) * (u - x + t) * (u + x - t)
 
-    off_diagonal = -np.sqrt(p(paths[row, site]) * p(paths[row, site + 2])) / (32 * u * np.sqrt(u * u - 1))
-    index = np.arange(basis.dim)
+    amplitude = np.sqrt(p(paths[path, site]) * p(paths[path, site + 2])) / (32 * u * np.sqrt(u * u - 1))
+    # the rows of one left path are consecutive, and a raise keeps J_a, so
+    # they pair off in order with the rows of the raised path
+    per_path = np.bincount(left, minlength=npaths)
+    first_row = np.cumsum(per_path) - per_path
+    per_raise = per_path[path]
+    raise_of = np.repeat(np.arange(len(path)), per_raise)
+    offset = np.arange(len(raise_of)) - (np.cumsum(per_raise) - per_raise)[raise_of]
+    raises = [(first_row[path][raise_of] + offset, first_row[raised_path][raise_of] + offset,
+               amplitude[raise_of])]
+
+    # the middle: J_a, J_b, the spins A, B before them, and x' of each and of 2K
+    ja, jb, pa, pb = paths[left, -1], paths[right, -1], paths[left, -2], paths[right, -2]
+    ja2, jb2, pa2, pb2, k2 = (x * (x + 2.0) for x in (ja, jb, pa, pb, k))
+    alpha_a = np.divide(ja2 + tt - pa2, 2 * ja2, out=np.zeros_like(ja2), where=ja > 0)
+    # path p + 1 is path p with its last spin raised by one where they share the rest
+    rises = np.append(np.all(paths[1:, :-1] == paths[:-1, :-1], axis=1), False)
+    if nsites % 2:
+        beta = np.divide(k2 + ja2 - jb2, 2 * k2, out=np.zeros_like(k2), where=k > 0)
+        middle_diagonal = t * t / 4 - alpha_a * beta * (two_j * (two_j + 2.0) - k2 - tt) / 8
+        # (J_a, K) to (J_a, K + 1), (J_a + 1, K - 1), (J_a + 1, K), (J_a + 1, K + 1):
+        # one orientation of each pair of rows the bond joins
+        moves = [(left, right, k + 2, np.ones(dim, dtype=bool))]
+        moves += [(left + 1, right, k + dk, rises[left]) for dk in (-2, 0, 2)]
+    else:
+        alpha_b = np.divide(jb2 + tt - pb2, 2 * jb2, out=np.zeros_like(jb2), where=jb > 0)
+        middle_diagonal = t * t / 4 - alpha_a * alpha_b * (k2 - ja2 - jb2) / 8
+        # (J_a, J_b) to (J_a, J_b + 1), (J_a + 1, J_b - 1), (J_a + 1, J_b), (J_a + 1, J_b + 1)
+        falls = np.insert(rises[:-1], 0, False)
+        moves = [(left, right + 1, k, rises[right]), (left + 1, right - 1, k, rises[left] & falls[right]),
+                 (left + 1, right, k, rises[left]), (left + 1, right + 1, k, rises[left] & rises[right])]
+    pairs = []
+    for to_left, to_right, to_k, allowed in moves:
+        row = np.flatnonzero(allowed)
+        wanted = _row_keys(npaths, top, to_left[row], to_right[row], to_k[row])
+        target = np.minimum(np.searchsorted(keys, wanted), dim - 1)
+        hit = keys[target] == wanted  # the target keeps both triangles
+        pairs.append((row[hit], target[hit]))
+    row, target = (np.concatenate(x) for x in zip(*pairs))
+    ja, jb, pa, pb, k_to = ja[row], jb[row], pa[row], pb[row], k[target]
+    a_to, b_to, k = paths[left[target], -1], paths[right[target], -1], k[row]
+    # rho(A, J_a', J_a) and, across an even middle, rho(B, J_b', J_b) and
+    # the 6j of 7.1.6, or, into an odd middle, the 6j of 7.1.6 and of 7.1.7
+    # with K in the place of J_b
+    spin = np.full(len(row), two_s)
+    if nsites % 2:
+        other, other_to = k, k_to
+        symbols = [(pa, spin, a_to, spin, ja), (spin + two_j - two_s, spin, k_to, spin, k), (jb, a_to, k_to, ja, k)]
+        phase = (pa + two_s + a_to + 2) + (k + two_s + two_j) + (a_to + jb + k + 2)
+    else:
+        other, other_to = jb, b_to
+        symbols = [(pa, spin, a_to, spin, ja), (pb, spin, b_to, spin, jb), (k, b_to, a_to, jb, ja)]
+        phase = (pa + two_s + a_to + 2) + (pb + two_s + b_to + 2) + (ja + b_to + k)
+    six_j = np.prod(np.split(_six_j_one(*(np.concatenate(column) for column in zip(*symbols))), 3), axis=0)
+    sigma2 = t / 2 * (t / 2 + 1) * (t + 1)
+    scale = np.sqrt((ja + 1.0) * (a_to + 1) * (other + 1) * (other_to + 1)) * sigma2
+    middle = [(row, target, (1 - 2 * (phase // 2 % 2)) * scale * six_j)]
+    left_diagonal = (t * t / 4 - dots).sum(axis=1)[left]
+    if nsites % 2:  # the bond into the middle site is the left half's
+        left_diagonal = left_diagonal + middle_diagonal
+        raises, middle, middle_diagonal = raises + middle, [], 0.0
+    # the right half's bonds, and the odd chain's bond out of the middle
+    # site, are the left ones under R
+    diagonal = left_diagonal + left_diagonal[mirror] + middle_diagonal
+    raises += [(mirror[i], mirror[j], v * (sign[i] * sign[j])) for i, j, v in raises]
+    row, raised, value = (np.concatenate(x) for x in zip(*raises, *middle))
+    index = np.arange(dim)
     return (np.concatenate([index, row, raised]), np.concatenate([index, raised, row]),
-            np.concatenate([diagonal, off_diagonal, off_diagonal]), basis.dim)
+            np.concatenate([diagonal, -value, -value]), dim)
 
 
 def _logsumexp(a):

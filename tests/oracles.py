@@ -6,10 +6,13 @@ ladder, not the occupation ladder the sector assemblies use), the
 coordinate-collapse table on sorted coordinates (the collapse matrix's
 reference), the maximal-spin vector of a sector, the gap solved
 sparsely on the middle sector, which holds every multiplet (the
-reference of the gap's sector loop), an operator's hermiticity defect
-and the basis state of one occupation vector, Racah's 6j sum with every
+reference of the gap's sector loop), an operator's hermiticity defect,
+the basis state of one occupation vector and a sector's palindromes, Racah's 6j sum with every
 term's factorials taken anew, the free chain's bond matrix recoupled
-from it (the reference of the closed-form highest-weight blocks), the
+from it, the free chain's highest-weight blocks on the sequential
+coupling 1..L (the reference of the mirror-coupled blocks and their
+reflection-parity halves), Clebsch-Gordan coefficients by Racah's sum
+and the mirror-coupled states they build on the tensor-product space, the
 Bessel/Hurwitz series for the continuum integrals, and the continuum
 constants evaluated both by quadrature and in closed form.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
@@ -119,6 +123,15 @@ def from_occupation(basis: MagnonSectorBasis, occ) -> CoordinateState:
     v = np.zeros(basis.dim)
     v[basis.state_index(occ)] = 1.0
     return CoordinateState(basis, v)
+
+
+def palindrome_count(lattice: SpinLattice, spin: SpinMagnitude, n: int) -> int:
+    """The occupation vectors of sector n (none outside 0..2S*sites) that
+    the site reversal fixes: the reversal's trace on the sector."""
+    if not 0 <= n <= spin.two_s * lattice.nsites:
+        return 0
+    states = enumerate_sector_basis(lattice, spin, n).states
+    return int(np.all(states == states[:, ::-1], axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +238,116 @@ def recoupled_bond_matrix(a, c, two_s):
                    for k in ks.tolist()] for b in bs.tolist()])
     m = (u * mu) @ u.T
     return (bs - a + two_s) // 2, (m + m.T) / 2
+
+
+def coupling_basis(nsites, two_s, n):
+    """The sequential-coupling paths of `nsites` spins S = two_s/2 to
+    total spin J = S*nsites - n, as (basis, paths).
+
+    A path (2J_0, ..., 2J_nsites), in doubled spins, has J_0 = 0 and each
+    J_k in |J_{k-1} - S| .. J_{k-1} + S.  Its steps d_k = J_k - J_{k-1} + S
+    lie in 0..2S and add up to 2S*nsites - n, so they are the occupation
+    vectors of that magnon sector whose partial sums keep
+    J_{k-1} + J_k >= S, in the same lexicographic order as the paths.
+    `basis` is the `MagnonSectorBasis` of those step vectors, and row i
+    of `paths` is the path of its row i."""
+    sector = enumerate_sector_basis(SpinLattice.chain(nsites), SpinMagnitude(two_s), two_s * nsites - n)
+    paths = np.zeros((sector.dim, nsites + 1), dtype=np.int64)
+    np.cumsum(2 * sector.states - two_s, axis=1, out=paths[:, 1:])
+    kept = np.all(paths[:, :-1] + paths[:, 1:] >= two_s, axis=1)
+    basis = MagnonSectorBasis(sector.lattice, sector.spin, sector.n, True, sector.states[kept])
+    return basis, paths[kept]
+
+
+def sequential_highest_weight_block(nsites, two_s, n):
+    """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
+    highest-weight states of total spin J = S*nsites - n coupled in site
+    order: the paths of `coupling_basis`.  Bond (k, k+1) changes J_k
+    alone, and by at most one.  In doubled spins a = 2J_{k-1}, b = 2J_k,
+    c = 2J_{k+1}, T = 2S and x' = x(x+2), the projection theorem gives the
+    diagonal S_k.S_{k+1} = (b' + T' - a')(c' - b' - T')/(16 b'), 0 at
+    b = 0, and raising J_k to u = b + 2 has amplitude
+    sqrt(P(a) P(c)) / (32 u sqrt(u^2 - 1)), with
+    P(x) = (u+x+T+2)(x+T+2-u)(u-x+T)(u+x-T): the hops of one step from
+    site k+1 to site k that `hop_targets` makes.  The bond S^2 - S_k.S_{k+1}
+    takes each row's diagonal summed over the bonds, and minus each
+    amplitude at (row, raised) and at (raised, row)."""
+    basis, paths = coupling_basis(nsites, two_s, n)
+    steps, t = basis.states, float(two_s)
+    a, b, c = (x * (x + 2.0) for x in (paths[:, :-2], paths[:, 1:-1], paths[:, 2:]))
+    tt = t * (t + 2)
+    dots = np.divide((b + tt - a) * (c - b - tt), 16 * b, out=np.zeros_like(b), where=b > 0)
+    diagonal = np.sum(t * t / 4 - dots, axis=1)
+    row, site = np.nonzero((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))
+    raised = basis.hop_targets(row, site + 1, site)
+    u = paths[row, site + 1] + 2.0
+
+    def p(x):
+        return (u + x + t + 2) * (x + t + 2 - u) * (u - x + t) * (u + x - t)
+
+    off_diagonal = -np.sqrt(p(paths[row, site]) * p(paths[row, site + 2])) / (32 * u * np.sqrt(u * u - 1))
+    index = np.arange(basis.dim)
+    return (np.concatenate([index, row, raised]), np.concatenate([index, raised, row]),
+            np.concatenate([diagonal, off_diagonal, off_diagonal]), basis.dim)
+
+
+def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
+    """<j1 m1 j2 m2 | j m> of doubled spins and projections, by Racah's sum
+    in exact fractions (Condon-Shortley phases); 0 off the selection rules."""
+    if (m1 + m2 != m or (j1 + j2 + j) % 2 or not abs(j1 - j2) <= j <= j1 + j2
+            or any(abs(x) > y or (x + y) % 2 for x, y in ((m1, j1), (m2, j2), (m, j)))):
+        return 0.0
+
+    def f(x):  # (x/2)! of an even doubled value
+        return math.factorial(x // 2)
+
+    square = Fraction((j + 1) * f(j1 + j2 - j) * f(j1 - j2 + j) * f(j2 - j1 + j), f(j1 + j2 + j + 2))
+    square *= f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j + m) * f(j - m)
+    total = Fraction(0)
+    for k in range(0, j1 + j2 - j + 1, 2):
+        args = (k, j1 + j2 - j - k, j1 - m1 - k, j2 + m2 - k, j - j2 + m1 + k, j - j1 - m2 + k)
+        if min(args) >= 0:
+            total += Fraction((-1) ** (k // 2), math.prod(f(x) for x in args))
+    return math.copysign(math.sqrt(total * total * square), total)
+
+
+def _couple(first, j1, second, j2, j):
+    """The multiplet j of two multiplets, each an array whose row i is the
+    state of projection -j + 2i (doubled) in its sites' product space:
+    row M is sum_m1 <j1 m1 j2 M-m1 | j M> first[m1] (x) second[M-m1]."""
+    out = np.zeros((j + 1, first.shape[1] * second.shape[1]))
+    for i, big_m in enumerate(range(-j, j + 1, 2)):
+        for i1, m1 in enumerate(range(-j1, j1 + 1, 2)):
+            m2 = big_m - m1
+            if abs(m2) <= j2:
+                out[i] += clebsch_gordan(j1, m1, j2, m2, j, big_m) * np.kron(first[i1], second[(m2 + j2) // 2])
+    return out
+
+
+def mirror_coupled_states(nsites, two_s, two_j, paths, left, right, k) -> np.ndarray:
+    """Column i: the state of projection M = J, 2J = two_j, of row i of a
+    mirror-coupled highest-weight block on the tensor-product space of
+    `tensor_product_heisenberg`: sites 1..h coupled in order along path
+    paths[left[i]], sites nsites..nsites-h+1 along paths[right[i]],
+    h = nsites // 2, the two to 2K = k[i], and on an odd chain the middle
+    site last, every coupling by `clebsch_gordan`."""
+    half, site = nsites // 2, np.eye(two_s + 1)  # site state m = -S + i
+    columns = []
+    for a, b, two_k in zip(paths[left].tolist(), paths[right].tolist(), k.tolist()):
+        halves = []
+        for path in (a, b):
+            state = site
+            for before, after in zip(path[1:-1], path[2:]):
+                state = _couple(state, before, site, two_s, after)
+            halves.append(state)
+        state = _couple(halves[0], a[-1], halves[1], b[-1], two_k)
+        order = list(range(half)) + list(range(nsites - 1, nsites - half - 1, -1))
+        if nsites % 2:
+            state = _couple(state, two_k, site, two_s, two_j)
+            order.append(half)
+        tensor = state[-1].reshape((two_s + 1,) * nsites)  # axes in coupling order
+        columns.append(np.transpose(tensor, np.argsort(order)).reshape(-1))
+    return np.array(columns).T
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The free chain's highest-weight blocks, which `full_spectrum` solves
-for every free-chain sector above `WHOLE_SECTOR_MAX`: the coupling paths
-as the rows of a magnon-sector basis, each block's Hamiltonian from the
-closed-form tridiagonal bond, checked against the bond matrices that 6j
-recoupling gives (`oracles.recoupled_bond_matrix`), and the 6j symbols of
-that reference.  The sector spectra the blocks give are checked against
-the whole solve in `test_spectra.test_parity_blocks_match_the_whole_sector_solve`
-and the tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
+as two reflection-parity halves for every free-chain sector above
+`WHOLE_SECTOR_MAX`: the half-chain coupling paths and the mirror-coupled
+rows, the closed-form 6j symbols with an argument 1, the reversal of the
+coupled states on the tensor-product space as the signed row map, each
+block's Hamiltonian against those states and against the sequential
+block (`oracles.sequential_highest_weight_block`), itself checked
+against the bond matrices that 6j recoupling gives
+(`oracles.recoupled_bond_matrix`), and the 6j symbols of that reference.
+The sector spectra the blocks give are checked against the whole solve
+in `test_spectra.test_parity_blocks_match_the_whole_sector_solve` and the
+tensor-product oracle in `test_parity_blocks_match_the_tensor_product_oracle`.
 """
 
 import functools
@@ -18,8 +22,23 @@ import pytest
 from magnonlab import spectra
 from magnonlab.basis import SpinLattice, SpinMagnitude, sector_dimension
 from magnonlab.operators import dense_block
-from magnonlab.spectra import _coupling_basis, _highest_weight_block, full_spectrum
-from oracles import recoupled_bond_matrix, six_j_by_factorials
+from magnonlab.spectra import (
+    _half_paths,
+    _highest_weight_block,
+    _mirror_coupling,
+    _parity_blocks,
+    _six_j_one,
+    full_spectrum,
+)
+from oracles import (
+    coupling_basis,
+    mirror_coupled_states,
+    palindrome_count,
+    recoupled_bond_matrix,
+    sequential_highest_weight_block,
+    six_j_by_factorials,
+    tensor_product_heisenberg,
+)
 
 
 def allowed(a, two_s, c):
@@ -69,12 +88,30 @@ def test_six_j_matches_sympy():
         assert abs(six_j_by_factorials(*args) - reference) <= 4.5e-16 * abs(reference), args
 
 
-def coupling_paths(ell, two_s, two_j):
-    """Every path (0, 2J_1, ..., 2J_ell = two_j), J_k in |J_{k-1} - S| ..
-    J_{k-1} + S, by recursion, which grows them in ascending order."""
+def test_the_closed_form_six_j_with_an_argument_1_is_racahs_sum():
+    # every {a b c; 1 c1 b1} with b1 - b, c1 - c in -2, 0, 2 whose triads
+    # (a b c) and (a c1 b1) hold, over doubled spins up to 13 and at 2S = 80
+    args = [(a, b, c, b + db, c + dc) for a, b, c in itertools.product(range(14), repeat=3)
+            for db, dc in itertools.product((-2, 0, 2), repeat=2)]
+    args += [(80, 80, 80, 80 + db, 80 + dc) for db, dc in itertools.product((-2, 0, 2), repeat=2)]
+
+    def triad(x, y, z):
+        return (x + y + z) % 2 == 0 and abs(x - y) <= z <= x + y
+
+    args = [x for x in args if min(x) >= 0 and triad(*x[:3]) and triad(x[0], x[4], x[3])]
+    ours = _six_j_one(*np.array(args).T)
+    reference = np.array([six_j_by_factorials(a, b, c, 2, c1, b1) for a, b, c, b1, c1 in args])
+    assert len(args) > 5000
+    assert np.abs(ours - reference).max() <= 1e-15
+
+
+def coupling_paths(ell, two_s, two_j=None):
+    """Every path (0, 2J_1, ..., 2J_ell), to 2J_ell = two_j or, by default,
+    to any spin, J_k in |J_{k-1} - S| .. J_{k-1} + S, by recursion, which
+    grows them in ascending order."""
     def grow(path):
         if len(path) == ell + 1:
-            if path[-1] == two_j:
+            if two_j in (None, path[-1]):
                 yield list(path)
             return
         for b in range(abs(path[-1] - two_s), path[-1] + two_s + 1, 2):
@@ -99,9 +136,9 @@ def test_path_counts_are_the_multiplicities(ell, two_s):
     for n in range(top // 2 + 1):
         if sector_dimension(ell, n, two_s) > COUNTED:
             break
-        basis, _ = _coupling_basis(ell, two_s, n)
-        assert basis.dim == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), n
-        states += (top - 2 * n + 1) * basis.dim
+        rows = len(_mirror_coupling(ell, two_s, n)[1])
+        assert rows == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), n
+        states += (top - 2 * n + 1) * rows
     else:
         assert states == (two_s + 1) ** ell
 
@@ -109,12 +146,23 @@ def test_path_counts_are_the_multiplicities(ell, two_s):
 @pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
                          + [(ell, 3) for ell in range(2, 6)])
 def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
+    # the half paths are every path in ascending order, and the sequential
+    # reference's paths to each spin are theirs; the rows ascend in
+    # (left, right, 2K), and reversal maps (a, b, K) to (b, a, K), an
+    # involution with one sign per orbit
+    assert _half_paths(ell, two_s).tolist() == coupling_paths(ell, two_s)
     top = two_s * ell
     for n in range(top // 2 + 1):
-        basis, paths = _coupling_basis(ell, two_s, n)
+        basis, paths = coupling_basis(ell, two_s, n)
         assert paths.tolist() == coupling_paths(ell, two_s, top - 2 * n), n
         assert np.array_equal(2 * basis.states, np.diff(paths, axis=1) + two_s)
         assert np.array_equal(basis.state_index(basis.states), np.arange(basis.dim))
+        half_paths, left, right, k, mirror, sign = _mirror_coupling(ell, two_s, n)
+        assert half_paths.tolist() == coupling_paths(ell // 2, two_s)
+        rows = list(zip(left.tolist(), right.tolist(), k.tolist()))
+        assert rows == sorted(set(rows)), n
+        assert np.array_equal(left[mirror], right) and np.array_equal(k[mirror], k)
+        assert np.array_equal(mirror[mirror], np.arange(len(k))) and np.array_equal(sign[mirror], sign)
 
 
 @pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
@@ -142,7 +190,7 @@ def test_every_block_equals_the_recoupled_bond_matrices():
     bond_matrix = functools.lru_cache(maxsize=None)(recoupled_bond_matrix)
     for ell, two_s in RECOUPLED:
         for n in range(two_s * ell // 2 + 1):
-            basis, paths = _coupling_basis(ell, two_s, n)
+            basis, paths = coupling_basis(ell, two_s, n)
             reference = np.zeros((basis.dim, basis.dim))
             for row, steps in enumerate(basis.states):
                 for k in range(1, ell):
@@ -154,8 +202,54 @@ def test_every_block_equals_the_recoupled_bond_matrices():
                         reference[row, basis.state_index(moved)] += entry
                         if value == steps[k - 1] + 1:  # J_k raised: one unit moves from site k to k - 1
                             assert basis.hop_targets(np.array([row]), k, k - 1)[0] == basis.state_index(moved)
-            h = dense_block(*_highest_weight_block(ell, two_s, n))
+            h = dense_block(*sequential_highest_weight_block(ell, two_s, n))
             assert np.abs(h - reference).max() <= 1e-13 * np.abs(reference).max(), (ell, two_s, n)
+
+
+def _halves(ell, two_s, n):
+    """The two reflection-parity halves of block n, as `full_spectrum` forms them."""
+    block = _highest_weight_block(ell, two_s, n)
+    return list(_parity_blocks(*block, *_mirror_coupling(ell, two_s, n)[-2:]))
+
+
+def test_the_halves_of_every_block_hold_the_sequential_block_spectrum():
+    for ell, two_s in RECOUPLED:
+        for n in range(two_s * ell // 2 + 1):
+            reference = spectra.sla.eigvalsh(dense_block(*sequential_highest_weight_block(ell, two_s, n)))
+            union = np.concatenate([spectra.sla.eigvalsh(dense_block(*half)) for half in _halves(ell, two_s, n)])
+            np.testing.assert_allclose(np.sort(union), reference, rtol=0, atol=1e-12, err_msg=f"{ell} {two_s} {n}")
+
+
+@pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 8)] + [(ell, 2) for ell in range(2, 6)]
+                         + [(2, 3), (3, 3)])
+def test_reversing_the_sites_is_the_signed_row_map_on_the_coupled_states(ell, two_s):
+    # the rows' states, built from Clebsch-Gordan coefficients on the
+    # tensor-product space, are orthonormal; reversing the sites maps row
+    # i to sign[i] times row mirror[i]; and the block is H on them
+    h = tensor_product_heisenberg(SpinLattice.chain(ell), SpinMagnitude(two_s))
+    for n in range(two_s * ell // 2 + 1):
+        paths, left, right, k, mirror, sign = _mirror_coupling(ell, two_s, n)
+        states = mirror_coupled_states(ell, two_s, two_s * ell - 2 * n, paths, left, right, k)
+        sites = states.reshape((two_s + 1,) * ell + (-1,))
+        reversed_states = np.transpose(sites, list(range(ell - 1, -1, -1)) + [ell]).reshape(states.shape)
+        assert np.abs(states.T @ states - np.eye(len(k))).max() <= 1e-13, n
+        assert np.abs(reversed_states - states[:, mirror] * sign).max() <= 1e-13, n
+        block = dense_block(*_highest_weight_block(ell, two_s, n))
+        assert np.abs(block - states.T @ h @ states).max() <= 1e-12, n
+
+
+@pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
+                         + [(ell, 3) for ell in range(2, 6)] + [(ell, 4) for ell in range(2, 5)])
+def test_each_pair_of_halves_differs_by_the_new_palindromes(ell, two_s):
+    # the trace of the reversal on block n, even - odd, is its trace on
+    # sector n, whose palindromic occupation vectors it fixes, less its
+    # trace on sector n - 1, which holds every multiplet of higher spin:
+    # a fixed row sent to the wrong half moves the difference by two
+    lattice, spin = SpinLattice.chain(ell), SpinMagnitude(two_s)
+    for n in range(two_s * ell // 2 + 1):
+        even, odd = (half[3] for half in _halves(ell, two_s, n))
+        assert even + odd == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s), n
+        assert even - odd == palindrome_count(lattice, spin, n) - palindrome_count(lattice, spin, n - 1), n
 
 
 def test_each_block_is_solved_once_per_call(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from magnonlab.spectra import (
     sector_energy_spin_pairs,
     spectral_gap,
 )
-from oracles import ground_multiplet_vector, middle_sector_gap, tensor_product_heisenberg
+from oracles import ground_multiplet_vector, middle_sector_gap, palindrome_count, tensor_product_heisenberg
 
 
 def test_full_spectrum_two_sites_halfspin():
@@ -697,7 +698,9 @@ def test_full_spectrum_holds_one_sector_and_solves_it_in_place():
 def test_full_spectrum_holds_one_parity_block_above_the_gate():
     import tracemalloc
 
-    even_block_bytes = 8 * 868**2  # chain 13, S=1/2, n=6: 848 two-state orbits + 20 palindromes
+    # chain 13, S=1/2, n=8: 636 two-state orbits + 15 palindromes; sectors
+    # 2..7 are paired, and no half of a free chain 14 block exceeds 518
+    even_block_bytes = 8 * 651**2
     tracemalloc.start()
     try:
         # the pinned chain: the free one takes highest-weight blocks instead
@@ -706,8 +709,8 @@ def test_full_spectrum_holds_one_parity_block_above_the_gate():
     finally:
         tracemalloc.stop()
     # one block, LAPACK's finiteness mask (1/8 of it) and the sector's
-    # triplets read 1.28; the odd block kept alive adds 0.95, and one dense
-    # copy of the whole 1716-state sector alone is 3.9
+    # triplets read 1.36; the odd block kept alive adds 0.95, and one dense
+    # copy of the whole 1716-state sector alone is 6.9
     assert peak <= 1.5 * even_block_bytes
 
 
@@ -722,54 +725,52 @@ SPLIT_CASES = [
     for variant in ("free", "dirichlet")
 ] + [(SpinLattice.square(2), 1, "free"), (SpinLattice.square(2), 2, "free"),
      (SpinLattice.square(3), 1, "free")]
-# pinned S=1/2 chain of SPLIT_CASES -> the one sector m that `full_spectrum`
+# pinned S=1/2 chain of SPLIT_CASES -> the sectors m that `full_spectrum`
 # takes from free chain ell + 1's highest-weight block m once the gate is
-# down: the chains on which that block has at most half the sector's
-# states, rounded up
-HALF_SPIN_PAIRED = {3: 2, 5: 3, 7: 4, 9: 5}
+# down: every m >= 2 with 2m < ell + 2
+HALF_SPIN_PAIRED = {ell: range(2, (ell + 3) // 2) for ell in range(2, 11)}
+
+
+def _half_sizes(lattice, spin, n, highest_weight):
+    """(even, odd) sizes of sector n's reflection-parity blocks, or of the
+    halves of its highest-weight block: the reversal's trace on a sector
+    is its palindrome count, and a block holds sector n less sector n - 1."""
+    size, fixed = sector_dimension(lattice.nsites, n, spin.two_s), palindrome_count(lattice, spin, n)
+    if highest_weight:
+        size -= sector_dimension(lattice.nsites, n - 1, spin.two_s)
+        fixed -= palindrome_count(lattice, spin, n - 1)
+    return (size + fixed) // 2, (size - fixed) // 2
 
 
 @pytest.mark.parametrize("lattice,two_s,variant", SPLIT_CASES, ids=lattice_id)
 def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s, variant):
     spin = SpinMagnitude(two_s)
     whole = _whole_sector_spectra(lattice, spin, variant)
-    sizes = []
-    exact = spectra.sla.eigvalsh
-
-    def recorded(a, **kwargs):
-        sizes.append(len(a))
-        return exact(a, **kwargs)
-
-    monkeypatch.setattr(spectra.sla, "eigvalsh", recorded)
+    sizes = _record_solve_sizes(monkeypatch)
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)
     split = full_spectrum(lattice, spin, variant).sector_eigenvalues
     ell, top = lattice.nsites, two_s * lattice.nsites
     free_chain = variant == "free" and lattice.dimension == 1
-    paired = HALF_SPIN_PAIRED.get(ell) if (variant, two_s) == ("dirichlet", 1) else None
-    # on the free chain, sector n up to the middle solves its one new
-    # highest-weight block, of total spin S*sites - n, and the sectors
-    # past the middle reuse them; the paired sector of a pinned S=1/2
-    # chain solves free chain ell + 1's highest-weight block, after every
-    # other sector; elsewhere an even and an odd block per sector
-    order = sorted(range(top + 1), key=lambda n: n == paired)
-    counts = {n: 1 if n == paired else (1 if 2 * n <= top else 0) if free_chain else 2 for n in order}
-    assert len(sizes) == sum(counts.values())
-    solved = iter(sizes)
-    blocks_of = {n: [next(solved) for _ in range(counts[n])] for n in order}
+    paired = HALF_SPIN_PAIRED[ell] if (variant, two_s) == ("dirichlet", 1) else ()
+    # on the free chain, sector n up to the middle solves the two halves of
+    # its one new highest-weight block, of total spin S*sites - n, and the
+    # sectors past the middle reuse them; a paired sector of a pinned S=1/2
+    # chain solves the halves of free chain ell + 1's highest-weight block,
+    # after every other sector, from the middle down; elsewhere an even and
+    # an odd block per sector; a half or block with no rows is not solved
+    order = sorted(range(top + 1), key=lambda n: (n in paired, -n if n in paired else n))
+    expected = []
+    for n in order:
+        if n in paired:
+            expected += _half_sizes(SpinLattice.chain(ell + 1), spin, n, highest_weight=True)
+        elif not free_chain:
+            expected += _half_sizes(lattice, spin, n, highest_weight=False)
+        elif 2 * n <= top:
+            expected += _half_sizes(lattice, spin, n, highest_weight=True)
+    assert sizes == [size for size in expected if size]
     for n, (eigs, reference) in enumerate(zip(split, whole, strict=True)):
         assert np.all(np.diff(eigs) >= 0), n
         np.testing.assert_allclose(eigs, reference, rtol=0, atol=1e-12, err_msg=f"n={n}")
-        blocks = blocks_of[n]
-        if not blocks:
-            continue
-        if free_chain or n == paired:
-            chain = ell + (n == paired)
-            assert blocks == [sector_dimension(chain, n, two_s) - sector_dimension(chain, n - 1, two_s)], n
-            continue
-        states = enumerate_sector_basis(lattice, spin, n).states
-        even, odd = blocks
-        palindromes = int(np.all(states == states[:, ::-1], axis=1).sum())
-        assert (even + odd, even - odd) == (len(states), palindromes), n
 
 
 def _pinned_sector_spectrum(ell, two_s, n):
@@ -778,6 +779,18 @@ def _pinned_sector_spectrum(ell, two_s, n):
         return np.zeros(0)
     ((_, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n], "dirichlet")
     return sla.eigvalsh(h, overwrite_a=True)
+
+
+def _pinned_parity_spectrum(ell, n):
+    """Pinned chain `ell`'s sector n at S=1/2, none past the top, from its
+    two parity blocks, which match the whole solve to 1e-12
+    (`test_parity_blocks_match_the_whole_sector_solve`)."""
+    if n > ell:
+        return np.zeros(0)
+    basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(1), n)
+    op = spectra._assemble_variant(basis, "dirichlet")
+    blocks = spectra._parity_blocks(op.rows, op.cols, op.vals, op.dim, basis.state_index(basis.states[:, ::-1]), 1)
+    return np.sort(np.concatenate([sla.eigvalsh(dense_block(*block)) for block in blocks]))
 
 
 def _highest_weight_spectrum(ell, two_s, n):
@@ -789,13 +802,13 @@ def test_a_pinned_half_spin_sector_is_a_free_highest_weight_block_and_a_pinned_s
     # what `full_spectrum` rests on, observed and unproven: pinned chain
     # ell's sector m, 2m < ell + 2, is as a multiset the union of free
     # chain ell + 1's highest-weight block m and pinned sector ell + 2 - m
-    # (none for m < 2); chain 14 checks only its paired sector 7
-    for m in [7] if ell == 14 else range((ell + 3) // 2):
+    # (none for m < 2); chain 14 checks its paired sectors 2..7, each
+    # pinned sector from its parity blocks and each free block whole
+    pinned = _pinned_parity_spectrum if ell == 14 else functools.partial(_pinned_sector_spectrum, two_s=1)
+    for m in range(2, 8) if ell == 14 else range((ell + 3) // 2):
         block = _highest_weight_spectrum(ell + 1, 1, m)
-        union = np.concatenate([block, _pinned_sector_spectrum(ell, 1, ell + 2 - m)])
-        np.testing.assert_allclose(
-            np.sort(union), _pinned_sector_spectrum(ell, 1, m), rtol=0, atol=1e-12, err_msg=f"m={m}"
-        )
+        union = np.concatenate([block, pinned(ell, n=ell + 2 - m)])
+        np.testing.assert_allclose(np.sort(union), pinned(ell, n=m), rtol=0, atol=1e-12, err_msg=f"m={m}")
 
 
 def test_at_spin_one_a_free_highest_weight_block_is_not_in_the_pinned_sector():
@@ -824,7 +837,7 @@ def _record_solve_sizes(monkeypatch):
 def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
     import tracemalloc
 
-    largest_block_bytes = 8 * 1001**2  # the highest-weight blocks of spin 2 and 1
+    largest_block_bytes = 8 * 518**2  # the even half of the spin-2 highest-weight block
     sizes = _record_solve_sizes(monkeypatch)
     tracemalloc.start()
     try:
@@ -833,11 +846,13 @@ def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
     finally:
         tracemalloc.stop()
     # the 3432-state middle sector splits the lattice: sector n = 0..7
-    # solves the one highest-weight block of spin 7 - n, and the sectors
-    # past the middle copy their conjugates
-    assert sizes == [1, 13, 77, 273, 637, 1001, 1001, 429]
-    # neither the 3432-state middle sector nor any of its symmetry blocks
-    # is built
+    # solves the even and odd halves of the highest-weight block of spin
+    # 7 - n (1, 13, 77, 273, 637, 1001, 1001, 429 states; sector 0 has no
+    # odd half), and the sectors past the middle copy their conjugates
+    assert sizes == [1, 6, 7, 42, 35, 133, 140, 329, 308, 490, 511, 518, 483, 197, 232]
+    # the half, LAPACK's finiteness mask and the block's triplets read
+    # 1.43; neither the 3432-state middle sector nor any of its symmetry
+    # blocks, nor a whole highest-weight block (3.7), is built dense
     assert peak <= 1.5 * largest_block_bytes
 
 
@@ -879,39 +894,40 @@ def test_the_pinned_chain_has_no_spin_flip_symmetry(ell, two_s):
 # only its sectors above the gate (10 whole + 2 * 4 and 10 + 6 + 1), so
 # the case names stay stable across that change
 @pytest.mark.parametrize(
-    "lattice,two_s,variant,largest,blocks",
+    "lattice,two_s,variant,largest,calls",
     [
-        pytest.param(SpinLattice.chain(13), 1, "dirichlet", 868, {7: 429}, id="dirichlet-18"),
-        pytest.param(SpinLattice.chain(13), 1, "free", 572, [1, 12, 65, 208, 429, 572, 429], id="free-17"),
-        pytest.param(SpinLattice.chain(8), 2, "dirichlet", 563, {}, id="chain8-2S2-dirichlet"),
-        pytest.param(SpinLattice.chain(8), 2, "free", 280, [1, 7, 28, 76, 154, 238, 280, 232, 91],
-                     id="chain8-2S2-free"),
+        pytest.param(SpinLattice.chain(13), 1, "dirichlet", 651,
+                     [1, 7, 6, 651, 636, 365, 350, 146, 140, 42, 36, 7, 6, 1,
+                      197, 232, 518, 483, 490, 511, 329, 308, 133, 140, 42, 35], id="dirichlet-18"),
+        pytest.param(SpinLattice.chain(13), 1, "free", 286, [1, 6, 6, 35, 30, 104, 104, 219, 210, 286, 286, 217, 212],
+                     id="free-17"),
+        pytest.param(SpinLattice.chain(8), 2, "dirichlet", 563,
+                     [1, 4, 4, 20, 16, 56, 56, 138, 128, 252, 252, 400, 384, 508, 508, 563, 544,
+                      508, 508, 400, 384, 252, 252, 138, 128, 56, 56, 20, 16, 4, 4, 1], id="chain8-2S2-dirichlet"),
+        pytest.param(SpinLattice.chain(8), 2, "free", 148,
+                     [1, 3, 4, 16, 12, 36, 40, 82, 72, 114, 124, 148, 132, 108, 124, 55, 36], id="chain8-2S2-free"),
     ],
 )
 def test_chain_13_solve_counts_and_no_shared_sector_arrays(
-    monkeypatch, lattice, two_s, variant, largest, blocks
+    monkeypatch, lattice, two_s, variant, largest, calls
 ):
     # the middle sector (1716 states at 2S = 1, 1107 at 2S = 2) splits
-    # the lattice: the pinned chain solves every sector as two parity
-    # blocks (the end sectors with an empty odd one), the largest the
-    # even block of a largest sector, (states + palindromes) / 2, except
-    # that at 2S = 1 sector 7 (1716 states) is last, one highest-weight
-    # block of free chain 14 (`blocks`, sector: states); the free
-    # chain's sector n <= N/2, N = 2S*sites, its one highest-weight block,
-    # of spin N/2 - n, and the sectors past the middle copy their
-    # conjugates
+    # the lattice, and every block is solved as an even and an odd half,
+    # one with no rows left out: the pinned chain solves every sector as
+    # its two parity blocks, (states +- palindromes) / 2, sectors 0 and
+    # 2S*sites having no odd one, except that at 2S = 1 its sectors 2..7
+    # come last, from the middle down, as the halves of free chain 14's
+    # highest-weight blocks 7..2 (429, 1001, 1001, 637, 273, 77 states);
+    # the free chain solves for sector n <= N/2, N = 2S*sites, the halves
+    # of its one highest-weight block, of spin N/2 - n (1, 12, 65, 208,
+    # 429, 572, 429 states on chain 13 and 1, 7, 28, 76, 154, 238, 280,
+    # 232, 91 on chain 8 at S=1), and the sectors past the middle copy
+    # their conjugates
     top = two_s * lattice.nsites
-    calls = _record_solve_sizes(monkeypatch)
+    solved = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(lattice, SpinMagnitude(two_s), variant)
-    if variant == "free":
-        assert calls == blocks
-    else:
-        parity_calls = calls[: len(calls) - len(blocks)]
-        assert calls[len(parity_calls) :] == list(blocks.values())
-        pairs = zip(parity_calls[::2], parity_calls[1::2], strict=True)
-        dims = [sector_dimension(lattice.nsites, n, two_s) for n in range(top + 1) if n not in blocks]
-        assert [even + odd for even, odd in pairs] == dims
-    assert max(calls) == largest
+    assert solved == calls
+    assert max(solved) == largest
     eigs = spectrum.sector_eigenvalues
     for n in range(top // 2 + 1, top + 1):
         assert eigs[n] is not eigs[top - n]
@@ -1005,7 +1021,7 @@ def test_a_non_finite_parity_block_raises_from_full_spectrum(monkeypatch, bad):
 
     def spoiled(basis, variant):
         op = exact(basis, variant)
-        if basis.n == 6:  # pinned chain 13's 1716-state sector, solved as parity blocks
+        if basis.n == 8:  # pinned chain 13's 1287-state sector, solved as parity blocks
             op.vals[0] = bad
         return op
 
