@@ -5,7 +5,8 @@ Every dense matrix is filled from triplets by `operators.dense_block`.
 Every sector is sized against `DENSE_SECTOR_CAP` before any basis is
 enumerated: `dense_sectors` does so for the sectors it is asked for and
 then yields (basis, dense H) one sector at a time, and `full_spectrum`
-does so for all of them and then builds each sector's triplets itself.
+does so for all of them; both build a sector's triplets by
+`_sector_operator`.
 The one exception is `boundlab.verify_php_leq_t`, whose uncapped
 free-boson sectors neither builds: it sizes each against the same
 `DENSE_SECTOR_CAP` and enumerates it itself.  Per-sector spectra come
@@ -19,21 +20,26 @@ it takes the sectors n = 2, 3, ... from `dense_sectors` in turn, solves
 each for its two lowest eigenpairs by one dense `eigh`, and stops at
 the middle sector, which holds every multiplet, or as soon as the
 Casimir floor of the largest total spin not yet held lies above the
-gap.  `full_spectrum` solves every block it forms at one site, each a
-triplet set filled as it is solved and overwritten by LAPACK, so one
-dense block is held at a time.  A lattice whose middle sector, the
-largest, has more than `WHOLE_SECTOR_MAX` states has every sector split
-by the reflection that reverses the site order: a free chain solves
-each multiplet once, in the highest-weight block of its total spin,
-coupled from both ends so that the reflection is a signed row map and
-the block splits into an even and an odd half, each bond inside a half
-a closed-form tridiagonal matrix in the J_k it changes and the bonds at
-the middle closed-form 6j elements; any other lattice solves the two
-blocks of that reflection on each sector (the mirror of the pinned
-chain, the point reflection of a row-major grid), except that a pinned
-chain at S=1/2 takes its sectors m >= 2, 2m < sites + 2, from the halves
-of a free highest-weight block and a larger pinned sector, each use
-checked against the sector's trace and Frobenius norm.
+gap.
+
+`full_spectrum` sends every block down one path: the block is built as
+triplets that carry the reflection reversing the site order, a signed
+row map; it is split into its two parity halves or not; and
+`_block_eigenvalues` solves it, each part filled only as it is solved
+and overwritten by LAPACK, so one dense block is held at a time.  A
+lattice whose middle sector, the largest, has more than
+`WHOLE_SECTOR_MAX` states splits every block.  A split free chain's
+blocks are its highest-weight blocks, one per total spin, coupled from
+both ends so that the reflection maps row to row up to a sign, each bond
+inside a half a closed-form tridiagonal matrix in the J_k it changes and
+the bonds at the middle closed-form 6j elements; each is solved once,
+and every sector is the sorted prefix of their spectra that holds the
+spins it reaches.  Any other lattice solves each sector as its own
+block, whose reflection is the mirror of the pinned chain or the point
+reflection of a row-major grid, except that a split pinned chain at
+S=1/2 takes its sectors m >= 2, 2m < sites + 2, from a free
+highest-weight block and a larger pinned sector, each use checked
+against the sector's trace and Frobenius norm.
 
 `sector_energy_spin_pairs` takes the eigenpairs of a sector's Casimir
 from its caller, which solves the Casimir in its own storage and frees
@@ -108,7 +114,9 @@ class SectorSpectrum:
         return int(np.sum(self.all_eigenvalues < tol))
 
 
-def _assemble_variant(basis, variant):
+def _sector_operator(lattice, spin, n, variant):
+    """The `variant` Hamiltonian of magnon sector n, as triplets on its basis."""
+    basis = enumerate_sector_basis(lattice, spin, n)
     if variant == "free":
         return assemble_heisenberg(basis)
     if variant == "dirichlet":
@@ -129,8 +137,8 @@ def dense_sectors(lattice: SpinLattice, spin: SpinMagnitude, sectors=None, varia
     if sectors is None:
         sectors = range(spin.two_s * lattice.nsites + 1)
     require_sector_dimensions(lattice.nsites, spin.two_s, sectors, DENSE_SECTOR_CAP)
-    bases = (enumerate_sector_basis(lattice, spin, n) for n in sectors)
-    return ((basis, _assemble_variant(basis, variant).to_dense()) for basis in bases)
+    ops = (_sector_operator(lattice, spin, n, variant) for n in sectors)
+    return ((op.basis, op.to_dense()) for op in ops)
 
 
 def full_spectrum(
@@ -140,34 +148,38 @@ def full_spectrum(
 ) -> SectorSpectrum:
     """Dense eigenvalues of every magnon sector, ascending per sector.
 
-    Every block is a triplet set, solved at one site: it is filled by
-    `operators.dense_block` only as it is solved, and LAPACK overwrites
-    it instead of copying it, so one dense block is held at a time.  A
+    Every block is a triplet set that carries the reflection reversing
+    the site order, (rows, cols, vals, dim, mirror, sign), and goes down
+    one path: it is split by that reflection into its even and odd halves
+    (`_parity_blocks`) or not, and `_block_eigenvalues` solves its parts,
+    each filled by `operators.dense_block` only as it is solved and
+    overwritten by LAPACK, so one dense block is held at a time.  A
     sector's eigenvalues are the sorted union of its blocks' eigenvalues.
     Whether to split is one decision per call: when the middle sector,
-    the largest, has at most `WHOLE_SECTOR_MAX` states, each sector is
-    one block, the triplets of its Hamiltonian, and its eigenvalues are
-    dsyevr's ascending output.
+    the largest, has at most `WHOLE_SECTOR_MAX` states, no block is split
+    and no reflection is looked up, each sector is one block, the
+    triplets of its Hamiltonian, and its eigenvalues are dsyevr's
+    ascending output.  A split block's half with no rows is not solved.
 
-    Otherwise every block is split by the reflection that reverses the
-    site order (`_parity_blocks`), and a half with no rows is not solved.
-    The free chain, which commutes with the total spin, takes sector
-    n <= N/2, N = 2S*sites, as the sorted union of sector n - 1 and the
-    two halves of block n, the highest-weight states of J = S*sites - n
-    (`_highest_weight_block`), and sector n > N/2 as a copy of sector
-    N - n.  The block's rows couple each half of the chain in order from
-    its end and then the halves, and on an odd chain the middle site last
-    (`_mirror_coupling`), so the reflection maps row to row up to a sign.
-    Each block is built and solved once per call, on all of its rows at
-    once: a bond inside a half is a closed-form tridiagonal matrix in the
-    one coupled spin J_k it changes, and the one or two bonds at the
-    middle change each of J_a, J_b and K by at most one.  Free chain 14 at
-    S=1/2 solves no half above 518 states, where its largest block has
-    1001.
+    A split free chain, which commutes with the total spin, solves its
+    highest-weight blocks j = 0..N/2, N = 2S*sites, once each: block j
+    holds the highest-weight states of J = S*sites - j
+    (`_highest_weight_block`), its rows coupling each half of the chain
+    in order from its end and then the halves, and on an odd chain the
+    middle site last (`_mirror_coupling`), so the reflection maps row to
+    row up to a sign.  Sector n holds one copy of every multiplet of
+    J >= S*sites - min(n, N - n), so its eigenvalues are the sorted
+    prefix of the blocks' concatenated spectra that holds blocks
+    0..min(n, N - n).  A bond inside a half is a closed-form tridiagonal
+    matrix in the one coupled spin J_k it changes, and the one or two
+    bonds at the middle change each of J_a, J_b and K by at most one.
+    Free chain 14 at S=1/2 solves no half above 518 states, where its
+    largest block has 1001.
 
     Every sector of any other lattice or variant, the pinned chain
     (whose boundary field breaks the total spin) and the free grid
-    alike, is solved as its two parity blocks, so a sector at
+    alike, is its own block, whose reflection maps each state to its
+    reversed occupation vector with sign 1, so a split sector at
     `DENSE_SECTOR_CAP` = 6000 states costs one block of about 3000 states
     (72 MB), not its 288 MB.  Every block goes through `lapack.eigh`,
     which reads it with `np.asarray_chkfinite`, so a NaN or inf in a
@@ -202,7 +214,14 @@ def full_spectrum(
     require_sector_dimensions(nsites, spin.two_s, range(top + 1), DENSE_SECTOR_CAP)
     # the middle sector is the largest, so this splits every sector or none
     split = sector_dimension(nsites, top // 2, spin.two_s) > WHOLE_SECTOR_MAX
-    free_chain = split and variant == "free" and lattice.dimension == 1
+    if split and variant == "free" and lattice.dimension == 1:
+        # sector n holds one copy of each multiplet of blocks 0..min(n, top - n)
+        blocks = [_block_eigenvalues(_highest_weight_block(nsites, spin.two_s, j), split)
+                  for j in range(top // 2 + 1)]
+        ends = np.cumsum([len(eigs) for eigs in blocks])
+        every = np.concatenate(blocks)
+        sector_eigs = [np.sort(every[: ends[min(n, top - n)]]) for n in range(top + 1)]
+        return SectorSpectrum(lattice, spin, variant, sector_eigs)
     # pinned sector m -> pinned sector nsites + 2 - m, whose spectrum and
     # free chain nsites + 1's highest-weight block m make up sector m's
     partners = {}
@@ -211,30 +230,26 @@ def full_spectrum(
     sector_eigs = [None] * (top + 1)
     # paired sectors last, from the middle down, so each partner is at hand
     for n in sorted(range(top + 1), key=lambda n: partners.get(n, 0)):
-        if free_chain and 2 * n > top:  # the spin flip's conjugate sector
-            sector_eigs[n] = sector_eigs[top - n].copy()
-            continue
-        if free_chain or n in partners:
-            chain, two_s = (nsites, spin.two_s) if free_chain else (nsites + 1, 1)
-            reflection = _mirror_coupling(chain, two_s, n)[-2:]
-            blocks = _parity_blocks(*_highest_weight_block(chain, two_s, n), *reflection)
-        else:
-            op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
-            blocks = [(op.rows, op.cols, op.vals, op.dim)]
-            if split:  # the reversed occupation vector's row, every sign 1
-                blocks = _parity_blocks(*blocks[0], op.basis.state_index(op.basis.states[:, ::-1]), 1)
-        # a block is filled only as it is solved, and LAPACK overwrites it
-        # instead of copying it, so one dense block is held at a time; a
-        # half with no rows is not solved
-        eigs = [sla.eigvalsh(dense_block(*block), overwrite_a=True) for block in blocks if block[3]]
-        if free_chain and n:  # sector n holds every multiplet of sector n - 1
-            eigs.append(sector_eigs[n - 1])
         if n in partners:
-            eigs.append(sector_eigs[partners[n]])
-        sector_eigs[n] = np.sort(np.concatenate(eigs))
-        if n in partners:
+            block = _block_eigenvalues(_highest_weight_block(nsites + 1, 1, n), split)
+            sector_eigs[n] = np.sort(np.concatenate([block, sector_eigs[partners[n]]]))
             _require_sector_moments(lattice, spin, variant, n, sector_eigs[n])
+            continue
+        op = _sector_operator(lattice, spin, n, variant)
+        # the row of each state's reversed occupation vector, every sign 1
+        mirror = op.basis.state_index(op.basis.states[:, ::-1]) if split else None
+        sector_eigs[n] = np.sort(_block_eigenvalues((op.rows, op.cols, op.vals, op.dim, mirror, 1), split))
     return SectorSpectrum(lattice, spin, variant, sector_eigs)
+
+
+def _block_eigenvalues(block, split):
+    """Eigenvalues of the block (rows, cols, vals, dim, mirror, sign): of
+    its parity halves in turn, a half with no rows left out, if `split`,
+    else of the whole block, whose reflection is not read.  Each part is
+    filled only as it is solved, and LAPACK overwrites it instead of
+    copying it, so one dense block is held at a time."""
+    parts = _parity_blocks(*block) if split else [block[:4]]
+    return np.concatenate([sla.eigvalsh(dense_block(*part), overwrite_a=True) for part in parts if part[3]])
 
 
 def _require_sector_moments(lattice, spin, variant, n, eigs):
@@ -242,7 +257,7 @@ def _require_sector_moments(lattice, spin, variant, n, eigs):
     equal the trace and the squared Frobenius norm of sector n's
     Hamiltonian, read off its triplets, in which each (row, col) appears
     once.  A NaN on either side fails."""
-    op = _assemble_variant(enumerate_sector_basis(lattice, spin, n), variant)
+    op = _sector_operator(lattice, spin, n, variant)
     expected = (op.vals[op.rows == op.cols].sum(), np.square(op.vals).sum())
     found = (eigs.sum(), np.square(eigs).sum())
     # on pinned chains 3..14 the two agree to 7e-16 relative; one
@@ -259,7 +274,7 @@ def _parity_blocks(rows, cols, vals, dim, mirror, sign):
     triplets (rows, cols, vals) under a reflection R that commutes with
     it, yielded in turn as triplets (rows, cols, vals, dim).  R is the
     signed involution R|i> = sign[i] |mirror[i]>, sign[i] = sign[mirror[i]]
-    = +-1 (`sign` may be the scalar 1).  On a sector of `_assemble_variant`
+    = +-1 (`sign` may be the scalar 1).  On a sector of `_sector_operator`
     it reverses the site order, mirror[i] the row of the reversed
     occupation vector and every sign 1: on a chain that is the mirror,
     which also maps the pinned ends onto each other, and on a row-major
@@ -386,9 +401,9 @@ def _six_j_one(a, b, c, b1, c1):
 
 
 def _highest_weight_block(nsites, two_s, n):
-    """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim), on the
-    highest-weight states of total spin J = S*nsites - n, the rows of
-    `_mirror_coupling`.
+    """Free-chain Hamiltonian, as triplets (rows, cols, vals, dim, mirror,
+    sign), on the highest-weight states of total spin J = S*nsites - n,
+    the rows of `_mirror_coupling`, with its signed row map R.
 
     A bond inside a half, (k, k+1) of a path (2J_0, ..., 2J_h), changes
     J_k alone, and by at most one (Edmonds, Angular Momentum in Quantum
@@ -413,8 +428,7 @@ def _highest_weight_block(nsites, two_s, n):
     (-1)^(K + S + J) {J S K'; 1 K S} sigma (-1)^(J_a' + J_b + K + 1)
     sqrt((2K+1)(2K'+1)) {J_b J_a' K'; 1 K J_a} rho(A, J_a', J_a) (7.1.6,
     7.1.7), and the bond (h+1, h+2) is its mirror image.  Their diagonals
-    come from the
-    projection theorem, the last spin of a half being
+    come from the projection theorem, the last spin of a half being
     alpha = (J_a(J_a+1) + S(S+1) - A(A+1)) / (2 J_a(J_a+1)) times J_a and
     J_a being beta = (K(K+1) + J_a(J_a+1) - J_b(J_b+1)) / (2 K(K+1)) times
     K: alpha_a alpha_b (K(K+1) - J_a(J_a+1) - J_b(J_b+1))/2 across an even
@@ -512,7 +526,7 @@ def _highest_weight_block(nsites, two_s, n):
     row, raised, value = (np.concatenate(x) for x in zip(*raises, *middle))
     index = np.arange(dim)
     return (np.concatenate([index, row, raised]), np.concatenate([index, raised, row]),
-            np.concatenate([diagonal, -value, -value]), dim)
+            np.concatenate([diagonal, -value, -value]), dim, mirror, sign)
 
 
 def _logsumexp(a):

@@ -170,7 +170,7 @@ def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
 def test_every_block_is_bitwise_symmetric_and_sized_by_its_multiplicity(ell, two_s):
     # a recoupling phase that depends on J_k or K would break the symmetry
     for n in range(two_s * ell // 2 + 1):
-        h = dense_block(*_highest_weight_block(ell, two_s, n))
+        h = dense_block(*_highest_weight_block(ell, two_s, n)[:4])
         assert len(h) == sector_dimension(ell, n, two_s) - sector_dimension(ell, n - 1, two_s)
         assert h.flags.f_contiguous
         assert np.array_equal(h, h.T), n
@@ -208,8 +208,7 @@ def test_every_block_equals_the_recoupled_bond_matrices():
 
 def _halves(ell, two_s, n):
     """The two reflection-parity halves of block n, as `full_spectrum` forms them."""
-    block = _highest_weight_block(ell, two_s, n)
-    return list(_parity_blocks(*block, *_mirror_coupling(ell, two_s, n)[-2:]))
+    return list(_parity_blocks(*_highest_weight_block(ell, two_s, n)))
 
 
 def test_the_halves_of_every_block_hold_the_sequential_block_spectrum():
@@ -234,7 +233,7 @@ def test_reversing_the_sites_is_the_signed_row_map_on_the_coupled_states(ell, tw
         reversed_states = np.transpose(sites, list(range(ell - 1, -1, -1)) + [ell]).reshape(states.shape)
         assert np.abs(states.T @ states - np.eye(len(k))).max() <= 1e-13, n
         assert np.abs(reversed_states - states[:, mirror] * sign).max() <= 1e-13, n
-        block = dense_block(*_highest_weight_block(ell, two_s, n))
+        block = dense_block(*_highest_weight_block(ell, two_s, n)[:4])
         assert np.abs(block - states.T @ h @ states).max() <= 1e-12, n
 
 
@@ -274,14 +273,30 @@ def test_each_block_is_solved_once_per_call(monkeypatch):
     assert built == [0, 1, 2, 3, 4] * 2
 
 
+
+@pytest.mark.parametrize("variant,calls", [("free", 7), ("dirichlet", 6)])
+def test_each_blocks_reflection_is_built_with_its_rows(monkeypatch, variant, calls):
+    # free chain 13 builds its blocks 0..6 and pinned chain 14 free chain
+    # 15's blocks 2..7, each carrying the signed row map it was coupled with
+    counted = []
+    exact = spectra._mirror_coupling
+
+    def recorded(nsites, two_s, n):
+        counted.append(n)
+        return exact(nsites, two_s, n)
+
+    monkeypatch.setattr(spectra, "_mirror_coupling", recorded)
+    full_spectrum(SpinLattice.chain(13 if variant == "free" else 14), SpinMagnitude(1), variant)
+    assert len(counted) == calls
+
 def test_a_nan_in_a_highest_weight_block_raises(monkeypatch):
     exact = spectra._highest_weight_block
 
     def spoiled(nsites, two_s, n):
-        rows, cols, vals, dim = exact(nsites, two_s, n)
+        rows, cols, vals, dim, mirror, sign = exact(nsites, two_s, n)
         if n == 2:
             vals[np.flatnonzero(rows == cols)[0]] = np.nan  # a diagonal value
-        return rows, cols, vals, dim
+        return rows, cols, vals, dim, mirror, sign
 
     monkeypatch.setattr(spectra, "_highest_weight_block", spoiled)
     monkeypatch.setattr(spectra, "WHOLE_SECTOR_MAX", 0)

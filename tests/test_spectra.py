@@ -752,9 +752,9 @@ def test_parity_blocks_match_the_whole_sector_solve(monkeypatch, lattice, two_s,
     ell, top = lattice.nsites, two_s * lattice.nsites
     free_chain = variant == "free" and lattice.dimension == 1
     paired = HALF_SPIN_PAIRED[ell] if (variant, two_s) == ("dirichlet", 1) else ()
-    # on the free chain, sector n up to the middle solves the two halves of
-    # its one new highest-weight block, of total spin S*sites - n, and the
-    # sectors past the middle reuse them; a paired sector of a pinned S=1/2
+    # the free chain solves the two halves of its highest-weight blocks
+    # j = 0..N/2, of total spin S*sites - j, once each, and every sector
+    # is a prefix of their spectra; a paired sector of a pinned S=1/2
     # chain solves the halves of free chain ell + 1's highest-weight block,
     # after every other sector, from the middle down; elsewhere an even and
     # an odd block per sector; a half or block with no rows is not solved
@@ -787,14 +787,14 @@ def _pinned_parity_spectrum(ell, n):
     (`test_parity_blocks_match_the_whole_sector_solve`)."""
     if n > ell:
         return np.zeros(0)
-    basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(1), n)
-    op = spectra._assemble_variant(basis, "dirichlet")
-    blocks = spectra._parity_blocks(op.rows, op.cols, op.vals, op.dim, basis.state_index(basis.states[:, ::-1]), 1)
+    op = spectra._sector_operator(SpinLattice.chain(ell), SpinMagnitude(1), n, "dirichlet")
+    mirror = op.basis.state_index(op.basis.states[:, ::-1])
+    blocks = spectra._parity_blocks(op.rows, op.cols, op.vals, op.dim, mirror, 1)
     return np.sort(np.concatenate([sla.eigvalsh(dense_block(*block)) for block in blocks]))
 
 
 def _highest_weight_spectrum(ell, two_s, n):
-    return sla.eigvalsh(dense_block(*spectra._highest_weight_block(ell, two_s, n)))
+    return sla.eigvalsh(dense_block(*spectra._highest_weight_block(ell, two_s, n)[:4]))
 
 
 @pytest.mark.parametrize("ell", range(2, 15))
@@ -848,7 +848,7 @@ def test_chain_14_solves_no_block_above_1001_states(monkeypatch):
     # the 3432-state middle sector splits the lattice: sector n = 0..7
     # solves the even and odd halves of the highest-weight block of spin
     # 7 - n (1, 13, 77, 273, 637, 1001, 1001, 429 states; sector 0 has no
-    # odd half), and the sectors past the middle copy their conjugates
+    # odd half) once, and every sector is a prefix of their spectra
     assert sizes == [1, 6, 7, 42, 35, 133, 140, 329, 308, 490, 511, 518, 483, 197, 232]
     # the half, LAPACK's finiteness mask and the block's triplets read
     # 1.43; neither the 3432-state middle sector nor any of its symmetry
@@ -918,11 +918,11 @@ def test_chain_13_solve_counts_and_no_shared_sector_arrays(
     # 2S*sites having no odd one, except that at 2S = 1 its sectors 2..7
     # come last, from the middle down, as the halves of free chain 14's
     # highest-weight blocks 7..2 (429, 1001, 1001, 637, 273, 77 states);
-    # the free chain solves for sector n <= N/2, N = 2S*sites, the halves
-    # of its one highest-weight block, of spin N/2 - n (1, 12, 65, 208,
-    # 429, 572, 429 states on chain 13 and 1, 7, 28, 76, 154, 238, 280,
-    # 232, 91 on chain 8 at S=1), and the sectors past the middle copy
-    # their conjugates
+    # the free chain solves for each j <= N/2, N = 2S*sites, the halves
+    # of its highest-weight block of spin N/2 - j (1, 12, 65, 208, 429,
+    # 572, 429 states on chain 13 and 1, 7, 28, 76, 154, 238, 280, 232,
+    # 91 on chain 8 at S=1) once, and every sector is a prefix of their
+    # spectra
     top = two_s * lattice.nsites
     solved = _record_solve_sizes(monkeypatch)
     spectrum = full_spectrum(lattice, SpinMagnitude(two_s), variant)
@@ -1002,30 +1002,30 @@ def test_the_gate_is_the_largest_lattice_a_committed_output_solves_whole(monkeyp
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_sector_block_raises_from_full_spectrum(monkeypatch, bad):
-    exact = spectra._assemble_variant
+    exact = spectra._sector_operator
 
-    def spoiled(basis, variant):
-        op = exact(basis, variant)
-        if basis.n == 2:  # chain 4's 6-state sector, solved whole
+    def spoiled(lattice, spin, n, variant):
+        op = exact(lattice, spin, n, variant)
+        if n == 2:  # chain 4's 6-state sector, solved whole
             op.vals[0] = bad
         return op
 
-    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
+    monkeypatch.setattr(spectra, "_sector_operator", spoiled)
     with pytest.raises(ValueError, match="infs or NaNs"):
         full_spectrum(SpinLattice.chain(4), SpinMagnitude(1))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_parity_block_raises_from_full_spectrum(monkeypatch, bad):
-    exact = spectra._assemble_variant
+    exact = spectra._sector_operator
 
-    def spoiled(basis, variant):
-        op = exact(basis, variant)
-        if basis.n == 8:  # pinned chain 13's 1287-state sector, solved as parity blocks
+    def spoiled(lattice, spin, n, variant):
+        op = exact(lattice, spin, n, variant)
+        if n == 8:  # pinned chain 13's 1287-state sector, solved as parity blocks
             op.vals[0] = bad
         return op
 
-    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
+    monkeypatch.setattr(spectra, "_sector_operator", spoiled)
     with pytest.raises(ValueError, match="infs or NaNs"):
         full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
 
@@ -1034,11 +1034,11 @@ def test_a_wrong_highest_weight_block_fails_the_paired_sector_guard(monkeypatch)
     exact = spectra._highest_weight_block
 
     def shifted(nsites, two_s, n):
-        rows, cols, vals, dim = exact(nsites, two_s, n)
+        rows, cols, vals, dim, mirror, sign = exact(nsites, two_s, n)
         assert rows[0] == cols[0]  # a diagonal value
         vals = vals.copy()
         vals[0] += 1e-6
-        return rows, cols, vals, dim
+        return rows, cols, vals, dim, mirror, sign
 
     monkeypatch.setattr(spectra, "_highest_weight_block", shifted)
     # pinned chain 13's sector 7, from free chain 14's highest-weight block
@@ -1048,15 +1048,15 @@ def test_a_wrong_highest_weight_block_fails_the_paired_sector_guard(monkeypatch)
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_a_non_finite_paired_sector_raises_from_full_spectrum(monkeypatch, bad):
-    exact = spectra._assemble_variant
+    exact = spectra._sector_operator
 
-    def spoiled(basis, variant):
-        op = exact(basis, variant)
-        if basis.n == 7:  # pinned chain 13's sector that only the guard assembles
+    def spoiled(lattice, spin, n, variant):
+        op = exact(lattice, spin, n, variant)
+        if n == 7:  # pinned chain 13's sector that only the guard assembles
             op.vals[0] = bad
         return op
 
-    monkeypatch.setattr(spectra, "_assemble_variant", spoiled)
+    monkeypatch.setattr(spectra, "_sector_operator", spoiled)
     with pytest.raises(RuntimeError, match="sector 7:"):
         full_spectrum(SpinLattice.chain(13), SpinMagnitude(1), "dirichlet")
 
