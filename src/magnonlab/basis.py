@@ -131,7 +131,18 @@ def require_sector_dimensions(nsites: int, cap: int, sectors, limit: int) -> Non
             raise ResourceLimitError(f"sector n={n} has dimension {dim} > {limit}")
 
 
-def _key_weights(nsites, cap):
+def require_total_dimension(nsites: int, two_s: int, limit: int) -> None:
+    """Raise ResourceLimitError when the chain of `nsites` spins 2S =
+    `two_s`, every sector together, has more than `limit` states."""
+    total_dim = (two_s + 1) ** nsites
+    if total_dim > limit:
+        raise ResourceLimitError(
+            f"total dimension {total_dim} exceeds cap {limit}; "
+            "restrict to individual sectors instead"
+        )
+
+
+def key_weights(nsites, cap):
     """Place values of the base-(cap+1) key of an occupation vector, first
     site most significant, so ascending lexicographic order is ascending
     key order.  Keys of up to (cap+1)^M - 1 fit int64 only while
@@ -140,6 +151,14 @@ def _key_weights(nsites, cap):
     weights = [(cap + 1) ** (nsites - 1 - x) for x in range(nsites)]
     fits = (cap + 1) ** nsites <= 2**63
     return np.array(weights, dtype=np.int64 if fits else object)
+
+
+def key_rows(keys, wanted):
+    """Rows of the `wanted` keys in the ascending non-empty array `keys`,
+    by one binary search clipped to the last row, and whether each key
+    is there."""
+    rows = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return rows, keys[rows] == wanted
 
 
 @dataclass
@@ -159,7 +178,7 @@ class MagnonSectorBasis:
     states: np.ndarray
 
     def __post_init__(self):
-        self._weights = _key_weights(self.lattice.nsites, self.cap)
+        self._weights = key_weights(self.lattice.nsites, self.cap)
         self._keys = self.states @ self._weights
 
     @property
@@ -176,9 +195,8 @@ class MagnonSectorBasis:
         occ = np.asarray(occ, dtype=np.int64)
         if (occ.ndim in (1, 2) and occ.shape[-1] == self.lattice.nsites
                 and np.all((occ >= 0) & (occ <= self.cap))):
-            keys = occ @ self._weights
-            rows = np.minimum(np.searchsorted(self._keys, keys), self.dim - 1)
-            if np.all(self._keys[rows] == keys):
+            rows, found = key_rows(self._keys, occ @ self._weights)
+            if np.all(found):
                 return int(rows) if occ.ndim == 1 else rows
         raise KeyError(f"state {occ.tolist()} is not in the n={self.n} sector")
 

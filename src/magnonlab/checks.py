@@ -24,7 +24,13 @@ import inspect
 from itertools import groupby, product
 
 from . import lapack as sla
-from .basis import SpinLattice, SpinMagnitude, enumerate_sector_basis, require_sector_dimensions
+from .basis import (
+    SpinLattice,
+    SpinMagnitude,
+    enumerate_sector_basis,
+    require_sector_dimensions,
+    require_total_dimension,
+)
 from .boundlab import (
     coordinate_collapse_matrix,
     gibbs_cdf,
@@ -73,13 +79,14 @@ def _cells(blocks, overrides, fits=None):
 
 
 def _prepare(cells, sectors=None, ells=None, spins=None, ns=None, rule=None,
-             limit=DENSE_SECTOR_CAP):
+             limit=DENSE_SECTOR_CAP, total=None):
     """Return `cells` once no override is bad and no cell too large: build
     the chain of every `ells` value and the spin of every `spins` value,
     which no `fits` filter drops; refuse an `ns` value that no cell uses
     (cells need `rule`), then a negative one; then size the sectors
     `sectors(*cell)` = (sites, per-site cap, magnon numbers) of every
-    cell against `limit`."""
+    cell against `limit`, each cell's whole chain first against `total`
+    if it is given, as `full_spectrum` does."""
     for ell in ells or ():
         SpinLattice.chain(ell)
     for two_s in spins or ():
@@ -93,6 +100,8 @@ def _prepare(cells, sectors=None, ells=None, spins=None, ns=None, rule=None,
         if n < 0:
             raise ValueError(f"n must be >= 0, got n={n}")
     for sites, cap, numbers in sized:
+        if total:
+            require_total_dimension(sites, cap, total)
         require_sector_dimensions(sites, cap, numbers, limit)
     return cells
 
@@ -155,18 +164,21 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
     return certs
 
 
-def _random_state_cells(block, ells, spins, ns, limit):
-    """Prepared cells (ell, n, two_s) of a random-state suite."""
-    cells = _cells([block], (ells, ns, spins), lambda ell, n, two_s: n <= two_s * ell)
+def _random_state_cells(block, ells, spins, ns, limit, fits, rule):
+    """Prepared cells (ell, n, two_s) of a random-state suite, those
+    that `fits(ell, n, two_s)` keeps, which satisfy `rule`."""
+    cells = _cells([block], (ells, ns, spins), fits)
     return _prepare(cells, lambda ell, n, two_s: (ell, two_s, [n]), ells, spins, ns,
-                    "n <= 2S*ell", limit)
+                    rule, limit)
 
 
 def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     block = {"default": ((4, 5), (2, 3), (1, 2)), "quick": ((4,), (2,), (1, 2))}[grid]
     samples = _SAMPLES[grid]
     certs = []
-    cells = _random_state_cells(block, ells, spins, ns, DEFAULT_DIM_CAP)
+    # the collapse map V needs n <= ell
+    cells = _random_state_cells(block, ells, spins, ns, DEFAULT_DIM_CAP,
+                                lambda ell, n, _: n <= ell, "n <= ell")
     for ell, n, two_s in cells:
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
         collapse, _ = coordinate_collapse_matrix(basis)
@@ -186,7 +198,8 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
     block = {"default": ((4, 5, 6), (2, 3), (1, 2)), "quick": ((4, 5), (2,), (1, 2))}[grid]
     samples = _SAMPLES[grid]
     certs = []
-    cells = _random_state_cells(block, ells, spins, ns, DENSE_SECTOR_CAP)
+    cells = _random_state_cells(block, ells, spins, ns, DENSE_SECTOR_CAP,
+                                lambda ell, n, two_s: n <= two_s * ell, "n <= 2S*ell")
     for ell, n, two_s in cells:
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
         energies, vectors = sla.eigh(h)
@@ -228,7 +241,8 @@ def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, 
     for total in ells or ():
         if total < 2:
             raise ValueError(f"subadditivity splits a chain of L >= 2 sites, got L={total}")
-    cells = _prepare(_cells(blocks, (ells, spins, betas)), _whole_chain, ells, spins)
+    cells = _prepare(_cells(blocks, (ells, spins, betas)), _whole_chain, ells, spins,
+                     total=DEFAULT_DIM_CAP)
     return _per_beta_run(check_subadditivity, cells)
 
 
@@ -241,7 +255,8 @@ def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
     # each cell is a block, so under --beta the two (7, 2, 1) blocks are one
     cells = _cells([[(value,) for value in cell] for cell in cells], (None, None, None, betas))
     # a cell (L, ell, two_s, beta) builds no chain longer than L
-    _prepare(cells, lambda total, _, two_s, beta: _whole_chain(total, two_s))
+    _prepare(cells, lambda total, _, two_s, beta: _whole_chain(total, two_s),
+             total=DEFAULT_DIM_CAP)
     return _per_beta_run(check_localization_bound, cells)
 
 

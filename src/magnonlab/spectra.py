@@ -66,7 +66,10 @@ from .basis import (
     SpinLattice,
     SpinMagnitude,
     enumerate_sector_basis,
+    key_rows,
+    key_weights,
     require_sector_dimensions,
+    require_total_dimension,
     sector_dimension,
 )
 from .certificates import InequalityCertificate, worst
@@ -204,12 +207,7 @@ def full_spectrum(
     sector exceeds `DENSE_SECTOR_CAP`; callers that only need the gap
     should use `spectral_gap`, which solves only the lowest sectors.
     """
-    total_dim = spin.site_dim**lattice.nsites
-    if total_dim > DEFAULT_DIM_CAP:
-        raise ResourceLimitError(
-            f"total dimension {total_dim} exceeds cap {DEFAULT_DIM_CAP}; "
-            "restrict to individual sectors instead"
-        )
+    require_total_dimension(lattice.nsites, spin.two_s, DEFAULT_DIM_CAP)
     nsites, top = lattice.nsites, spin.two_s * lattice.nsites
     require_sector_dimensions(nsites, spin.two_s, range(top + 1), DENSE_SECTOR_CAP)
     # the middle sector is the largest, so this splits every sector or none
@@ -331,8 +329,9 @@ def _mirror_coupling(nsites, two_s, n):
     J_a (x) J_b.  On an even chain J = K; on an odd one the middle site is
     coupled last, J in K (x) S.  Row i is the path pair (left[i],
     right[i]), rows of `paths`, and 2K = k[i]; the rows ascend in
-    (left, right, k), so a row is found by binary search over its integer
-    key.  They number sector_dimension(n) - sector_dimension(n - 1).
+    (left, right, k), and so in their keys (`_row_keys` of the paths'
+    digit keys and 2K), over which a row is found by one binary search.
+    They number sector_dimension(n) - sector_dimension(n - 1).
 
     Reversing the sites maps the coupled state (a, b, K) to
     (-1)^(J_a+J_b-K) (b, a, K), by the symmetry of the Clebsch-Gordan
@@ -355,17 +354,31 @@ def _mirror_coupling(nsites, two_s, n):
     per_pair = np.maximum((np.minimum(ea + eb, two_j + middle) - lo) // 2 + 1, 0)
     pair = np.repeat(np.arange(len(left)), per_pair)
     k = lo[pair] + 2 * (np.arange(len(pair)) - (np.cumsum(per_pair) - per_pair)[pair])
-    keys = _row_keys(npaths, nsites * two_s, left[pair], right[pair], k)
+    path_keys = np.matmul(*_path_digits(paths, two_s))
+    keys = _row_keys(nsites, two_s, path_keys[left[pair]], path_keys[right[pair]], k)
     order = np.argsort(keys)
     left, right, k, keys = left[pair][order], right[pair][order], k[order], keys[order]
-    mirror = np.searchsorted(keys, _row_keys(npaths, nsites * two_s, right, left, k))
+    mirror = np.searchsorted(keys, _row_keys(nsites, two_s, path_keys[right], path_keys[left], k))
     sign = 1 - 2 * ((ends[left] + ends[right] - k) // 2 % 2)
     return paths, left, right, k, mirror, sign
 
 
-def _row_keys(npaths, top, left, right, k):
-    """Integer key of each row (left, right, 2K) of `_mirror_coupling`, 2K <= top."""
-    return (left * npaths + right) * (top + 1) + k
+def _path_digits(paths, two_s):
+    """The steps J_k - J_{k-1} + S, each in 0..2S, of the paths of
+    `_half_paths`, and their place values as base-(2S+1) digits, first
+    step most significant (`basis.key_weights`): the key the magnon
+    basis gives an occupation vector, which ascends with the paths."""
+    steps = (np.diff(paths, axis=1) + two_s) // 2
+    return steps, key_weights(steps.shape[1], two_s)
+
+
+def _row_keys(nsites, two_s, left, right, k):
+    """Integer key of each row (left, right, 2K) of `_mirror_coupling`,
+    left and right the keys of its half paths (`_path_digits`), read as
+    digits of base (2S+1)^(nsites//2), and 2K one of base top + 3, so that
+    2K + 2 <= top + 2 does not carry into the right path's key.  The key
+    is linear: moving a row by (da, db, dk) adds _row_keys(da, db, dk)."""
+    return (left * (two_s + 1) ** (nsites // 2) + right) * (two_s * nsites + 3) + k
 
 
 def _six_j_one(a, b, c, b1, c1):
@@ -434,6 +447,18 @@ def _highest_weight_block(nsites, two_s, n):
     K: alpha_a alpha_b (K(K+1) - J_a(J_a+1) - J_b(J_b+1))/2 across an even
     middle, alpha_a beta (J(J+1) - K(K+1) - S(S+1))/2 into an odd one.
 
+    Each element off the diagonal joins a row to the row its move
+    reaches, found the way `MagnonSectorBasis.hop_targets` finds a hop:
+    the move's key delta (`_row_keys`, which is linear) is added to the
+    row's key and one clipped binary search (`basis.key_rows`) finds
+    the target.  Raising J_k inside the left half raises step k and
+    lowers step k+1 of its path, so needs step k < 2S and step k+1 > 0;
+    a move at the middle raises or lowers the last step of a path, under
+    the same guards, or moves 2K by 2, down only from K > 0; 2K + 2 <=
+    top + 2 has room in its digit.  A guarded move never carries into
+    or borrows from the next digit, and one that leaves a triangle finds
+    no row and is dropped.
+
     The left half's bonds (and the odd chain's bond into the middle site)
     are built on the rows; the right half's are their images under the
     signed row map R of `_mirror_coupling`, since the Hamiltonian commutes
@@ -441,61 +466,51 @@ def _highest_weight_block(nsites, two_s, n):
     each row, and minus each element at (row, raised) and (raised, row),
     so the block is bitwise symmetric."""
     paths, left, right, k, mirror, sign = _mirror_coupling(nsites, two_s, n)
-    npaths, top, dim, t = len(paths), two_s * nsites, len(left), float(two_s)
-    tt, two_j = t * (t + 2), two_s * nsites - 2 * n
-    keys = _row_keys(npaths, top, left, right, k)
+    dim, t, two_j = len(left), float(two_s), two_s * nsites - 2 * n
+    tt = t * (t + 2)
+    steps, weights = _path_digits(paths, two_s)
+    path_keys = steps @ weights
+    keys = _row_keys(nsites, two_s, path_keys[left], path_keys[right], k)
     # x' of 2J_{k-1}, 2J_k, 2J_{k+1} and 2S, one column per bond inside a half
     a, b, c = (x * (x + 2.0) for x in (paths[:, :-2], paths[:, 1:-1], paths[:, 2:]))
     dots = np.divide((b + tt - a) * (c - b - tt), 16 * b, out=np.zeros_like(b), where=b > 0)
-    steps = (np.diff(paths, axis=1) + two_s) // 2
-    # path, site: step `site` can rise and step `site + 1` fall, i.e. J_{site+1} rises
-    path, site = np.nonzero((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))
-    weights = (two_s + 1) ** np.arange(steps.shape[1] - 1, -1, -1)
-    path_keys = steps @ weights
-    raised_path = np.searchsorted(path_keys, path_keys[path] + weights[site] - weights[site + 1])
+    # row, site: J_{site+1} of the row's left path rises, its step `site`
+    # below 2S rising and step `site + 1` above 0 falling; J_a stays, so
+    # the raised row is there
+    row, site = np.nonzero(((steps[:, :-1] < two_s) & (steps[:, 1:] > 0))[left])
+    raised = key_rows(keys, keys[row] + _row_keys(nsites, two_s, weights[site] - weights[site + 1], 0, 0))[0]
+    path = left[row]
     u = paths[path, site + 1] + 2.0
 
     def p(x):
         return (u + x + t + 2) * (x + t + 2 - u) * (u - x + t) * (u + x - t)
 
     amplitude = np.sqrt(p(paths[path, site]) * p(paths[path, site + 2])) / (32 * u * np.sqrt(u * u - 1))
-    # the rows of one left path are consecutive, and a raise keeps J_a, so
-    # they pair off in order with the rows of the raised path
-    per_path = np.bincount(left, minlength=npaths)
-    first_row = np.cumsum(per_path) - per_path
-    per_raise = per_path[path]
-    raise_of = np.repeat(np.arange(len(path)), per_raise)
-    offset = np.arange(len(raise_of)) - (np.cumsum(per_raise) - per_raise)[raise_of]
-    raises = [(first_row[path][raise_of] + offset, first_row[raised_path][raise_of] + offset,
-               amplitude[raise_of])]
+    raises = [(row, raised, amplitude)]
 
     # the middle: J_a, J_b, the spins A, B before them, and x' of each and of 2K
     ja, jb, pa, pb = paths[left, -1], paths[right, -1], paths[left, -2], paths[right, -2]
     ja2, jb2, pa2, pb2, k2 = (x * (x + 2.0) for x in (ja, jb, pa, pb, k))
     alpha_a = np.divide(ja2 + tt - pa2, 2 * ja2, out=np.zeros_like(ja2), where=ja > 0)
-    # path p + 1 is path p with its last spin raised by one where they share the rest
-    rises = np.append(np.all(paths[1:, :-1] == paths[:-1, :-1], axis=1), False)
+    # a path's last step can rise below 2S and fall above 0, so a move of
+    # J_a or J_b by one neither carries into nor borrows from the next digit
+    a_up, b_up, b_down = steps[left, -1] < two_s, steps[right, -1] < two_s, steps[right, -1] > 0
     if nsites % 2:
         beta = np.divide(k2 + ja2 - jb2, 2 * k2, out=np.zeros_like(k2), where=k > 0)
         middle_diagonal = t * t / 4 - alpha_a * beta * (two_j * (two_j + 2.0) - k2 - tt) / 8
         # (J_a, K) to (J_a, K + 1), (J_a + 1, K - 1), (J_a + 1, K), (J_a + 1, K + 1):
-        # one orientation of each pair of rows the bond joins
-        moves = [(left, right, k + 2, np.ones(dim, dtype=bool))]
-        moves += [(left + 1, right, k + dk, rises[left]) for dk in (-2, 0, 2)]
+        # one orientation of each pair of rows the bond joins, as (dJ_a, dJ_b, 2dK)
+        moves = [(0, 0, 2, np.ones(dim, dtype=bool)), (1, 0, -2, a_up & (k > 0)), (1, 0, 0, a_up), (1, 0, 2, a_up)]
     else:
         alpha_b = np.divide(jb2 + tt - pb2, 2 * jb2, out=np.zeros_like(jb2), where=jb > 0)
         middle_diagonal = t * t / 4 - alpha_a * alpha_b * (k2 - ja2 - jb2) / 8
         # (J_a, J_b) to (J_a, J_b + 1), (J_a + 1, J_b - 1), (J_a + 1, J_b), (J_a + 1, J_b + 1)
-        falls = np.insert(rises[:-1], 0, False)
-        moves = [(left, right + 1, k, rises[right]), (left + 1, right - 1, k, rises[left] & falls[right]),
-                 (left + 1, right, k, rises[left]), (left + 1, right + 1, k, rises[left] & rises[right])]
+        moves = [(0, 1, 0, b_up), (1, -1, 0, a_up & b_down), (1, 0, 0, a_up), (1, 1, 0, a_up & b_up)]
     pairs = []
-    for to_left, to_right, to_k, allowed in moves:
+    for da, db, dk, allowed in moves:
         row = np.flatnonzero(allowed)
-        wanted = _row_keys(npaths, top, to_left[row], to_right[row], to_k[row])
-        target = np.minimum(np.searchsorted(keys, wanted), dim - 1)
-        hit = keys[target] == wanted  # the target keeps both triangles
-        pairs.append((row[hit], target[hit]))
+        target, hit = key_rows(keys, keys[row] + _row_keys(nsites, two_s, da, db, dk))
+        pairs.append((row[hit], target[hit]))  # the target keeps both triangles
     row, target = (np.concatenate(x) for x in zip(*pairs))
     ja, jb, pa, pb, k_to = ja[row], jb[row], pa[row], pb[row], k[target]
     a_to, b_to, k = paths[left[target], -1], paths[right[target], -1], k[row]

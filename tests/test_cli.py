@@ -107,7 +107,8 @@ def test_verify_with_no_certificates_is_config_error(tmp_path, capsys):
     [
         # laplacian cells need n <= ell: n=2 runs, n=5 fits no ell
         ("laplacian", ["--ell", "3", "--n", "2,5", "--grid", "quick"], "5"),
-        # random-state cells need n <= 2S*ell: n=9 fits neither spin at ell=4
+        # vnorm cells need n <= ell and density cells n <= 2S*ell: n=9 fits
+        # neither spin at ell=4
         ("vnorm", ["--ell", "4", "--two-s", "1,2", "--n", "2,9"], "9"),
         ("density", ["--ell", "4", "--n", "3,9", "--grid", "quick"], "9"),
     ],
@@ -662,6 +663,12 @@ def test_verify_refuses_a_cell_outside_its_check_before_any_work(
          "error: n must be >= 0, got n=-1"),
         (["--check", "density", "--n", "2,-1"], "dense_sectors",
          "error: n must be >= 0, got n=-1"),
+        # the collapse map of a vnorm cell needs n <= ell, though n=6 fits 2S*ell
+        (["--check", "vnorm", "--ell", "4", "--n", "1,6", "--two-s", "2"],
+         "enumerate_sector_basis", "n=6 gives no cell"),
+        # the spectrum suites also size each cell's whole chain, as full_spectrum does
+        (["--check", "subadditivity", "--ell", "2", "--two-s", "1,1024"], "check_subadditivity",
+         "error: total dimension 1050625 exceeds cap 1048576"),
     ],
 )
 def test_verify_refuses_a_bad_cell_before_the_first_cell_runs(

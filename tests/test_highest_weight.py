@@ -27,6 +27,8 @@ from magnonlab.spectra import (
     _highest_weight_block,
     _mirror_coupling,
     _parity_blocks,
+    _path_digits,
+    _row_keys,
     _six_j_one,
     full_spectrum,
 )
@@ -144,7 +146,7 @@ def test_path_counts_are_the_multiplicities(ell, two_s):
 
 
 @pytest.mark.parametrize("ell,two_s", [(ell, 1) for ell in range(2, 13)] + [(ell, 2) for ell in range(2, 8)]
-                         + [(ell, 3) for ell in range(2, 6)])
+                         + [(ell, 3) for ell in range(2, 6)] + [(3, 36)])
 def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
     # the half paths are every path in ascending order, and the sequential
     # reference's paths to each spin are theirs; the rows ascend in
@@ -152,6 +154,15 @@ def test_paths_ascend_and_rank_to_their_rows(ell, two_s):
     # involution with one sign per orbit
     assert _half_paths(ell, two_s).tolist() == coupling_paths(ell, two_s)
     top = two_s * ell
+    # a half path's steps are digits 0..2S, its key ascends with its row,
+    # and the row key ascends, so is one-to-one, over every pair of half
+    # paths and every 0 <= 2K <= top + 2, the 2K + 2 a move to K + 1 asks for
+    steps, weights = _path_digits(_half_paths(ell // 2, two_s), two_s)
+    assert steps.min() >= 0 and steps.max() <= two_s
+    path_keys = steps @ weights
+    assert np.all(np.diff(path_keys) > 0)
+    pairs = np.meshgrid(path_keys, path_keys, np.arange(top + 3), indexing="ij")
+    assert np.all(np.diff(_row_keys(ell, two_s, *pairs).ravel()) > 0)
     for n in range(top // 2 + 1):
         basis, paths = coupling_basis(ell, two_s, n)
         assert paths.tolist() == coupling_paths(ell, two_s, top - 2 * n), n
