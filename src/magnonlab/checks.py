@@ -1,9 +1,9 @@
 """Named certificate suites over parameter grids.
 
-Each check maps a name to a runner producing a list of certificates;
-the default grids match the sizes the package is expected to certify,
-and the quick grids are trimmed for smoke runs.  A grid is a list of
-blocks, each the product of one value list per cell axis (`_cells`).
+Each check maps a name to a runner producing a list of certificates
+over one grid, sized to what the package is expected to certify.  A
+grid is a list of blocks, each the product of one value list per cell
+axis (`_cells`).
 An override (`ells`, `spins`, `ns`, `betas`) replaces its axis in every
 block, except that casimir, truncation and subadditivity run one
 fallback block under any override.  A suite takes only the overrides
@@ -59,7 +59,7 @@ from .spectra import (
 # Beta of the Gibbs-sampled states of the density suite.
 _GIBBS_BETA = 2.0
 # Random states sampled per cell of the laplacian, vnorm and density suites.
-_SAMPLES = {"default": 100, "quick": 20}
+_SAMPLES = 100
 # The command-line flag of each grid-axis override.
 _OVERRIDE_FLAGS = {"ells": "--ell", "spins": "--two-s", "ns": "--n", "betas": "--beta"}
 
@@ -121,36 +121,28 @@ def _per_beta_run(check, cells):
     return certs
 
 
-def run_su2(grid="default", seed=DEFAULT_SEED, spins=None):
-    blocks = {"default": [((1, 2, 3),)], "quick": [((1, 2),)]}[grid]
-    cells = _prepare(_cells(blocks, (spins,)), spins=spins)
+def run_su2(seed=DEFAULT_SEED, spins=None):
+    cells = _prepare(_cells([((1, 2, 3),)], (spins,)), spins=spins)
     return [verify_su2_representation(SpinMagnitude(two_s)) for (two_s,) in cells]
 
 
-def run_php_leq_t(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    blocks = {
-        "default": [(range(2, 6), (1, 2, 3), range(9))],
-        "quick": [((2, 3), (1, 2), range(4))],
-    }[grid]
+def run_php_leq_t(seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     # the n-boson sectors are uncapped: the per-site cap is n
-    cells = _prepare(_cells(blocks, (ells, spins, ns)), lambda ell, _, n: (ell, n, [n]),
-                     ells, spins, ns)
+    cells = _prepare(_cells([(range(2, 6), (1, 2, 3), range(9))], (ells, spins, ns)),
+                     lambda ell, _, n: (ell, n, [n]), ells, spins, ns)
     return [verify_php_leq_t(ell, SpinMagnitude(two_s), n) for ell, two_s, n in cells]
 
 
-def run_casimir(grid="default", seed=DEFAULT_SEED, ells=None, spins=None):
-    blocks = {
-        "default": [(range(2, 11), (1,)), (range(2, 7), (2,))],
-        "quick": [((2, 3, 4), (1,)), ((2, 3), (2,))],
-    }[grid]
+def run_casimir(seed=DEFAULT_SEED, ells=None, spins=None):
+    blocks = [(range(2, 11), (1,)), (range(2, 7), (2,))]
     if ells or spins:
         blocks = [((4,), (1,))]
     cells = _prepare(_cells(blocks, (ells, spins)), _whole_chain, ells, spins)
     return [verify_casimir_lower_bound(ell, SpinMagnitude(two_s)) for ell, two_s in cells]
 
 
-def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    ell_ax = {"default": range(2, 7), "quick": range(2, 5)}[grid]
+def run_laplacian(seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
+    ell_ax = range(2, 7)
     blocks = [(ell_ax, (1, 2), range(max(ells or ell_ax) + 1))]
     cells = _cells(blocks, (ells, spins, ns), lambda ell, _, n: n <= ell)
     _prepare(cells, lambda ell, two_s, n: (ell, two_s, [n]), ells, spins, ns, "n <= ell")
@@ -159,7 +151,7 @@ def run_laplacian(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=N
         certs.append(verify_laplacian_lower_bound(ell, SpinMagnitude(two_s), n))
         if two_s == 1 and n >= 1:
             certs.append(
-                verify_halfspin_quadratic_form_equality(ell, n, _SAMPLES[grid], seed=seed)
+                verify_halfspin_quadratic_form_equality(ell, n, _SAMPLES, seed=seed)
             )
     return certs
 
@@ -172,12 +164,10 @@ def _random_state_cells(block, ells, spins, ns, limit, fits, rule):
                     rule, limit)
 
 
-def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    block = {"default": ((4, 5), (2, 3), (1, 2)), "quick": ((4,), (2,), (1, 2))}[grid]
-    samples = _SAMPLES[grid]
+def run_vnorm(seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     certs = []
     # the collapse map V needs n <= ell
-    cells = _random_state_cells(block, ells, spins, ns, DEFAULT_DIM_CAP,
+    cells = _random_state_cells(((4, 5), (2, 3), (1, 2)), ells, spins, ns, DEFAULT_DIM_CAP,
                                 lambda ell, n, _: n <= ell, "n <= ell")
     for ell, n, two_s in cells:
         basis = enumerate_sector_basis(SpinLattice.chain(ell), SpinMagnitude(two_s), n)
@@ -185,20 +175,18 @@ def run_vnorm(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None)
         rng = rng_for(seed, 1, ell, n, two_s)
         cert = worst(
             (verify_vnorm_lower_bound(haar_random_state(basis, rng), collapse)
-             for _ in range(samples)),
+             for _ in range(_SAMPLES)),
             key=lambda c: c.slack,
         )
-        cert.params["samples"] = samples
+        cert.params["samples"] = _SAMPLES
         cert.seed = seed
         certs.append(cert)
     return certs
 
 
-def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
-    block = {"default": ((4, 5, 6), (2, 3), (1, 2)), "quick": ((4, 5), (2,), (1, 2))}[grid]
-    samples = _SAMPLES[grid]
+def run_density(seed=DEFAULT_SEED, ells=None, spins=None, ns=None):
     certs = []
-    cells = _random_state_cells(block, ells, spins, ns, DENSE_SECTOR_CAP,
+    cells = _random_state_cells(((4, 5, 6), (2, 3), (1, 2)), ells, spins, ns, DENSE_SECTOR_CAP,
                                 lambda ell, n, two_s: n <= two_s * ell, "n <= 2S*ell")
     for ell, n, two_s in cells:
         ((basis, h),) = dense_sectors(SpinLattice.chain(ell), SpinMagnitude(two_s), [n])
@@ -207,35 +195,29 @@ def run_density(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, ns=Non
         pairs = []
         for kind in ("haar", "gibbs"):
             rng = rng_for(seed, 2, ell, n, two_s, 0 if kind == "haar" else 1)
-            for _ in range(samples):
+            for _ in range(_SAMPLES):
                 if kind == "haar":
                     state = haar_random_state(basis, rng)
                 else:
                     state = gibbs_random_state(basis, vectors, cdf, rng)
                 pairs.append(verify_density_bounds(state, h))
         for cert in (worst(side, key=lambda c: c.slack) for side in zip(*pairs)):
-            cert.params["samples"] = 2 * samples
+            cert.params["samples"] = 2 * _SAMPLES
             cert.seed = seed
             certs.append(cert)
     return certs
 
 
-def run_truncation(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
-    blocks = {
-        "default": [((3, 4, 5), (1,), (4.0, 8.0)), ((3, 4), (2,), (4.0,))],
-        "quick": [((3,), (1,), (4.0,)), ((4,), (1,), (8.0,))],
-    }[grid]
+def run_truncation(seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
+    blocks = [((3, 4, 5), (1,), (4.0, 8.0)), ((3, 4), (2,), (4.0,))]
     if ells or spins or betas:
         blocks = [((4,), (1,), (8.0,))]
     cells = _prepare(_cells(blocks, (ells, spins, betas)), _whole_chain, ells, spins)
     return _per_beta_run(verify_low_energy_truncation, cells)
 
 
-def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
-    blocks = {
-        "default": [((4, 6, 8), (1,), (1.0, 2.0, 8.0)), ((4, 5), (2,), (1.0, 2.0))],
-        "quick": [((4,), (1,), (2.0,)), ((4,), (2,), (1.0,))],
-    }[grid]
+def run_subadditivity(seed=DEFAULT_SEED, ells=None, spins=None, betas=None):
+    blocks = [((4, 6, 8), (1,), (1.0, 2.0, 8.0)), ((4, 5), (2,), (1.0, 2.0))]
     if ells or spins or betas:
         blocks = [((6,), (1,), (2.0,))]
     for total in ells or ():
@@ -246,12 +228,8 @@ def run_subadditivity(grid="default", seed=DEFAULT_SEED, ells=None, spins=None, 
     return _per_beta_run(check_subadditivity, cells)
 
 
-def run_localization(grid="default", seed=DEFAULT_SEED, betas=None):
-    cells = {
-        "default": [(7, 2, 1, 2.0), (7, 2, 1, 4.0), (9, 3, 1, 2.0), (10, 2, 1, 4.0),
-                    (7, 2, 2, 2.0)],
-        "quick": [(7, 2, 1, 4.0)],
-    }[grid]
+def run_localization(seed=DEFAULT_SEED, betas=None):
+    cells = [(7, 2, 1, 2.0), (7, 2, 1, 4.0), (9, 3, 1, 2.0), (10, 2, 1, 4.0), (7, 2, 2, 2.0)]
     # each cell is a block, so under --beta the two (7, 2, 1) blocks are one
     cells = _cells([[(value,) for value in cell] for cell in cells], (None, None, None, betas))
     # a cell (L, ell, two_s, beta) builds no chain longer than L
@@ -274,7 +252,10 @@ CHECKS = {
 
 
 def run_check(name, grid="default", seed=DEFAULT_SEED, **overrides):
-    """Run suite `name`; raise ValueError for an override it does not take."""
+    """Run suite `name` on its grid; raise ValueError for an override it
+    does not take.  `grid` takes only "default", the name of that grid."""
+    if grid != "default":
+        raise ValueError(f"unknown grid {grid!r}; the one grid is 'default'")
     if name not in CHECKS:
         raise ValueError(
             f"unknown check {name!r}; valid names: {', '.join(sorted(CHECKS))}"
@@ -288,4 +269,4 @@ def run_check(name, grid="default", seed=DEFAULT_SEED, **overrides):
                 f"{_OVERRIDE_FLAGS.get(key, key)} does not apply to {name}; "
                 f"it takes {taken}"
             )
-    return runner(grid=grid, seed=seed, **overrides)
+    return runner(seed=seed, **overrides)

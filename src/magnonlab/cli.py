@@ -283,7 +283,8 @@ def cmd_budget(args):
 
 def _config_flags(path, parser):
     """Read a `key=value` config file as the flags `--key=value`, so
-    argparse applies the same type and choice checks to its values."""
+    argparse applies the same type and choice checks to its values.  A
+    config file names no other config file."""
     flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -293,16 +294,31 @@ def _config_flags(path, parser):
             if "=" not in line:
                 parser.error(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            key = key.strip().replace("_", "-")
+            if key == "config":
+                parser.error(f"{path}:{lineno}: a config file cannot name another config file")
+            flags.append(f"--{key}={value.strip()}")
     return flags
 
 
-def _require_output_directories(args):
-    """Refuse an output path whose directory does not exist, before any
-    work is done and before any other output is written."""
-    for path in (args.out, getattr(args, "plot_script", None)):
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+def _require_output_paths(args):
+    """Refuse an output path that cannot be written, before any work is
+    done and before any other output is written: an empty path, an
+    existing directory, a path whose directory does not exist, or a plot
+    script that would overwrite the table it plots."""
+    script = getattr(args, "plot_script", None)
+    for flag, path in (("--out", args.out), ("--plot-script", script)):
+        if path is None:
+            continue
+        if not path:
+            raise ValueError(f"{flag} is empty")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path!r} in")
+    # a table command always has --out by now
+    if script and os.path.realpath(script) == os.path.realpath(args.out):
+        raise ValueError(f"--plot-script {script!r} would overwrite the --out table")
 
 
 def _boolean(text):
@@ -342,7 +358,8 @@ def build_parser():
 
     p_v = sub.add_parser("verify", parents=[common], help="run a certificate suite")
     p_v.add_argument("--check", required=True, choices=CHECK_NAMES)
-    p_v.add_argument("--grid", choices=("default", "quick"), default="default")
+    p_v.add_argument("--grid", choices=("default",), default="default",
+                     help="each suite has one grid; the flag keeps `--grid default` valid")
     p_v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_v.add_argument("--ell", default=None, help="override the box-size axis (comma list)")
     p_v.add_argument("--two-s", default=None, help="override the spin axis (comma list)")
@@ -380,7 +397,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:1] + _config_flags(args.config, parser) + argv[1:])
         if args.out is None and args.command != "verify":
             parser.error("--out is required for table-producing commands")
-        _require_output_directories(args)
+        _require_output_paths(args)
         return args.func(args)
     except (OSError, ValueError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

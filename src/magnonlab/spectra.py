@@ -52,6 +52,7 @@ machine spin against each other.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -738,24 +739,14 @@ def check_localization_bound(total_length: int, ell: int, spin: SpinMagnitude, b
 # joint (energy, total-spin) decomposition of a sector
 # ---------------------------------------------------------------------------
 
-# (result of `_find_numpy_openblas`,) once `_numpy_openblas` has run: a
-# handle on a library of the process, the same for every caller
-_numpy_openblas_found = None
-
-
-def _numpy_openblas():
-    """`_find_numpy_openblas()`, looked up on the first call, not at import."""
-    global _numpy_openblas_found
-    if _numpy_openblas_found is None:
-        _numpy_openblas_found = (_find_numpy_openblas(),)
-    return _numpy_openblas_found[0]
-
-
+@functools.cache
 def _find_numpy_openblas():
     """(get, set) thread-count functions of the OpenBLAS bundled in the
     numpy wheel (`numpy.libs/libscipy_openblas64_*.so`), or None when
-    there is no such library.  numpy has already loaded it, so this maps
-    nothing new."""
+    there is no such library.  Looked up on the first call, not at
+    import; the handle is on a library of the process, the same for
+    every caller.  numpy has already loaded it, so this maps nothing
+    new."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
     if not libs:
         return None
@@ -774,9 +765,9 @@ def _find_numpy_openblas():
 def _numpy_blas_one_thread():
     """Hold numpy's OpenBLAS pool to one thread inside the block and
     restore its previous count on leaving, also on an exception.  Does
-    nothing where `_numpy_openblas` finds no library.  scipy's pool is
-    left as it is."""
-    blas = _numpy_openblas()
+    nothing where `_find_numpy_openblas` finds no library.  scipy's pool
+    is left as it is."""
+    blas = _find_numpy_openblas()
     if blas is None:
         yield
         return

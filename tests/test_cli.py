@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -106,11 +107,11 @@ def test_verify_with_no_certificates_is_config_error(tmp_path, capsys):
     "check,argv,value",
     [
         # laplacian cells need n <= ell: n=2 runs, n=5 fits no ell
-        ("laplacian", ["--ell", "3", "--n", "2,5", "--grid", "quick"], "5"),
-        # vnorm cells need n <= ell and density cells n <= 2S*ell: n=9 fits
-        # neither spin at ell=4
+        ("laplacian", ["--ell", "3", "--n", "2,5"], "5"),
+        # vnorm cells need n <= ell and density cells n <= 2S*ell: at ell=4,
+        # n=9 fits neither vnorm spin, nor density's 2S=2 (its 2S=3 would fit)
         ("vnorm", ["--ell", "4", "--two-s", "1,2", "--n", "2,9"], "9"),
-        ("density", ["--ell", "4", "--n", "3,9", "--grid", "quick"], "9"),
+        ("density", ["--ell", "4", "--two-s", "2", "--n", "3,9"], "9"),
     ],
 )
 def test_verify_rejects_an_n_override_that_fits_no_cell(tmp_path, capsys, check, argv, value):
@@ -128,16 +129,22 @@ def test_verify_choices_are_the_suites_of_checks():
     assert tuple(sorted(checks.CHECKS)) == certificates.CHECK_NAMES
 
 
+def test_every_suite_has_one_grid_named_default():
+    for run in checks.CHECKS.values():
+        assert "grid" not in inspect.signature(run).parameters
+    named = checks.run_check("su2", grid="default", seed=certificates.DEFAULT_SEED)
+    assert [c.params for c in named] == [c.params for c in checks.run_check("su2")]
+    with pytest.raises(ValueError, match="'quick'"):
+        checks.run_check("su2", grid="quick")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--check", "su2", "--grid", "quick"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_check_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--check", "bogus"])
     assert exc.value.code == 2
-
-
-def test_verify_quick_grids_all_pass(tmp_path):
-    for check in ("php-leq-t", "casimir", "laplacian", "vnorm", "density",
-                  "truncation", "subadditivity", "localization"):
-        assert main(["verify", "--check", check, "--grid", "quick"]) == 0
 
 
 def test_asymptotics_1d_table(tmp_path):
@@ -418,8 +425,8 @@ def test_verify_single_cell_overrides(tmp_path):
 
 def test_verify_ledger_determinism(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    main(["verify", "--check", "vnorm", "--grid", "quick", "--out", str(a)])
-    main(["verify", "--check", "vnorm", "--grid", "quick", "--out", str(b)])
+    main(["verify", "--check", "vnorm", "--out", str(a)])
+    main(["verify", "--check", "vnorm", "--out", str(b)])
     assert read_lines(a) == read_lines(b)
 
 
@@ -535,19 +542,56 @@ def test_a_value_that_overflows_is_a_one_line_error(tmp_path, capsys, argv):
         ["free-energy", "--length", "3", "--beta", "1", "--out", "{tmp}/missing/f.csv"],
         ["asymptotics", "--out", "{tmp}/missing/a.csv"],
         ["budget", "--out", "{tmp}/missing/b.csv"],
-        ["verify", "--check", "su2", "--grid", "quick", "--out", "{tmp}/missing/certs.jsonl"],
+        ["verify", "--check", "su2", "--out", "{tmp}/missing/certs.jsonl"],
         ["free-energy", "--length", "3", "--beta", "1", "--out", "{tmp}/f.csv",
          "--plot-script", "{tmp}/missing/plot.py"],
         ["asymptotics", "--out", "{tmp}/a.csv", "--plot-script", "{tmp}/missing/plot.py"],
+        # a plot script that would overwrite the table it plots
+        ["free-energy", "--length", "4", "--beta", "1", "--out", "{tmp}/x.csv",
+         "--plot-script", "{tmp}/x.csv"],
+        ["asymptotics", "--out", "{tmp}/x.csv", "--plot-script", "{tmp}/./x.csv"],
     ],
     ids=["config", "free-energy-out", "asymptotics-out", "budget-out", "verify-out",
-         "free-energy-plot-script", "asymptotics-plot-script"],
+         "free-energy-plot-script", "asymptotics-plot-script", "free-energy-plot-over-out",
+         "asymptotics-plot-over-out"],
 )
 def test_a_file_that_cannot_be_read_or_written_is_a_one_line_error(tmp_path, capsys, argv):
     assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert list(tmp_path.rglob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["free-energy", "--length", "12", "--beta", "1", "--out", ""],
+        ["free-energy", "--length", "12", "--beta", "1", "--out", "{tmp}/outdir"],
+        ["free-energy", "--length", "12", "--beta", "1", "--out", "{tmp}/f.csv",
+         "--plot-script", ""],
+        ["free-energy", "--length", "12", "--beta", "1", "--out", "{tmp}/f.csv",
+         "--plot-script", "{tmp}/outdir"],
+        ["verify", "--check", "casimir", "--out", ""],
+        ["verify", "--check", "casimir", "--out", "{tmp}/outdir"],
+    ],
+    ids=["free-energy-empty-out", "free-energy-directory-out", "empty-plot-script",
+         "directory-plot-script", "verify-empty-out", "verify-directory-out"],
+)
+def test_an_empty_or_directory_output_path_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv
+):
+    from magnonlab import spectra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    monkeypatch.setattr(spectra, "full_spectrum", refuse)
+    monkeypatch.setattr(checks, "run_check", refuse)
+    (tmp_path / "outdir").mkdir()
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert list(tmp_path.rglob("*")) == [tmp_path / "outdir"]
 
 
 def _one_error_line_and_no_ledger(capsys, ledger):
@@ -731,9 +775,8 @@ def test_verify_override_cells_run_in_a_pinned_order(tmp_path, argv, params):
     "argv,flag",
     [
         (["--check", "su2", "--ell", "99", "--n", "7", "--beta", "3"], "--ell"),
-        (["--check", "localization", "--ell", "99", "--two-s", "3", "--grid", "quick"],
-         "--ell"),
-        (["--check", "casimir", "--n", "5", "--grid", "quick"], "--n"),
+        (["--check", "localization", "--ell", "99", "--two-s", "3"], "--ell"),
+        (["--check", "casimir", "--n", "5"], "--n"),
     ],
 )
 def test_verify_rejects_an_override_the_suite_does_not_take(tmp_path, capsys, argv, flag):
@@ -820,6 +863,17 @@ def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
     assert f"{cfg}:2:" in capsys.readouterr().err
 
 
+def test_config_line_naming_another_config_file_is_refused(tmp_path, capsys):
+    # read as --config=..., it would replace the file being read and never be opened
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length=3\nconfig=missing.cfg\n")
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["free-energy", "--config", str(cfg), "--beta", "1", "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"{cfg}:2:" in capsys.readouterr().err
+
+
 # Each command runs in a fresh interpreter: the in-process tests above
 # have already loaded every layer.
 def _run_fresh(cwd, script, argv):
@@ -875,7 +929,7 @@ EXACT_DIAGONALIZATION_COMMANDS = [
     "verify --check php-leq-t --grid default --out certs.jsonl",
     "verify --check casimir --ell 4 --two-s 1",
     "budget --ell 4,6 --beta 4,8 --e0-source exact-ed --out budget-ed.csv",
-    *(f"verify --check {name} --grid quick" for name in certificates.CHECK_NAMES),
+    *(f"verify --check {name}" for name in certificates.CHECK_NAMES),
 ]
 
 
@@ -945,15 +999,22 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 def test_no_module_caches_results_across_calls():
     # reuse of spectra is scoped to one call; a memoizing decorator would
-    # carry results from one call into the next
+    # carry results from one call into the next.  The one cached function
+    # is the lookup of numpy's OpenBLAS: it takes no arguments and returns
+    # a handle on a library of the process, the same for every caller.
     package = Path(magnonlab.__file__).parent
     caching = {"cache", "lru_cache", "cached_property"}
     found = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        lookup = [decorator for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_find_numpy_openblas"
+                  and ast.unparse(node.args) == "" for decorator in node.decorator_list]
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "functools":
                 found += [f"{path.name}: {a.name}" for a in node.names if a.name in caching]
             elif (isinstance(node, ast.Attribute) and node.attr in caching
-                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"
+                  and node not in lookup):
                 found.append(f"{path.name}: functools.{node.attr}")
     assert found == []

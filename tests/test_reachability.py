@@ -7,10 +7,11 @@ of `bench/references.json["cli-readme"]`, which is only read), an
 exact-ED `budget`, one `free-energy` each with `--format json`,
 `--plot-script` and `--config`, one of chain 14 (whose sectors above
 `spectra.WHOLE_SECTOR_MAX` come from the free chain's highest-weight
-blocks), and every suite on `--grid quick`.  Each frame whose code lives in the package is
-matched to a `def` that `ast` finds there, methods and nested functions
-included, by file, first line and name; that needs no `co_qualname`, so
-it runs on Python 3.10 too.
+blocks), and every suite on its grid, the one `verify` and the
+certify-suites workload run.  Each frame whose code lives in the
+package is matched to a `def` that `ast` finds there, methods and
+nested functions included, by file, first line and name; that needs no
+`co_qualname`, so it runs on Python 3.10 too.
 The functions never called must be exactly the allowlist: wiring one
 means deleting its entry, and a new function that no run reaches fails.
 """
@@ -37,7 +38,7 @@ RUNS = [
     "free-energy --length 4 --beta 1,2 --out fe.csv --plot-script plot.py",
     "free-energy --config fe.cfg --out fe-config.csv",
     "free-energy --length 14 --beta 1 --out fe14.csv",
-    *(f"verify --check {name} --grid quick" for name in CHECK_NAMES),
+    *(f"verify --check {name}" for name in CHECK_NAMES),
 ]
 
 # Each function no run calls, with the ROADMAP item that will wire it.
@@ -100,7 +101,7 @@ def called_functions(tmp_path, monkeypatch):
 
     # the BLAS library is looked up once per process: look it up afresh,
     # whichever test ran first
-    monkeypatch.setattr(spectra, "_numpy_openblas_found", None)
+    spectra._find_numpy_openblas.cache_clear()
     monkeypatch.chdir(tmp_path)
     (tmp_path / "fe.cfg").write_text(CONFIG)
     prefix = str(PACKAGE)

@@ -517,7 +517,7 @@ def test_sector_energy_spin_pairs():
 
 
 def test_numpy_blas_scope_restores_the_thread_count_also_on_an_exception():
-    blas = spectra._numpy_openblas()
+    blas = spectra._find_numpy_openblas()
     if blas is None:
         pytest.skip("no OpenBLAS bundled in the numpy wheel")
     get, _ = blas
@@ -536,8 +536,8 @@ def test_numpy_blas_scope_without_the_library_does_nothing(monkeypatch):
     h = assemble_heisenberg(basis).to_dense()
     casimir = sla.eigh(assemble_total_spin_squared(basis).to_dense())
     scoped = sector_energy_spin_pairs(basis, h, casimir)
-    blas = spectra._numpy_openblas()
-    monkeypatch.setattr(spectra, "_numpy_openblas", lambda: None)
+    blas = spectra._find_numpy_openblas()
+    monkeypatch.setattr(spectra, "_find_numpy_openblas", lambda: None)
     if blas is not None:
         before = blas[0]()
         with spectra._numpy_blas_one_thread():
@@ -996,7 +996,7 @@ def test_the_gate_is_the_largest_lattice_a_committed_output_solves_whole(monkeyp
     for command in commands:
         assert main(command.split()) == 0, command
     for run in CHECKS.values():
-        run(grid="default")
+        run()
     assert max(middles) == spectra.WHOLE_SECTOR_MAX
 
 
