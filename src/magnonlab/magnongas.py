@@ -17,7 +17,7 @@ and the exact-ED budget receives its f_l(beta/2) from the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy
@@ -96,29 +96,29 @@ def dirichlet_modes(ell: int, dimension: int) -> DirichletModeSet:
     return DirichletModeSet(dimension, ell, momenta[order], energies[order])
 
 
-def _mode_momenta_1d(ell, family, m_max=None):
-    """First m_max momenta of the chosen family; only that many are ever
-    materialized, so huge boxes stay cheap."""
+def _mode_axis(ell, family):
+    """(count, denom) of one axis's modes p = pi*m/denom, m = 1..count."""
     if family == "dirichlet":
-        count, denom = ell, ell + 1
-    elif family == "neumann":
+        return ell, ell + 1
+    if family == "neumann":
         # nonzero modes of the free-boundary Laplacian on [1, l]
-        count, denom = ell - 1, ell
-    else:
-        raise ValueError(f"unknown mode family {family!r}")
-    if m_max is not None:
-        count = min(count, m_max)
-    return np.pi * np.arange(1, count + 1) / denom
+        return ell - 1, ell
+    raise ValueError(f"unknown mode family {family!r}")
 
 
-def _active_mode_count(ell, x_eff, family):
-    """Modes past this index underflow to an exactly zero contribution."""
+def _active_mode_count(count, denom, x_eff):
+    """Modes per axis that can contribute: past this index x_eff eps(p)
+    exceeds the underflow exponent, so e^{-x_eff eps(p)} is exactly zero.
+
+    The cutoff momentum solves 2(1 - cos p*) = 746/x_eff; it is taken as
+    2 asin(sqrt(c/2)) with c = 746/(2 x_eff), which keeps its precision
+    where acos(1 - c) would round 1 - c to 1 (c < 2^-54, x_eff > ~7e18).
+    """
     c = UNDERFLOW_EXPONENT / (2.0 * x_eff)
     if c >= 2.0:
-        return ell
-    p_star = math.acos(1.0 - c)
-    denom = ell + 1 if family == "dirichlet" else ell
-    return min(ell, int(math.ceil(p_star * denom / math.pi)) + 1)
+        return count
+    p_star = 2.0 * math.asin(math.sqrt(0.5 * c))
+    return min(count, int(math.ceil(p_star * denom / math.pi)) + 1)
 
 
 def _require_beta(beta, s):
@@ -126,6 +126,10 @@ def _require_beta(beta, s):
         raise ValueError(
             f"beta must be positive and finite and S positive, got beta={beta}, S={s}"
         )
+
+
+MAX_SUM_TERMS = 2**30  # a full 2d sum this long takes about half a minute
+_CHUNK_TERMS = 5_000_000  # terms evaluated per numpy pass
 
 
 def free_boson_sum(
@@ -142,31 +146,42 @@ def free_boson_sum(
     nonzero free-boundary modes pi*m/l used by the lower envelope; the
     dilution delta in [0, 1) softens the dispersion.  Always <= 0.
     Modes whose Boltzmann weight underflows contribute exactly zero and
-    are skipped, so very large boxes stay cheap.
+    are skipped; the rest are evaluated in chunks of a few million, so
+    memory stays bounded.  A sum of more than MAX_SUM_TERMS contributing
+    terms (m_max^d) is refused with ValueError before any is evaluated:
+    the count grows like (beta S)^{1/8} in 1d and (beta S)^{2/3} in 2d
+    at the envelopes' box sizes.
     """
     _require_beta(beta, s)
     if not 0.0 <= dilution < 1.0:
         raise ValueError(f"dilution must lie in [0, 1), got {dilution}")
     if ell < 2:
         raise ValueError(f"box size must be >= 2, got {ell}")
+    if dimension not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+    if dimension == 2 and mode_family != "dirichlet":
+        raise ValueError("2d sums are implemented for the pinned-box modes")
     x_eff = beta * s * (1.0 - dilution)
-    if dimension == 1:
-        m_max = _active_mode_count(ell, x_eff, mode_family)
-        ps = _mode_momenta_1d(ell, mode_family, m_max)
-        total = float(np.sum(_log_one_minus_exp_vec(x_eff * dispersion(ps))))
-        return total / (beta * ell)
+    count, denom = _mode_axis(ell, mode_family)
+    m_max = _active_mode_count(count, denom, x_eff)
+    if m_max**dimension > MAX_SUM_TERMS:
+        raise ValueError(
+            f"the {dimension}d mode sum on a box of {ell:.3g} sites at "
+            f"beta*S*(1-delta) = {x_eff:.6g} has {m_max**dimension:.3g} "
+            f"contributing terms, more than the {MAX_SUM_TERMS} allowed"
+        )
     if dimension == 2:
-        if mode_family != "dirichlet":
-            raise ValueError("2d sums are implemented for the pinned-box modes")
-        m_max = _active_mode_count(ell, x_eff, mode_family)
-        e1 = dispersion(_mode_momenta_1d(ell, mode_family, m_max))
-        total = 0.0
-        chunk = max(1, int(5e6) // max(1, m_max))
-        for lo in range(0, m_max, chunk):
-            grid = e1[lo : lo + chunk, None] + e1[None, :]
-            total += float(np.sum(_log_one_minus_exp_vec(x_eff * grid)))
-        return total / (beta * ell**2)
-    raise ValueError(f"dimension must be 1 or 2, got {dimension}")
+        e1 = dispersion(np.pi * np.arange(1, m_max + 1) / denom)
+    chunk = max(1, _CHUNK_TERMS // m_max ** (dimension - 1))
+    total = 0.0
+    for lo in range(0, m_max, chunk):
+        hi = min(lo + chunk, m_max)
+        if dimension == 1:
+            energies = dispersion(np.pi * np.arange(lo + 1, hi + 1) / denom)
+        else:
+            energies = e1[lo:hi, None] + e1[None, :]
+        total += float(np.sum(_log_one_minus_exp_vec(x_eff * energies)))
+    return total / (beta * ell**dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +432,6 @@ class LowerBoundBudget:
     """Cutoff energy, particle cap, dilution, and box scale feeding the
     assembled lower envelope."""
 
-    beta: float
-    s: float
-    ell: int
     e0: float
     n0: float
     delta: float
@@ -480,9 +492,6 @@ def compute_budget(
         if denom > 0:
             implied_c = (e0 / ell) / denom
     return LowerBoundBudget(
-        beta=beta,
-        s=s,
-        ell=ell,
         e0=e0,
         n0=n0,
         delta=delta,
@@ -495,16 +504,11 @@ def compute_budget(
 class ErrorEnvelope:
     """One fully assembled finite-(beta, S) free-energy bound."""
 
-    beta: float
-    s: float
-    dimension: int
     ell: int
     envelope: float
     leading: float
     ratio: float
     informative: bool
-    scale: float
-    extras: dict = field(default_factory=dict)
 
 
 def _require_box_scale(side, scale):
@@ -550,43 +554,31 @@ def upper_envelope(
     same flag is cleared if the assembled value fails to be negative.
     """
     _require_beta(beta, s)
-    x = beta * s
-    ell = choose_box_upper(x, dimension, scale)
+    ell = choose_box_upper(beta * s, dimension, scale)
     r = trace_ratio_lower_bound(ell, dimension, beta, s)
     lead = leading_term(beta, s, dimension)
-    extras = {"trace_ratio_bound": r}
     if r <= 0.0:
         env = 0.0
         informative = False
     else:
-        sum_term = free_boson_sum(ell, dimension, beta, s)
+        # the entropy term first: a beta*S whose powers overflow fails on
+        # that overflow, not on the mode sum's term bound
         ent = entropy_error_term(ell, dimension, beta, s)
+        sum_term = free_boson_sum(ell, dimension, beta, s)
         cell = ell**dimension
         localization = (1.0 + 1.0 / ell) ** (-dimension)
         env = localization * (
             sum_term - math.log(r) / (beta * cell) + ent / (cell * r)
         )
         informative = env < 0.0
-        extras.update(
-            {
-                "sum_term": sum_term,
-                "entropy_error": ent,
-                "localization": localization,
-            }
-        )
         if not informative:
             env = 0.0
     return ErrorEnvelope(
-        beta=beta,
-        s=s,
-        dimension=dimension,
         ell=ell,
         envelope=float(env),
         leading=float(lead),
         ratio=float(env / lead),
         informative=bool(informative),
-        scale=scale,
-        extras=extras,
     )
 
 
@@ -604,15 +596,9 @@ def lower_envelope(
     informative=False.
     """
     _require_beta(beta, s)
-    x = beta * s
     ell = choose_box_lower(beta, s, scale)
     budget = compute_budget(ell, beta, s)
     lead = leading_term(beta, s, 1)
-    extras = {
-        "e0": budget.e0,
-        "n0": budget.n0,
-        "delta": budget.delta,
-    }
     if budget.delta < 1.0:
         count_term = math.log1p((2.0 * s * ell + 1.0) * (budget.n0 + 1.0)) / (
             beta * ell
@@ -622,19 +608,13 @@ def lower_envelope(
         )
         env = sum_term - count_term
         informative = True
-        extras.update({"sum_term": sum_term, "count_term": count_term})
     else:
         env = preliminary_free_energy_bound(beta, s, ell)
         informative = False
     return ErrorEnvelope(
-        beta=beta,
-        s=s,
-        dimension=1,
         ell=ell,
         envelope=float(env),
         leading=float(lead),
         ratio=float(env / lead),
         informative=bool(informative),
-        scale=scale,
-        extras=extras,
     )

@@ -534,6 +534,14 @@ def test_a_value_that_overflows_is_a_one_line_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_an_envelope_past_the_mode_sum_term_bound_is_a_one_line_error(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    assert main(["asymptotics", "--beta-s", "1e70", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the 1d mode sum")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

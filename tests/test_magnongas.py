@@ -8,6 +8,7 @@ from magnonlab import magnongas
 from magnonlab.magnongas import (
     choose_box_lower,
     choose_box_upper,
+    compute_budget,
     delta_dilution,
     dirichlet_modes,
     dispersion,
@@ -114,6 +115,38 @@ def test_free_boson_sum_2d_brute_force():
 def test_huge_box_sum_is_cheap_and_finite():
     val = free_boson_sum(10**9, 1, 2e8, 0.5, mode_family="neumann")
     assert math.isfinite(val) and val < 0
+
+
+@pytest.mark.parametrize("family", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("x", [1e19, 1e22])
+def test_free_boson_sum_keeps_every_contributing_mode_at_huge_beta_s(x, family):
+    # past x ~ 7e18 the cutoff angle acos(1 - c) rounded to 0 and kept one
+    # mode; 2000 modes reach far past the cutoff on a box of 10 sqrt(x) sites
+    ell = int(10 * math.sqrt(x))
+    denom = ell + 1 if family == "dirichlet" else ell
+    brute = math.fsum(
+        math.log1p(-math.exp(-x * dispersion(math.pi * m / denom))) for m in range(1, 2001)
+    )
+    val = free_boson_sum(ell, 1, 2 * x, 0.5, mode_family=family)
+    # abs=0: the sum is ~1e-30, far below approx's default absolute slack
+    assert val == pytest.approx(brute / (2 * x * ell), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dimension, ell, beta", [(1, 10**6, 2e4), (2, 300, 2e2)])
+def test_free_boson_sum_is_the_same_in_small_chunks(monkeypatch, dimension, ell, beta):
+    whole = free_boson_sum(ell, dimension, beta, 0.5)
+    monkeypatch.setattr(magnongas, "_CHUNK_TERMS", 1000)
+    assert free_boson_sum(ell, dimension, beta, 0.5) == pytest.approx(whole, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("dimension, x", [(1, 1e70), (2, 1e15)])
+def test_a_mode_sum_past_the_term_bound_is_refused_before_any_term(monkeypatch, dimension, x):
+    def evaluated(y):
+        raise AssertionError("a term was evaluated")
+
+    monkeypatch.setattr(magnongas, "_log_one_minus_exp_vec", evaluated)
+    with pytest.raises(ValueError, match="contributing terms, more than the 1073741824"):
+        upper_envelope(x / 0.5, 0.5, dimension)
 
 
 def test_integral_quad_vs_series_dual_route():
@@ -389,6 +422,14 @@ def test_upper_envelope_informative_regime():
     assert env.ratio < env8.ratio < 1
 
 
+def test_upper_envelope_ratio_rises_past_beta_s_1e18():
+    ratios = [
+        upper_envelope(x / 0.5, 0.5, 1, scale=0.5).ratio
+        for x in (1e8, 1e12, 1e16, 1e18, 1e19, 1e20, 1e22)
+    ]
+    assert all(a < b for a, b in zip(ratios, ratios[1:])) and ratios[-1] < 1
+
+
 def test_upper_envelope_vacuous_at_small_x():
     env = upper_envelope(20.0, 0.5, 1)
     assert not env.informative
@@ -407,7 +448,7 @@ def test_lower_envelope_informative_and_below_leading():
     assert env.informative
     assert env.envelope <= env.leading < 0
     assert env.ratio > 1.0
-    assert env.extras["delta"] < 1.0
+    assert compute_budget(env.ell, 2e6, 0.5).delta < 1.0
 
 
 def test_lower_envelope_ratio_trend_toward_unity():
@@ -424,7 +465,7 @@ def test_lower_envelope_vacuous_fallback():
     env = lower_envelope(2e4, 0.5, scale=1.0)
     assert not env.informative
     assert math.isfinite(env.envelope) and env.envelope < 0
-    assert env.extras["delta"] >= 1.0
+    assert compute_budget(env.ell, 2e4, 0.5).delta >= 1.0
 
 
 def test_envelope_sandwich_where_informative():
