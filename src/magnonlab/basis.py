@@ -13,7 +13,7 @@ a (k, M) batch of them, to basis rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -43,41 +43,37 @@ class SpinLattice:
 
     Parameters
     ----------
-    dimension : 1 or 2
-    extents : tuple of per-axis site counts (each >= 2)
+    extents : tuple of per-axis site counts (each >= 2), one per
+        dimension (1 or 2)
 
     Boundary pinning is not a lattice property: it is the "dirichlet"
     variant of the Hamiltonian (`operators.assemble_dirichlet_heisenberg`).
     """
 
-    dimension: int
     extents: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
-        object.__setattr__(self, "extents", tuple(int(e) for e in self.extents))
-        if len(self.extents) != self.dimension:
-            raise ValueError(
-                f"need {self.dimension} extents, got {len(self.extents)}"
-            )
         if any(e < 2 for e in self.extents):
             raise ValueError(f"every extent must be >= 2, got {self.extents}")
 
     @classmethod
     def chain(cls, length: int) -> "SpinLattice":
-        return cls(1, (length,))
+        return cls((length,))
 
     @classmethod
     def square(cls, side: int) -> "SpinLattice":
-        return cls(2, (side, side))
+        return cls((side, side))
+
+    @property
+    def dimension(self) -> int:
+        return len(self.extents)
 
     @property
     def nsites(self) -> int:
-        n = 1
-        for e in self.extents:
-            n *= e
-        return n
+        return prod(self.extents)
 
     def bonds(self):
         """Nearest-neighbor site-index pairs, open boundaries."""
@@ -97,11 +93,7 @@ class SpinLattice:
         return out
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.nsites, dtype=int)
-        for i, j in self.bonds():
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(np.ravel(self.bonds()), minlength=self.nsites)
 
 
 class ResourceLimitError(RuntimeError):

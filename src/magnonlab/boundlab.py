@@ -247,20 +247,15 @@ def haar_random_state(basis: MagnonSectorBasis, rng) -> CoordinateState:
     return CoordinateState(basis, rng.standard_normal(basis.dim))
 
 
-def gibbs_weights(energies, beta) -> np.ndarray:
-    """Boltzmann probabilities e^{-beta E} / Z of the energies of a
-    sector, shifted by the lowest one so that no weight overflows."""
+def gibbs_cdf(energies, beta) -> np.ndarray:
+    """Cumulative Boltzmann probabilities p = e^{-beta E} / Z of the
+    energies of a sector, shifted by the lowest one so that no weight
+    overflows.  The CDF is formed as `Generator.choice` forms it from p,
+    so that a `gibbs_random_state` draw picks the state
+    `rng.choice(len(p), p=p)` would pick from the same stream."""
     p = np.exp(-beta * (energies - energies.min()))
     p /= p.sum()
-    return p
-
-
-def gibbs_cdf(energies, beta) -> np.ndarray:
-    """Cumulative `gibbs_weights` of the energies of a sector, formed as
-    `Generator.choice` forms its CDF from probabilities p, so that a
-    `gibbs_random_state` draw picks the state `rng.choice(len(p), p=p)`
-    would pick from the same stream."""
-    cdf = gibbs_weights(energies, beta).cumsum()
+    cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
 
@@ -321,26 +316,22 @@ def verify_density_bounds(state: CoordinateState, hamiltonian_dense) -> tuple:
     s = basis.spin.s
     energy = max(0.0, float(state.amplitudes @ hamiltonian_dense @ state.amplitudes))
     rho = two_particle_density(state)
-    off = float(np.sum(np.diag(rho, 1)))
-    diag = float(np.trace(rho))
     base = 4.0 / ell * n * (n - 1)
     root = (n - 1) * math.sqrt(n / s) * math.sqrt(energy)
     params = {"ell": ell, "two_s": basis.spin.two_s, "n": n}
-    cert_off = InequalityCertificate(
-        name="pair-density-offdiag-bound",
-        params=params,
-        slack=base + 4.0 * root - off,
-        tolerance=1e-10,
-        extras={"lhs": off, "energy": energy},
+    return tuple(
+        InequalityCertificate(
+            name=name,
+            params=params,
+            slack=base + factor * root - lhs,
+            tolerance=1e-10,
+            extras={"lhs": lhs, "energy": energy},
+        )
+        for name, lhs, factor in (
+            ("pair-density-offdiag-bound", float(np.sum(np.diag(rho, 1))), 4.0),
+            ("pair-density-diag-bound", float(np.trace(rho)), 4.0 + math.sqrt(3.0)),
+        )
     )
-    cert_diag = InequalityCertificate(
-        name="pair-density-diag-bound",
-        params=params,
-        slack=base + (4.0 + math.sqrt(3.0)) * root - diag,
-        tolerance=1e-10,
-        extras={"lhs": diag, "energy": energy},
-    )
-    return cert_off, cert_diag
 
 
 # ---------------------------------------------------------------------------

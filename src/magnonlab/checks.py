@@ -253,9 +253,12 @@ CHECKS = {
 
 def run_check(name, grid="default", seed=DEFAULT_SEED, **overrides):
     """Run suite `name` on its grid; raise ValueError for an override it
-    does not take.  `grid` takes only "default", the name of that grid."""
+    does not take, or for a negative seed, whether or not the suite
+    draws from it.  `grid` takes only "default", the name of that grid."""
     if grid != "default":
         raise ValueError(f"unknown grid {grid!r}; the one grid is 'default'")
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     if name not in CHECKS:
         raise ValueError(
             f"unknown check {name!r}; valid names: {', '.join(sorted(CHECKS))}"

@@ -34,12 +34,10 @@ UNITS_HEADER = "# units: energies in exchange-coupling units; beta in inverse ex
 
 
 def _fmt(value):
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
     if value is None:
         return ""
     return str(value)
@@ -197,37 +195,16 @@ def cmd_verify(args):
 
 def cmd_asymptotics(args):
     _require_csv_for_plot_script(args)
+    if args.dimension == 2 and args.lower_scale != 1.0:
+        raise ValueError("--lower-scale scales the 1d lower envelope; the 2d table has none")
     two_s = _two_s(args)
     s = SpinMagnitude(two_s).s
     grid = parse_beta_grid(args.beta_s)
     rows = []
-    if args.dimension == 1:
-        for x in grid:
-            beta = x / s
-            up = upper_envelope(beta, s, 1, scale=args.upper_scale)
-            lo = lower_envelope(beta, s, scale=args.lower_scale)
-            rows.append(
-                {
-                    "beta_s": x,
-                    "two_s": two_s,
-                    "ell_upper": up.ell,
-                    "upper": up.envelope,
-                    "informative_upper": up.informative,
-                    "ell_lower": lo.ell,
-                    "lower": lo.envelope,
-                    "informative_lower": lo.informative,
-                    "leading": up.leading,
-                    "ratio_upper": up.ratio,
-                    "ratio_lower": lo.ratio,
-                    "width": up.envelope - lo.envelope,
-                    "upper_scale": args.upper_scale,
-                    "lower_scale": args.lower_scale,
-                }
-            )
-    else:
-        for x in grid:
-            beta = x / s
-            up = upper_envelope(beta, s, 2, scale=args.upper_scale)
+    for x in grid:
+        beta = x / s
+        up = upper_envelope(beta, s, args.dimension, scale=args.upper_scale)
+        if args.dimension == 2:
             rows.append(
                 {
                     "beta_s": x,
@@ -240,6 +217,26 @@ def cmd_asymptotics(args):
                     "scale": args.upper_scale,
                 }
             )
+            continue
+        lo = lower_envelope(beta, s, scale=args.lower_scale)
+        rows.append(
+            {
+                "beta_s": x,
+                "two_s": two_s,
+                "ell_upper": up.ell,
+                "upper": up.envelope,
+                "informative_upper": up.informative,
+                "ell_lower": lo.ell,
+                "lower": lo.envelope,
+                "informative_lower": lo.informative,
+                "leading": up.leading,
+                "ratio_upper": up.ratio,
+                "ratio_lower": lo.ratio,
+                "width": up.envelope - lo.envelope,
+                "upper_scale": args.upper_scale,
+                "lower_scale": args.lower_scale,
+            }
+        )
     _write_rows(args.out, rows, args.format)
     if args.plot_script:
         ycol = "width" if args.dimension == 1 else "ratio"

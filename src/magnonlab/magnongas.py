@@ -129,7 +129,7 @@ def _require_beta(beta, s):
 
 
 MAX_SUM_TERMS = 2**30  # a full 2d sum this long takes about half a minute
-_CHUNK_TERMS = 5_000_000  # terms evaluated per numpy pass
+_CHUNK_TERMS = 1_000_000  # terms evaluated per numpy pass
 
 
 def free_boson_sum(
@@ -146,11 +146,12 @@ def free_boson_sum(
     nonzero free-boundary modes pi*m/l used by the lower envelope; the
     dilution delta in [0, 1) softens the dispersion.  Always <= 0.
     Modes whose Boltzmann weight underflows contribute exactly zero and
-    are skipped; the rest are evaluated in chunks of a few million, so
-    memory stays bounded.  A sum of more than MAX_SUM_TERMS contributing
-    terms (m_max^d) is refused with ValueError before any is evaluated:
-    the count grows like (beta S)^{1/8} in 1d and (beta S)^{2/3} in 2d
-    at the envelopes' box sizes.
+    are skipped; the rest are evaluated in numpy passes of about a
+    million terms (`_CHUNK_TERMS`), so memory stays bounded.  A sum of
+    more than MAX_SUM_TERMS contributing terms (m_max^d) is refused with
+    ValueError before any is evaluated: the count grows like
+    (beta S)^{1/8} in 1d and (beta S)^{2/3} in 2d at the envelopes' box
+    sizes.
     """
     _require_beta(beta, s)
     if not 0.0 <= dilution < 1.0:
@@ -410,12 +411,9 @@ def preliminary_free_energy_bound(beta: float, s: float, ell: int) -> float:
     def gap_part(m):
         return np.log(-np.expm1(-2.0 * x / m**2)) / beta
 
-    def single(m):
-        return float(count_part(float(m)) + gap_part(float(m)))
-
     ell0 = _ell0(x)
     if ell <= ell0:
-        return single(ell)
+        return float(count_part(float(ell)) + gap_part(float(ell)))
     a = max(2, math.ceil(ell0 / 2.0))
     b = min(2 * a - 1, ell)
     if b - a <= 200_000:

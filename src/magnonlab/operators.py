@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,15 +179,9 @@ def assemble_neumann_laplacian(basis: MagnonSectorBasis) -> HermitianOperator:
 def occupancy_weight(n: int, spin: SpinMagnitude) -> float:
     """Single-site weight f(n): 1 for n in {0,1}, the square root of the
     falling-factorial ratio (2S)(2S-1)...(2S-n+1)/(2S)^n for n <= 2S,
-    and 0 beyond the hard core.  Evaluated through exact rationals."""
-    if n == 0:
-        return 1.0
-    if n > spin.two_s:
-        return 0.0
-    prod = Fraction(1)
-    for j in range(1, n + 1):
-        prod *= Fraction(spin.two_s - (j - 1), spin.two_s)
-    return math.sqrt(prod)
+    and 0 beyond the hard core.  The ratio is one correctly rounded
+    division of exact integers (`math.perm` is 0 beyond the hard core)."""
+    return math.sqrt(math.perm(spin.two_s, n) / spin.two_s**n)
 
 
 def assemble_projector_p(basis: MagnonSectorBasis) -> np.ndarray:

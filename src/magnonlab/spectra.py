@@ -100,7 +100,6 @@ class SectorSpectrum:
     """Eigenvalues of every magnon sector of a chain or grid Hamiltonian."""
 
     lattice: SpinLattice
-    spin: SpinMagnitude
     variant: str  # "free" | "dirichlet"
     sector_eigenvalues: list = field(repr=False)
 
@@ -220,7 +219,7 @@ def full_spectrum(
         ends = np.cumsum([len(eigs) for eigs in blocks])
         every = np.concatenate(blocks)
         sector_eigs = [np.sort(every[: ends[min(n, top - n)]]) for n in range(top + 1)]
-        return SectorSpectrum(lattice, spin, variant, sector_eigs)
+        return SectorSpectrum(lattice, variant, sector_eigs)
     # pinned sector m -> pinned sector nsites + 2 - m, whose spectrum and
     # free chain nsites + 1's highest-weight block m make up sector m's
     partners = {}
@@ -238,7 +237,7 @@ def full_spectrum(
         # the row of each state's reversed occupation vector, every sign 1
         mirror = op.basis.state_index(op.basis.states[:, ::-1]) if split else None
         sector_eigs[n] = np.sort(_block_eigenvalues((op.rows, op.cols, op.vals, op.dim, mirror, 1), split))
-    return SectorSpectrum(lattice, spin, variant, sector_eigs)
+    return SectorSpectrum(lattice, variant, sector_eigs)
 
 
 def _block_eigenvalues(block, split):
@@ -590,8 +589,6 @@ def chain_free_energies(ell: int, spin: SpinMagnitude, betas, variant: str = "fr
 
 @dataclass
 class GapReport:
-    ell: int
-    two_s: int
     gap: float
     reference: float
     deviation: float
@@ -675,7 +672,7 @@ def spectral_gap(lattice: SpinLattice, spin: SpinMagnitude) -> GapReport:
         )
     reference = 2.0 * spin.s * (1.0 - math.cos(math.pi / ell))
     return GapReport(
-        ell, spin.two_s, gap, reference, abs(gap - reference), residual, tuple(dims), n,
+        gap, reference, abs(gap - reference), residual, tuple(dims), n,
     )
 
 

@@ -21,9 +21,9 @@ def test_spin_magnitude_exact():
 
 def test_lattice_validation():
     with pytest.raises(ValueError):
-        SpinLattice(1, (1,))
+        SpinLattice((1,))
     with pytest.raises(ValueError):
-        SpinLattice(2, (3,))
+        SpinLattice((3, 3, 3))
     lat = SpinLattice.square(3)
     assert lat.nsites == 9
     assert len(lat.bonds()) == 12

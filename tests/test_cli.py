@@ -192,6 +192,18 @@ def test_asymptotics_rejects_a_scale_that_is_not_positive_and_finite(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-5", "0.5", "nan"])
+def test_asymptotics_2d_refuses_a_lower_scale_it_would_ignore(tmp_path, capsys, value):
+    # the 2d table has no lower envelope; only the default 1 is accepted
+    out = tmp_path / "a.csv"
+    argv = ["asymptotics", "--beta-s", "1e6", "--dimension", "2", "--out", str(out)]
+    assert main(argv + [f"--lower-scale={value}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --lower-scale")
+    assert not out.exists()
+    assert main(argv + ["--lower-scale", "1"]) == 0
+
+
 def test_budget_rows_and_error_marker(tmp_path):
     out = tmp_path / "b.csv"
     assert main(["budget", "--ell", "34,3", "--beta", "20000", "--out", str(out)]) == 0
@@ -279,7 +291,9 @@ def test_budget_box_scale_stays_finite_where_four_beta_s_overflows(tmp_path):
                  "--out", str(out)]) == 0
     (row,) = csv.DictReader(read_lines(out).splitlines()[1:])
     x = 1e308 * 0.5
-    assert float(row["ell0"]) == pytest.approx(math.sqrt(4.0 * (x / math.log(x))), rel=1e-15)
+    assert float(row["ell0"]) == pytest.approx(
+        math.sqrt(4.0 * (x / math.log(x))), rel=1e-15, abs=0
+    )
 
 
 # sha256 of each table the README does not pin: every table command in
@@ -721,6 +735,13 @@ def test_verify_refuses_a_cell_outside_its_check_before_any_work(
         # the spectrum suites also size each cell's whole chain, as full_spectrum does
         (["--check", "subadditivity", "--ell", "2", "--two-s", "1,1024"], "check_subadditivity",
          "error: total dimension 1050625 exceeds cap 1048576"),
+        # a negative seed is refused by every suite, whether it draws or not
+        (["--check", "laplacian", "--ell", "2", "--two-s", "1", "--seed", "-5"],
+         "verify_laplacian_lower_bound", "error: --seed must be >= 0, got -5"),
+        (["--check", "vnorm", "--seed", "-5"], "enumerate_sector_basis",
+         "error: --seed must be >= 0, got -5"),
+        (["--check", "su2", "--seed", "-1"], "verify_su2_representation",
+         "error: --seed must be >= 0, got -1"),
     ],
 )
 def test_verify_refuses_a_bad_cell_before_the_first_cell_runs(
@@ -1026,3 +1047,17 @@ def test_no_module_caches_results_across_calls():
                   and node not in lookup):
                 found.append(f"{path.name}: functools.{node.attr}")
     assert found == []
+
+
+def test_every_relative_approx_names_its_absolute_slack():
+    # approx(x, rel=r) also passes anything within its default absolute
+    # slack of 1e-12, which exceeds r|x| once |x| < 1e-12 / r; with abs=
+    # given, the call checks the tolerance it names
+    loose = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "approx":
+                named = {keyword.arg for keyword in node.keywords}
+                if "rel" in named and "abs" not in named:
+                    loose.append(f"{path.name}:{node.lineno}")
+    assert loose == []

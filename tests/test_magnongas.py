@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ def test_free_boson_sum_scalar_example():
         + math.log(1 - math.exp(-2.0))
         + math.log(1 - math.exp(-(2 + math.sqrt(2))))
     ) / 3.0
-    assert val == pytest.approx(expected, rel=1e-14)
+    assert val == pytest.approx(expected, rel=1e-14, abs=0)
     assert val < 0
 
 
@@ -98,7 +99,7 @@ def test_free_boson_sum_neumann_family():
         math.log(1 - math.exp(-beta * s * dispersion(math.pi * m / ell)))
         for m in range(1, ell)
     ) / (beta * ell)
-    assert val == pytest.approx(expected, rel=1e-13)
+    assert val == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 def test_free_boson_sum_2d_brute_force():
@@ -109,7 +110,7 @@ def test_free_boson_sum_2d_brute_force():
         for n in range(1, ell + 1):
             e = dispersion(math.pi * m / 6) + dispersion(math.pi * n / 6)
             acc += math.log(1 - math.exp(-beta * s * e))
-    assert val == pytest.approx(acc / (beta * ell**2), rel=1e-13)
+    assert val == pytest.approx(acc / (beta * ell**2), rel=1e-13, abs=0)
 
 
 def test_huge_box_sum_is_cheap_and_finite():
@@ -137,6 +138,17 @@ def test_free_boson_sum_is_the_same_in_small_chunks(monkeypatch, dimension, ell,
     whole = free_boson_sum(ell, dimension, beta, 0.5)
     monkeypatch.setattr(magnongas, "_CHUNK_TERMS", 1000)
     assert free_boson_sum(ell, dimension, beta, 0.5) == pytest.approx(whole, rel=1e-13, abs=0)
+
+
+def test_a_long_mode_sum_holds_about_one_pass_of_terms_in_memory():
+    # 8.7e6 terms; with five million terms a pass this peaked at 201 MB
+    tracemalloc.start()
+    try:
+        free_boson_sum(10**11, 1, 2e10, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
 
 
 @pytest.mark.parametrize("dimension, x", [(1, 1e70), (2, 1e15)])
@@ -170,7 +182,7 @@ def test_integral_against_plain_scipy_quad():
     ref = integrate.quad(g, 0, math.pi, limit=400, epsabs=1e-13, epsrel=1e-13,
                          full_output=1)[0]
     val = free_boson_integral(18.0, 0.5, 1)
-    assert val == pytest.approx(ref / (math.pi * 18.0), rel=1e-11)
+    assert val == pytest.approx(ref / (math.pi * 18.0), rel=1e-11, abs=0)
 
 
 def test_continuum_constants():
@@ -244,7 +256,7 @@ def test_missing_mode_consistency_with_truncated_integral():
 
     ref, _ = integrate.quad(g, 0, math.pi / (ell + 1), epsabs=1e-15, limit=400)
     assert missing_mode_term(ell, beta, s) == pytest.approx(
-        -ref / (math.pi * beta), rel=1e-10
+        -ref / (math.pi * beta), rel=1e-10, abs=0
     )
 
 
@@ -277,7 +289,7 @@ def test_wick_brute_force_oracle():
         w = 2.0 / (ell + 1) * math.sin(site * p) ** 2
         acc += w / (math.exp(beta * s * dispersion(p)) - 1.0)
     val, _ = wick_occupation(ell, 1, beta, s, site)
-    assert val == pytest.approx(acc, rel=1e-12)
+    assert val == pytest.approx(acc, rel=1e-12, abs=0)
 
 
 def test_trace_ratio_formula_values():
@@ -304,16 +316,16 @@ def test_entropy_error_formula():
         / x**3.5
         * (math.sqrt(math.pi) * 2.6123753486854883 / 8 + math.sqrt(x) / ell)
     )
-    assert entropy_error_term(ell, 1, beta, s) == pytest.approx(expected, rel=1e-13)
+    assert entropy_error_term(ell, 1, beta, s) == pytest.approx(expected, rel=1e-13, abs=0)
     ln = math.log(9.0)
     expected2 = (
         0.5 * s * (0.5 * math.pi * 4 * 5 * ln / x**2) ** 2 * (math.pi**3 / 48 + x / 16)
     )
-    assert entropy_error_term(4, 2, beta, s) == pytest.approx(expected2, rel=1e-13)
+    assert entropy_error_term(4, 2, beta, s) == pytest.approx(expected2, rel=1e-13, abs=0)
     # explicit S prefactor: doubling S at fixed beta*S doubles the value
     for dim in (1, 2):
         assert entropy_error_term(4, dim, 50.0, 1.0) == pytest.approx(
-            2 * entropy_error_term(4, dim, 100.0, 0.5), rel=1e-13
+            2 * entropy_error_term(4, dim, 100.0, 0.5), rel=1e-13, abs=0
         )
 
 
@@ -331,7 +343,7 @@ def test_entropy_error_scaling_envelope():
 
 def test_delta_dilution_arithmetic():
     val = delta_dilution(0.1, 10, 0.5)
-    assert val == pytest.approx((2 + 9 / math.sqrt(8)) * 0.01 * 1000 / 0.25, rel=1e-13)
+    assert val == pytest.approx((2 + 9 / math.sqrt(8)) * 0.01 * 1000 / 0.25, rel=1e-13, abs=0)
     assert val == pytest.approx(207.28, abs=0.01)
     assert val >= 1.0  # non-informative regime
 
@@ -440,7 +452,7 @@ def test_upper_envelope_2d():
     env = upper_envelope(2e6, 0.5, 2)
     assert env.informative
     assert 0 < env.ratio < 1
-    assert env.leading == pytest.approx(-math.pi / 24 / (0.5 * (2e6) ** 2), rel=1e-12)
+    assert env.leading == pytest.approx(-math.pi / 24 / (0.5 * (2e6) ** 2), rel=1e-12, abs=0)
 
 
 def test_lower_envelope_informative_and_below_leading():
@@ -478,8 +490,8 @@ def test_envelope_sandwich_where_informative():
 
 def test_leading_term_values():
     assert leading_term(8.0, 0.5, 1) == pytest.approx(
-        C1 / (math.sqrt(0.5) * 8.0**1.5), rel=1e-13
+        C1 / (math.sqrt(0.5) * 8.0**1.5), rel=1e-13, abs=0
     )
     assert leading_term(8.0, 0.5, 2) == pytest.approx(
-        (-math.pi / 24) / (0.5 * 64.0), rel=1e-13
+        (-math.pi / 24) / (0.5 * 64.0), rel=1e-13, abs=0
     )

@@ -287,7 +287,7 @@ def _loop_reference(basis, pairs, scale, dressed, diag_fn):
 @pytest.mark.parametrize(
     "lattice,two_s",
     [(SpinLattice.chain(ell), two_s) for ell in (2, 4, 5) for two_s in (1, 2, 3)]
-    + [(SpinLattice.square(2), 1), (SpinLattice(2, (2, 3)), 2),
+    + [(SpinLattice.square(2), 1), (SpinLattice((2, 3)), 2),
        (SpinLattice.chain(3), 1)],
 )
 def test_vectorized_assembly_repeats_loop_arithmetic_exactly(lattice, two_s):

@@ -80,7 +80,7 @@ def test_free_energy_limits():
     # ground energy 0: f -> 0^- at low temperature
     assert -1e-3 < free_energy(spec, 1e4) < 0
     # high temperature: f ~ -(1/(2 beta)) ln 4
-    assert free_energy(spec, 0.01) == pytest.approx(-math.log(4.0) / 0.02, rel=1e-2)
+    assert free_energy(spec, 0.01) == pytest.approx(-math.log(4.0) / 0.02, rel=1e-2, abs=0)
     with pytest.raises(ValueError, match="positive"):
         free_energy(spec, 0.0)
 
@@ -385,7 +385,7 @@ def test_a_second_zero_mode_in_the_blocks_raises():
     # total spin T=0..8 they give n+1 zero modes in sector n, so the
     # maximal-spin vector is a zero mode but not the only one; the floor
     # of the whole chain ends the loop at sector 2, with three zero modes
-    lattice = _CutChain(1, (8,))
+    lattice = _CutChain((8,))
     basis = enumerate_sector_basis(lattice, SpinMagnitude(2), 8)
     assert np.linalg.norm(assemble_heisenberg(basis).to_csr() @ ground_multiplet_vector(basis)) < 1e-12
     with pytest.raises(RuntimeError, match="second zero mode"):
@@ -561,7 +561,7 @@ def test_gibbs_variational_upper_examples():
         assert cert.passed and cert.slack > 0
         assert got == pytest.approx(value, abs=1e-12)
         assert details["gamma_trace"] == pytest.approx(trace, abs=1e-12)
-        assert details["trial_trace_ratio"] == pytest.approx(ratio, rel=1e-10)
+        assert details["trial_trace_ratio"] == pytest.approx(ratio, rel=1e-10, abs=0)
         assert got >= details["f_dirichlet"]
         # the trial value sits above the plain free-boson pressure
         assert details["gap_to_free_boson"] > 0
